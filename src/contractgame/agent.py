@@ -105,63 +105,80 @@ class RiskClassification:
     persistence_max: float
 
 
-class _AgentPayoff:
-    """E, E', E'' for one (scenario, contract) pair, scalar or vectorized.
+class LinearPayoff:
+    """base + sum_i delta_i p_i(e) - cost(e), scalar or vectorized; cost optional.
 
-    Uses the complement identity: with du_i = u(w_i) - u(w_n),
-    E(e) = u(w_n) + sum_{i<n} p_i(e) du_i - v(e), so only the n-1 component
-    curves are evaluated and the probabilities never need renormalizing.
+    Both parties' expectations take this form through the complement
+    identity: with levels l_i (u(w_i) for the agent, B(x_i - w_i) for the
+    principal) and delta_i = l_i - l_n, sum_i p_i(e) l_i = l_n +
+    sum_{i<n} p_i(e) delta_i.  So only the n-1 component curves are
+    evaluated, the probabilities never need renormalizing, and components
+    with a zero delta are skipped.
     """
 
-    __slots__ = ("base", "deltas", "components", "cost")
+    __slots__ = ("base", "terms", "cost")
 
-    def __init__(self, scenario: Scenario, contract: Contract):
+    def __init__(self, scenario: Scenario, levels, cost=None):
+        self.base = levels[-1]
+        self.terms = tuple(
+            (level - levels[-1], comp)
+            for level, comp in zip(levels[:-1], scenario.profile.components)
+            if level - levels[-1] != 0.0
+        )
+        self.cost = cost
+
+    @classmethod
+    def agent(cls, scenario: Scenario, contract: Contract) -> LinearPayoff:
+        """E(e) = sum_i p_i(e) u(w_i) - v(e)."""
         scenario.check_contract(contract)
         u = scenario.agent.utility
-        uw = [u.eval(w) for w in contract.wages]
-        self.base = uw[-1]
-        self.deltas = tuple(x - uw[-1] for x in uw[:-1])
-        self.components = scenario.profile.components
-        self.cost = scenario.agent.effort_cost
+        levels = [u.eval(w) for w in contract.wages]
+        return cls(scenario, levels, scenario.agent.effort_cost)
+
+    @classmethod
+    def principal(cls, scenario: Scenario, contract: Contract) -> LinearPayoff:
+        """sum_i p_i(e) B(x_i - w_i)."""
+        scenario.check_contract(contract)
+        B = scenario.principal.utility
+        levels = [B.eval(x - w) for x, w in zip(scenario.outcomes, contract.wages)]
+        return cls(scenario, levels)
 
     def value(self, e):
         acc = 0.0
-        for delta, comp in zip(self.deltas, self.components):
-            if delta != 0.0:
-                acc = acc + delta * comp.eval(e)
-        return self.base + acc - self.cost.eval(e)
+        for delta, comp in self.terms:
+            acc = acc + delta * comp.eval(e)
+        acc = self.base + acc
+        return acc if self.cost is None else acc - self.cost.eval(e)
 
     def slope(self, e):
         acc = 0.0
-        for delta, comp in zip(self.deltas, self.components):
-            if delta != 0.0:
-                acc = acc + delta * comp.d1(e)
-        return acc - self.cost.d1(e)
+        for delta, comp in self.terms:
+            acc = acc + delta * comp.d1(e)
+        return acc if self.cost is None else acc - self.cost.d1(e)
 
     def curvature(self, e):
         acc = 0.0
-        for delta, comp in zip(self.deltas, self.components):
-            if delta != 0.0:
-                acc = acc + delta * comp.d2(e)
-        return acc - self.cost.d2(e)
+        for delta, comp in self.terms:
+            acc = acc + delta * comp.d2(e)
+        return acc if self.cost is None else acc - self.cost.d2(e)
 
 
 def agent_expectation(scenario: Scenario, contract: Contract, e: float) -> float:
     """Expected agent utility sum_i p_i(e) u(w_i) - v(e)."""
     scenario.interval.require(e)
-    return _AgentPayoff(scenario, contract).value(e)
+    return LinearPayoff.agent(scenario, contract).value(e)
 
 
 def motivation(scenario: Scenario, contract: Contract, e: float) -> float:
     """First derivative of the payment expectation with respect to effort."""
     scenario.interval.require(e)
-    return _AgentPayoff(scenario, contract).slope(e)
+    return LinearPayoff.agent(scenario, contract).slope(e)
 
 
 def persistence(scenario: Scenario, contract: Contract, e: float) -> float:
     """Second derivative of the payment expectation with respect to effort."""
     scenario.interval.require(e)
-    return _AgentPayoff(scenario, contract).curvature(e)
+    return LinearPayoff.agent(scenario, contract).curvature(e)
 
 
 def transience(scenario: Scenario, contract: Contract, e: float) -> float:
@@ -174,7 +191,7 @@ def agent_payoff_functions(scenario: Scenario, contract: Contract):
     Shares one precomputed payoff object, so this is the fast path for
     sweeps and dense grids.
     """
-    payoff = _AgentPayoff(scenario, contract)
+    payoff = LinearPayoff.agent(scenario, contract)
     interval = scenario.interval
 
     def expectation(e):
@@ -245,6 +262,68 @@ def _merge_runs(indices):
     return runs
 
 
+# The maximizer pipeline.  hybrid_maximize chains the stages below; the
+# two-outcome analyzer runs its own candidate set through the same ones.
+
+def flat_scan(f, interval: EffortInterval, points: int, tie_tol: float):
+    """Dense value scan of f, plus the flat shortcut.
+
+    Returns (scan, values, flat).  When the value spread is within the tie
+    tolerance, flat is the constant result (pairs, best, True): the two
+    boundary points represent the whole interval.  Otherwise it is None.
+    """
+    scan = np.linspace(interval.lo, interval.hi, points)
+    fv = np.asarray(f(scan), dtype=float)
+    fmax = float(fv.max())
+    if fmax - float(fv.min()) <= tie_tol * max(1.0, abs(fmax)):
+        pairs = ((interval.lo, float(fv[0])), (interval.hi, float(fv[-1])))
+        return scan, fv, (pairs, fmax, True)
+    return scan, fv, None
+
+
+def bracket_roots(g, interval: EffortInterval, points: int, refine_tol: float):
+    """Roots of g bracketed on a uniform grid and bisected to refine_tol.
+
+    A run of exact zeros on the grid is a flat stretch; its edges are the
+    informative representatives (a lone zero is its own edge).
+    """
+    grid = np.linspace(interval.lo, interval.hi, points)
+    gv = np.asarray(g(grid), dtype=float)
+    roots = []
+    for first, last in _merge_runs(np.nonzero(gv == 0.0)[0]):
+        roots.append(float(grid[first]))
+        roots.append(float(grid[last]))
+    for i in np.nonzero(gv[:-1] * gv[1:] < 0.0)[0]:
+        roots.append(_bisect_root(g, float(grid[i]), float(grid[i + 1]), refine_tol))
+    return roots
+
+
+def dedup_sorted(points, tol: float) -> list[float]:
+    """Sorted points, dropping each one within tol of the last kept."""
+    kept: list[float] = []
+    for c in sorted(points):
+        if kept and c - kept[-1] <= tol:
+            continue
+        kept.append(c)
+    return kept
+
+
+def settle(f, candidates, interval: EffortInterval, effort_tol: float, tie_tol: float):
+    """Clamp, sort and dedup candidates, evaluate f, keep the ties.
+
+    Returns (evaluated, pairs, best): every kept (point, value) pair, the
+    ones whose value ties the best within the relative tie tolerance, and
+    the best value.
+    """
+    lo, hi = interval.lo, interval.hi
+    points = dedup_sorted((min(max(c, lo), hi) for c in candidates), effort_tol)
+    evaluated = [(c, float(f(c))) for c in points]
+    best = max(fc for _, fc in evaluated)
+    scale = max(1.0, abs(best))
+    pairs = tuple((c, fc) for c, fc in evaluated if best - fc <= tie_tol * scale)
+    return evaluated, pairs, best
+
+
 def hybrid_maximize(
     f,
     df,
@@ -268,29 +347,12 @@ def hybrid_maximize(
     by golden-section.  A flat function (value spread within the tie
     tolerance) is reported as constant via its two boundary points.
     """
-    lo, hi = interval.lo, interval.hi
-    scan = np.linspace(lo, hi, scan_points)
-    fv = np.asarray(f(scan), dtype=float)
-    fmax = float(fv.max())
-    scale = max(1.0, abs(fmax))
-    if fmax - float(fv.min()) <= tie_tol * scale:
-        pairs = ((lo, float(fv[0])), (hi, float(fv[-1])))
-        return pairs, fmax, True
+    scan, fv, flat = flat_scan(f, interval, scan_points, tie_tol)
+    if flat is not None:
+        return flat
 
-    candidates = [lo, hi]
-
-    mt_grid = np.linspace(lo, hi, mt_points)
-    dv = np.asarray(df(mt_grid), dtype=float)
-    # a run of exact derivative zeros is a flat stretch; its edges are the
-    # informative representatives (a lone zero is its own edge)
-    for first, last in _merge_runs(np.nonzero(dv == 0.0)[0]):
-        candidates.append(float(mt_grid[first]))
-        candidates.append(float(mt_grid[last]))
-    for i in np.nonzero(dv[:-1] * dv[1:] < 0.0)[0]:
-        candidates.append(
-            _bisect_root(df, float(mt_grid[i]), float(mt_grid[i + 1]), refine_tol)
-        )
-
+    candidates = [interval.lo, interval.hi]
+    candidates += bracket_roots(df, interval, mt_points, refine_tol)
     interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
     for first, last in _merge_runs(interior):
         a = float(scan[first - 1])
@@ -306,16 +368,7 @@ def hybrid_maximize(
         else:
             candidates.append(_golden_max(f, a, b, refine_tol))
 
-    clamped = sorted(min(max(c, lo), hi) for c in candidates)
-    merged: list[tuple[float, float]] = []
-    for c in clamped:
-        if merged and c - merged[-1][0] <= effort_tol:
-            continue
-        merged.append((c, float(f(c))))
-
-    best = max(fc for _, fc in merged)
-    scale = max(1.0, abs(best))
-    pairs = tuple((c, fc) for c, fc in merged if best - fc <= tie_tol * scale)
+    _, pairs, best = settle(f, candidates, interval, effort_tol, tie_tol)
     return pairs, best, False
 
 
@@ -325,6 +378,28 @@ def _kind_at(e: float, interval: EffortInterval, tol: float) -> MaximizerKind:
     if interval.hi - e <= tol:
         return MaximizerKind.BOUNDARY_MAX
     return MaximizerKind.INTERIOR_CRITICAL
+
+
+def best_response_from(
+    pairs, best: float, constant: bool, interval: EffortInterval,
+    effort_tol: float, accepted: bool,
+) -> BestResponse:
+    """BestResponse from a maximizer result (pairs, best, constant).
+
+    A constant result's two pairs are the interval's boundary
+    representatives; otherwise each maximizer is labelled by its distance
+    to the boundaries.
+    """
+    if constant:
+        maximizers = (
+            Maximizer(pairs[0][0], MaximizerKind.BOUNDARY_MIN, pairs[0][1]),
+            Maximizer(pairs[1][0], MaximizerKind.BOUNDARY_MAX, pairs[1][1]),
+        )
+    else:
+        maximizers = tuple(
+            Maximizer(e, _kind_at(e, interval, effort_tol), fe) for e, fe in pairs
+        )
+    return BestResponse(maximizers, best, accepted, constant)
 
 
 def agent_best_response(
@@ -343,7 +418,7 @@ def agent_best_response(
     the optimum is at least the reservation utility (rejection keeps the
     maximizer list, only the flag flips).
     """
-    payoff = _AgentPayoff(scenario, contract)
+    payoff = LinearPayoff.agent(scenario, contract)
     pairs, best, constant = hybrid_maximize(
         payoff.value,
         payoff.slope,
@@ -354,18 +429,10 @@ def agent_best_response(
         effort_tol=effort_tol,
         tie_tol=tie_tol,
     )
-    if constant:
-        maximizers = (
-            Maximizer(pairs[0][0], MaximizerKind.BOUNDARY_MIN, pairs[0][1]),
-            Maximizer(pairs[1][0], MaximizerKind.BOUNDARY_MAX, pairs[1][1]),
-        )
-    else:
-        maximizers = tuple(
-            Maximizer(e, _kind_at(e, scenario.interval, effort_tol), fe)
-            for e, fe in pairs
-        )
     accepted = best >= scenario.agent.reservation_utility
-    return BestResponse(maximizers, best, accepted, constant)
+    return best_response_from(
+        pairs, best, constant, scenario.interval, effort_tol, accepted
+    )
 
 
 def classify_persistence_samples(
@@ -399,7 +466,7 @@ def classify_risk(
     (risk-seeking, maxima only at the boundary), zero means linear.  A sign
     change is reported as mixed.
     """
-    payoff = _AgentPayoff(scenario, contract)
+    payoff = LinearPayoff.agent(scenario, contract)
     grid = scenario.interval.grid(grid_points)
     samples = np.asarray(payoff.curvature(grid), dtype=float)
     return classify_persistence_samples(samples, tau)

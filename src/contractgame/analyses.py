@@ -10,7 +10,7 @@ u and v and flags the generalized-agent cases this model admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +21,15 @@ from .agent import (
     TAU_E,
     TAU_EXPECTATION,
     BestResponse,
-    Maximizer,
-    MaximizerKind,
+    LinearPayoff,
     RiskClassification,
-    _AgentPayoff,
-    _bisect_root,
-    _kind_at,
-    _merge_runs,
+    best_response_from,
+    bracket_roots,
     classify_persistence_samples,
+    dedup_sorted,
+    flat_scan,
     hybrid_maximize,
+    settle,
 )
 from .errors import NotTwoOutcomeLinearError
 from .curves import Polynomial
@@ -100,14 +100,16 @@ class ClassicalAssumptionsReport:
     inner_work_need: bool
     effort_yields_utility: bool
     cost_concave_somewhere: bool
+    classical: bool = field(init=False)
 
-    @property
-    def classical(self) -> bool:
-        return (
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "classical",
             self.u_increasing.holds
             and self.u_weakly_concave.holds
             and self.v_increasing.holds
-            and self.v_weakly_convex.holds
+            and self.v_weakly_convex.holds,
         )
 
 
@@ -149,17 +151,9 @@ def detect_invisible_effort(
         lambda e: -cost.d1(e),
         scenario.interval,
     )
-    if constant:
-        maximizers = (
-            Maximizer(pairs[0][0], MaximizerKind.BOUNDARY_MIN, pairs[0][1]),
-            Maximizer(pairs[1][0], MaximizerKind.BOUNDARY_MAX, pairs[1][1]),
-        )
-    else:
-        maximizers = tuple(
-            Maximizer(e, _kind_at(e, scenario.interval, TAU_E), fe)
-            for e, fe in pairs
-        )
-    best_response = BestResponse(maximizers, best, True, constant)
+    best_response = best_response_from(
+        pairs, best, constant, scenario.interval, TAU_E, True
+    )
     risk = classify_persistence_samples(-np.asarray(cost.d2(grid), dtype=float))
     return InvisibleEffortReport(True, deviation, epsilon, best_response, risk)
 
@@ -176,10 +170,12 @@ def two_outcome_linear_analysis(
 ) -> TwoOutcomeLinearReport:
     """First-order-condition solution for p1(e) = C*e + h with two outcomes.
 
-    Interior optima satisfy v'(e) = C*(u(w1)-u(w2)); roots are bracketed on
-    a grid and bisected, then compared against the boundaries.  With C = 0
-    the case degenerates to an invisible-effort scenario and the matching
-    report is attached.
+    Interior optima satisfy v'(e) = C*(u(w1)-u(w2)).  The candidates are
+    the boundaries plus the roots of that condition more than
+    ``effort_tol`` inside them, found, settled and tie-filtered by the
+    general solver's stages (without its value-scan peaks, so the two stay
+    independent cross-checks).  With C = 0 the case degenerates to an
+    invisible-effort scenario and the matching report is attached.
     """
     if scenario.n_outcomes != 2:
         raise NotTwoOutcomeLinearError(
@@ -200,96 +196,41 @@ def two_outcome_linear_analysis(
     target = slope * (u.eval(contract[0]) - u.eval(contract[1]))
     cost = scenario.agent.effort_cost
     interval = scenario.interval
+    lo, hi = interval.lo, interval.hi
+    payoff = LinearPayoff.agent(scenario, contract)
 
-    def residual(e):
-        return target - cost.d1(e)
-
-    payoff = _AgentPayoff(scenario, contract)
-
-    # flat expectation short-circuits to the two boundary representatives,
-    # mirroring the general solver's constant case
-    scan = np.linspace(interval.lo, interval.hi, scan_points)
-    ev = np.asarray(payoff.value(scan), dtype=float)
-    best_scan = float(ev.max())
-    scale = max(1.0, abs(best_scan))
-    if best_scan - float(ev.min()) <= tie_tol * scale:
-        maximizers = (
-            Maximizer(interval.lo, MaximizerKind.BOUNDARY_MIN, float(ev[0])),
-            Maximizer(interval.hi, MaximizerKind.BOUNDARY_MAX, float(ev[-1])),
+    _, _, flat = flat_scan(payoff.value, interval, scan_points, tie_tol)
+    if flat is not None:
+        pairs, best, constant = flat
+        interior, interior_values = (), ()
+        boundary_values = (pairs[0][1], pairs[1][1])
+    else:
+        roots = dedup_sorted(
+            bracket_roots(lambda e: target - cost.d1(e), interval, mt_points, refine_tol),
+            effort_tol,
         )
-        best_response = BestResponse(
-            maximizers,
-            best_scan,
-            best_scan >= scenario.agent.reservation_utility,
-            True,
+        interior = tuple(r for r in roots if r - lo > effort_tol and hi - r > effort_tol)
+        boundary_values = (float(payoff.value(lo)), float(payoff.value(hi)))
+        evaluated, pairs, best = settle(
+            payoff.value, [lo, *interior, hi], interval, effort_tol, tie_tol
         )
-        return _finish_two_outcome(
-            scenario, slope, intercept, target, (), (),
-            (float(ev[0]), float(ev[-1])), best_response,
-        )
+        interior_values = tuple(fe for _, fe in evaluated[1:-1])
+        constant = False
 
-    roots: list[float] = []
-    grid = np.linspace(interval.lo, interval.hi, mt_points)
-    rv = np.asarray(residual(grid), dtype=float)
-    for first, last in _merge_runs(np.nonzero(rv == 0.0)[0]):
-        roots.append(float(grid[first]))
-        if last != first:
-            roots.append(float(grid[last]))
-    for i in np.nonzero(rv[:-1] * rv[1:] < 0.0)[0]:
-        roots.append(
-            _bisect_root(residual, float(grid[i]), float(grid[i + 1]), refine_tol)
-        )
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if deduped and r - deduped[-1] <= effort_tol:
-            continue
-        deduped.append(r)
-
-    interior = tuple(
-        r for r in deduped
-        if r - interval.lo > effort_tol and interval.hi - r > effort_tol
-    )
-    interior_values = tuple(float(payoff.value(r)) for r in interior)
-    boundary_values = (
-        float(payoff.value(interval.lo)),
-        float(payoff.value(interval.hi)),
-    )
-
-    candidates = [interval.lo, *interior, interval.hi]
-    values = [boundary_values[0], *interior_values, boundary_values[1]]
-    best = max(values)
-    scale = max(1.0, abs(best))
-    maximizers = tuple(
-        Maximizer(e, _kind_at(e, interval, effort_tol), fe)
-        for e, fe in zip(candidates, values)
-        if best - fe <= tie_tol * scale
-    )
-    best_response = BestResponse(
-        maximizers, best, best >= scenario.agent.reservation_utility, False
-    )
-    return _finish_two_outcome(
-        scenario, slope, intercept, target, interior, interior_values,
-        boundary_values, best_response,
-    )
-
-
-def _finish_two_outcome(
-    scenario, slope, intercept, target, interior, interior_values,
-    boundary_values, best_response,
-):
     reduces = slope == 0.0
-    invisible = detect_invisible_effort(scenario) if reduces else None
     return TwoOutcomeLinearReport(
         slope=slope,
         intercept=intercept,
         foc_target=target,
-        interior_solutions=tuple(interior),
-        interior_values=tuple(interior_values),
+        interior_solutions=interior,
+        interior_values=interior_values,
         boundary_values=boundary_values,
-        best_response=best_response,
+        best_response=best_response_from(
+            pairs, best, constant, interval, effort_tol,
+            best >= scenario.agent.reservation_utility,
+        ),
         reduces_to_invisible=reduces,
-        invisible=invisible,
+        invisible=detect_invisible_effort(scenario) if reduces else None,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -164,13 +165,16 @@ def _cmd_analyze(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon_invisible
     invisible = detect_invisible_effort(doc.scenario, epsilon)
     try:
-        linear = result_to_dict(
-            two_outcome_linear_analysis(
-                doc.scenario, contract, **doc.options.best_response_kwargs()
-            )
+        report = two_outcome_linear_analysis(
+            doc.scenario, contract, **doc.options.best_response_kwargs()
         )
     except NotTwoOutcomeLinearError:
         linear = None
+    else:
+        if report.reduces_to_invisible:
+            # the flat-profile report under the threshold in force
+            report = replace(report, invisible=invisible)
+        linear = result_to_dict(report)
     classical = classical_assumptions_report(
         doc.scenario, (min(contract.wages), max(contract.wages))
     )

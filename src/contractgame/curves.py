@@ -28,7 +28,12 @@ __all__ = [
 
 
 def _exp(t):
-    return np.exp(t) if isinstance(t, np.ndarray) else math.exp(t)
+    if isinstance(t, np.ndarray):
+        return np.exp(t)
+    try:
+        return math.exp(t)
+    except OverflowError as err:
+        raise DomainError(f"exp({t}) overflows") from err
 
 
 def _log(t):
@@ -165,16 +170,17 @@ class Power(Curve):
     c: float
     family = "power"
 
-    def _shifted(self, t, min_exponent):
+    def _power(self, t, exponent):
+        """(t + c)**exponent, checked against the domain."""
         z = t + self.c
         if isinstance(z, np.ndarray):
             if np.any(z < 0.0):
                 raise DomainError(
                     f"power curve needs t + {self.c} >= 0; min {z.min()}"
                 )
-            if min_exponent < 0.0 and np.any(z == 0.0):
+            if exponent < 0.0 and np.any(z == 0.0):
                 raise DomainError(
-                    f"power curve with exponent {min_exponent} is singular "
+                    f"power curve with exponent {exponent} is singular "
                     f"at t + {self.c} == 0"
                 )
         else:
@@ -182,28 +188,28 @@ class Power(Curve):
                 raise DomainError(
                     f"power curve needs t + {self.c} >= 0; got t={t}"
                 )
-            if min_exponent < 0.0 and z == 0.0:
+            if exponent < 0.0 and z == 0.0:
                 raise DomainError(
-                    f"power curve with exponent {min_exponent} is singular "
+                    f"power curve with exponent {exponent} is singular "
                     f"at t + {self.c} == 0"
                 )
-        return z
+        try:
+            return z**exponent
+        except OverflowError as err:
+            raise DomainError(f"({z}) ** {exponent} overflows") from err
 
     def eval(self, t):
-        z = self._shifted(t, self.gamma)
-        return self.a * z**self.gamma
+        return self.a * self._power(t, self.gamma)
 
     def d1(self, t):
         if self.gamma == 0.0:
             return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
-        z = self._shifted(t, self.gamma - 1.0)
-        return self.a * self.gamma * z ** (self.gamma - 1.0)
+        return self.a * self.gamma * self._power(t, self.gamma - 1.0)
 
     def d2(self, t):
         if self.gamma == 0.0 or self.gamma == 1.0:
             return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
-        z = self._shifted(t, self.gamma - 2.0)
-        return self.a * self.gamma * (self.gamma - 1.0) * z ** (self.gamma - 2.0)
+        return self.a * self.gamma * (self.gamma - 1.0) * self._power(t, self.gamma - 2.0)
 
 
 @dataclass(frozen=True)

@@ -225,24 +225,20 @@ def scenario_validate(
 
     total = np.zeros_like(grid)
     complement_ok = True
-    for i, comp in enumerate(scenario.profile.components):
-        try:
-            vals = np.asarray(comp.eval(grid), dtype=float)
-        except DomainError as err:
-            issues.append(
-                DomainError(f"profile component {i}: {err}")
-            )
-            complement_ok = False
-            continue
-        issues.extend(_range_issues(vals, grid, i))
-        total += vals
-    if complement_ok:
-        issues.extend(_range_issues(1.0 - total, grid, n - 1))
-
-    try:
-        scenario.agent.effort_cost.eval(grid)
-    except DomainError as err:
-        issues.append(DomainError(f"effort cost: {err}"))
+    # overflow to inf/nan is reported as an issue, not as a numpy warning
+    with np.errstate(all="ignore"):
+        for i, comp in enumerate(scenario.profile.components):
+            try:
+                vals = np.asarray(comp.eval(grid), dtype=float)
+            except DomainError as err:
+                issues.append(DomainError(f"profile component {i}: {err}"))
+                complement_ok = False
+                continue
+            issues.extend(_range_issues(vals, grid, i))
+            total += vals
+        if complement_ok:
+            issues.extend(_range_issues(1.0 - total, grid, n - 1))
+        issues.extend(_curve_issues(scenario.agent.effort_cost, grid, "effort cost"))
 
     for ci, contract in enumerate(contracts):
         if len(contract) != n:
@@ -254,26 +250,40 @@ def scenario_validate(
             )
             continue
         for wi, wage in enumerate(contract.wages):
-            try:
-                scenario.agent.utility.eval(wage)
-            except DomainError as err:
-                issues.append(
-                    DomainError(f"wage utility at contract {ci} w{wi+1}: {err}")
+            issues.extend(
+                _curve_issues(
+                    scenario.agent.utility, wage,
+                    f"wage utility at contract {ci} w{wi+1}",
                 )
-            try:
-                scenario.principal.utility.eval(scenario.outcomes[wi] - wage)
-            except DomainError as err:
-                issues.append(
-                    DomainError(
-                        f"principal utility at contract {ci} "
-                        f"net result x{wi+1} - w{wi+1}: {err}"
-                    )
+            )
+            issues.extend(
+                _curve_issues(
+                    scenario.principal.utility, scenario.outcomes[wi] - wage,
+                    f"principal utility at contract {ci} "
+                    f"net result x{wi+1} - w{wi+1}",
                 )
+            )
     return issues
 
 
+def _curve_issues(curve: Curve, t, what: str) -> list[Exception]:
+    """A DomainError where curve is undefined or not finite at t (a point
+    or an effort grid); empty when it is fine."""
+    try:
+        vals = curve.eval(t)
+    except DomainError as err:
+        return [DomainError(f"{what}: {err}")]
+    if not isinstance(t, np.ndarray):
+        return [] if math.isfinite(vals) else [DomainError(f"{what}: non-finite value {vals}")]
+    finite = np.isfinite(vals)
+    if finite.all():
+        return []
+    k = int(np.argmin(finite))
+    return [DomainError(f"{what}: non-finite value {vals[k]} at effort {t[k]}")]
+
+
 def _range_issues(vals, grid, index):
-    bad = (vals < -TAU_P) | (vals > 1.0 + TAU_P)
+    bad = ~((vals >= -TAU_P) & (vals <= 1.0 + TAU_P))  # nan is out of range too
     if not np.any(bad):
         return []
     dev = np.where(vals < 0.0, -vals, vals - 1.0)

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .agent import BestResponse, agent_best_response
+from .agent import BestResponse, LinearPayoff, agent_best_response
 from .errors import DimensionError, EnumerationCapExceeded
 from .model import Contract, Scenario
 
@@ -108,32 +108,11 @@ class ContractFamily:
 class GameSolution:
     all_rejected: bool
     contract: Contract | None
-    best_response: BestResponse | None
     effort: float | None
     principal_payoff: float | None
     agent_payoff: float | None
     tie_break: str
-
-
-class _PrincipalPayoff:
-    """Expected principal utility at fixed contract, as a function of effort."""
-
-    __slots__ = ("base", "deltas", "components")
-
-    def __init__(self, scenario: Scenario, contract: Contract):
-        scenario.check_contract(contract)
-        B = scenario.principal.utility
-        net = [B.eval(x - w) for x, w in zip(scenario.outcomes, contract.wages)]
-        self.base = net[-1]
-        self.deltas = tuple(p - net[-1] for p in net[:-1])
-        self.components = scenario.profile.components
-
-    def value(self, e):
-        acc = 0.0
-        for delta, comp in zip(self.deltas, self.components):
-            if delta != 0.0:
-                acc = acc + delta * comp.eval(e)
-        return self.base + acc
+    best_response: BestResponse | None
 
 
 def principal_expectation(
@@ -141,11 +120,11 @@ def principal_expectation(
 ) -> float:
     """Expected principal utility sum_i p_i(e) B(x_i - w_i)."""
     scenario.interval.require(e)
-    return _PrincipalPayoff(scenario, contract).value(e)
+    return LinearPayoff.principal(scenario, contract).value(e)
 
 
 def _select_effort(
-    response: BestResponse, payoff: _PrincipalPayoff, policy: str
+    response: BestResponse, payoff: LinearPayoff, policy: str
 ) -> float:
     efforts = response.efforts()
     if policy == "agent-lowest-effort":
@@ -187,7 +166,7 @@ def solve_game(
         response = agent_best_response(scenario, contract, **solver_kwargs)
         if not response.accepted:
             continue
-        payoff = _PrincipalPayoff(scenario, contract)
+        payoff = LinearPayoff.principal(scenario, contract)
         effort = _select_effort(response, payoff, tie_break)
         value = payoff.value(effort)
         key = (-value, contract.wages)
@@ -196,12 +175,20 @@ def solve_game(
             chosen = GameSolution(
                 all_rejected=False,
                 contract=contract,
-                best_response=response,
                 effort=effort,
                 principal_payoff=value,
                 agent_payoff=response.optimal_expectation,
                 tie_break=tie_break,
+                best_response=response,
             )
     if chosen is None:
-        return GameSolution(True, None, None, None, None, None, tie_break)
+        return GameSolution(
+            all_rejected=True,
+            contract=None,
+            effort=None,
+            principal_payoff=None,
+            agent_payoff=None,
+            tie_break=tie_break,
+            best_response=None,
+        )
     return chosen

@@ -13,19 +13,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 
 from . import agent as _agent
 from . import analyses as _analyses
 from . import model as _model
 from . import principal as _principal
-from .agent import BestResponse, RiskClassification
-from .analyses import (
-    AssumptionCheck,
-    ClassicalAssumptionsReport,
-    InvisibleEffortReport,
-    TwoOutcomeLinearReport,
-)
 from .curves import Curve, ExpAffine, LogAffine, Polynomial, Power, Tabulated
 from .errors import ContractGameError, ParseError, ValidationError
 from .model import (
@@ -37,8 +31,7 @@ from .model import (
     Scenario,
     scenario_validate,
 )
-from .oracle import SimulationResult
-from .principal import ContractFamily, GameSolution, WageGrid
+from .principal import ContractFamily, WageGrid
 
 __all__ = [
     "SolverOptions",
@@ -113,7 +106,13 @@ def _check_keys(obj: dict, allowed, required, path: str) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -128,71 +127,50 @@ def _number_list(value, path: str) -> list[float]:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-_CURVE_KEYS = {
-    "polynomial": ({"family", "coefficients"}, {"coefficients"}),
-    "exp-affine": ({"family", "a", "b", "c"}, {"a", "b", "c"}),
-    "log-affine": ({"family", "a", "b", "c"}, {"a", "b", "c"}),
-    "power": ({"family", "a", "gamma", "c"}, {"a", "gamma", "c"}),
-    "tabulated": ({"family", "knots", "values"}, {"knots", "values"}),
+_CURVE_CLASSES = {
+    cls.family: cls for cls in (Polynomial, ExpAffine, LogAffine, Power, Tabulated)
 }
+
+
+def _curve_params(cls) -> list:
+    """The family's parameters: its init fields, tuples as number lists."""
+    return [f for f in fields(cls) if f.init]
 
 
 def curve_from_spec(spec, path: str) -> Curve:
     if not isinstance(spec, dict):
         raise ParseError(f"{path}: expected a curve object")
     family = spec.get("family")
-    if family not in _CURVE_KEYS:
+    cls = _CURVE_CLASSES.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise ParseError(
             f"{path}: unknown curve family {family!r}; "
-            f"expected one of {sorted(_CURVE_KEYS)}"
+            f"expected one of {sorted(_CURVE_CLASSES)}"
         )
-    allowed, required = _CURVE_KEYS[family]
-    _check_keys(spec, allowed, required, path)
+    params = _curve_params(cls)
+    names = [f.name for f in params]
+    _check_keys(spec, {"family", *names}, names, path)
+    kwargs = {}
+    for f in params:
+        value, where = spec[f.name], f"{path}.{f.name}"
+        if str(f.type).startswith("tuple"):
+            kwargs[f.name] = tuple(_number_list(value, where))
+        else:
+            kwargs[f.name] = _number(value, where)
     try:
-        if family == "polynomial":
-            return Polynomial(tuple(_number_list(spec["coefficients"], f"{path}.coefficients")))
-        if family == "exp-affine":
-            return ExpAffine(
-                _number(spec["a"], f"{path}.a"),
-                _number(spec["b"], f"{path}.b"),
-                _number(spec["c"], f"{path}.c"),
-            )
-        if family == "log-affine":
-            return LogAffine(
-                _number(spec["a"], f"{path}.a"),
-                _number(spec["b"], f"{path}.b"),
-                _number(spec["c"], f"{path}.c"),
-            )
-        if family == "power":
-            return Power(
-                _number(spec["a"], f"{path}.a"),
-                _number(spec["gamma"], f"{path}.gamma"),
-                _number(spec["c"], f"{path}.c"),
-            )
-        return Tabulated(
-            tuple(_number_list(spec["knots"], f"{path}.knots")),
-            tuple(_number_list(spec["values"], f"{path}.values")),
-        )
+        return cls(**kwargs)
     except ValueError as err:
         raise ParseError(f"{path}: {err}") from err
 
 
 def curve_to_spec(curve: Curve) -> dict:
-    if isinstance(curve, Polynomial):
-        return {"family": "polynomial", "coefficients": list(curve.coefficients)}
-    if isinstance(curve, ExpAffine):
-        return {"family": "exp-affine", "a": curve.a, "b": curve.b, "c": curve.c}
-    if isinstance(curve, LogAffine):
-        return {"family": "log-affine", "a": curve.a, "b": curve.b, "c": curve.c}
-    if isinstance(curve, Power):
-        return {"family": "power", "a": curve.a, "gamma": curve.gamma, "c": curve.c}
-    if isinstance(curve, Tabulated):
-        return {
-            "family": "tabulated",
-            "knots": list(curve.knots),
-            "values": list(curve.values),
-        }
-    raise TypeError(f"cannot serialize curve {curve!r}")
+    if _CURVE_CLASSES.get(getattr(curve, "family", None)) is not type(curve):
+        raise TypeError(f"cannot serialize curve {curve!r}")
+    spec = {"family": curve.family}
+    for f in _curve_params(type(curve)):
+        value = getattr(curve, f.name)
+        spec[f.name] = list(value) if isinstance(value, tuple) else value
+    return spec
 
 
 _TOP_KEYS = {
@@ -206,14 +184,14 @@ _TOP_KEYS = {
     "contract_family",
     "options",
 }
-_TOP_REQUIRED = {
+_TOP_REQUIRED = (
     "schema",
     "outcomes",
     "effort_interval",
     "profile",
     "agent",
     "principal",
-}
+)
 
 
 def document_from_dict(raw: dict) -> ScenarioDocument:
@@ -238,7 +216,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
     _check_keys(
         agent_raw,
         {"utility", "effort_cost", "reservation_utility"},
-        {"utility", "effort_cost"},
+        ("utility", "effort_cost"),
         "agent",
     )
     agent_prefs = AgentPreferences(
@@ -250,7 +228,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
     )
 
     principal_raw = raw["principal"]
-    _check_keys(principal_raw, {"utility"}, {"utility"}, "principal")
+    _check_keys(principal_raw, {"utility"}, ("utility",), "principal")
     principal_prefs = PrincipalPreferences(
         utility=curve_from_spec(principal_raw["utility"], "principal.utility")
     )
@@ -292,7 +270,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
 
 def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
     _check_keys(
-        raw, {"contracts", "wage_grids", "cap"}, set(), "contract_family"
+        raw, {"contracts", "wage_grids", "cap"}, (), "contract_family"
     )
     cap = _integer(raw.get("cap", _principal.ENUMERATION_CAP), "contract_family.cap")
     has_list = "contracts" in raw
@@ -327,7 +305,7 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
         grids = []
         for i, g in enumerate(grids_raw):
             gpath = f"contract_family.wage_grids[{i}]"
-            _check_keys(g, {"min", "max", "step"}, {"min", "max", "step"}, gpath)
+            _check_keys(g, {"min", "max", "step"}, ("min", "max", "step"), gpath)
             grids.append(
                 WageGrid(
                     _number(g["min"], f"{gpath}.min"),
@@ -357,7 +335,7 @@ _OPTION_TYPES = {
 
 
 def _options_from_dict(raw: dict) -> SolverOptions:
-    _check_keys(raw, set(_OPTION_TYPES), set(), "options")
+    _check_keys(raw, set(_OPTION_TYPES), (), "options")
     kwargs = {}
     for key, value in raw.items():
         if key == "tie_break":
@@ -374,9 +352,13 @@ def _options_from_dict(raw: dict) -> SolverOptions:
 
 def parse_scenario(path: str) -> ScenarioDocument:
     """Read, parse, and grid-validate a scenario document from disk."""
+
+    def reject_constant(name: str):
+        raise ParseError(f"{path}: {name} is not a finite number")
+
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_constant=reject_constant)
     except OSError as err:
         raise ParseError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
@@ -429,103 +411,28 @@ def document_to_dict(doc: ScenarioDocument) -> dict:
 # report conversion
 
 def result_to_dict(result):
-    """Convert any solver/report dataclass to a JSON-ready dict."""
-    if isinstance(result, BestResponse):
-        return {
-            "maximizers": [
-                {
-                    "effort": m.effort,
-                    "kind": m.kind.value,
-                    "expectation": m.expectation,
-                }
-                for m in result.maximizers
-            ],
-            "optimal_expectation": result.optimal_expectation,
-            "accepted": result.accepted,
-            "constant_expectation": result.constant_expectation,
-        }
-    if isinstance(result, RiskClassification):
-        return {
-            "classification": result.classification.value,
-            "persistence_min": result.persistence_min,
-            "persistence_max": result.persistence_max,
-        }
-    if isinstance(result, InvisibleEffortReport):
-        return {
-            "is_invisible": result.is_invisible,
-            "max_profile_deviation": result.max_profile_deviation,
-            "epsilon": result.epsilon,
-            "best_response": (
-                result_to_dict(result.best_response)
-                if result.best_response is not None
-                else None
-            ),
-            "risk": (
-                result_to_dict(result.risk) if result.risk is not None else None
-            ),
-        }
-    if isinstance(result, TwoOutcomeLinearReport):
-        return {
-            "slope": result.slope,
-            "intercept": result.intercept,
-            "foc_target": result.foc_target,
-            "interior_solutions": list(result.interior_solutions),
-            "interior_values": list(result.interior_values),
-            "boundary_values": list(result.boundary_values),
-            "best_response": result_to_dict(result.best_response),
-            "reduces_to_invisible": result.reduces_to_invisible,
-            "invisible": (
-                result_to_dict(result.invisible)
-                if result.invisible is not None
-                else None
-            ),
-        }
-    if isinstance(result, AssumptionCheck):
-        return {
-            "holds": result.holds,
-            "witness_point": result.witness_point,
-            "witness_value": result.witness_value,
-        }
-    if isinstance(result, ClassicalAssumptionsReport):
-        return {
-            "wage_range": list(result.wage_range),
-            "u_increasing": result_to_dict(result.u_increasing),
-            "u_weakly_concave": result_to_dict(result.u_weakly_concave),
-            "v_increasing": result_to_dict(result.v_increasing),
-            "v_weakly_convex": result_to_dict(result.v_weakly_convex),
-            "inner_work_need": result.inner_work_need,
-            "effort_yields_utility": result.effort_yields_utility,
-            "cost_concave_somewhere": result.cost_concave_somewhere,
-            "classical": result.classical,
-        }
-    if isinstance(result, GameSolution):
-        return {
-            "all_rejected": result.all_rejected,
-            "contract": list(result.contract.wages) if result.contract else None,
-            "effort": result.effort,
-            "principal_payoff": result.principal_payoff,
-            "agent_payoff": result.agent_payoff,
-            "tie_break": result.tie_break,
-            "best_response": (
-                result_to_dict(result.best_response)
-                if result.best_response is not None
-                else None
-            ),
-        }
-    if isinstance(result, SimulationResult):
-        return {
-            "draws": result.draws,
-            "agent_mean": result.agent_mean,
-            "agent_sd": result.agent_sd,
-            "principal_mean": result.principal_mean,
-            "principal_sd": result.principal_sd,
-            "frequencies": list(result.frequencies),
-            "seed": result.seed,
-            "generator": result.generator,
-        }
+    """Convert any solver/report dataclass to a JSON-ready dict.
+
+    Fields are emitted in declaration order; enums become their values, a
+    contract its wage list, tuples lists, and nested reports dicts.
+    """
     if isinstance(result, dict):
         return result
-    raise TypeError(f"cannot serialize result of type {type(result).__name__}")
+    if not is_dataclass(result) or isinstance(result, type):
+        raise TypeError(f"cannot serialize result of type {type(result).__name__}")
+    return {f.name: _jsonable(getattr(result, f.name)) for f in fields(result)}
+
+
+def _jsonable(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Contract):
+        return list(value.wages)
+    if isinstance(value, tuple):
+        return [_jsonable(item) for item in value]
+    if is_dataclass(value):
+        return result_to_dict(value)
+    return value
 
 
 # ---------------------------------------------------------------------------

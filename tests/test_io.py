@@ -1,6 +1,9 @@
 """Scenario document parsing, precise serialization, CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,13 @@ import pytest
 from contractgame import (
     Contract,
     ContractGameError,
+    DomainError,
+    ExpAffine,
+    LogAffine,
     ParseError,
+    Polynomial,
+    Power,
+    Tabulated,
     ValidationError,
     parse_scenario,
     solve_game,
@@ -17,6 +26,8 @@ from contractgame.cli import run_command
 from contractgame.scenario_io import (
     SolverOptions,
     SweepTable,
+    curve_from_spec,
+    curve_to_spec,
     document_from_dict,
     document_to_dict,
     emit_report,
@@ -24,6 +35,7 @@ from contractgame.scenario_io import (
 )
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "scenario_r.json")
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def fixture_dict() -> dict:
@@ -35,6 +47,17 @@ def write_doc(tmp_path, raw, name="doc.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(raw), encoding="utf-8")
     return str(path)
+
+
+def run_cli(args, hash_seed="0"):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contractgame.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestParsing:
@@ -126,6 +149,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_scenario(write_doc(tmp_path, raw))
 
+    @pytest.mark.parametrize(
+        "strip, named",
+        [
+            (lambda raw: raw["agent"].update(effort_cost={"family": "exp-affine"}), "'a'"),
+            (lambda raw: [raw.pop(k) for k in ("principal", "profile", "outcomes")], "'outcomes'"),
+        ],
+        ids=["curve", "document"],
+    )
+    def test_missing_keys_named_in_schema_order(self, strip, named, tmp_path):
+        raw = fixture_dict()
+        strip(raw)
+        path = write_doc(tmp_path, raw)
+        messages = []
+        for hash_seed in ("1", "2"):
+            code, out, _ = run_cli(["validate", path], hash_seed)
+            assert code == 1
+            messages.append(json.loads(out)["issues"][0]["message"])
+        assert messages[0] == messages[1]
+        assert f"missing required key {named}" in messages[0]
+
     def test_bad_wage_grid_is_validation_error(self, tmp_path, capsys):
         raw = fixture_dict()
         raw["contract_family"]["wage_grids"][0]["step"] = 0.0
@@ -137,7 +180,67 @@ class TestParsing:
         assert out["issues"][0]["kind"] == "DimensionError"
 
 
+def _nan_coefficient(raw):
+    raw["profile"][0]["coefficients"][1] = float("nan")
+    return json.dumps(raw)
+
+
+def _overflowing_outcome(raw):
+    return json.dumps(raw).replace("[10.0, 2.0]", "[1e400, 2.0]")
+
+
+def _overflowing_cost(raw):
+    raw["agent"]["effort_cost"] = {"family": "exp-affine", "a": 0.0, "b": 1.0, "c": 1000.0}
+    return json.dumps(raw)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "mutate", [_nan_coefficient, _overflowing_outcome, _overflowing_cost]
+    )
+    def test_rejected_with_one_error_line(self, mutate, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(mutate(fixture_dict()), encoding="utf-8")
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == 1
+        assert json.loads(out)["valid"] is False
+        assert err == ""
+        code, out, err = run_cli(["solve-agent", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_scalar_overflow_is_a_domain_error(self, tmp_path, capsys):
+        with pytest.raises(DomainError, match="overflows"):
+            ExpAffine(0.0, 1.0, 1.0).eval(1000.0)
+        with pytest.raises(DomainError, match="overflows"):
+            Power(1.0, 400.0, 0.0).eval(10.0)
+        raw = fixture_dict()
+        raw["agent"]["utility"] = {"family": "exp-affine", "a": 0.0, "b": 1.0, "c": 1.0}
+        path = write_doc(tmp_path, raw)
+        assert run_command(["solve-agent", path, "--contract", "[1000, 0]"]) == 1
+        assert "overflows" in capsys.readouterr().err
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "curve, params",
+        [
+            (Polynomial((0.5, -1.0, 2.0)), ["coefficients"]),
+            (ExpAffine(0.1, 2.0, -0.5), ["a", "b", "c"]),
+            (LogAffine(0.0, 1.5, 2.0), ["a", "b", "c"]),
+            (Power(2.0, 0.5, 1.0), ["a", "gamma", "c"]),
+            (Tabulated((0.0, 0.5, 1.0), (0.0, 0.7, 1.0)), ["knots", "values"]),
+        ],
+        ids=["polynomial", "exp-affine", "log-affine", "power", "tabulated"],
+    )
+    def test_curve_spec_round_trips(self, curve, params):
+        spec = curve_to_spec(curve)
+        assert list(spec) == ["family", *params]
+        assert spec["family"] == curve.family
+        assert curve_from_spec(json.loads(json.dumps(spec)), "curve") == curve
+
     def test_document_round_trips_exactly(self, tmp_path):
         doc = parse_scenario(FIXTURE)
         text = render_json(document_to_dict(doc))
@@ -242,6 +345,19 @@ class TestCli:
         assert out["two_outcome_linear"] is not None
         assert abs(out["two_outcome_linear"]["foc_target"] - 2.0) <= 1e-12
         assert out["classical_assumptions"]["u_increasing"]["holds"] is True
+
+    def test_analyze_echoes_one_epsilon(self, tmp_path, capsys):
+        raw = fixture_dict()
+        raw["profile"][0]["coefficients"] = [0.4, 0.0]  # flat p1: reduces
+        raw["options"] = {"epsilon_invisible": 1e-6}
+        path = write_doc(tmp_path, raw)
+        for extra, expected in (([], 1e-6), (["--epsilon", "0.25"], 0.25)):
+            assert run_command(["analyze", path, *extra]) == 0
+            out = json.loads(capsys.readouterr().out)
+            linear = out["two_outcome_linear"]
+            assert linear["reduces_to_invisible"] is True
+            assert out["invisible_effort"]["epsilon"] == expected
+            assert linear["invisible"] == out["invisible_effort"]
 
     def test_solve_game_matches_library(self, capsys):
         assert run_command(["solve-game", FIXTURE]) == 0

@@ -1,6 +1,7 @@
 """Scenario construction, profile evaluation, and grid validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from contractgame import (
     DomainError,
     EffortInterval,
     EffortProfile,
+    ExpAffine,
     LogAffine,
     Polynomial,
     PrincipalPreferences,
@@ -129,6 +131,24 @@ def test_validate_negative_probability():
     scenario = _simple_scenario(Polynomial((-0.5, 1.0)))  # p1 = e - 0.5
     issues = scenario_validate(scenario)
     assert any(isinstance(i, ProbabilityRangeError) for i in issues)
+
+
+def test_validate_flags_non_finite_values():
+    scenario = _simple_scenario(
+        Polynomial((0.2, math.nan)),
+        v=ExpAffine(0.0, 1.0, 1000.0),  # exp overflows past e ~ 0.71
+    )
+    issues = scenario_validate(scenario, (Contract((1e308, 0.0)),))
+    messages = [str(i) for i in issues]
+    assert any(isinstance(i, ProbabilityRangeError) and "nan" in str(i) for i in issues)
+    assert any(m.startswith("effort cost: non-finite value inf") for m in messages)
+    assert not any("wage utility" in m for m in messages)
+    scenario = _simple_scenario(Polynomial((0.2,)))
+    scenario = replace(
+        scenario, agent=replace(scenario.agent, utility=ExpAffine(0.0, 1.0, 1.0))
+    )
+    messages = [str(i) for i in scenario_validate(scenario, (Contract((1000.0, 0.0)),))]
+    assert messages == ["wage utility at contract 0 w1: exp(1000.0) overflows"]
 
 
 def test_validate_collects_multiple_issues():
