@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Contract, EffortInterval, Scenario
+from .errors import DomainError
+from .model import Contract, EffortInterval, Scenario, require_finite
 
 __all__ = [
     "TAU_E",
@@ -113,7 +114,8 @@ class LinearPayoff:
     principal) and delta_i = l_i - l_n, sum_i p_i(e) l_i = l_n +
     sum_{i<n} p_i(e) delta_i.  So only the n-1 component curves are
     evaluated, the probabilities never need renormalizing, and components
-    with a zero delta are skipped.
+    with a zero delta are skipped.  A level or delta that is not finite
+    raises DomainError.
     """
 
     __slots__ = ("base", "terms", "cost")
@@ -125,6 +127,8 @@ class LinearPayoff:
             for level, comp in zip(levels[:-1], scenario.profile.components)
             if level - levels[-1] != 0.0
         )
+        if not all(math.isfinite(x) for x in (self.base, *(d for d, _ in self.terms))):
+            raise DomainError(f"payoff levels {levels} are not finite or too far apart")
         self.cost = cost
 
     @classmethod
@@ -209,15 +213,15 @@ def agent_payoff_functions(scenario: Scenario, contract: Contract):
     return expectation, slope, curvature
 
 
-def _bisect_root(g, a: float, b: float, tol: float) -> float:
-    """Root of g in [a, b] given a sign change; interval shrunk to tol."""
+def _bisect_root(g, a: float, b: float) -> float:
+    """Root of g in [a, b] given a sign change; interval shrunk to REFINE_TOL."""
     ga = g(a)
     if ga == 0.0:
         return a
     gb = g(b)
     if gb == 0.0:
         return b
-    while b - a > tol:
+    while b - a > REFINE_TOL:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -231,14 +235,14 @@ def _bisect_root(g, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximizer of f on [a, b]; bracket shrunk to tol."""
+def _golden_max(f, a: float, b: float) -> float:
+    """Golden-section maximizer of f on [a, b]; bracket shrunk to REFINE_TOL."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = f(c)
     fd = f(d)
     for _ in range(256):
-        if b - a <= tol or not a < c < d < b:
+        if b - a <= REFINE_TOL or not a < c < d < b:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -265,94 +269,93 @@ def _merge_runs(indices):
 # The maximizer pipeline.  hybrid_maximize chains the stages below; the
 # two-outcome analyzer runs its own candidate set through the same ones.
 
-def flat_scan(f, interval: EffortInterval, points: int, tie_tol: float):
+def flat_scan(f, interval: EffortInterval):
     """Dense value scan of f, plus the flat shortcut.
 
     Returns (scan, values, flat).  When the value spread is within the tie
     tolerance, flat is the constant result (pairs, best, True): the two
     boundary points represent the whole interval.  Otherwise it is None.
+    A value that is not finite raises DomainError.
     """
-    scan = np.linspace(interval.lo, interval.hi, points)
+    scan = interval.grid(SCAN_GRID_POINTS)
     fv = np.asarray(f(scan), dtype=float)
     fmax = float(fv.max())
-    if fmax - float(fv.min()) <= tie_tol * max(1.0, abs(fmax)):
+    fmin = float(fv.min())
+    if not (math.isfinite(fmax) and math.isfinite(fmin)):
+        require_finite(fv, scan, "objective")
+    if fmax - fmin <= TAU_EXPECTATION * max(1.0, abs(fmax)):
         pairs = ((interval.lo, float(fv[0])), (interval.hi, float(fv[-1])))
         return scan, fv, (pairs, fmax, True)
     return scan, fv, None
 
 
-def bracket_roots(g, interval: EffortInterval, points: int, refine_tol: float):
-    """Roots of g bracketed on a uniform grid and bisected to refine_tol.
+def bracket_roots(g, interval: EffortInterval):
+    """Roots of g bracketed on a uniform grid and bisected to REFINE_TOL.
 
     A run of exact zeros on the grid is a flat stretch; its edges are the
-    informative representatives (a lone zero is its own edge).
+    informative representatives (a lone zero is its own edge).  A grid
+    value that is not finite raises DomainError.
     """
-    grid = np.linspace(interval.lo, interval.hi, points)
-    gv = np.asarray(g(grid), dtype=float)
+    grid = interval.grid(MT_GRID_POINTS)
+    gv = require_finite(np.asarray(g(grid), dtype=float), grid, "derivative")
     roots = []
     for first, last in _merge_runs(np.nonzero(gv == 0.0)[0]):
         roots.append(float(grid[first]))
         roots.append(float(grid[last]))
     for i in np.nonzero(gv[:-1] * gv[1:] < 0.0)[0]:
-        roots.append(_bisect_root(g, float(grid[i]), float(grid[i + 1]), refine_tol))
+        roots.append(_bisect_root(g, float(grid[i]), float(grid[i + 1])))
     return roots
 
 
-def dedup_sorted(points, tol: float) -> list[float]:
-    """Sorted points, dropping each one within tol of the last kept."""
+def dedup_sorted(points) -> list[float]:
+    """Sorted points, dropping each one within TAU_E of the last kept."""
     kept: list[float] = []
     for c in sorted(points):
-        if kept and c - kept[-1] <= tol:
+        if kept and c - kept[-1] <= TAU_E:
             continue
         kept.append(c)
     return kept
 
 
-def settle(f, candidates, interval: EffortInterval, effort_tol: float, tie_tol: float):
-    """Clamp, sort and dedup candidates, evaluate f, keep the ties.
+def settle(f, candidates, interval: EffortInterval):
+    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
 
     Returns (evaluated, pairs, best): every kept (point, value) pair, the
     ones whose value ties the best within the relative tie tolerance, and
-    the best value.
+    the best value.  Both boundaries are always kept, even on an interval
+    no wider than TAU_E, where the dedup would merge them.
     """
     lo, hi = interval.lo, interval.hi
-    points = dedup_sorted((min(max(c, lo), hi) for c in candidates), effort_tol)
+    points = dedup_sorted([lo, hi, *(min(max(c, lo), hi) for c in candidates)])
+    if len(points) == 1:
+        points.append(hi)
     evaluated = [(c, float(f(c))) for c in points]
     best = max(fc for _, fc in evaluated)
     scale = max(1.0, abs(best))
-    pairs = tuple((c, fc) for c, fc in evaluated if best - fc <= tie_tol * scale)
+    pairs = tuple(
+        (c, fc) for c, fc in evaluated if best - fc <= TAU_EXPECTATION * scale
+    )
     return evaluated, pairs, best
 
 
-def hybrid_maximize(
-    f,
-    df,
-    interval: EffortInterval,
-    *,
-    mt_points: int = MT_GRID_POINTS,
-    scan_points: int = SCAN_GRID_POINTS,
-    refine_tol: float = REFINE_TOL,
-    effort_tol: float = TAU_E,
-    tie_tol: float = TAU_EXPECTATION,
-):
+def hybrid_maximize(f, df, interval: EffortInterval):
     """Global maximizers of a C1 function f on a closed interval.
 
     Returns (maximizers, best_value, constant) where maximizers is a tuple
     of (point, value) pairs sorted by point.  Candidates come from three
     sources: the interval boundaries, sign-change roots of df bracketed on
-    a uniform grid and bisected to ``refine_tol``, and local maxima of a
+    a uniform grid and bisected to ``REFINE_TOL``, and local maxima of a
     dense value scan.  Scan brackets that contain a sign change of df are
     snapped onto the root by bisection (golden-section alone only locates
     a smooth peak to about sqrt(eps)); the remaining brackets are polished
     by golden-section.  A flat function (value spread within the tie
     tolerance) is reported as constant via its two boundary points.
     """
-    scan, fv, flat = flat_scan(f, interval, scan_points, tie_tol)
+    scan, fv, flat = flat_scan(f, interval)
     if flat is not None:
         return flat
 
-    candidates = [interval.lo, interval.hi]
-    candidates += bracket_roots(df, interval, mt_points, refine_tol)
+    candidates = bracket_roots(df, interval)
     interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
     for first, last in _merge_runs(interior):
         a = float(scan[first - 1])
@@ -364,25 +367,24 @@ def hybrid_maximize(
         elif db == 0.0:
             candidates.append(b)
         elif da * db < 0.0:
-            candidates.append(_bisect_root(df, a, b, refine_tol))
+            candidates.append(_bisect_root(df, a, b))
         else:
-            candidates.append(_golden_max(f, a, b, refine_tol))
+            candidates.append(_golden_max(f, a, b))
 
-    _, pairs, best = settle(f, candidates, interval, effort_tol, tie_tol)
+    _, pairs, best = settle(f, candidates, interval)
     return pairs, best, False
 
 
-def _kind_at(e: float, interval: EffortInterval, tol: float) -> MaximizerKind:
-    if e - interval.lo <= tol:
+def _kind_at(e: float, interval: EffortInterval) -> MaximizerKind:
+    if e < interval.hi and e - interval.lo <= TAU_E:
         return MaximizerKind.BOUNDARY_MIN
-    if interval.hi - e <= tol:
+    if interval.hi - e <= TAU_E:
         return MaximizerKind.BOUNDARY_MAX
     return MaximizerKind.INTERIOR_CRITICAL
 
 
 def best_response_from(
-    pairs, best: float, constant: bool, interval: EffortInterval,
-    effort_tol: float, accepted: bool,
+    pairs, best: float, constant: bool, interval: EffortInterval, accepted: bool
 ) -> BestResponse:
     """BestResponse from a maximizer result (pairs, best, constant).
 
@@ -397,21 +399,12 @@ def best_response_from(
         )
     else:
         maximizers = tuple(
-            Maximizer(e, _kind_at(e, interval, effort_tol), fe) for e, fe in pairs
+            Maximizer(e, _kind_at(e, interval), fe) for e, fe in pairs
         )
     return BestResponse(maximizers, best, accepted, constant)
 
 
-def agent_best_response(
-    scenario: Scenario,
-    contract: Contract,
-    *,
-    mt_points: int = MT_GRID_POINTS,
-    scan_points: int = SCAN_GRID_POINTS,
-    refine_tol: float = REFINE_TOL,
-    effort_tol: float = TAU_E,
-    tie_tol: float = TAU_EXPECTATION,
-) -> BestResponse:
+def agent_best_response(scenario: Scenario, contract: Contract) -> BestResponse:
     """Solve max E(e) over the effort interval.
 
     All global maximizers are reported; the agent accepts the contract when
@@ -420,53 +413,37 @@ def agent_best_response(
     """
     payoff = LinearPayoff.agent(scenario, contract)
     pairs, best, constant = hybrid_maximize(
-        payoff.value,
-        payoff.slope,
-        scenario.interval,
-        mt_points=mt_points,
-        scan_points=scan_points,
-        refine_tol=refine_tol,
-        effort_tol=effort_tol,
-        tie_tol=tie_tol,
+        payoff.value, payoff.slope, scenario.interval
     )
     accepted = best >= scenario.agent.reservation_utility
-    return best_response_from(
-        pairs, best, constant, scenario.interval, effort_tol, accepted
-    )
+    return best_response_from(pairs, best, constant, scenario.interval, accepted)
 
 
-def classify_persistence_samples(
-    samples: np.ndarray, tau: float = TAU_R
-) -> RiskClassification:
+def classify_persistence_samples(samples: np.ndarray) -> RiskClassification:
     """Apply the sign rule to sampled persistence values."""
     pmin = float(np.min(samples))
     pmax = float(np.max(samples))
-    if pmax < -tau:
+    if pmax < -TAU_R:
         cls = RiskClass.AVERSE
-    elif pmin > tau:
+    elif pmin > TAU_R:
         cls = RiskClass.SEEKING
-    elif -tau <= pmin and pmax <= tau:
+    elif -TAU_R <= pmin and pmax <= TAU_R:
         cls = RiskClass.NEUTRAL
     else:
         cls = RiskClass.MIXED
     return RiskClassification(cls, pmin, pmax)
 
 
-def classify_risk(
-    scenario: Scenario,
-    contract: Contract,
-    *,
-    grid_points: int = RISK_GRID_POINTS,
-    tau: float = TAU_R,
-) -> RiskClassification:
+def classify_risk(scenario: Scenario, contract: Contract) -> RiskClassification:
     """Contract-dependent risk posture from the sign of the persistence.
 
     Negative persistence throughout means the expectation is concave in
     effort (risk-averse behavior for this contract), positive means convex
     (risk-seeking, maxima only at the boundary), zero means linear.  A sign
-    change is reported as mixed.
+    change is reported as mixed.  A sample that is not finite raises
+    DomainError.
     """
     payoff = LinearPayoff.agent(scenario, contract)
-    grid = scenario.interval.grid(grid_points)
+    grid = scenario.interval.grid(RISK_GRID_POINTS)
     samples = np.asarray(payoff.curvature(grid), dtype=float)
-    return classify_persistence_samples(samples, tau)
+    return classify_persistence_samples(require_finite(samples, grid, "persistence"))

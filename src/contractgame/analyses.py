@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import (
-    REFINE_TOL,
-    MT_GRID_POINTS,
-    SCAN_GRID_POINTS,
     TAU_E,
-    TAU_EXPECTATION,
     BestResponse,
     LinearPayoff,
     RiskClassification,
@@ -33,7 +29,7 @@ from .agent import (
 )
 from .errors import NotTwoOutcomeLinearError
 from .curves import Polynomial
-from .model import VALIDATION_GRID_POINTS, Contract, Scenario
+from .model import VALIDATION_GRID_POINTS, Contract, Scenario, require_finite
 
 __all__ = [
     "EPSILON_INVISIBLE",
@@ -114,10 +110,7 @@ class ClassicalAssumptionsReport:
 
 
 def detect_invisible_effort(
-    scenario: Scenario,
-    epsilon: float = EPSILON_INVISIBLE,
-    *,
-    grid_points: int = VALIDATION_GRID_POINTS,
+    scenario: Scenario, epsilon: float = EPSILON_INVISIBLE
 ) -> InvisibleEffortReport:
     """Check whether the outcome distribution is (nearly) effort-independent.
 
@@ -127,7 +120,7 @@ def detect_invisible_effort(
     carries the argmin set (found by the same hybrid machinery, applied to
     -v) and the risk posture implied by -v''.
     """
-    grid = scenario.interval.grid(grid_points)
+    grid = scenario.interval.grid(VALIDATION_GRID_POINTS)
     mid = 0.5 * (scenario.interval.lo + scenario.interval.hi)
     deviation = 0.0
     total_grid = np.zeros_like(grid)
@@ -151,28 +144,20 @@ def detect_invisible_effort(
         lambda e: -cost.d1(e),
         scenario.interval,
     )
-    best_response = best_response_from(
-        pairs, best, constant, scenario.interval, TAU_E, True
-    )
-    risk = classify_persistence_samples(-np.asarray(cost.d2(grid), dtype=float))
+    best_response = best_response_from(pairs, best, constant, scenario.interval, True)
+    samples = -np.asarray(cost.d2(grid), dtype=float)
+    risk = classify_persistence_samples(require_finite(samples, grid, "persistence"))
     return InvisibleEffortReport(True, deviation, epsilon, best_response, risk)
 
 
 def two_outcome_linear_analysis(
-    scenario: Scenario,
-    contract: Contract,
-    *,
-    mt_points: int = MT_GRID_POINTS,
-    scan_points: int = SCAN_GRID_POINTS,
-    refine_tol: float = REFINE_TOL,
-    effort_tol: float = TAU_E,
-    tie_tol: float = TAU_EXPECTATION,
+    scenario: Scenario, contract: Contract
 ) -> TwoOutcomeLinearReport:
     """First-order-condition solution for p1(e) = C*e + h with two outcomes.
 
     Interior optima satisfy v'(e) = C*(u(w1)-u(w2)).  The candidates are
     the boundaries plus the roots of that condition more than
-    ``effort_tol`` inside them, found, settled and tie-filtered by the
+    ``TAU_E`` inside them, found, settled and tie-filtered by the
     general solver's stages (without its value-scan peaks, so the two stay
     independent cross-checks).  With C = 0 the case degenerates to an
     invisible-effort scenario and the matching report is attached.
@@ -199,21 +184,16 @@ def two_outcome_linear_analysis(
     lo, hi = interval.lo, interval.hi
     payoff = LinearPayoff.agent(scenario, contract)
 
-    _, _, flat = flat_scan(payoff.value, interval, scan_points, tie_tol)
+    _, _, flat = flat_scan(payoff.value, interval)
     if flat is not None:
         pairs, best, constant = flat
         interior, interior_values = (), ()
         boundary_values = (pairs[0][1], pairs[1][1])
     else:
-        roots = dedup_sorted(
-            bracket_roots(lambda e: target - cost.d1(e), interval, mt_points, refine_tol),
-            effort_tol,
-        )
-        interior = tuple(r for r in roots if r - lo > effort_tol and hi - r > effort_tol)
+        roots = dedup_sorted(bracket_roots(lambda e: target - cost.d1(e), interval))
+        interior = tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E)
         boundary_values = (float(payoff.value(lo)), float(payoff.value(hi)))
-        evaluated, pairs, best = settle(
-            payoff.value, [lo, *interior, hi], interval, effort_tol, tie_tol
-        )
+        evaluated, pairs, best = settle(payoff.value, interior, interval)
         interior_values = tuple(fe for _, fe in evaluated[1:-1])
         constant = False
 
@@ -226,8 +206,7 @@ def two_outcome_linear_analysis(
         interior_values=interior_values,
         boundary_values=boundary_values,
         best_response=best_response_from(
-            pairs, best, constant, interval, effort_tol,
-            best >= scenario.agent.reservation_utility,
+            pairs, best, constant, interval, best >= scenario.agent.reservation_utility
         ),
         reduces_to_invisible=reduces,
         invisible=detect_invisible_effort(scenario) if reduces else None,
@@ -242,10 +221,7 @@ def _grid_check(mask: np.ndarray, grid: np.ndarray, vals: np.ndarray) -> Assumpt
 
 
 def classical_assumptions_report(
-    scenario: Scenario,
-    wage_range: tuple[float, float],
-    *,
-    grid_points: int = VALIDATION_GRID_POINTS,
+    scenario: Scenario, wage_range: tuple[float, float]
 ) -> ClassicalAssumptionsReport:
     """Audit u'(w) > 0, u''(w) <= 0, v'(e) > 0 and v''(e) >= 0 on grids.
 
@@ -253,21 +229,22 @@ def classical_assumptions_report(
     flags are reported alongside: negative marginal cost somewhere (the
     agent wants to work) and negative cost somewhere (effort itself yields
     utility).  A concave stretch of v is surfaced separately because the
-    risk conclusions here lean on v being convex.
+    risk conclusions here lean on v being convex.  A derivative that is
+    not finite on its grid raises DomainError.
     """
     lo, hi = float(wage_range[0]), float(wage_range[1])
     if hi < lo:
         lo, hi = hi, lo
-    wgrid = np.linspace(lo, hi, grid_points)
-    egrid = scenario.interval.grid(grid_points)
+    wgrid = np.linspace(lo, hi, VALIDATION_GRID_POINTS)
+    egrid = scenario.interval.grid(VALIDATION_GRID_POINTS)
 
     u = scenario.agent.utility
     v = scenario.agent.effort_cost
-    u1 = np.asarray(u.d1(wgrid), dtype=float)
-    u2 = np.asarray(u.d2(wgrid), dtype=float)
+    u1 = require_finite(np.asarray(u.d1(wgrid), dtype=float), wgrid, "u'")
+    u2 = require_finite(np.asarray(u.d2(wgrid), dtype=float), wgrid, "u''")
     v0 = np.asarray(v.eval(egrid), dtype=float)
-    v1 = np.asarray(v.d1(egrid), dtype=float)
-    v2 = np.asarray(v.d2(egrid), dtype=float)
+    v1 = require_finite(np.asarray(v.d1(egrid), dtype=float), egrid, "v'")
+    v2 = require_finite(np.asarray(v.d2(egrid), dtype=float), egrid, "v''")
 
     return ClassicalAssumptionsReport(
         wage_range=(lo, hi),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from .analyses import (
     two_outcome_linear_analysis,
 )
 from .errors import ContractGameError, NotTwoOutcomeLinearError, ParseError, ValidationError
-from .model import Contract
+from .model import Contract, contract_issues, require_finite
 from .oracle import monte_carlo_payoffs
 from .principal import TIE_BREAK_POLICIES, solve_game
 from .scenario_io import (
@@ -86,7 +87,7 @@ def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
     text = spec.strip()
     if text.startswith("["):
         try:
-            wages = json.loads(text)
+            wages = json.loads(text, parse_int=float)  # a huge integer becomes inf
         except json.JSONDecodeError as err:
             raise ContractGameError(f"bad inline contract {spec!r}: {err.msg}") from err
         if not isinstance(wages, list) or not all(
@@ -107,7 +108,9 @@ def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
                 f"{len(doc.contracts)} contract(s)"
             )
         contract = doc.contracts[index]
-    doc.scenario.check_contract(contract)
+    issues = contract_issues(doc.scenario, contract, f"contract {text}")
+    if issues:
+        raise ValidationError(issues)
     return contract
 
 
@@ -137,12 +140,8 @@ def _cmd_validate(args) -> int:
 def _cmd_solve_agent(args) -> int:
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
-    response = agent_best_response(
-        doc.scenario, contract, **doc.options.best_response_kwargs()
-    )
-    risk = classify_risk(
-        doc.scenario, contract, grid_points=doc.options.risk_grid_points
-    )
+    response = agent_best_response(doc.scenario, contract)
+    risk = classify_risk(doc.scenario, contract)
     out = result_to_dict(response)
     out["risk"] = result_to_dict(risk)
     print(render_json(out))
@@ -152,9 +151,7 @@ def _cmd_solve_agent(args) -> int:
 def _cmd_classify_risk(args) -> int:
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
-    risk = classify_risk(
-        doc.scenario, contract, grid_points=doc.options.risk_grid_points
-    )
+    risk = classify_risk(doc.scenario, contract)
     print(render_json(result_to_dict(risk)))
     return 0
 
@@ -163,11 +160,11 @@ def _cmd_analyze(args) -> int:
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
     epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon_invisible
+    if not math.isfinite(epsilon):
+        raise ContractGameError("--epsilon must be a finite number")
     invisible = detect_invisible_effort(doc.scenario, epsilon)
     try:
-        report = two_outcome_linear_analysis(
-            doc.scenario, contract, **doc.options.best_response_kwargs()
-        )
+        report = two_outcome_linear_analysis(doc.scenario, contract)
     except NotTwoOutcomeLinearError:
         linear = None
     else:
@@ -192,12 +189,7 @@ def _cmd_solve_game(args) -> int:
     if doc.contract_family is None:
         raise ContractGameError("document has no contract_family to search")
     tie_break = args.tie_break if args.tie_break is not None else doc.options.tie_break
-    solution = solve_game(
-        doc.scenario,
-        doc.contract_family,
-        tie_break=tie_break,
-        **doc.options.best_response_kwargs(),
-    )
+    solution = solve_game(doc.scenario, doc.contract_family, tie_break=tie_break)
     print(render_json(result_to_dict(solution)))
     return 0
 
@@ -207,13 +199,14 @@ def _cmd_sweep(args) -> int:
     contract = _resolve_contract(doc, args.contract)
     if args.points < 2:
         raise ContractGameError("--points must be at least 2")
-    expectation, slope, curvature = agent_payoff_functions(doc.scenario, contract)
     grid = doc.scenario.interval.grid(args.points)
-    ev = np.asarray(expectation(grid), dtype=float)
-    mv = np.asarray(slope(grid), dtype=float)
-    pv = np.asarray(curvature(grid), dtype=float)
+    names = ("expectation", "motivation", "persistence")
+    ev, mv, pv = (
+        require_finite(np.asarray(fn(grid), dtype=float), grid, name)
+        for fn, name in zip(agent_payoff_functions(doc.scenario, contract), names)
+    )
     table = SweepTable(
-        columns=("e", "expectation", "motivation", "persistence"),
+        columns=("e", *names),
         rows=tuple(
             (float(e), float(a), float(b), float(c))
             for e, a, b, c in zip(grid, ev, mv, pv)
@@ -228,6 +221,8 @@ def _cmd_simulate(args) -> int:
     contract = _resolve_contract(doc, args.contract)
     if args.n < 1:
         raise ContractGameError("--n must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise ContractGameError("--seed must be non-negative")
     seed = args.seed if args.seed is not None else doc.options.seed
     result = monte_carlo_payoffs(doc.scenario, contract, args.effort, args.n, seed)
     print(render_json(result_to_dict(result)))
@@ -252,7 +247,10 @@ def run_command(argv) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        # every reported array is checked for finiteness, so numpy's
+        # overflow warnings would only repeat the error on stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except ContractGameError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -239,7 +239,10 @@ class Tabulated(Curve):
             raise ValueError("knot abscissae must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slopes", self._fritsch_carlson(knots, values))
+        slopes = self._fritsch_carlson(knots, values)
+        if not all(map(math.isfinite, slopes)):
+            raise ValueError("knots and values give knot slopes that are not finite")
+        object.__setattr__(self, "slopes", slopes)
 
     @staticmethod
     def _fritsch_carlson(x, y):
@@ -248,12 +251,13 @@ class Tabulated(Curve):
         d = [(y[k + 1] - y[k]) / h[k] for k in range(n - 1)]
         m = [0.0] * n
         for k in range(1, n - 1):
-            if d[k - 1] * d[k] <= 0.0:
+            if not d[k - 1] * d[k] > 0.0:  # opposite signs, a zero, or nan
                 m[k] = 0.0
             else:
                 w1 = 2.0 * h[k] + h[k - 1]
                 w2 = h[k] + 2.0 * h[k - 1]
-                m[k] = (w1 + w2) / (w1 / d[k - 1] + w2 / d[k])
+                harmonic = w1 / d[k - 1] + w2 / d[k]
+                m[k] = (w1 + w2) / harmonic if harmonic else math.inf
 
         def edge(h0, h1, d0, d1):
             slope = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)

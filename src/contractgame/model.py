@@ -29,7 +29,9 @@ __all__ = [
     "Scenario",
     "profile_probs",
     "profile_matrix",
+    "contract_issues",
     "scenario_validate",
+    "require_finite",
     "ensure_valid",
 ]
 
@@ -209,9 +211,7 @@ def profile_matrix(scenario: Scenario, e: np.ndarray) -> np.ndarray:
 
 
 def scenario_validate(
-    scenario: Scenario,
-    contracts: tuple[Contract, ...] = (),
-    grid_points: int = VALIDATION_GRID_POINTS,
+    scenario: Scenario, contracts: tuple[Contract, ...] = ()
 ) -> list[Exception]:
     """Grid-check a scenario; returns every violation found (empty = valid).
 
@@ -220,7 +220,7 @@ def scenario_validate(
     checked at the wages / net results induced by the given contracts.
     """
     issues: list[Exception] = []
-    grid = scenario.interval.grid(grid_points)
+    grid = scenario.interval.grid(VALIDATION_GRID_POINTS)
     n = scenario.n_outcomes
 
     total = np.zeros_like(grid)
@@ -241,29 +241,45 @@ def scenario_validate(
         issues.extend(_curve_issues(scenario.agent.effort_cost, grid, "effort cost"))
 
     for ci, contract in enumerate(contracts):
-        if len(contract) != n:
-            issues.append(
-                DimensionError(
-                    f"contract {ci} has {len(contract)} wages for "
-                    f"{n} outcomes"
-                )
-            )
-            continue
-        for wi, wage in enumerate(contract.wages):
-            issues.extend(
-                _curve_issues(
-                    scenario.agent.utility, wage,
-                    f"wage utility at contract {ci} w{wi+1}",
-                )
-            )
-            issues.extend(
-                _curve_issues(
-                    scenario.principal.utility, scenario.outcomes[wi] - wage,
-                    f"principal utility at contract {ci} "
-                    f"net result x{wi+1} - w{wi+1}",
-                )
-            )
+        issues.extend(contract_issues(scenario, contract, f"contract {ci}"))
     return issues
+
+
+def contract_issues(scenario: Scenario, contract: Contract, name: str) -> list[Exception]:
+    """Check one contract against a scenario; returns every violation found.
+
+    The contract needs one finite wage per outcome, and both u(w) and
+    B(x - w) must be defined and finite at each of them.
+    """
+    n = scenario.n_outcomes
+    if len(contract) != n:
+        return [DimensionError(f"{name} has {len(contract)} wages for {n} outcomes")]
+    issues: list[Exception] = []
+    for wi, wage in enumerate(contract.wages):
+        if not math.isfinite(wage):
+            issues.append(DomainError(f"{name} w{wi+1}: non-finite wage {wage}"))
+            continue
+        issues.extend(
+            _curve_issues(
+                scenario.agent.utility, wage, f"wage utility at {name} w{wi+1}"
+            )
+        )
+        issues.extend(
+            _curve_issues(
+                scenario.principal.utility, scenario.outcomes[wi] - wage,
+                f"principal utility at {name} net result x{wi+1} - w{wi+1}",
+            )
+        )
+    return issues
+
+
+def require_finite(values: np.ndarray, points: np.ndarray, what: str) -> np.ndarray:
+    """Return values, or raise DomainError at the first one that is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DomainError(f"{what} is not finite at {points[k]}: {values[k]}")
+    return values
 
 
 def _curve_issues(curve: Curve, t, what: str) -> list[Exception]:

@@ -8,10 +8,12 @@ nature's draw).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .model import Contract, EffortInterval, Scenario, profile_probs
 
 __all__ = [
@@ -122,12 +124,14 @@ def monte_carlo_payoffs(
     def _sd(draws: np.ndarray) -> float:
         return float(np.std(draws, ddof=1)) if n > 1 else 0.0
 
+    stats = (
+        float(agent_draws.mean()),
+        _sd(agent_draws),
+        float(principal_draws.mean()),
+        _sd(principal_draws),
+    )
+    if not all(map(math.isfinite, stats)):
+        raise DomainError(f"payoff mean or sd is not finite: {stats}")
     return SimulationResult(
-        draws=n,
-        agent_mean=float(agent_draws.mean()),
-        agent_sd=_sd(agent_draws),
-        principal_mean=float(principal_draws.mean()),
-        principal_sd=_sd(principal_draws),
-        frequencies=tuple(int(c) for c in counts),
-        seed=int(seed),
+        n, *stats, frequencies=tuple(int(c) for c in counts), seed=int(seed)
     )

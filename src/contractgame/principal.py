@@ -52,6 +52,11 @@ class WageGrid:
             raise DimensionError(
                 f"wage grid needs hi >= lo, got [{self.lo}, {self.hi}]"
             )
+        if not math.isfinite((self.hi - self.lo) / self.step):
+            raise DimensionError(
+                f"wage grid [{self.lo}, {self.hi}] step {self.step} "
+                "has too many points to count"
+            )
 
     def count(self) -> int:
         return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
@@ -146,14 +151,12 @@ def solve_game(
     scenario: Scenario,
     family: ContractFamily,
     tie_break: str = "principal-favorable",
-    **solver_kwargs,
 ) -> GameSolution:
     """Backward induction against a finite contract family.
 
     For every candidate the agent's problem is solved first; rejected
     contracts are discarded, the rest are scored by the principal's
-    expectation at the tie-break effort.  Extra keyword arguments flow
-    through to :func:`agent_best_response`.
+    expectation at the tie-break effort.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -163,7 +166,7 @@ def solve_game(
     best: tuple[float, tuple[float, ...]] | None = None
     chosen: GameSolution | None = None
     for contract in family:
-        response = agent_best_response(scenario, contract, **solver_kwargs)
+        response = agent_best_response(scenario, contract)
         if not response.accepted:
             continue
         payoff = LinearPayoff.principal(scenario, contract)

@@ -16,9 +16,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 
-from . import agent as _agent
 from . import analyses as _analyses
-from . import model as _model
 from . import principal as _principal
 from .curves import Curve, ExpAffine, LogAffine, Polynomial, Power, Tabulated
 from .errors import ContractGameError, ParseError, ValidationError
@@ -50,27 +48,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Document-overridable solver tunables (defaults match the modules)."""
+    """Document defaults for the CLI's --epsilon, --tie-break and --seed flags.
+
+    The solver's grid sizes and tolerances are fixed module constants
+    (``contractgame.agent`` and ``contractgame.model``), not options.
+    """
 
     epsilon_invisible: float = _analyses.EPSILON_INVISIBLE
     tie_break: str = "principal-favorable"
     seed: int = 0
-    mt_grid_points: int = _agent.MT_GRID_POINTS
-    scan_grid_points: int = _agent.SCAN_GRID_POINTS
-    risk_grid_points: int = _agent.RISK_GRID_POINTS
-    validation_grid_points: int = _model.VALIDATION_GRID_POINTS
-    refine_tolerance: float = _agent.REFINE_TOL
-    effort_tolerance: float = _agent.TAU_E
-    expectation_tie_tolerance: float = _agent.TAU_EXPECTATION
-
-    def best_response_kwargs(self) -> dict:
-        return {
-            "mt_points": self.mt_grid_points,
-            "scan_points": self.scan_grid_points,
-            "refine_tol": self.refine_tolerance,
-            "effort_tol": self.effort_tolerance,
-            "tie_tol": self.expectation_tie_tolerance,
-        }
 
 
 @dataclass(frozen=True)
@@ -121,10 +107,24 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _seed(value, path: str) -> int:
+    if _integer(value, path) < 0:
+        raise ParseError(f"{path}: expected a non-negative integer, got {value!r}")
+    return value
+
+
 def _number_list(value, path: str) -> list[float]:
     if not isinstance(value, list):
         raise ParseError(f"{path}: expected a list of numbers")
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _contract_list(value, path: str) -> tuple[Contract, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list of wage vectors")
+    return tuple(
+        Contract(tuple(_number_list(w, f"{path}[{i}]"))) for i, w in enumerate(value)
+    )
 
 
 _CURVE_CLASSES = {
@@ -233,10 +233,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
         utility=curve_from_spec(principal_raw["utility"], "principal.utility")
     )
 
-    contracts = tuple(
-        Contract(tuple(_number_list(w, f"contracts[{i}]")))
-        for i, w in enumerate(raw.get("contracts", []))
-    )
+    contracts = _contract_list(raw.get("contracts", []), "contracts")
 
     family = None
     if "contract_family" in raw:
@@ -260,9 +257,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
     except ContractGameError as err:
         raise ValidationError([err]) from err
 
-    issues = scenario_validate(
-        scenario, contracts, grid_points=options.validation_grid_points
-    )
+    issues = scenario_validate(scenario, contracts)
     if issues:
         raise ValidationError(issues)
     return ScenarioDocument(scenario, contracts, family, options)
@@ -281,10 +276,7 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
         )
     try:
         if has_list:
-            contracts = tuple(
-                Contract(tuple(_number_list(w, f"contract_family.contracts[{i}]")))
-                for i, w in enumerate(raw["contracts"])
-            )
+            contracts = _contract_list(raw["contracts"], "contract_family.contracts")
             for i, c in enumerate(contracts):
                 if len(c) != n_outcomes:
                     raise ValidationError(
@@ -323,14 +315,7 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
 _OPTION_TYPES = {
     "epsilon_invisible": _number,
     "tie_break": None,
-    "seed": _integer,
-    "mt_grid_points": _integer,
-    "scan_grid_points": _integer,
-    "risk_grid_points": _integer,
-    "validation_grid_points": _integer,
-    "refine_tolerance": _number,
-    "effort_tolerance": _number,
-    "expectation_tie_tolerance": _number,
+    "seed": _seed,
 }
 
 

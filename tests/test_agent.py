@@ -10,6 +10,7 @@ from contractgame import (
     EffortProfile,
     ExpAffine,
     LogAffine,
+    Maximizer,
     MaximizerKind,
     Polynomial,
     Power,
@@ -24,6 +25,7 @@ from contractgame import (
     motivation,
     persistence,
     transience,
+    two_outcome_linear_analysis,
 )
 from contractgame.oracle import finite_diff_d1, grid_argmax
 from scenario_gen import (
@@ -175,6 +177,25 @@ class TestBestResponse:
         assert top.effort == 1.0
         assert top.kind is MaximizerKind.BOUNDARY_MAX
         assert top.expectation == pytest.approx(1.8, abs=1e-12)
+
+    def test_interval_narrower_than_dedup_keeps_both_boundaries(self):
+        # on [0, 1e-10] every candidate lies within TAU_E of 0; the far
+        # better upper boundary must not be merged into the lower one
+        scenario = _two_outcome(
+            Polynomial((0.2, 0.5)), IDENTITY, Polynomial((0.0, -1e11)),
+            interval=(0.0, 1e-10),
+        )
+        contract = Contract((4.0, 0.0))
+        expected = agent_expectation(scenario, contract, 1e-10)
+        assert expected == pytest.approx(10.8000000002, abs=1e-12)
+        for response in (
+            agent_best_response(scenario, contract),
+            two_outcome_linear_analysis(scenario, contract).best_response,
+        ):
+            assert response.optimal_expectation == expected
+            assert response.maximizers == (
+                Maximizer(1e-10, MaximizerKind.BOUNDARY_MAX, expected),
+            )
 
     def test_flat_expectation_reports_boundary_representatives(self):
         scenario = _two_outcome(Polynomial((0.2, 0.5)), IDENTITY, Polynomial((0.0, 2.0)))

@@ -23,6 +23,18 @@ def test_polynomial_eval():
     assert Polynomial((0.2, 0.5)).eval(0.6) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "knots, values",
+    [
+        ((0.0, 1e-300, 2e-300), (0.0, 1e308, 1.7e308)),  # infinite secants
+        ((0.0, 1e-170, 2e-170), (0.0, 1e130, 2e130)),  # harmonic mean underflows
+    ],
+)
+def test_tabulated_slopes_out_of_range_rejected(knots, values):
+    with pytest.raises(ValueError, match="not finite"):
+        Tabulated(knots, values)
+
+
 def test_log_affine_domain_error():
     with pytest.raises(DomainError):
         LogAffine(0.0, 1.0, 0.0).eval(0.0)

@@ -122,19 +122,35 @@ class TestParsing:
         raw["options"] = {
             "epsilon_invisible": 1e-6,
             "tie_break": "agent-lowest-effort",
-            "scan_grid_points": 513,
             "seed": 42,
         }
         doc = parse_scenario(write_doc(tmp_path, raw))
         assert doc.options.epsilon_invisible == 1e-6
         assert doc.options.tie_break == "agent-lowest-effort"
-        assert doc.options.scan_grid_points == 513
         assert doc.options.seed == 42
 
     def test_unknown_option_rejected(self, tmp_path):
         raw = fixture_dict()
         raw["options"] = {"scan_points": 100}
         with pytest.raises(ParseError, match="scan_points"):
+            parse_scenario(write_doc(tmp_path, raw))
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "mt_grid_points",
+            "scan_grid_points",
+            "risk_grid_points",
+            "validation_grid_points",
+            "refine_tolerance",
+            "effort_tolerance",
+            "expectation_tie_tolerance",
+        ],
+    )
+    def test_fixed_numerics_are_not_options(self, key, tmp_path):
+        raw = fixture_dict()
+        raw["options"] = {key: 1}
+        with pytest.raises(ParseError, match=f"options: unknown key '{key}'"):
             parse_scenario(write_doc(tmp_path, raw))
 
     def test_bad_tie_break_rejected(self, tmp_path):
@@ -222,6 +238,133 @@ class TestNonFiniteInput:
         assert run_command(["solve-agent", path, "--contract", "[1000, 0]"]) == 1
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "utility, contract",
+        [
+            ([0.0, 1.0], "[1e400, 0]"),  # parses to an infinite wage
+            ([0.0, 1.0], "[1" + "0" * 400 + ", 0]"),  # an integer beyond float range
+            ([0.0, 1e308], "[10, 0]"),  # u(10) overflows
+        ],
+        ids=["infinite-wage", "huge-integer-wage", "utility-overflow"],
+    )
+    def test_inline_contract_checked_like_document_contracts(
+        self, utility, contract, tmp_path
+    ):
+        raw = fixture_dict()
+        raw["agent"]["utility"]["coefficients"] = utility
+        raw["contracts"] = [[1.0, 0.0]]
+        path = write_doc(tmp_path, raw)
+        code, out, err = run_cli(["solve-agent", path, "--contract", contract])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err or "non-finite" in err
+
+
+def _negative_seed(raw):
+    raw["options"] = {"seed": -1}
+
+
+def _scalar_contracts(raw):
+    raw["contracts"] = 5
+
+
+def _scalar_family_contracts(raw):
+    raw["contract_family"] = {"contracts": 5}
+
+
+def _uncountable_wage_grid(raw):
+    raw["contract_family"]["wage_grids"][0] = {"min": 0, "max": 1e300, "step": 1e-300}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "mutate, solve",
+        [
+            (_negative_seed, ["simulate", "--effort", "0.5", "--n", "10"]),
+            (_scalar_contracts, ["solve-agent"]),
+            (_scalar_family_contracts, ["solve-game"]),
+            (_uncountable_wage_grid, ["solve-game"]),
+        ],
+        ids=[
+            "negative-seed",
+            "contracts-not-a-list",
+            "family-contracts-not-a-list",
+            "wage-grid-count",
+        ],
+    )
+    def test_invalid_and_refused(self, mutate, solve, tmp_path, capsys):
+        raw = fixture_dict()
+        mutate(raw)
+        path = write_doc(tmp_path, raw)
+        assert run_command(["validate", path]) == 1
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+        assert run_command([solve[0], path, *solve[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_negative_seed_flag(self, capsys):
+        argv = ["simulate", FIXTURE, "--effort", "0.5", "--n", "10", "--seed", "-3"]
+        assert run_command(argv) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_flag(self, epsilon, capsys):
+        assert run_command(["analyze", FIXTURE, "--epsilon", epsilon]) == 1
+        assert "--epsilon" in capsys.readouterr().err
+
+
+def _overflowing_cost_derivatives(raw):
+    raw["agent"]["effort_cost"]["coefficients"] = [0.0, 0.0, -1e308]
+
+
+def _overflowing_family_utility(raw):
+    raw["agent"]["utility"]["coefficients"] = [0.0, 1e308]
+    raw["contracts"] = [[1.0, 0.0]]
+
+
+def _overflowing_payoff_spread(raw):
+    raw["outcomes"] = [1e-300, 2.0]
+    raw["agent"]["effort_cost"]["coefficients"] = [0.0, 0.0, 2e300]
+
+
+class TestOverflowAfterValidation:
+    """Documents that validate, but whose derivatives or payoffs overflow."""
+
+    @pytest.mark.parametrize(
+        "mutate, command",
+        [
+            (_overflowing_cost_derivatives, ["solve-agent"]),
+            (_overflowing_cost_derivatives, ["classify-risk"]),
+            (_overflowing_cost_derivatives, ["analyze"]),
+            (_overflowing_cost_derivatives, ["sweep", "--points", "5"]),
+            (_overflowing_cost_derivatives, ["solve-game"]),
+            (_overflowing_family_utility, ["solve-game"]),
+            (_overflowing_payoff_spread, ["simulate", "--effort", "0.5", "--n", "10"]),
+        ],
+        ids=[
+            "cost-solve-agent",
+            "cost-classify-risk",
+            "cost-analyze",
+            "cost-sweep",
+            "cost-solve-game",
+            "family-utility-solve-game",
+            "payoff-spread-simulate",
+        ],
+    )
+    def test_domain_error_not_traceback(self, mutate, command, tmp_path, capsys):
+        raw = fixture_dict()
+        mutate(raw)
+        path = write_doc(tmp_path, raw)
+        assert run_command(["validate", path]) == 0
+        capsys.readouterr()
+        assert run_command([command[0], path, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -270,7 +413,7 @@ class TestRoundTrip:
 
     def test_non_default_options_round_trip(self, tmp_path):
         raw = fixture_dict()
-        raw["options"] = {"seed": 9, "expectation_tie_tolerance": 1e-7}
+        raw["options"] = {"seed": 9, "epsilon_invisible": 1e-7}
         doc = parse_scenario(write_doc(tmp_path, raw))
         again = document_from_dict(json.loads(render_json(document_to_dict(doc))))
         assert again.options == doc.options
