@@ -32,11 +32,13 @@ __all__ = [
     "SCAN_GRID_POINTS",
     "RISK_GRID_POINTS",
     "REFINE_TOL",
+    "DELTA_ROW_MEMO",
     "MaximizerKind",
     "Maximizer",
     "BestResponse",
     "RiskClass",
     "RiskClassification",
+    "EffortTables",
     "agent_expectation",
     "motivation",
     "persistence",
@@ -56,6 +58,8 @@ MT_GRID_POINTS = 1025    # bracketing grid for motivation roots
 SCAN_GRID_POINTS = 4097  # dense value scan for local maxima
 RISK_GRID_POINTS = 2049  # persistence sampling grid
 REFINE_TOL = 1e-12       # bisection / golden-section interval target
+
+DELTA_ROW_MEMO = 4096    # utility-delta rows whose slope roots EffortTables keeps
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -115,17 +119,19 @@ class LinearPayoff:
     sum_{i<n} p_i(e) delta_i.  So only the n-1 component curves are
     evaluated, the probabilities never need renormalizing, and components
     with a zero delta are skipped.  A level or delta that is not finite
-    raises DomainError.
+    raises DomainError.  ``deltas`` is the whole delta row, zeros included;
+    the slope and curvature depend on it alone, not on the base.
     """
 
-    __slots__ = ("base", "terms", "cost")
+    __slots__ = ("base", "deltas", "terms", "cost")
 
     def __init__(self, scenario: Scenario, levels, cost=None):
         self.base = levels[-1]
+        self.deltas = tuple(level - levels[-1] for level in levels[:-1])
         self.terms = tuple(
-            (level - levels[-1], comp)
-            for level, comp in zip(levels[:-1], scenario.profile.components)
-            if level - levels[-1] != 0.0
+            (delta, comp)
+            for delta, comp in zip(self.deltas, scenario.profile.components)
+            if delta != 0.0
         )
         if not all(math.isfinite(x) for x in (self.base, *(d for d, _ in self.terms))):
             raise DomainError(f"payoff levels {levels} are not finite or too far apart")
@@ -165,6 +171,19 @@ class LinearPayoff:
         for delta, comp in self.terms:
             acc = acc + delta * comp.d2(e)
         return acc if self.cost is None else acc - self.cost.d2(e)
+
+    def on_table(self, table, with_base: bool):
+        """value (with_base) or slope from table(curve), the curve's values on a grid.
+
+        The operations of value and slope in their order, so the result is
+        bit-identical to calling them on the grid.
+        """
+        acc = 0.0
+        for delta, comp in self.terms:
+            acc = acc + delta * table(comp)
+        if with_base:
+            acc = self.base + acc
+        return acc if self.cost is None else acc - table(self.cost)
 
 
 def agent_expectation(scenario: Scenario, contract: Contract, e: float) -> float:
@@ -266,38 +285,36 @@ def _merge_runs(indices):
     return runs
 
 
-# The maximizer pipeline.  hybrid_maximize chains the stages below; the
-# two-outcome analyzer runs its own candidate set through the same ones.
+# The maximizer pipeline.  search_scan chains the stages below for both
+# hybrid_maximize and EffortTables; the two-outcome analyzer runs its own
+# candidate set through the same stages.
 
-def flat_scan(f, interval: EffortInterval):
-    """Dense value scan of f, plus the flat shortcut.
+def flat_scan(scan: np.ndarray, fv: np.ndarray, interval: EffortInterval):
+    """The flat shortcut on the values fv of the dense scan.
 
-    Returns (scan, values, flat).  When the value spread is within the tie
-    tolerance, flat is the constant result (pairs, best, True): the two
-    boundary points represent the whole interval.  Otherwise it is None.
-    A value that is not finite raises DomainError.
+    When the value spread is within the tie tolerance, returns the constant
+    result (pairs, best, True): the two boundary points represent the whole
+    interval.  Otherwise returns None.  A value that is not finite raises
+    DomainError.
     """
-    scan = interval.grid(SCAN_GRID_POINTS)
-    fv = np.asarray(f(scan), dtype=float)
     fmax = float(fv.max())
     fmin = float(fv.min())
     if not (math.isfinite(fmax) and math.isfinite(fmin)):
         require_finite(fv, scan, "objective")
     if fmax - fmin <= TAU_EXPECTATION * max(1.0, abs(fmax)):
         pairs = ((interval.lo, float(fv[0])), (interval.hi, float(fv[-1])))
-        return scan, fv, (pairs, fmax, True)
-    return scan, fv, None
+        return pairs, fmax, True
+    return None
 
 
-def bracket_roots(g, interval: EffortInterval):
-    """Roots of g bracketed on a uniform grid and bisected to REFINE_TOL.
+def bracket_roots(g, grid: np.ndarray, gv: np.ndarray):
+    """Roots of g bracketed by its values gv on a uniform grid, bisected to REFINE_TOL.
 
     A run of exact zeros on the grid is a flat stretch; its edges are the
     informative representatives (a lone zero is its own edge).  A grid
     value that is not finite raises DomainError.
     """
-    grid = interval.grid(MT_GRID_POINTS)
-    gv = require_finite(np.asarray(g(grid), dtype=float), grid, "derivative")
+    gv = require_finite(gv, grid, "derivative")
     roots = []
     for first, last in _merge_runs(np.nonzero(gv == 0.0)[0]):
         roots.append(float(grid[first]))
@@ -305,6 +322,48 @@ def bracket_roots(g, interval: EffortInterval):
     for i in np.nonzero(gv[:-1] * gv[1:] < 0.0)[0]:
         roots.append(_bisect_root(g, float(grid[i]), float(grid[i + 1])))
     return roots
+
+
+class SlopeRoots:
+    """The search's work on the slope g alone: roots, each found once.
+
+    Holds the bracket-grid roots and, per scan-peak run (first, last), the
+    root the run's bracket snaps onto, or None when g has no sign change
+    there.  ``on_grid()`` returns the bracket grid and g's values on it; it
+    is called on first use.  A payoff's slope does not depend on its base,
+    so contracts with one utility-delta row share one SlopeRoots.
+    """
+
+    __slots__ = ("g", "_on_grid", "_roots", "_snaps")
+
+    def __init__(self, g, on_grid):
+        self.g = g
+        self._on_grid = on_grid
+        self._roots = None
+        self._snaps = {}
+
+    def roots(self) -> list[float]:
+        if self._roots is None:
+            self._roots = bracket_roots(self.g, *self._on_grid())
+            self._on_grid = None
+        return self._roots
+
+    def snap(self, a: float, b: float, run) -> float | None:
+        if run in self._snaps:
+            return self._snaps[run]
+        g = self.g
+        da = g(a)
+        db = g(b)
+        if da == 0.0:
+            root = a
+        elif db == 0.0:
+            root = b
+        elif da * db < 0.0:
+            root = _bisect_root(g, a, b)
+        else:
+            root = None
+        self._snaps[run] = root
+        return root
 
 
 def dedup_sorted(points) -> list[float]:
@@ -338,6 +397,33 @@ def settle(f, candidates, interval: EffortInterval):
     return evaluated, pairs, best
 
 
+def search_scan(f, scan: np.ndarray, fv: np.ndarray, interval: EffortInterval,
+                slope_roots: SlopeRoots):
+    """Global maximizers of f from its values fv on the dense scan.
+
+    Returns (maximizers, best_value, constant) as hybrid_maximize does.
+    Candidates are the slope's bracket-grid roots and one point per run of
+    scan peaks: the slope root its bracket snaps onto or, without a sign
+    change, the golden-section maximum of f there.  The flat shortcut, the
+    golden section and settle use f, so they run per call; the slope work
+    comes from slope_roots.
+    """
+    flat = flat_scan(scan, fv, interval)
+    if flat is not None:
+        return flat
+
+    candidates = list(slope_roots.roots())
+    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
+    for first, last in _merge_runs(interior.tolist()):
+        a = float(scan[first - 1])
+        b = float(scan[last + 1])
+        root = slope_roots.snap(a, b, (first, last))
+        candidates.append(_golden_max(f, a, b) if root is None else root)
+
+    _, pairs, best = settle(f, candidates, interval)
+    return pairs, best, False
+
+
 def hybrid_maximize(f, df, interval: EffortInterval):
     """Global maximizers of a C1 function f on a closed interval.
 
@@ -351,28 +437,78 @@ def hybrid_maximize(f, df, interval: EffortInterval):
     by golden-section.  A flat function (value spread within the tie
     tolerance) is reported as constant via its two boundary points.
     """
-    scan, fv, flat = flat_scan(f, interval)
-    if flat is not None:
-        return flat
+    scan = interval.grid(SCAN_GRID_POINTS)
+    fv = np.asarray(f(scan), dtype=float)
 
-    candidates = bracket_roots(df, interval)
-    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
-    for first, last in _merge_runs(interior):
-        a = float(scan[first - 1])
-        b = float(scan[last + 1])
-        da = df(a)
-        db = df(b)
-        if da == 0.0:
-            candidates.append(a)
-        elif db == 0.0:
-            candidates.append(b)
-        elif da * db < 0.0:
-            candidates.append(_bisect_root(df, a, b))
-        else:
-            candidates.append(_golden_max(f, a, b))
+    def on_grid():
+        grid = interval.grid(MT_GRID_POINTS)
+        return grid, np.asarray(df(grid), dtype=float)
 
-    _, pairs, best = settle(f, candidates, interval)
-    return pairs, best, False
+    return search_scan(f, scan, fv, interval, SlopeRoots(df, on_grid))
+
+
+class EffortTables:
+    """What the agent's problem shares across the contracts of one scenario.
+
+    Holds the scan and bracket grids and, filled on first use, each
+    curve's values on the scan grid and its first derivative on the bracket
+    grid.  A per-contract solve evaluates the curves in the same order, so
+    the first DomainError is the same one.  A contract's scan values and
+    grid slopes come from LinearPayoff.on_table, bit-identical to
+    evaluating the payoff on the grids.  The SlopeRoots of each
+    utility-delta row are kept too, for at most DELTA_ROW_MEMO rows (the
+    oldest goes first).  The base-dependent work (flat shortcut, scan
+    peaks, golden section, settle and the tie filter) runs per contract,
+    so every result equals a fresh solve.
+    """
+
+    __slots__ = ("scenario", "scan", "grid", "_values", "_slopes", "_rows")
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.scan = scenario.interval.grid(SCAN_GRID_POINTS)
+        self.grid = scenario.interval.grid(MT_GRID_POINTS)
+        self._values: dict[int, np.ndarray] = {}
+        self._slopes: dict[int, np.ndarray] = {}
+        self._rows: dict[tuple[float, ...], SlopeRoots] = {}
+
+    def _value_on_scan(self, curve) -> np.ndarray:
+        key = id(curve)
+        if key not in self._values:
+            self._values[key] = curve.eval(self.scan)
+        return self._values[key]
+
+    def _slope_on_grid(self, curve) -> np.ndarray:
+        key = id(curve)
+        if key not in self._slopes:
+            self._slopes[key] = curve.d1(self.grid)
+        return self._slopes[key]
+
+    def _slope_roots(self, payoff: LinearPayoff) -> SlopeRoots:
+        rows = self._rows
+        found = rows.get(payoff.deltas)
+        if found is not None:
+            return found
+
+        def on_grid():
+            gv = payoff.on_table(self._slope_on_grid, with_base=False)
+            return self.grid, np.asarray(gv, dtype=float)
+
+        if len(rows) >= DELTA_ROW_MEMO:
+            del rows[next(iter(rows))]
+        found = rows[payoff.deltas] = SlopeRoots(payoff.slope, on_grid)
+        return found
+
+    def best_response(self, contract: Contract) -> BestResponse:
+        """agent_best_response(scenario, contract), reusing the tables."""
+        scenario = self.scenario
+        payoff = LinearPayoff.agent(scenario, contract)
+        fv = np.asarray(payoff.on_table(self._value_on_scan, with_base=True), dtype=float)
+        pairs, best, constant = search_scan(
+            payoff.value, self.scan, fv, scenario.interval, self._slope_roots(payoff)
+        )
+        accepted = best >= scenario.agent.reservation_utility
+        return best_response_from(pairs, best, constant, scenario.interval, accepted)
 
 
 def _kind_at(e: float, interval: EffortInterval) -> MaximizerKind:
@@ -411,12 +547,7 @@ def agent_best_response(scenario: Scenario, contract: Contract) -> BestResponse:
     the optimum is at least the reservation utility (rejection keeps the
     maximizer list, only the flag flips).
     """
-    payoff = LinearPayoff.agent(scenario, contract)
-    pairs, best, constant = hybrid_maximize(
-        payoff.value, payoff.slope, scenario.interval
-    )
-    accepted = best >= scenario.agent.reservation_utility
-    return best_response_from(pairs, best, constant, scenario.interval, accepted)
+    return EffortTables(scenario).best_response(contract)
 
 
 def classify_persistence_samples(samples: np.ndarray) -> RiskClassification:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import (
+    MT_GRID_POINTS,
+    SCAN_GRID_POINTS,
     TAU_E,
     BestResponse,
     LinearPayoff,
@@ -184,13 +186,19 @@ def two_outcome_linear_analysis(
     lo, hi = interval.lo, interval.hi
     payoff = LinearPayoff.agent(scenario, contract)
 
-    _, _, flat = flat_scan(payoff.value, interval)
+    scan = interval.grid(SCAN_GRID_POINTS)
+    flat = flat_scan(scan, np.asarray(payoff.value(scan), dtype=float), interval)
     if flat is not None:
         pairs, best, constant = flat
         interior, interior_values = (), ()
         boundary_values = (pairs[0][1], pairs[1][1])
     else:
-        roots = dedup_sorted(bracket_roots(lambda e: target - cost.d1(e), interval))
+        grid = interval.grid(MT_GRID_POINTS)
+
+        def foc(e):
+            return target - cost.d1(e)
+
+        roots = dedup_sorted(bracket_roots(foc, grid, np.asarray(foc(grid), dtype=float)))
         interior = tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E)
         boundary_values = (float(payoff.value(lo)), float(payoff.value(hi)))
         evaluated, pairs, best = settle(payoff.value, interior, interval)

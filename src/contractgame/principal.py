@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .agent import BestResponse, LinearPayoff, agent_best_response
+from .agent import BestResponse, EffortTables, LinearPayoff
 from .errors import DimensionError, EnumerationCapExceeded
 from .model import Contract, Scenario
 
@@ -156,17 +156,21 @@ def solve_game(
 
     For every candidate the agent's problem is solved first; rejected
     contracts are discarded, the rest are scored by the principal's
-    expectation at the tie-break effort.
+    expectation at the tie-break effort.  The agent's problems share one
+    EffortTables, so the grids, the curve values on them and the slope
+    roots of each utility-delta row are computed once; every best response
+    equals agent_best_response(scenario, contract).
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
             f"unknown tie-break policy {tie_break!r}; "
             f"choose one of {TIE_BREAK_POLICIES}"
         )
+    tables = EffortTables(scenario)
     best: tuple[float, tuple[float, ...]] | None = None
     chosen: GameSolution | None = None
     for contract in family:
-        response = agent_best_response(scenario, contract)
+        response = tables.best_response(contract)
         if not response.accepted:
             continue
         payoff = LinearPayoff.principal(scenario, contract)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import contractgame.agent as agent_module
 from contractgame import (
     AgentPreferences,
+    GameSolution,
     Contract,
     ContractFamily,
     EffortInterval,
@@ -14,10 +16,13 @@ from contractgame import (
     Polynomial,
     PrincipalPreferences,
     Scenario,
+    Tabulated,
     WageGrid,
+    agent_best_response,
     principal_expectation,
     solve_game,
 )
+from contractgame.principal import TIE_BREAK_POLICIES
 from game_oracle import enumeration_oracle
 from scenario_gen import linear_two_outcome_scenario, reference_scenario
 
@@ -232,3 +237,140 @@ class TestOracleEquivalenceCorpus:
             contract, _, payoff = enumeration_oracle(scenario, family)
             assert solution.contract == contract
             assert abs(solution.principal_payoff - payoff) <= 1e-6
+
+
+def _game(outcomes, components, cost, grids, reservation=0.0):
+    scenario = Scenario(
+        outcomes=outcomes,
+        interval=EffortInterval(0.0, 1.0),
+        profile=EffortProfile(tuple(components)),
+        agent=AgentPreferences(IDENTITY, cost, reservation),
+        principal=PrincipalPreferences(IDENTITY),
+    )
+    return scenario, ContractFamily(grids=grids)
+
+
+def _per_contract_solve(scenario, family, policy):
+    """solve_game written as a plain loop: one agent_best_response per contract."""
+    chosen = None
+    for contract in family:
+        response = agent_best_response(scenario, contract)
+        if not response.accepted:
+            continue
+        efforts = response.efforts()
+        if policy == "agent-lowest-effort":
+            effort = efforts[0]
+        elif policy == "agent-highest-effort":
+            effort = efforts[-1]
+        else:
+            effort = efforts[0]
+            for e in efforts[1:]:
+                if principal_expectation(scenario, contract, e) > principal_expectation(
+                    scenario, contract, effort
+                ):
+                    effort = e
+        value = principal_expectation(scenario, contract, effort)
+        if chosen is None or (-value, contract.wages) < (
+            -chosen.principal_payoff, chosen.contract.wages
+        ):
+            chosen = GameSolution(
+                False, contract, effort, value, response.optimal_expectation,
+                policy, response,
+            )
+    return chosen or GameSolution(True, None, None, None, None, policy, None)
+
+
+# ((e - 0.25)(e - 0.75))^2 + e: with p1 = 0.2 + 0.5e, contracts whose
+# utility delta is 2 have twin equal peaks at e = 0.25 and e = 0.75, and
+# the best of them for the principal depends on the tie-break policy
+_TWIN_COST = Polynomial((0.03515625, 0.625, 1.375, -2.0, 1.0))
+# a decreasing cost with a notch narrower than a scan cell at e = 0.5: the
+# scan peak there brackets no sign change of E', so golden-section runs
+_NOTCH_COST = Tabulated(
+    (0.0, 0.4999, 0.5, 0.5001, 1.0), (1.0, 0.5001, 0.49, 0.4999, 0.0)
+)
+_SHARED_STEP = (WageGrid(0.0, 4.0, 0.5), WageGrid(0.0, 2.0, 0.5))
+_BATCHING_FAMILIES = {
+    "fixture-shared-step": lambda: (
+        reference_scenario()[0],
+        ContractFamily(grids=(WageGrid(0.0, 3.0, 0.25), WageGrid(0.0, 1.5, 0.25))),
+    ),
+    "tabulated-profile": lambda: _game(
+        (10.0, 2.0),
+        [Tabulated((0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 0.3, 0.4, 0.6, 0.65))],
+        Polynomial((0.0, 0.0, 2.0)),
+        (WageGrid(0.0, 4.0, 0.25), WageGrid(0.0, 1.5, 0.25)),
+    ),
+    "constant-profile-flat": lambda: _game(
+        (10.0, 2.0), [Polynomial((0.3,))], Polynomial((0.0,)), _SHARED_STEP
+    ),
+    "twin-peaks": lambda: _game(
+        (10.0, 2.0),
+        [Polynomial((0.2, 0.5))],
+        _TWIN_COST,
+        (WageGrid(0.0, 2.0, 0.5), WageGrid(0.0, 2.0, 0.5)),
+    ),
+    "notch-golden-section": lambda: _game(
+        (10.0, 2.0), [Polynomial((0.2, 0.5))], _NOTCH_COST, _SHARED_STEP
+    ),
+    "rejections": lambda: _game(
+        (10.0, 2.0),
+        [Polynomial((0.2, 0.5))],
+        Polynomial((0.0, 0.0, 2.0)),
+        (WageGrid(0.0, 4.0, 0.25), WageGrid(0.0, 1.5, 0.25)),
+        reservation=1.5,
+    ),
+    "three-outcomes-zero-deltas": lambda: _game(
+        (10.0, 5.0, 0.0),
+        [Polynomial((0.2, 0.3)), Polynomial((0.3, -0.1))],
+        Polynomial((0.0, 0.0, 1.0)),
+        (WageGrid(0.0, 2.0, 0.5), WageGrid(0.0, 2.0, 0.5), WageGrid(0.0, 1.0, 0.5)),
+    ),
+}
+
+
+class TestFamilyBatching:
+    """solve_game shares grids and slope roots across contracts; results must not move."""
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    @pytest.mark.parametrize("name", sorted(_BATCHING_FAMILIES))
+    def test_equals_per_contract_solves(self, name, policy, monkeypatch):
+        scenario, family = _BATCHING_FAMILIES[name]()
+        calls = {"rows": 0, "golden": 0, "snapped": 0}
+
+        class CountingRoots(agent_module.SlopeRoots):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                calls["rows"] += 1
+                super().__init__(*args)
+
+            def snap(self, a, b, run):
+                root = super().snap(a, b, run)
+                calls["snapped"] += root is not None
+                return root
+
+        golden = agent_module._golden_max
+
+        def counting_golden(*args):
+            calls["golden"] += 1
+            return golden(*args)
+
+        monkeypatch.setattr(agent_module, "SlopeRoots", CountingRoots)
+        monkeypatch.setattr(agent_module, "_golden_max", counting_golden)
+        batched = solve_game(scenario, family, policy)
+        batched_calls = dict(calls)
+        assert batched == _per_contract_solve(scenario, family, policy)
+        # utility-delta rows repeat, so fewer root searches than contracts
+        assert batched_calls["rows"] < family.size()
+        if name == "twin-peaks":
+            assert batched_calls["snapped"] > 0
+        if name == "notch-golden-section":
+            assert batched_calls["golden"] > 0
+        if name == "constant-profile-flat":
+            assert batched.best_response.constant_expectation
+        if name == "rejections":
+            rejected = sum(
+                not agent_best_response(scenario, c).accepted for c in family
+            )
+            assert 0 < rejected < family.size()
