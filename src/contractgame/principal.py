@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .agent import BestResponse, EffortTables, LinearPayoff
 from .errors import DimensionError, EnumerationCapExceeded
@@ -62,7 +63,13 @@ class WageGrid:
         return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
 
     def values(self) -> tuple[float, ...]:
-        return tuple(self.lo + k * self.step for k in range(self.count()))
+        """The k-th value is the float nearest the decimal lo + k*step.
+
+        lo and step are read as their shortest decimal reprs, so
+        WageGrid(0, 6, 0.2) yields 2.4, not 2.4000000000000004.
+        """
+        lo, step = (Fraction(repr(float(x))) for x in (self.lo, self.step))
+        return tuple(float(lo + k * step) for k in range(self.count()))
 
 
 @dataclass(frozen=True)

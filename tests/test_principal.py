@@ -64,6 +64,19 @@ class TestWageGridEnumeration:
         assert WageGrid(0.0, 0.0, 1.0).values() == (0.0,)
         assert WageGrid(0.0, 1.0, 0.4).count() == 3
 
+    def test_grid_values_are_the_nearest_floats_to_the_decimal_steps(self):
+        assert WageGrid(0.0, 6.0, 0.2).values()[12] == 2.4
+        assert WageGrid(0.0, 6.0, 0.2).values()[10:16] == (
+            2.0, 2.2, 2.4, 2.6, 2.8, 3.0
+        )
+        assert WageGrid(0.0, 1.0, 0.1).values() == (
+            0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0
+        )
+        assert WageGrid(np.float64(0.5), 1.0, np.float64(0.1)).values() == (
+            0.5, 0.6, 0.7, 0.8, 0.9, 1.0
+        )
+        assert WageGrid(0.0, 1.0, 0.1).count() == 11
+
     def test_invalid_grids(self):
         with pytest.raises(DimensionError):
             WageGrid(0.0, 1.0, 0.0)
