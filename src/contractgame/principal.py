@@ -81,6 +81,8 @@ class ContractFamily:
     cap: int = ENUMERATION_CAP
 
     def __post_init__(self):
+        if self.cap < 1:
+            raise DimensionError(f"contract family cap must be at least 1, got {self.cap}")
         if (self.contracts is None) == (self.grids is None):
             raise DimensionError(
                 "contract family needs exactly one of: contracts, grids"

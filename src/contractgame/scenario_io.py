@@ -197,8 +197,9 @@ _TOP_REQUIRED = (
 def document_from_dict(raw: dict) -> ScenarioDocument:
     """Build and grid-validate a document from parsed JSON."""
     _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "document")
-    if raw["schema"] != 1:
-        raise ParseError(f"document: unsupported schema {raw['schema']!r}")
+    schema = raw["schema"]
+    if isinstance(schema, bool) or not isinstance(schema, int) or schema != 1:
+        raise ParseError(f"document: unsupported schema {schema!r}")
 
     outcomes = _number_list(raw["outcomes"], "outcomes")
     bounds = _number_list(raw["effort_interval"], "effort_interval")
@@ -268,6 +269,8 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
         raw, {"contracts", "wage_grids", "cap"}, (), "contract_family"
     )
     cap = _integer(raw.get("cap", _principal.ENUMERATION_CAP), "contract_family.cap")
+    if cap < 1:
+        raise ParseError(f"contract_family.cap: expected a positive integer, got {cap}")
     has_list = "contracts" in raw
     has_grids = "wage_grids" in raw
     if has_list == has_grids:

@@ -10,7 +10,9 @@ import pytest
 
 from contractgame import (
     Contract,
+    ContractFamily,
     ContractGameError,
+    DimensionError,
     DomainError,
     ExpAffine,
     LogAffine,
@@ -210,6 +212,24 @@ def _overflowing_cost(raw):
     return json.dumps(raw)
 
 
+def test_closed_stdout_exits_without_traceback():
+    """A reader that closes the pipe early (`| head -1`) gets exit 1, no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the command writes anything
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "contractgame.cli", "solve-agent", FIXTURE],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "mutate", [_nan_coefficient, _overflowing_outcome, _overflowing_cost]
@@ -277,6 +297,14 @@ def _uncountable_wage_grid(raw):
     raw["contract_family"]["wage_grids"][0] = {"min": 0, "max": 1e300, "step": 1e-300}
 
 
+def _negative_cap(raw):
+    raw["contract_family"]["cap"] = -1
+
+
+def _zero_cap(raw):
+    raw["contract_family"]["cap"] = 0
+
+
 class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "mutate, solve",
@@ -285,12 +313,16 @@ class TestMalformedDocuments:
             (_scalar_contracts, ["solve-agent"]),
             (_scalar_family_contracts, ["solve-game"]),
             (_uncountable_wage_grid, ["solve-game"]),
+            (_negative_cap, ["solve-game"]),
+            (_zero_cap, ["solve-game"]),
         ],
         ids=[
             "negative-seed",
             "contracts-not-a-list",
             "family-contracts-not-a-list",
             "wage-grid-count",
+            "negative-cap",
+            "zero-cap",
         ],
     )
     def test_invalid_and_refused(self, mutate, solve, tmp_path, capsys):
@@ -303,6 +335,20 @@ class TestMalformedDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("schema", [True, 1.0, "1"], ids=["true", "float", "string"])
+    def test_schema_must_be_the_integer_1(self, schema, tmp_path, capsys):
+        raw = fixture_dict()
+        raw["schema"] = schema
+        with pytest.raises(ParseError, match="document: unsupported schema"):
+            document_from_dict(raw)
+        path = write_doc(tmp_path, raw)
+        assert run_command(["validate", path]) == 1
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+
+    def test_family_cap_below_one_rejected_in_library(self):
+        with pytest.raises(DimensionError):
+            ContractFamily(contracts=(Contract((4.0, 0.0)),), cap=0)
 
     def test_negative_seed_flag(self, capsys):
         argv = ["simulate", FIXTURE, "--effort", "0.5", "--n", "10", "--seed", "-3"]
