@@ -456,8 +456,8 @@ class EffortTables:
     the first DomainError is the same one.  A contract's scan values and
     grid slopes come from LinearPayoff.on_table, bit-identical to
     evaluating the payoff on the grids.  The SlopeRoots of each
-    utility-delta row are kept too, for at most DELTA_ROW_MEMO rows (the
-    oldest goes first).  The base-dependent work (flat shortcut, scan
+    utility-delta row are kept too, for at most DELTA_ROW_MEMO rows (a
+    full memo starts over).  The base-dependent work (flat shortcut, scan
     peaks, golden section, settle and the tie filter) runs per contract,
     so every result equals a fresh solve.
     """
@@ -495,7 +495,7 @@ class EffortTables:
             return self.grid, np.asarray(gv, dtype=float)
 
         if len(rows) >= DELTA_ROW_MEMO:
-            del rows[next(iter(rows))]
+            rows.clear()
         found = rows[payoff.deltas] = SlopeRoots(payoff.slope, on_grid)
         return found
 

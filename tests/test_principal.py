@@ -387,3 +387,11 @@ class TestFamilyBatching:
                 not agent_best_response(scenario, c).accepted for c in family
             )
             assert 0 < rejected < family.size()
+
+    def test_full_delta_row_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(agent_module, "DELTA_ROW_MEMO", 3)
+        scenario, family = _BATCHING_FAMILIES["fixture-shared-step"]()
+        for policy in TIE_BREAK_POLICIES:
+            assert solve_game(scenario, family, policy) == _per_contract_solve(
+                scenario, family, policy
+            )
