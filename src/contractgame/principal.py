@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .agent import BestResponse, EffortTables, LinearPayoff
 from .errors import DimensionError, EnumerationCapExceeded
@@ -68,6 +67,9 @@ class WageGrid:
         lo and step are read as their shortest decimal reprs, so
         WageGrid(0, 6, 0.2) yields 2.4, not 2.4000000000000004.
         """
+        # imported here: fractions loads decimal, about 1 ms of every CLI start
+        from fractions import Fraction
+
         lo, step = (Fraction(repr(float(x))) for x in (self.lo, self.step))
         return tuple(float(lo + k * step) for k in range(self.count()))
 
