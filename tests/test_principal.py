@@ -6,12 +6,12 @@ import pytest
 import contractgame.agent as agent_module
 from contractgame import (
     AgentPreferences,
-    GameSolution,
     Contract,
     ContractFamily,
     EffortInterval,
     EffortProfile,
     EnumerationCapExceeded,
+    GameSolution,
     DimensionError,
     Polynomial,
     PrincipalPreferences,
