@@ -39,6 +39,8 @@ __all__ = [
     "RiskClass",
     "RiskClassification",
     "EffortTables",
+    "DeltaRow",
+    "RowScreen",
     "agent_expectation",
     "motivation",
     "persistence",
@@ -172,15 +174,20 @@ class LinearPayoff:
             acc = acc + delta * comp.d2(e)
         return acc if self.cost is None else acc - self.cost.d2(e)
 
+    def weighted(self, table):
+        """sum_i delta_i table(p_i) over the nonzero deltas, in value's order from 0.0."""
+        acc = 0.0
+        for delta, comp in self.terms:
+            acc = acc + delta * table(comp)
+        return acc
+
     def on_table(self, table, with_base: bool):
         """value (with_base) or slope from table(curve), the curve's values on a grid.
 
         The operations of value and slope in their order, so the result is
         bit-identical to calling them on the grid.
         """
-        acc = 0.0
-        for delta, comp in self.terms:
-            acc = acc + delta * table(comp)
+        acc = self.weighted(table)
         if with_base:
             acc = self.base + acc
         return acc if self.cost is None else acc - table(self.cost)
@@ -376,19 +383,27 @@ def dedup_sorted(points) -> list[float]:
     return kept
 
 
-def settle(f, candidates, interval: EffortInterval):
-    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
+def settle_points(candidates, interval: EffortInterval) -> list[float]:
+    """The boundaries and the clamped candidates, sorted and deduped.
 
-    Returns (evaluated, pairs, best): every kept (point, value) pair, the
-    ones whose value ties the best within the relative tie tolerance, and
-    the best value.  Both boundaries are always kept, even on an interval
-    no wider than TAU_E, where the dedup would merge them.
+    Both boundaries are always kept, even on an interval no wider than
+    TAU_E, where the dedup would merge them.
     """
     lo, hi = interval.lo, interval.hi
     points = dedup_sorted([lo, hi, *(min(max(c, lo), hi) for c in candidates)])
     if len(points) == 1:
         points.append(hi)
-    evaluated = [(c, float(f(c))) for c in points]
+    return points
+
+
+def settle(f, candidates, interval: EffortInterval):
+    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
+
+    Returns (evaluated, pairs, best): every kept (point, value) pair, the
+    ones whose value ties the best within the relative tie tolerance, and
+    the best value.
+    """
+    evaluated = [(c, float(f(c))) for c in settle_points(candidates, interval)]
     best = max(fc for _, fc in evaluated)
     scale = max(1.0, abs(best))
     pairs = tuple(
@@ -455,14 +470,14 @@ class EffortTables:
     grid.  A per-contract solve evaluates the curves in the same order, so
     the first DomainError is the same one.  A contract's scan values and
     grid slopes come from LinearPayoff.on_table, bit-identical to
-    evaluating the payoff on the grids.  The SlopeRoots of each
-    utility-delta row are kept too, for at most DELTA_ROW_MEMO rows (a
-    full memo starts over).  The base-dependent work (flat shortcut, scan
-    peaks, golden section, settle and the tie filter) runs per contract,
-    so every result equals a fresh solve.
+    evaluating the payoff on the grids.  The DeltaRow of each utility-delta
+    row is kept too, for at most DELTA_ROW_MEMO rows (a full memo starts
+    over).  The base-dependent work (flat shortcut, scan peaks, golden
+    section, settle and the tie filter) runs per contract, so every result
+    equals a fresh solve.
     """
 
-    __slots__ = ("scenario", "scan", "grid", "_values", "_slopes", "_rows")
+    __slots__ = ("scenario", "scan", "grid", "_values", "_slopes", "_rows", "_cost_size")
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -470,7 +485,8 @@ class EffortTables:
         self.grid = scenario.interval.grid(MT_GRID_POINTS)
         self._values: dict[int, np.ndarray] = {}
         self._slopes: dict[int, np.ndarray] = {}
-        self._rows: dict[tuple[float, ...], SlopeRoots] = {}
+        self._rows: dict[tuple[float, ...], DeltaRow] = {}
+        self._cost_size: float | None = None
 
     def _value_on_scan(self, curve) -> np.ndarray:
         key = id(curve)
@@ -478,25 +494,27 @@ class EffortTables:
             self._values[key] = curve.eval(self.scan)
         return self._values[key]
 
+    def _cost_on_scan(self) -> tuple[np.ndarray, float]:
+        """The effort cost on the scan and its largest magnitude there."""
+        v = self._value_on_scan(self.scenario.agent.effort_cost)
+        if self._cost_size is None:
+            self._cost_size = float(max(v.max(), -v.min()))
+        return v, self._cost_size
+
     def _slope_on_grid(self, curve) -> np.ndarray:
         key = id(curve)
         if key not in self._slopes:
             self._slopes[key] = curve.d1(self.grid)
         return self._slopes[key]
 
-    def _slope_roots(self, payoff: LinearPayoff) -> SlopeRoots:
+    def row(self, deltas: tuple[float, ...]) -> DeltaRow:
+        """The DeltaRow of a finite utility-delta row (LinearPayoff.deltas)."""
         rows = self._rows
-        found = rows.get(payoff.deltas)
-        if found is not None:
-            return found
-
-        def on_grid():
-            gv = payoff.on_table(self._slope_on_grid, with_base=False)
-            return self.grid, np.asarray(gv, dtype=float)
-
-        if len(rows) >= DELTA_ROW_MEMO:
-            rows.clear()
-        found = rows[payoff.deltas] = SlopeRoots(payoff.slope, on_grid)
+        found = rows.get(deltas)
+        if found is None:
+            if len(rows) >= DELTA_ROW_MEMO:
+                rows.clear()
+            found = rows[deltas] = DeltaRow(self, deltas)
         return found
 
     def best_response(self, contract: Contract) -> BestResponse:
@@ -505,10 +523,137 @@ class EffortTables:
         payoff = LinearPayoff.agent(scenario, contract)
         fv = np.asarray(payoff.on_table(self._value_on_scan, with_base=True), dtype=float)
         pairs, best, constant = search_scan(
-            payoff.value, self.scan, fv, scenario.interval, self._slope_roots(payoff)
+            payoff.value, self.scan, fv, scenario.interval, self.row(payoff.deltas).roots
         )
         accepted = best >= scenario.agent.reservation_utility
         return best_response_from(pairs, best, constant, scenario.interval, accepted)
+
+
+class DeltaRow:
+    """What the contracts of one utility-delta row share.
+
+    ``payoff`` is the row's base-free payoff sum_i delta_i p_i(e) - v(e)
+    (base 0), whose slope is every such contract's slope; ``roots`` its
+    SlopeRoots.  ``screen(tables)`` builds the row's RowScreen on first
+    use.  The row keeps no reference to the tables, so a solve's tables
+    are freed when it returns.
+    """
+
+    __slots__ = ("payoff", "roots", "_screen")
+
+    def __init__(self, tables: EffortTables, deltas: tuple[float, ...]):
+        scenario = tables.scenario
+        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+
+        def on_grid():
+            gv = payoff.on_table(tables._slope_on_grid, with_base=False)
+            return tables.grid, np.asarray(gv, dtype=float)
+
+        self.payoff = payoff
+        self.roots = SlopeRoots(payoff.slope, on_grid)
+        self._screen = False
+
+    def screen(self, tables: EffortTables) -> RowScreen | None:
+        """The RowScreen, or None when building it raises or meets a value
+        that is not finite.  The row's contracts are then solved one by one,
+        which raises the same error at the same contract."""
+        if self._screen is False:
+            try:
+                self._screen = RowScreen(self, tables)
+            except Exception:
+                self._screen = None
+        return self._screen
+
+
+def _one_value(x: np.ndarray) -> bool:
+    """All entries of x have the same bits."""
+    bits = x.view(np.int64)
+    return bool((bits == bits[0]).all())
+
+
+class RowScreen:
+    """A delta row's base-free tables, from which solve_game screens its contracts.
+
+    A contract with base b = u(w_n) has the scan values fv = (b + a) - v,
+    where a = sum_i delta_i p_i and v is the cost on the scan.  With
+    h = a - v and d_j = h_j - h_{j-1} as computed:
+
+    - ``reach``: the least |d_j| (0 when h has a flat step); ``top`` and
+      ``span``: max h and max h - min h;
+    - ``size``: max |h| + 2 max |v|, so that (1 + 2^-52) size bounds every
+      |a_j| + |v_j| on the scan, and at least max |a| + max |v| at the
+      points below;
+    - ``golden``: a scan peak of h (d_j > 0 > d_{j+1}) brackets no sign
+      change of the slope;
+    - ``points``: when reach > 0 and not golden, the settled candidates of
+      a contract whose scan peaks are h's (its bracket-grid roots and the
+      snapped roots of h's peaks), else None;
+    - ``ends``: when a and v are each one value on the whole scan, the flat
+      shortcut's boundary pair (lo, hi), else None.
+
+    ``points`` and ``ends`` are arrays with one column per effort and the
+    rows effort, a, v, p_1, ..., p_{n-1}: the base-free sum, the cost and
+    every component there.  At ``points`` all come from scalar calls, as
+    settle and the principal make them; at ``ends`` a and v come from the
+    scan, as the flat shortcut reads them, and p from scalar calls.
+    """
+
+    __slots__ = ("reach", "top", "span", "size", "golden", "points", "ends")
+
+    def __init__(self, row: DeltaRow, tables: EffortTables):
+        scan = tables.scan
+        interval = tables.scenario.interval
+        a = row.payoff.weighted(tables._value_on_scan)
+        v, v_size = tables._cost_on_scan()
+        h = a - v
+        d = h[1:] - h[:-1]
+        self.reach = float(np.abs(d).min())
+        self.top = float(h.max())
+        low = float(h.min())
+        self.span = self.top - low
+        size = max(self.top, -low) + 2.0 * v_size
+        if not math.isfinite(size):
+            raise DomainError(f"objective is not finite on the scan of delta row {row.payoff.deltas}")
+        self.golden = False
+        self.points = None
+        self.ends = None
+        if self.reach > 0.0:
+            candidates = list(row.roots.roots())
+            rising = d > 0.0
+            for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
+                root = row.roots.snap(float(scan[j - 1]), float(scan[j + 1]), (j, j))
+                if root is None:
+                    self.golden = True
+                    break
+                candidates.append(root)
+            if not self.golden:
+                self.points = self._at(row, tables, settle_points(candidates, interval))
+                a_max, v_max = np.abs(self.points[1:3]).max(axis=1)
+                size = max(size, a_max + v_max)
+        elif (np.ndim(a) == 0 or _one_value(a)) and _one_value(v):
+            self.ends = self._at(row, tables, [interval.lo, interval.hi])
+            self.ends[1] = a if np.ndim(a) == 0 else a[[0, -1]]
+            self.ends[2] = v[[0, -1]]
+        self.size = float(size)
+
+    @staticmethod
+    def _at(row: DeltaRow, tables: EffortTables, points) -> np.ndarray:
+        """The rows effort, a, v, p_1, ... at the points from scalar calls, in value's order."""
+        scenario = tables.scenario
+        cost = scenario.agent.effort_cost
+        deltas = row.payoff.deltas
+        p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
+        a = []
+        for k in range(len(points)):
+            acc = 0.0
+            for delta, pk in zip(deltas, p):
+                if delta != 0.0:
+                    acc = acc + delta * pk[k]
+            a.append(acc)
+        v = [cost.eval(c) for c in points]
+        if not all(map(math.isfinite, a + v)):
+            raise DomainError(f"objective is not finite at {points}")
+        return np.array([points, a, v, *p], dtype=float)
 
 
 def _kind_at(e: float, interval: EffortInterval) -> MaximizerKind:

@@ -3,9 +3,12 @@
 The agent's move is solved exactly (per contract) by the agent solver; the
 principal's move is completed by enumerating a finite contract family and
 keeping the candidate with the best expected payoff among those the agent
-accepts.  Ties between the agent's optimal efforts are settled by an
-explicit policy, ties between contracts by the lexicographically smallest
-wage vector, so the result is deterministic regardless of evaluation order.
+accepts.  Most contracts are settled in bulk from tables shared by their
+utility-delta row, under a rounding bound that makes the result the one a
+per-contract solve gives; the rest are solved one by one.  Ties between
+the agent's optimal efforts are settled by an explicit policy, ties
+between contracts by the lexicographically smallest wage vector, so the
+result is deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .agent import BestResponse, EffortTables, LinearPayoff
+import numpy as np
+
+from .agent import TAU_EXPECTATION, BestResponse, EffortTables, LinearPayoff
 from .errors import DimensionError, EnumerationCapExceeded
 from .model import Contract, Scenario
 
 __all__ = [
     "ENUMERATION_CAP",
+    "SCREEN_CHUNK",
     "TIE_BREAK_POLICIES",
     "WageGrid",
     "ContractFamily",
@@ -29,6 +35,11 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10**6
+SCREEN_CHUNK = 1024  # contracts enumerated and screened at a time
+
+_MARGIN = 2.0**-48   # 32 units of roundoff, the screen's rounding margin
+_SLACK = 2.0**-40    # relative slack for the rounding of the flat test itself
+_GUARD = 2.0**1000   # |b| + size below this keeps every scan value finite
 
 TIE_BREAK_POLICIES = (
     "principal-favorable",
@@ -106,12 +117,15 @@ class ContractFamily:
             prod *= g.count()
         return prod
 
-    def __iter__(self):
+    def require_within_cap(self) -> None:
         size = self.size()
         if size > self.cap:
             raise EnumerationCapExceeded(
                 f"family enumerates {size} candidates, cap is {self.cap}"
             )
+
+    def __iter__(self):
+        self.require_within_cap()
         if self.contracts is not None:
             return iter(self.contracts)
         return (
@@ -158,6 +172,233 @@ def _select_effort(
     raise ValueError(f"unknown tie-break policy {policy!r}")
 
 
+def _respond(tables: EffortTables, contract: Contract, policy: str):
+    """One contract solved on its own: (response, effort, principal value).
+
+    effort and value are None when the agent rejects the contract.
+    """
+    response = tables.best_response(contract)
+    if not response.accepted:
+        return response, None, None
+    payoff = LinearPayoff.principal(tables.scenario, contract)
+    effort = _select_effort(response, payoff, policy)
+    return response, effort, payoff.value(effort)
+
+
+def _levels(curve, points) -> np.ndarray:
+    """curve.eval at each point by the scalar call; NaN where it raises or is not finite."""
+    out = np.full(len(points), np.nan)
+    for k, t in enumerate(points):
+        try:
+            out[k] = curve.eval(t)
+        except Exception:
+            continue
+    out[~np.isfinite(out)] = np.nan
+    return out
+
+
+class _FamilyArrays:
+    """A contract family as arrays, without building its Contracts.
+
+    Per outcome i: the distinct wages (``values[i]``, Python floats), and
+    u(w) and B(x_i - w) there (``u[i]``, ``b[i]``) from the scalar calls
+    LinearPayoff makes, NaN where a call raises or is not finite.  Per
+    contract, in the family's order: the index of its wage on each axis,
+    and whether it has one wage per outcome (``chunk``).
+    """
+
+    def __init__(self, scenario: Scenario, family: ContractFamily):
+        n = scenario.n_outcomes
+        self.family = family
+        if family.grids is not None:
+            self.values = [g.values() for g in family.grids]
+            self.shape = tuple(len(v) for v in self.values)
+            self.index = None
+            self.fits = len(self.values) == n
+        else:
+            fits = np.array([len(c) == n for c in family.contracts])
+            wages = np.array(
+                [c.wages for c in family.contracts if len(c) == n], dtype=float
+            ).reshape(-1, n)
+            self.index = np.zeros((len(fits), n), dtype=np.intp)
+            self.values = []
+            for i in range(n):
+                # distinct bits: -0.0 and 0.0 may give different utilities
+                bits, inverse = np.unique(wages[:, i].view(np.int64), return_inverse=True)
+                self.values.append(bits.view(np.float64).tolist())
+                self.index[fits, i] = inverse.reshape(-1)
+            self.fits = fits
+        self.wages = [np.array(v, dtype=float) for v in self.values]
+        self.u = self.b = None
+        if self.index is not None or self.fits:
+            u = scenario.agent.utility
+            B = scenario.principal.utility
+            self.u = [_levels(u, v) for v in self.values]
+            self.b = [
+                _levels(B, [x - w for w in v]) for x, v in zip(scenario.outcomes, self.values)
+            ]
+
+    def chunk(self, start: int, stop: int):
+        """(index, fits) of contracts start..stop-1: (C, n) axis indices, (C,) bools."""
+        if self.index is None:
+            k = np.arange(start, stop)
+            index = np.stack(np.unravel_index(k, self.shape), axis=1)
+            return index, np.full(stop - start, self.fits)
+        return self.index[start:stop], self.fits[start:stop]
+
+    def contract(self, k: int, index) -> Contract:
+        if self.index is None:
+            return Contract(tuple(v[j] for v, j in zip(self.values, index)))
+        return self.family.contracts[k]
+
+    def matrix(self, levels, index) -> np.ndarray:
+        """(C, n) values of per-axis arrays at the contracts' axis indices."""
+        return np.stack([axis[index[:, i]] for i, axis in enumerate(levels)], axis=1)
+
+
+def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: str):
+    """Settle the contracts of one chunk from per-row tables, where that is exact.
+
+    Returns (screened, accepted, value) per contract; accepted and value
+    (the principal's payoff at the policy's effort) are as the contract's
+    own solve (_respond) gives them wherever screened is set.
+
+    A contract with base b = u(w_n) in a delta row has the scan values
+    fv_j = fl(fl(b + a_j) - v_j), a and v being the row's base-free sum and
+    the cost on the scan (RowScreen); b enters nowhere else before settle.
+    Bound.  Let u = 2^-53 and S = |b| + max_j(|a_j| + |v_j|), at most
+    (1 + 2u)(|b| + size).  Then fv_j is b + h_j within 3uS, h_j = a_j - v_j
+    exactly, so fv_j - fv_{j-1} is h_j - h_{j-1} within 6uS; the row's
+    d_j = fl(fl(h_j) - fl(h_{j-1})) is h_j - h_{j-1} within 5uS.  If
+    |d_j| > 11uS, fv_j - fv_{j-1} is not 0 and has the sign of d_j, so the
+    scan's test fv_j >= fv_{j-1} is d_j > 0.  The screen asks reach =
+    min_j |d_j| > sigma = 2^-48 (|b| + size), which is at least 31uS.
+    Then every neighbour comparison, so every scan peak, is the row's own,
+    and so are the peaks' snapped roots and the settled points.  Likewise
+    max fv - min fv is the row's span within 14uS and |max fv| is
+    |b + top| within 6uS: the flat test is decided when span clears
+    TAU_EXPECTATION * max(1, |b + top| +- sigma) by 2 sigma, with the
+    relative slack 2^-40 for the rounding of the test itself.
+    |b| + size < 2^1000 keeps every value finite.
+    Exact values.  A decided contract's settle values are
+    F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same
+    scalar calls in the same order, so the same IEEE operations; its best
+    value, tie set and acceptance follow with the operations settle uses.
+    A flat contract needs max fv: it is screened only when a and v are
+    each one value on the scan, where all fv_j are equal.  The principal's
+    value at each tied point is B(x_n - w_n) plus the nonzero deltas times
+    p_i there, added from 0.0 in component order as LinearPayoff.value
+    adds them.  Left unscreened: rows whose tables raise or are not
+    finite, rows with golden section, and accepted contracts whose
+    principal levels or deltas are not finite or whose tied values are NaN.
+    """
+    count = len(fits)
+    screened = np.zeros(count, dtype=bool)
+    accepted = np.zeros(count, dtype=bool)
+    value = np.full(count, np.nan)
+    if arrays.u is None or not fits.any():
+        return screened, accepted, value
+    levels = arrays.matrix(arrays.u, index)
+    deltas = levels[:, :-1] - levels[:, -1:]
+    ok = np.nonzero(fits & np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1))[0]
+    if len(ok) == 0:
+        return screened, accepted, value
+    distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
+    which = which.reshape(-1)
+    screens = [tables.row(tuple(d)).screen(tables) for d in distinct.tolist()]
+
+    # per row: reach, size, top, span; per row two candidate sets, 2r the
+    # settled points and 2r + 1 the flat ends, empty where there are none
+    n_comp = levels.shape[1] - 1
+    stats = np.array(
+        [(0.0, 0.0, 0.0, 0.0) if sc is None else (sc.reach, sc.size, sc.top, sc.span)
+         for sc in screens]
+    ).T
+    sets = [t for sc in screens for t in ((None, None) if sc is None else (sc.points, sc.ends))]
+    set_len = np.array([0 if t is None else t.shape[1] for t in sets])
+    set_off = np.cumsum(set_len) - set_len
+    cells = np.concatenate([np.zeros((3 + n_comp, 0))] + [t for t in sets if t is not None], axis=1)
+    a_all, v_all, p_all = cells[1], cells[2], cells[3:]
+
+    reach, row_size, top, span = (x[which] for x in stats)
+    base = levels[ok, -1]
+    with np.errstate(all="ignore"):
+        scale = np.abs(base) + row_size
+        sigma = _MARGIN * scale
+        level = np.abs(base + top)
+        not_flat = span > TAU_EXPECTATION * np.maximum(1.0, level + sigma) * (1.0 + _SLACK) + 2.0 * sigma
+        flat = span < TAU_EXPECTATION * np.maximum(1.0, level - sigma) * (1.0 - _SLACK) - 2.0 * sigma
+        chosen_set = 2 * which + flat
+        decided = (scale < _GUARD) & ((not_flat & (reach > sigma)) | flat)
+        decided &= set_len[chosen_set] > 0
+    if not decided.any():
+        return screened, accepted, value
+    rows = ok[decided]
+    chosen_set = chosen_set[decided]
+    base = base[decided]
+
+    # one cell per contract and candidate point; first[c] is contract c's first
+    lengths = set_len[chosen_set]
+    first = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    pos = np.arange(len(owner))
+    cell = pos - first[owner] + set_off[chosen_set][owner]
+    with np.errstate(all="ignore"):
+        f = (base[owner] + a_all[cell]) - v_all[cell]
+        best = np.maximum.reduceat(f, first)
+        tie = best[owner] - f <= TAU_EXPECTATION * np.maximum(1.0, np.abs(best))[owner]
+        yes = best >= tables.scenario.agent.reservation_utility
+
+        principal = arrays.matrix(arrays.b, index[rows])
+        pdeltas = principal[:, :-1] - principal[:, -1:]
+        principal_ok = np.isfinite(principal).all(axis=1) & np.isfinite(pdeltas).all(axis=1)
+        acc = np.zeros(len(owner))
+        for i in range(n_comp):
+            d = pdeltas[owner, i]
+            acc = np.where(d != 0.0, acc + d * p_all[i, cell], acc)
+        pv = principal[owner, -1] + acc
+        # the policy's value: at the first or last tied point, or the best
+        # tied value, which _select_effort's first strictly better one has
+        if policy == "agent-lowest-effort":
+            chosen = pv[np.minimum.reduceat(np.where(tie, pos, len(pos)), first)]
+        elif policy == "agent-highest-effort":
+            chosen = pv[np.maximum.reduceat(np.where(tie, pos, -1), first)]
+        else:
+            chosen = np.maximum.reduceat(np.where(tie, pv, -np.inf), first)
+    unsure = np.logical_or.reduceat(tie & np.isnan(pv), first)
+    keep = ~yes | (principal_ok & ~unsure)
+    screened[rows[keep]] = True
+    accepted[rows[keep]] = yes[keep]
+    value[rows[keep]] = np.where(yes, chosen, np.nan)[keep]
+    return screened, accepted, value
+
+
+def _winner(wages: np.ndarray, accepted, value, incumbent):
+    """The chunk's first accepted contract of least key (-value, wages), as
+    (key, position in the chunk), if its key is below the incumbent's key;
+    else the incumbent.
+
+    A NaN value never compares below another key, nor another below it, so
+    with one the keys are compared in order, as a per-contract loop does.
+    """
+    found = np.nonzero(accepted)[0]
+    if len(found) == 0:
+        return incumbent
+    if np.isnan(value[found]).any():
+        for k in found:
+            key = (-float(value[k]), tuple(wages[k].tolist()))
+            if incumbent is None or key < incumbent[0]:
+                incumbent = (key, k)
+        return incumbent
+    top = value[found].max()
+    found = found[value[found] == top]
+    k = found[np.lexsort(wages[found].T[::-1])[0]]
+    key = (-float(value[k]), tuple(wages[k].tolist()))
+    if incumbent is None or key < incumbent[0]:
+        return key, k
+    return incumbent
+
+
 def solve_game(
     scenario: Scenario,
     family: ContractFamily,
@@ -167,39 +408,40 @@ def solve_game(
 
     For every candidate the agent's problem is solved first; rejected
     contracts are discarded, the rest are scored by the principal's
-    expectation at the tie-break effort.  The agent's problems share one
-    EffortTables, so the grids, the curve values on them and the slope
-    roots of each utility-delta row are computed once; every best response
-    equals agent_best_response(scenario, contract).
+    expectation at the tie-break effort, and the least key (-value, wages)
+    wins, the first such contract on a tie.  The family is enumerated as
+    arrays, SCREEN_CHUNK contracts at a time, and grouped by utility-delta
+    row.  Most contracts are settled from their row's tables (_screen,
+    where the bound that makes this exact is set out); the rest are solved
+    one by one, in order, through the tables they share (_respond), so an
+    error is raised at the same contract as by a loop of
+    agent_best_response calls.  Only the winner's BestResponse is built,
+    by _respond, so the result equals that loop's.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
             f"unknown tie-break policy {tie_break!r}; "
             f"choose one of {TIE_BREAK_POLICIES}"
         )
+    family.require_within_cap()
     tables = EffortTables(scenario)
-    best: tuple[float, tuple[float, ...]] | None = None
-    chosen: GameSolution | None = None
-    for contract in family:
-        response = tables.best_response(contract)
-        if not response.accepted:
-            continue
-        payoff = LinearPayoff.principal(scenario, contract)
-        effort = _select_effort(response, payoff, tie_break)
-        value = payoff.value(effort)
-        key = (-value, contract.wages)
-        if best is None or key < best:
-            best = key
-            chosen = GameSolution(
-                all_rejected=False,
-                contract=contract,
-                effort=effort,
-                principal_payoff=value,
-                agent_payoff=response.optimal_expectation,
-                tie_break=tie_break,
-                best_response=response,
-            )
-    if chosen is None:
+    arrays = _FamilyArrays(scenario, family)
+    incumbent = None
+    winner = None
+    total = family.size()
+    for start in range(0, total, SCREEN_CHUNK):
+        stop = min(start + SCREEN_CHUNK, total)
+        index, fits = arrays.chunk(start, stop)
+        screened, accepted, value = _screen(tables, arrays, index, fits, tie_break)
+        for k in np.nonzero(~screened)[0]:
+            response, _, v = _respond(tables, arrays.contract(start + k, index[k]), tie_break)
+            accepted[k] = response.accepted
+            value[k] = np.nan if v is None else v
+        found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
+        if found is not incumbent:
+            incumbent = found
+            winner = arrays.contract(start + found[1], index[found[1]])
+    if winner is None:
         return GameSolution(
             all_rejected=True,
             contract=None,
@@ -209,4 +451,13 @@ def solve_game(
             tie_break=tie_break,
             best_response=None,
         )
-    return chosen
+    response, effort, value = _respond(tables, winner, tie_break)
+    return GameSolution(
+        all_rejected=False,
+        contract=winner,
+        effort=effort,
+        principal_payoff=value,
+        agent_payoff=response.optimal_expectation,
+        tie_break=tie_break,
+        best_response=response,
+    )

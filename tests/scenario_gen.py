@@ -9,6 +9,7 @@ complement) stay inside [0.02, 0.98] over the whole effort interval.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from contractgame import (
     AgentPreferences,
     Contract,
+    ContractFamily,
     EffortInterval,
     EffortProfile,
     ExpAffine,
@@ -25,6 +27,8 @@ from contractgame import (
     PrincipalPreferences,
     Scenario,
     Tabulated,
+    WageGrid,
+    agent_best_response,
     scenario_validate,
 )
 
@@ -417,3 +421,50 @@ def neutral_taxonomy_scenario(rng: np.random.Generator, constant: bool):
     )
     assert not scenario_validate(scenario, (contract,))
     return scenario, contract, T - cost_slope
+
+
+GAME_CORPUS_KINDS = ("random", "constant", "linear", "averse", "seeking", "neutral")
+
+
+def _corpus_document(rng: np.random.Generator, kind: str) -> tuple[Scenario, Contract]:
+    if kind == "random":
+        return random_scenario(rng)
+    if kind == "constant":
+        return constant_profile_scenario(rng)[:2]
+    if kind == "linear":
+        return linear_two_outcome_scenario(rng)
+    if kind == "averse":
+        return averse_taxonomy_scenario(rng)[:2]
+    if kind == "seeking":
+        return seeking_taxonomy_scenario(rng)
+    return neutral_taxonomy_scenario(rng, constant=bool(rng.random() < 0.5))[:2]
+
+
+def game_corpus(count: int, seed: int) -> list[tuple[str, Scenario, ContractFamily]]:
+    """(kind, scenario, family) for count documents of every kind in turn.
+
+    Each family is a shared-step wage grid on every outcome, 64-81
+    contracts with wages in [0, 8].  Every third document has its
+    reservation utility raised to E* of the grid's middle contract (every
+    wage at the grid's midpoint), so some of the family's contracts are
+    rejected.
+    """
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for k in range(count):
+        kind = GAME_CORPUS_KINDS[k % len(GAME_CORPUS_KINDS)]
+        scenario, _ = _corpus_document(rng, kind)
+        n = scenario.n_outcomes
+        side = {2: 9, 3: 4, 4: 3}[n]
+        step = float(rng.choice((0.25, 0.5, 1.0)))
+        grid = WageGrid(0.0, step * (side - 1), step)
+        if k % 3 == 2:
+            middle = Contract((0.5 * grid.hi,) * n)
+            demanding = agent_best_response(scenario, middle).optimal_expectation
+            scenario = dataclasses.replace(
+                scenario,
+                agent=dataclasses.replace(scenario.agent, reservation_utility=demanding),
+            )
+        family = ContractFamily(grids=(grid,) * n)
+        corpus.append((kind, scenario, family))
+    return corpus

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contractgame.agent as agent_module
+import contractgame.principal as principal_module
 from contractgame import (
     AgentPreferences,
     Contract,
@@ -11,6 +12,8 @@ from contractgame import (
     EffortInterval,
     EffortProfile,
     EnumerationCapExceeded,
+    ExpAffine,
+    LogAffine,
     GameSolution,
     DimensionError,
     Polynomial,
@@ -24,7 +27,7 @@ from contractgame import (
 )
 from contractgame.principal import TIE_BREAK_POLICIES
 from game_oracle import enumeration_oracle
-from scenario_gen import linear_two_outcome_scenario, reference_scenario
+from scenario_gen import game_corpus, linear_two_outcome_scenario, reference_scenario
 
 IDENTITY = Polynomial((0.0, 1.0))
 
@@ -252,22 +255,34 @@ class TestOracleEquivalenceCorpus:
             assert abs(solution.principal_payoff - payoff) <= 1e-6
 
 
-def _game(outcomes, components, cost, grids, reservation=0.0):
-    scenario = Scenario(
+def _scenario(outcomes, components, cost, reservation=0.0, utility=IDENTITY,
+              principal=IDENTITY):
+    return Scenario(
         outcomes=outcomes,
         interval=EffortInterval(0.0, 1.0),
         profile=EffortProfile(tuple(components)),
-        agent=AgentPreferences(IDENTITY, cost, reservation),
-        principal=PrincipalPreferences(IDENTITY),
+        agent=AgentPreferences(utility, cost, reservation),
+        principal=PrincipalPreferences(principal),
     )
-    return scenario, ContractFamily(grids=grids)
 
 
-def _per_contract_solve(scenario, family, policy):
-    """solve_game written as a plain loop: one agent_best_response per contract."""
+def _game(outcomes, components, cost, grids, **kwargs):
+    return _scenario(outcomes, components, cost, **kwargs), ContractFamily(grids=grids)
+
+
+def _per_contract_solve(scenario, family, policy, responses=None):
+    """solve_game written as a plain loop: one agent_best_response per contract.
+
+    responses, a dict, keeps each contract's response across calls.
+    """
     chosen = None
     for contract in family:
-        response = agent_best_response(scenario, contract)
+        if responses is None:
+            response = agent_best_response(scenario, contract)
+        else:
+            if contract not in responses:
+                responses[contract] = agent_best_response(scenario, contract)
+            response = responses[contract]
         if not response.accepted:
             continue
         efforts = response.efforts()
@@ -395,3 +410,237 @@ class TestFamilyBatching:
             assert solve_game(scenario, family, policy) == _per_contract_solve(
                 scenario, family, policy
             )
+
+
+_RISING = [Polynomial((0.2, 0.5))]
+# a steep cost under a huge base: E varies by more than the flat test's
+# relative tolerance, but near an interior peak its scan steps are below
+# the rounding margin of u(w_n) ~ 1e12
+_STEEP = (Polynomial((0.0, 0.0, 1e4)), (WageGrid(0.0, 4e4, 5e3), WageGrid(0.0, 2e4, 5e3)))
+_HUGE_BASE = Polynomial((1e12, 1.0))
+
+
+def _tied_contracts():
+    """Shuffled wage pairs on a 0.5 grid, some twice, plus two with a huge base.
+
+    Under a constant p1 = 0.5 and the cost v(e) = e, the agent takes e = 0
+    and the principal gets 6 - (w1 + w2) / 2 exactly, so contracts of equal
+    wage sum tie and the lexicographic rule decides.
+    """
+    pairs = [(a * 0.5, b * 0.5) for a in range(7) for b in range(7)]
+    pairs += pairs[10:20] + [(1e12, 1e12 + 0.5), (1e12 + 1.0, 1e12)]
+    order = np.random.default_rng(7).permutation(len(pairs))
+    scenario = _scenario((10.0, 2.0), [Polynomial((0.5,))], Polynomial((0.0, 1.0)), 1.5)
+    return scenario, ContractFamily(contracts=tuple(Contract(pairs[i]) for i in order))
+
+
+def _relatively_flat_contracts():
+    """Contracts (1e12 + k, 1e12) with u = w and v = 0, and small ones.
+
+    The huge ones have E = 1e12 + k (0.2 + 0.5e): its scan steps are above
+    the rounding margin, yet its spread k/2 is within the flat test's
+    relative tolerance, so their solves take the flat shortcut.
+    """
+    huge = [(1e12 + k, 1e12) for k in range(30, 101, 10)]
+    small = [(k / 10.0, 0.0) for k in range(30, 101, 10)]
+    scenario = _scenario((10.0, 2.0), _RISING, Polynomial((0.0,)))
+    return scenario, ContractFamily(contracts=tuple(map(Contract, huge + small)))
+
+
+def _twin_peak_contracts():
+    """A twin-peak contract, a rival whose value lies between its peaks' and a huge one.
+
+    Under _TWIN_COST, (2, 0) leaves the agent tied between e = 0.25 and
+    e = 0.75, where the principal gets 3.95 and 5.45; (3, 0.5) gives 5.21.
+    So the policy picks the winner.  (1e12 + 2, 1e12) has the same tie
+    under a base the flat test's tolerance swamps, so it is solved on its own.
+    """
+    scenario = _scenario((10.0, 2.0), _RISING, _TWIN_COST)
+    pairs = ((3.0, 0.5), (2.0, 0.0), (1e12 + 2.0, 1e12))
+    return scenario, ContractFamily(contracts=tuple(map(Contract, pairs)))
+
+
+_SCREEN_FAMILIES = {
+    "twin-peaks-policy-decides": _twin_peak_contracts,
+    "huge-base": lambda: _game((10.0, 2.0), _RISING, *_STEEP, utility=_HUGE_BASE),
+    "huge-base-flat-within-tolerance": _relatively_flat_contracts,
+    # v(e) = e makes E flat for the delta row w1 - w2 = 2 only
+    "flat-row": lambda: _game(
+        (10.0, 2.0), _RISING, Polynomial((0.0, 1.0)), _SHARED_STEP
+    ),
+    "golden-section-notch": lambda: _game((10.0, 2.0), _RISING, _NOTCH_COST, _SHARED_STEP),
+    "shuffled-ties-duplicates": _tied_contracts,
+    "all-rejected": lambda: _game(
+        (10.0, 2.0), _RISING, *_STEEP, utility=_HUGE_BASE, reservation=2e12
+    ),
+    "three-outcomes-zero-deltas": lambda: _game(
+        (10.0, 5.0, 0.0),
+        [Polynomial((0.2, 0.3)), Polynomial((0.3, -0.1))],
+        _NOTCH_COST,
+        (WageGrid(0.0, 2.0, 0.5),) * 3,
+    ),
+}
+
+
+def _count_screening(monkeypatch):
+    """Counts of contracts the screen settles and of one-by-one solves."""
+    counts = {"screened": 0, "solved": 0}
+    screen, respond = principal_module._screen, principal_module._respond
+
+    def counting_screen(*args):
+        out = screen(*args)
+        counts["screened"] += int(out[0].sum())
+        return out
+
+    def counting_respond(*args):
+        counts["solved"] += 1
+        return respond(*args)
+
+    monkeypatch.setattr(principal_module, "_screen", counting_screen)
+    monkeypatch.setattr(principal_module, "_respond", counting_respond)
+    return counts
+
+
+def _outcome(solve):
+    """("solved", repr of the solution) or (error type, message)."""
+    try:
+        return "solved", repr(solve())
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+_ERROR_CASES = {
+    # p2 is undefined below e = 0.5, but w2 = w3 and x2 = x3 give it a zero
+    # delta for both parties, so no solve evaluates it
+    "zero-delta-component-undefined-on-scan": lambda: _game(
+        (10.0, 2.0, 2.0),
+        [Polynomial((0.2, 0.5)), LogAffine(0.0, 0.1, -0.5)],
+        Polynomial((0.0, 0.0, 2.0)),
+        (WageGrid(0.0, 4.0, 0.5), WageGrid(1.0, 1.0, 1.0), WageGrid(1.0, 1.0, 1.0)),
+    ),
+    # u(800) = exp(800) overflows; u(600) does not
+    "utility-overflow-at-one-wage": lambda: _game(
+        (10.0, 2.0),
+        _RISING,
+        Polynomial((0.0, 0.0, 2.0)),
+        (WageGrid(0.0, 800.0, 200.0), WageGrid(0.0, 1.0, 1.0)),
+        utility=ExpAffine(0.0, 1.0, 1.0),
+    ),
+    # B = ln(x - w) is undefined for w1 >= 10, and u = -w makes the agent
+    # reject exactly those contracts
+    "principal-undefined-where-rejected": lambda: _game(
+        (10.0, 2.0),
+        _RISING,
+        Polynomial((0.0, 0.0, 2.0)),
+        (WageGrid(0.0, 12.0, 2.0), WageGrid(0.0, 1.0, 0.5)),
+        reservation=-1.9,
+        utility=Polynomial((0.0, -1.0)),
+        principal=LogAffine(0.0, 1.0, 0.0),
+    ),
+    # B(x - w) = 1e308 (x - w): at (11, 1) the levels -1e308 and 1e308 are
+    # finite but their delta is not; all three contracts are accepted
+    "principal-not-finite-when-accepted": lambda: (
+        _scenario(
+            (10.0, 2.0), _RISING, Polynomial((0.0, 0.0, 2.0)),
+            principal=Polynomial((0.0, 1e308)),
+        ),
+        ContractFamily(contracts=tuple(map(Contract, ((9.0, 1.0), (11.0, 1.0), (8.5, 1.0))))),
+    ),
+    # p1 = p2 = 3 (not a distribution; solve_game does not validate) and
+    # principal deltas of +-1e308 make every principal value inf - inf = NaN;
+    # a NaN key never compares below another, so the first contract wins
+    "principal-value-nan": lambda: (
+        _scenario(
+            (10.0, -10.0, 0.0), [Polynomial((3.0,)), Polynomial((3.0,))],
+            Polynomial((0.0, 0.0, 2.0)), principal=Polynomial((0.0, 1e307)),
+        ),
+        ContractFamily(contracts=tuple(Contract((w, w, w)) for w in (1.0, 2.0, 0.5))),
+    ),
+    "explicit-contract-of-wrong-length": lambda: (
+        reference_scenario()[0],
+        ContractFamily(
+            contracts=(
+                Contract((1.0, 0.0)),
+                Contract((2.0, 0.0)),
+                Contract((3.0, 0.0, 0.0)),
+                Contract((4.0, 0.0)),
+            )
+        ),
+    ),
+    "grid-count-mismatch": lambda: (
+        reference_scenario()[0],
+        ContractFamily(grids=(WageGrid(0.0, 1.0, 1.0),) * 3),
+    ),
+}
+
+
+class TestScreenConfirm:
+    """solve_game settles most contracts from per-row tables; results must not move."""
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    @pytest.mark.parametrize("name", sorted(_SCREEN_FAMILIES))
+    def test_equals_per_contract_solves(self, name, policy, monkeypatch):
+        scenario, family = _SCREEN_FAMILIES[name]()
+        counts = _count_screening(monkeypatch)
+        screened = solve_game(scenario, family, policy)
+        expected = _per_contract_solve(scenario, family, policy)
+        assert screened == expected
+        assert repr(screened) == repr(expected)
+        # every contract is screened or solved on its own; the winner once more
+        solved = counts["solved"] - (not screened.all_rejected)
+        assert counts["screened"] + solved == family.size()
+        assert counts["screened"] > 0
+        assert solved > 0
+        if name == "all-rejected":
+            assert screened.all_rejected
+
+    @pytest.mark.parametrize("name", sorted(_ERROR_CASES))
+    def test_errors_match_per_contract_solves(self, name):
+        scenario, family = _ERROR_CASES[name]()
+        for policy in TIE_BREAK_POLICIES:
+            got = _outcome(lambda: solve_game(scenario, family, policy))
+            assert got == _outcome(lambda: _per_contract_solve(scenario, family, policy))
+        solved = name in (
+            "zero-delta-component-undefined-on-scan",
+            "principal-undefined-where-rejected",
+            "principal-value-nan",
+        )
+        assert (got[0] == "solved") == solved
+        if name == "principal-undefined-where-rejected":
+            assert "all_rejected=False" in got[1]
+        if name == "principal-value-nan":
+            assert "wages=(1.0, 1.0, 1.0)" in got[1] and "principal_payoff=nan" in got[1]
+
+    def test_small_chunks_equal_per_contract_solves(self, monkeypatch):
+        monkeypatch.setattr(principal_module, "SCREEN_CHUNK", 7)
+        calls = {"chunks": 0}
+        screen = principal_module._screen
+
+        def counting_screen(*args):
+            calls["chunks"] += 1
+            return screen(*args)
+
+        monkeypatch.setattr(principal_module, "_screen", counting_screen)
+        for make in (_BATCHING_FAMILIES["fixture-shared-step"], _tied_contracts):
+            scenario, family = make()
+            responses = {}
+            for policy in TIE_BREAK_POLICIES:
+                calls["chunks"] = 0
+                got = solve_game(scenario, family, policy)
+                assert got == _per_contract_solve(scenario, family, policy, responses)
+                assert calls["chunks"] == -(-family.size() // 7)
+
+
+class TestGeneratedCorpus:
+    def test_wage_grid_corpus_equals_per_contract_solves(self):
+        """40 generated documents of every kind, each with a shared-step wage grid."""
+        corpus = game_corpus(40, seed=6101)
+        rejected = 0
+        for _, scenario, family in corpus:
+            responses = {}
+            for policy in TIE_BREAK_POLICIES:
+                got = solve_game(scenario, family, policy)
+                expected = _per_contract_solve(scenario, family, policy, responses)
+                assert repr(got) == repr(expected)
+            rejected += any(not r.accepted for r in responses.values())
+        assert rejected > 0
