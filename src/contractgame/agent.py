@@ -39,7 +39,6 @@ __all__ = [
     "RiskClass",
     "RiskClassification",
     "EffortTables",
-    "DeltaRow",
     "RowScreen",
     "agent_expectation",
     "motivation",
@@ -61,7 +60,7 @@ SCAN_GRID_POINTS = 4097  # dense value scan for local maxima
 RISK_GRID_POINTS = 2049  # persistence sampling grid
 REFINE_TOL = 1e-12       # bisection / golden-section interval target
 
-DELTA_ROW_MEMO = 4096    # utility-delta rows whose slope roots EffortTables keeps
+DELTA_ROW_MEMO = 4096    # utility-delta rows whose RowScreen EffortTables keeps
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -292,9 +291,9 @@ def _merge_runs(indices):
     return runs
 
 
-# The maximizer pipeline.  search_scan chains the stages below for both
-# hybrid_maximize and EffortTables; the two-outcome analyzer runs its own
-# candidate set through the same stages.
+# The maximizer pipeline.  hybrid_maximize chains the stages below; the
+# two-outcome analyzer runs its own candidate set through the same ones, and
+# RowScreen the slope work of a utility-delta row.
 
 def flat_scan(scan: np.ndarray, fv: np.ndarray, interval: EffortInterval):
     """The flat shortcut on the values fv of the dense scan.
@@ -326,51 +325,23 @@ def bracket_roots(g, grid: np.ndarray, gv: np.ndarray):
     for first, last in _merge_runs(np.nonzero(gv == 0.0)[0]):
         roots.append(float(grid[first]))
         roots.append(float(grid[last]))
-    for i in np.nonzero(gv[:-1] * gv[1:] < 0.0)[0]:
+    sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
         roots.append(_bisect_root(g, float(grid[i]), float(grid[i + 1])))
     return roots
 
 
-class SlopeRoots:
-    """The search's work on the slope g alone: roots, each found once.
-
-    Holds the bracket-grid roots and, per scan-peak run (first, last), the
-    root the run's bracket snaps onto, or None when g has no sign change
-    there.  ``on_grid()`` returns the bracket grid and g's values on it; it
-    is called on first use.  A payoff's slope does not depend on its base,
-    so contracts with one utility-delta row share one SlopeRoots.
-    """
-
-    __slots__ = ("g", "_on_grid", "_roots", "_snaps")
-
-    def __init__(self, g, on_grid):
-        self.g = g
-        self._on_grid = on_grid
-        self._roots = None
-        self._snaps = {}
-
-    def roots(self) -> list[float]:
-        if self._roots is None:
-            self._roots = bracket_roots(self.g, *self._on_grid())
-            self._on_grid = None
-        return self._roots
-
-    def snap(self, a: float, b: float, run) -> float | None:
-        if run in self._snaps:
-            return self._snaps[run]
-        g = self.g
-        da = g(a)
-        db = g(b)
-        if da == 0.0:
-            root = a
-        elif db == 0.0:
-            root = b
-        elif da * db < 0.0:
-            root = _bisect_root(g, a, b)
-        else:
-            root = None
-        self._snaps[run] = root
-        return root
+def snap_root(g, a: float, b: float) -> float | None:
+    """The root of g a scan-peak bracket [a, b] snaps onto, or None without a sign change."""
+    da = g(a)
+    db = g(b)
+    if da == 0.0:
+        return a
+    if db == 0.0:
+        return b
+    if da < 0.0 < db or db < 0.0 < da:
+        return _bisect_root(g, a, b)
+    return None
 
 
 def dedup_sorted(points) -> list[float]:
@@ -396,47 +367,25 @@ def settle_points(candidates, interval: EffortInterval) -> list[float]:
     return points
 
 
-def settle(f, candidates, interval: EffortInterval):
-    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
-
-    Returns (evaluated, pairs, best): every kept (point, value) pair, the
-    ones whose value ties the best within the relative tie tolerance, and
-    the best value.
-    """
-    evaluated = [(c, float(f(c))) for c in settle_points(candidates, interval)]
+def tie_set(evaluated):
+    """(pairs, best): the (point, value) pairs whose value ties the best
+    within the relative tie tolerance, and the best value."""
     best = max(fc for _, fc in evaluated)
     scale = max(1.0, abs(best))
     pairs = tuple(
         (c, fc) for c, fc in evaluated if best - fc <= TAU_EXPECTATION * scale
     )
-    return evaluated, pairs, best
+    return pairs, best
 
 
-def search_scan(f, scan: np.ndarray, fv: np.ndarray, interval: EffortInterval,
-                slope_roots: SlopeRoots):
-    """Global maximizers of f from its values fv on the dense scan.
+def settle(f, candidates, interval: EffortInterval):
+    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
 
-    Returns (maximizers, best_value, constant) as hybrid_maximize does.
-    Candidates are the slope's bracket-grid roots and one point per run of
-    scan peaks: the slope root its bracket snaps onto or, without a sign
-    change, the golden-section maximum of f there.  The flat shortcut, the
-    golden section and settle use f, so they run per call; the slope work
-    comes from slope_roots.
+    Returns (evaluated, pairs, best): every kept (point, value) pair, the
+    ones tied with the best (tie_set), and the best value.
     """
-    flat = flat_scan(scan, fv, interval)
-    if flat is not None:
-        return flat
-
-    candidates = list(slope_roots.roots())
-    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
-    for first, last in _merge_runs(interior.tolist()):
-        a = float(scan[first - 1])
-        b = float(scan[last + 1])
-        root = slope_roots.snap(a, b, (first, last))
-        candidates.append(_golden_max(f, a, b) if root is None else root)
-
-    _, pairs, best = settle(f, candidates, interval)
-    return pairs, best, False
+    evaluated = [(c, float(f(c))) for c in settle_points(candidates, interval)]
+    return (evaluated, *tie_set(evaluated))
 
 
 def hybrid_maximize(f, df, interval: EffortInterval):
@@ -454,12 +403,21 @@ def hybrid_maximize(f, df, interval: EffortInterval):
     """
     scan = interval.grid(SCAN_GRID_POINTS)
     fv = np.asarray(f(scan), dtype=float)
+    flat = flat_scan(scan, fv, interval)
+    if flat is not None:
+        return flat
 
-    def on_grid():
-        grid = interval.grid(MT_GRID_POINTS)
-        return grid, np.asarray(df(grid), dtype=float)
+    grid = interval.grid(MT_GRID_POINTS)
+    candidates = bracket_roots(df, grid, np.asarray(df(grid), dtype=float))
+    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
+    for first, last in _merge_runs(interior.tolist()):
+        a = float(scan[first - 1])
+        b = float(scan[last + 1])
+        root = snap_root(df, a, b)
+        candidates.append(_golden_max(f, a, b) if root is None else root)
 
-    return search_scan(f, scan, fv, interval, SlopeRoots(df, on_grid))
+    _, pairs, best = settle(f, candidates, interval)
+    return pairs, best, False
 
 
 class EffortTables:
@@ -467,14 +425,8 @@ class EffortTables:
 
     Holds the scan and bracket grids and, filled on first use, each
     curve's values on the scan grid and its first derivative on the bracket
-    grid.  A per-contract solve evaluates the curves in the same order, so
-    the first DomainError is the same one.  A contract's scan values and
-    grid slopes come from LinearPayoff.on_table, bit-identical to
-    evaluating the payoff on the grids.  The DeltaRow of each utility-delta
-    row is kept too, for at most DELTA_ROW_MEMO rows (a full memo starts
-    over).  The base-dependent work (flat shortcut, scan peaks, golden
-    section, settle and the tie filter) runs per contract, so every result
-    equals a fresh solve.
+    grid, and the RowScreen (or None) of each utility-delta row, for at
+    most DELTA_ROW_MEMO rows (a full memo starts over).
     """
 
     __slots__ = ("scenario", "scan", "grid", "_values", "_slopes", "_rows", "_cost_size")
@@ -485,7 +437,7 @@ class EffortTables:
         self.grid = scenario.interval.grid(MT_GRID_POINTS)
         self._values: dict[int, np.ndarray] = {}
         self._slopes: dict[int, np.ndarray] = {}
-        self._rows: dict[tuple[float, ...], DeltaRow] = {}
+        self._rows: dict[tuple[float, ...], RowScreen | None] = {}
         self._cost_size: float | None = None
 
     def _value_on_scan(self, curve) -> np.ndarray:
@@ -507,70 +459,25 @@ class EffortTables:
             self._slopes[key] = curve.d1(self.grid)
         return self._slopes[key]
 
-    def row(self, deltas: tuple[float, ...]) -> DeltaRow:
-        """The DeltaRow of a finite utility-delta row (LinearPayoff.deltas)."""
+    def screen(self, deltas: tuple[float, ...]) -> RowScreen | None:
+        """The RowScreen of a finite utility-delta row (LinearPayoff.deltas).
+
+        None when the row has no screen, or when building it raises or
+        meets a value that is not finite: the row's contracts are then
+        solved one by one, which raises the same error at the same contract.
+        """
         rows = self._rows
-        found = rows.get(deltas)
-        if found is None:
+        if deltas not in rows:
             if len(rows) >= DELTA_ROW_MEMO:
                 rows.clear()
-            found = rows[deltas] = DeltaRow(self, deltas)
-        return found
-
-    def best_response(self, contract: Contract) -> BestResponse:
-        """agent_best_response(scenario, contract), reusing the tables."""
-        scenario = self.scenario
-        payoff = LinearPayoff.agent(scenario, contract)
-        fv = np.asarray(payoff.on_table(self._value_on_scan, with_base=True), dtype=float)
-        pairs, best, constant = search_scan(
-            payoff.value, self.scan, fv, scenario.interval, self.row(payoff.deltas).roots
-        )
-        accepted = best >= scenario.agent.reservation_utility
-        return best_response_from(pairs, best, constant, scenario.interval, accepted)
-
-
-class DeltaRow:
-    """What the contracts of one utility-delta row share.
-
-    ``payoff`` is the row's base-free payoff sum_i delta_i p_i(e) - v(e)
-    (base 0), whose slope is every such contract's slope; ``roots`` its
-    SlopeRoots.  ``screen(tables)`` builds the row's RowScreen on first
-    use.  The row keeps no reference to the tables, so a solve's tables
-    are freed when it returns.
-    """
-
-    __slots__ = ("payoff", "roots", "_screen")
-
-    def __init__(self, tables: EffortTables, deltas: tuple[float, ...]):
-        scenario = tables.scenario
-        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-
-        def on_grid():
-            gv = payoff.on_table(tables._slope_on_grid, with_base=False)
-            return tables.grid, np.asarray(gv, dtype=float)
-
-        self.payoff = payoff
-        self.roots = SlopeRoots(payoff.slope, on_grid)
-        self._screen = False
-
-    def screen(self, tables: EffortTables) -> RowScreen | None:
-        """The RowScreen, or None when building it raises or meets a value
-        that is not finite.  The row's contracts are then solved one by one,
-        which raises the same error at the same contract."""
-        if self._screen is False:
             try:
-                self._screen = RowScreen(self, tables)
+                rows[deltas] = RowScreen.build(self, deltas)
             except Exception:
-                self._screen = None
-        return self._screen
+                rows[deltas] = None
+        return rows[deltas]
 
 
-def _one_value(x: np.ndarray) -> bool:
-    """All entries of x have the same bits."""
-    bits = x.view(np.int64)
-    return bool((bits == bits[0]).all())
-
-
+@dataclass(frozen=True, eq=False)
 class RowScreen:
     """A delta row's base-free tables, from which solve_game screens its contracts.
 
@@ -578,70 +485,59 @@ class RowScreen:
     where a = sum_i delta_i p_i and v is the cost on the scan.  With
     h = a - v and d_j = h_j - h_{j-1} as computed:
 
-    - ``reach``: the least |d_j| (0 when h has a flat step); ``top`` and
-      ``span``: max h and max h - min h;
+    - ``reach``: the least |d_j|, positive; ``top`` and ``span``: max h
+      and max h - min h;
     - ``size``: max |h| + 2 max |v|, so that (1 + 2^-52) size bounds every
       |a_j| + |v_j| on the scan, and at least max |a| + max |v| at the
       points below;
-    - ``golden``: a scan peak of h (d_j > 0 > d_{j+1}) brackets no sign
-      change of the slope;
-    - ``points``: when reach > 0 and not golden, the settled candidates of
-      a contract whose scan peaks are h's (its bracket-grid roots and the
-      snapped roots of h's peaks), else None;
-    - ``ends``: when a and v are each one value on the whole scan, the flat
-      shortcut's boundary pair (lo, hi), else None.
+    - ``points``: the settled candidates of a contract whose scan peaks are
+      h's: its bracket-grid roots and the roots h's peaks snap onto, as an
+      array with one column per effort and the rows effort, a, v, p_1, ...,
+      p_{n-1} (the base-free sum, the cost and every component there, from
+      scalar calls, as settle and the principal make them).
 
-    ``points`` and ``ends`` are arrays with one column per effort and the
-    rows effort, a, v, p_1, ..., p_{n-1}: the base-free sum, the cost and
-    every component there.  At ``points`` all come from scalar calls, as
-    settle and the principal make them; at ``ends`` a and v come from the
-    scan, as the flat shortcut reads them, and p from scalar calls.
+    A row has no screen (build returns None) when h has a flat step
+    (reach 0) or a scan peak of h brackets no sign change of the slope
+    (golden section).
     """
 
-    __slots__ = ("reach", "top", "span", "size", "golden", "points", "ends")
+    reach: float
+    top: float
+    span: float
+    size: float
+    points: np.ndarray
 
-    def __init__(self, row: DeltaRow, tables: EffortTables):
+    @classmethod
+    def build(cls, tables: EffortTables, deltas: tuple[float, ...]) -> RowScreen | None:
+        scenario = tables.scenario
         scan = tables.scan
-        interval = tables.scenario.interval
-        a = row.payoff.weighted(tables._value_on_scan)
+        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+        a = payoff.weighted(tables._value_on_scan)
         v, v_size = tables._cost_on_scan()
         h = a - v
         d = h[1:] - h[:-1]
-        self.reach = float(np.abs(d).min())
-        self.top = float(h.max())
+        reach = float(np.abs(d).min())
+        top = float(h.max())
         low = float(h.min())
-        self.span = self.top - low
-        size = max(self.top, -low) + 2.0 * v_size
-        if not math.isfinite(size):
-            raise DomainError(f"objective is not finite on the scan of delta row {row.payoff.deltas}")
-        self.golden = False
-        self.points = None
-        self.ends = None
-        if self.reach > 0.0:
-            candidates = list(row.roots.roots())
-            rising = d > 0.0
-            for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
-                root = row.roots.snap(float(scan[j - 1]), float(scan[j + 1]), (j, j))
-                if root is None:
-                    self.golden = True
-                    break
-                candidates.append(root)
-            if not self.golden:
-                self.points = self._at(row, tables, settle_points(candidates, interval))
-                a_max, v_max = np.abs(self.points[1:3]).max(axis=1)
-                size = max(size, a_max + v_max)
-        elif (np.ndim(a) == 0 or _one_value(a)) and _one_value(v):
-            self.ends = self._at(row, tables, [interval.lo, interval.hi])
-            self.ends[1] = a if np.ndim(a) == 0 else a[[0, -1]]
-            self.ends[2] = v[[0, -1]]
-        self.size = float(size)
+        size = max(top, -low) + 2.0 * v_size
+        if not (reach > 0.0 and math.isfinite(size)):
+            return None
+        gv = payoff.on_table(tables._slope_on_grid, with_base=False)
+        candidates = bracket_roots(payoff.slope, tables.grid, np.asarray(gv, dtype=float))
+        rising = d > 0.0
+        for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
+            root = snap_root(payoff.slope, float(scan[j - 1]), float(scan[j + 1]))
+            if root is None:
+                return None
+            candidates.append(root)
+        points = cls._at(scenario, deltas, settle_points(candidates, scenario.interval))
+        a_max, v_max = np.abs(points[1:3]).max(axis=1)
+        return cls(reach, top, top - low, float(max(size, a_max + v_max)), points)
 
     @staticmethod
-    def _at(row: DeltaRow, tables: EffortTables, points) -> np.ndarray:
+    def _at(scenario: Scenario, deltas, points) -> np.ndarray:
         """The rows effort, a, v, p_1, ... at the points from scalar calls, in value's order."""
-        scenario = tables.scenario
         cost = scenario.agent.effort_cost
-        deltas = row.payoff.deltas
         p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
         a = []
         for k in range(len(points)):
@@ -654,6 +550,18 @@ class RowScreen:
         if not all(map(math.isfinite, a + v)):
             raise DomainError(f"objective is not finite at {points}")
         return np.array([points, a, v, *p], dtype=float)
+
+    def response(self, base: float, scenario: Scenario) -> BestResponse:
+        """The BestResponse of the row's screened contract with base u(w_n).
+
+        Its settle values are (b + a_k) - v_k at the points, the operations
+        of LinearPayoff.value on the same scalar calls.
+        """
+        points, a, v = self.points[:3].tolist()
+        evaluated = [(c, float((base + ak) - vk)) for c, ak, vk in zip(points, a, v)]
+        pairs, best = tie_set(evaluated)
+        accepted = best >= scenario.agent.reservation_utility
+        return best_response_from(pairs, best, False, scenario.interval, accepted)
 
 
 def _kind_at(e: float, interval: EffortInterval) -> MaximizerKind:
@@ -692,7 +600,12 @@ def agent_best_response(scenario: Scenario, contract: Contract) -> BestResponse:
     the optimum is at least the reservation utility (rejection keeps the
     maximizer list, only the flag flips).
     """
-    return EffortTables(scenario).best_response(contract)
+    payoff = LinearPayoff.agent(scenario, contract)
+    pairs, best, constant = hybrid_maximize(
+        payoff.value, payoff.slope, scenario.interval
+    )
+    accepted = best >= scenario.agent.reservation_utility
+    return best_response_from(pairs, best, constant, scenario.interval, accepted)
 
 
 def classify_persistence_samples(samples: np.ndarray) -> RiskClassification:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import TAU_EXPECTATION, BestResponse, EffortTables, LinearPayoff
+from .agent import TAU_EXPECTATION, BestResponse, EffortTables, LinearPayoff, agent_best_response
 from .errors import DimensionError, EnumerationCapExceeded
 from .model import Contract, Scenario
 
@@ -172,15 +172,22 @@ def _select_effort(
     raise ValueError(f"unknown tie-break policy {policy!r}")
 
 
-def _respond(tables: EffortTables, contract: Contract, policy: str):
-    """One contract solved on its own: (response, effort, principal value).
+def _respond(tables: EffortTables, contract: Contract, policy: str, screened: bool):
+    """One contract's (response, effort, principal value).
 
-    effort and value are None when the agent rejects the contract.
+    The response is its own solve, or for a screened contract built from
+    its row's screen (RowScreen.response).  effort and value are None when
+    the agent rejects the contract.
     """
-    response = tables.best_response(contract)
+    scenario = tables.scenario
+    if screened:
+        agent = LinearPayoff.agent(scenario, contract)
+        response = tables.screen(agent.deltas).response(agent.base, scenario)
+    else:
+        response = agent_best_response(scenario, contract)
     if not response.accepted:
         return response, None, None
-    payoff = LinearPayoff.principal(tables.scenario, contract)
+    payoff = LinearPayoff.principal(scenario, contract)
     effort = _select_effort(response, payoff, policy)
     return response, effort, payoff.value(effort)
 
@@ -261,7 +268,7 @@ def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: st
 
     Returns (screened, accepted, value) per contract; accepted and value
     (the principal's payoff at the policy's effort) are as the contract's
-    own solve (_respond) gives them wherever screened is set.
+    own solve gives them wherever screened is set.
 
     A contract with base b = u(w_n) in a delta row has the scan values
     fv_j = fl(fl(b + a_j) - v_j), a and v being the row's base-free sum and
@@ -276,21 +283,21 @@ def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: st
     Then every neighbour comparison, so every scan peak, is the row's own,
     and so are the peaks' snapped roots and the settled points.  Likewise
     max fv - min fv is the row's span within 14uS and |max fv| is
-    |b + top| within 6uS: the flat test is decided when span clears
-    TAU_EXPECTATION * max(1, |b + top| +- sigma) by 2 sigma, with the
+    |b + top| within 6uS: the flat test fails when span exceeds
+    TAU_EXPECTATION * max(1, |b + top| + sigma) by 2 sigma, with the
     relative slack 2^-40 for the rounding of the test itself.
     |b| + size < 2^1000 keeps every value finite.
     Exact values.  A decided contract's settle values are
     F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same
     scalar calls in the same order, so the same IEEE operations; its best
     value, tie set and acceptance follow with the operations settle uses.
-    A flat contract needs max fv: it is screened only when a and v are
-    each one value on the scan, where all fv_j are equal.  The principal's
-    value at each tied point is B(x_n - w_n) plus the nonzero deltas times
-    p_i there, added from 0.0 in component order as LinearPayoff.value
-    adds them.  Left unscreened: rows whose tables raise or are not
-    finite, rows with golden section, and accepted contracts whose
-    principal levels or deltas are not finite or whose tied values are NaN.
+    The principal's value at each tied point is B(x_n - w_n) plus the
+    nonzero deltas times p_i there, added from 0.0 in component order as
+    LinearPayoff.value adds them.  Left unscreened: rows without a screen
+    (their tables raise or are not finite, h has a flat step, or a peak
+    needs golden section), contracts that may take the flat shortcut, and
+    accepted contracts whose principal levels or deltas are not finite or
+    whose tied values are NaN.
     """
     count = len(fits)
     screened = np.zeros(count, dtype=bool)
@@ -305,19 +312,20 @@ def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: st
         return screened, accepted, value
     distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
     which = which.reshape(-1)
-    screens = [tables.row(tuple(d)).screen(tables) for d in distinct.tolist()]
+    screens = [tables.screen(tuple(d)) for d in distinct.tolist()]
 
-    # per row: reach, size, top, span; per row two candidate sets, 2r the
-    # settled points and 2r + 1 the flat ends, empty where there are none
+    # per row: reach, size, top, span (a row without a screen has reach 0,
+    # so none of its contracts is decided) and its points' offset in cells
     n_comp = levels.shape[1] - 1
     stats = np.array(
         [(0.0, 0.0, 0.0, 0.0) if sc is None else (sc.reach, sc.size, sc.top, sc.span)
          for sc in screens]
     ).T
-    sets = [t for sc in screens for t in ((None, None) if sc is None else (sc.points, sc.ends))]
-    set_len = np.array([0 if t is None else t.shape[1] for t in sets])
+    set_len = np.array([0 if sc is None else sc.points.shape[1] for sc in screens])
     set_off = np.cumsum(set_len) - set_len
-    cells = np.concatenate([np.zeros((3 + n_comp, 0))] + [t for t in sets if t is not None], axis=1)
+    cells = np.concatenate(
+        [np.zeros((3 + n_comp, 0))] + [sc.points for sc in screens if sc is not None], axis=1
+    )
     a_all, v_all, p_all = cells[1], cells[2], cells[3:]
 
     reach, row_size, top, span = (x[which] for x in stats)
@@ -327,22 +335,19 @@ def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: st
         sigma = _MARGIN * scale
         level = np.abs(base + top)
         not_flat = span > TAU_EXPECTATION * np.maximum(1.0, level + sigma) * (1.0 + _SLACK) + 2.0 * sigma
-        flat = span < TAU_EXPECTATION * np.maximum(1.0, level - sigma) * (1.0 - _SLACK) - 2.0 * sigma
-        chosen_set = 2 * which + flat
-        decided = (scale < _GUARD) & ((not_flat & (reach > sigma)) | flat)
-        decided &= set_len[chosen_set] > 0
+        decided = (scale < _GUARD) & not_flat & (reach > sigma)
     if not decided.any():
         return screened, accepted, value
     rows = ok[decided]
-    chosen_set = chosen_set[decided]
+    row_of = which[decided]
     base = base[decided]
 
     # one cell per contract and candidate point; first[c] is contract c's first
-    lengths = set_len[chosen_set]
+    lengths = set_len[row_of]
     first = np.cumsum(lengths) - lengths
     owner = np.repeat(np.arange(len(rows)), lengths)
     pos = np.arange(len(owner))
-    cell = pos - first[owner] + set_off[chosen_set][owner]
+    cell = pos - first[owner] + set_off[row_of][owner]
     with np.errstate(all="ignore"):
         f = (base[owner] + a_all[cell]) - v_all[cell]
         best = np.maximum.reduceat(f, first)
@@ -413,10 +418,10 @@ def solve_game(
     arrays, SCREEN_CHUNK contracts at a time, and grouped by utility-delta
     row.  Most contracts are settled from their row's tables (_screen,
     where the bound that makes this exact is set out); the rest are solved
-    one by one, in order, through the tables they share (_respond), so an
-    error is raised at the same contract as by a loop of
-    agent_best_response calls.  Only the winner's BestResponse is built,
-    by _respond, so the result equals that loop's.
+    one by one, in order, by agent_best_response, so an error is raised at
+    the same contract as by a loop of its calls.  Only the winner's
+    BestResponse is built, from its row when it was screened, so the result
+    equals that loop's.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -434,13 +439,14 @@ def solve_game(
         index, fits = arrays.chunk(start, stop)
         screened, accepted, value = _screen(tables, arrays, index, fits, tie_break)
         for k in np.nonzero(~screened)[0]:
-            response, _, v = _respond(tables, arrays.contract(start + k, index[k]), tie_break)
+            response, _, v = _respond(tables, arrays.contract(start + k, index[k]), tie_break, False)
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
         found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
         if found is not incumbent:
             incumbent = found
-            winner = arrays.contract(start + found[1], index[found[1]])
+            k = found[1]
+            winner = arrays.contract(start + k, index[k]), bool(screened[k])
     if winner is None:
         return GameSolution(
             all_rejected=True,
@@ -451,10 +457,11 @@ def solve_game(
             tie_break=tie_break,
             best_response=None,
         )
-    response, effort, value = _respond(tables, winner, tie_break)
+    contract, screened = winner
+    response, effort, value = _respond(tables, contract, tie_break, screened)
     return GameSolution(
         all_rejected=False,
-        contract=winner,
+        contract=contract,
         effort=effort,
         principal_payoff=value,
         agent_payoff=response.optimal_expectation,

@@ -1,5 +1,7 @@
 """Agent solver: expectation/derivative values, best response, risk posture."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from contractgame import (
     transience,
     two_outcome_linear_analysis,
 )
+from contractgame.agent import bracket_roots, snap_root
 from contractgame.oracle import finite_diff_d1, grid_argmax
 from scenario_gen import (
     constant_profile_scenario,
@@ -324,6 +327,34 @@ def _affine_curve(curve, alpha, beta):
     if isinstance(curve, Power) and beta == 0.0:
         return Power(alpha * curve.a, curve.gamma, curve.c)
     return None
+
+
+class TestSignChanges:
+    """Root bracketing tests the signs of the slope, never their product."""
+
+    GRID = np.linspace(0.0, 1.0, 5)
+
+    @staticmethod
+    def _slope(scale):
+        return lambda e: scale * (e - 0.6)
+
+    def test_tiny_slope_root_is_found(self):
+        # 1e-171 * 1.5e-171 underflows to -0.0, which is not below zero
+        g = self._slope(1e-170)
+        roots = bracket_roots(g, self.GRID, g(self.GRID))
+        assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-12
+        root = snap_root(g, 0.5, 0.75)
+        assert root is not None and abs(root - 0.6) <= 1e-12
+
+    def test_huge_slope_warns_nothing(self):
+        # 1e199 * 1.5e199 overflows
+        g = self._slope(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = bracket_roots(g, self.GRID, g(self.GRID))
+            root = snap_root(g, 0.5, 0.75)
+        assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-12
+        assert root is not None and abs(root - 0.6) <= 1e-12
 
 
 class TestRiskClassification:

@@ -8,6 +8,7 @@ Regenerate a golden only for an intended output change, e.g.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,13 @@ def _private_imports(path: Path):
 )
 def test_no_cross_module_private_imports(module):
     assert list(_private_imports(SOURCES / module)) == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in SOURCES.glob("*.py")), ids=str
+)
+def test_every_exported_name_exists(module):
+    name = "contractgame" if module == "__init__" else f"contractgame.{module}"
+    loaded = importlib.import_module(name)
+    missing = [n for n in getattr(loaded, "__all__", ()) if not hasattr(loaded, n)]
+    assert missing == []

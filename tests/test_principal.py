@@ -358,7 +358,7 @@ _BATCHING_FAMILIES = {
 
 
 class TestFamilyBatching:
-    """solve_game shares grids and slope roots across contracts; results must not move."""
+    """solve_game shares grids and row screens across contracts; results must not move."""
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
     @pytest.mark.parametrize("name", sorted(_BATCHING_FAMILIES))
@@ -366,25 +366,24 @@ class TestFamilyBatching:
         scenario, family = _BATCHING_FAMILIES[name]()
         calls = {"rows": 0, "golden": 0, "snapped": 0}
 
-        class CountingRoots(agent_module.SlopeRoots):
-            __slots__ = ()
+        build = agent_module.RowScreen.build.__func__
+        snap, golden = agent_module.snap_root, agent_module._golden_max
 
-            def __init__(self, *args):
-                calls["rows"] += 1
-                super().__init__(*args)
+        def counting_build(cls, *args):
+            calls["rows"] += 1
+            return build(cls, *args)
 
-            def snap(self, a, b, run):
-                root = super().snap(a, b, run)
-                calls["snapped"] += root is not None
-                return root
-
-        golden = agent_module._golden_max
+        def counting_snap(*args):
+            root = snap(*args)
+            calls["snapped"] += root is not None
+            return root
 
         def counting_golden(*args):
             calls["golden"] += 1
             return golden(*args)
 
-        monkeypatch.setattr(agent_module, "SlopeRoots", CountingRoots)
+        monkeypatch.setattr(agent_module.RowScreen, "build", classmethod(counting_build))
+        monkeypatch.setattr(agent_module, "snap_root", counting_snap)
         monkeypatch.setattr(agent_module, "_golden_max", counting_golden)
         batched = solve_game(scenario, family, policy)
         batched_calls = dict(calls)
@@ -593,6 +592,21 @@ class TestScreenConfirm:
         assert solved > 0
         if name == "all-rejected":
             assert screened.all_rejected
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_screened_winner_comes_from_its_row(self, policy, monkeypatch):
+        scenario, family = _BATCHING_FAMILIES["fixture-shared-step"]()
+        calls = {"solves": 0}
+        solve = principal_module.agent_best_response
+
+        def counting_solve(*args):
+            calls["solves"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(principal_module, "agent_best_response", counting_solve)
+        got = solve_game(scenario, family, policy)
+        assert calls["solves"] == 0
+        assert repr(got) == repr(_per_contract_solve(scenario, family, policy))
 
     @pytest.mark.parametrize("name", sorted(_ERROR_CASES))
     def test_errors_match_per_contract_solves(self, name):
