@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Contract, EffortInterval, Scenario, require_finite
+from .tables import EffortTables, effort_tables
 
 __all__ = [
     "TAU_E",
@@ -38,7 +39,7 @@ __all__ = [
     "BestResponse",
     "RiskClass",
     "RiskClassification",
-    "EffortTables",
+    "RowScreens",
     "RowScreen",
     "agent_expectation",
     "motivation",
@@ -60,7 +61,7 @@ SCAN_GRID_POINTS = 4097  # dense value scan for local maxima
 RISK_GRID_POINTS = 2049  # persistence sampling grid
 REFINE_TOL = 1e-12       # bisection / golden-section interval target
 
-DELTA_ROW_MEMO = 4096    # utility-delta rows whose RowScreen EffortTables keeps
+DELTA_ROW_MEMO = 4096    # utility-delta rows whose RowScreen RowScreens keeps
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -181,10 +182,12 @@ class LinearPayoff:
         return acc
 
     def on_table(self, table, with_base: bool):
-        """value (with_base) or slope from table(curve), the curve's values on a grid.
+        """value (with_base), slope or curvature on a grid from table(curve).
 
-        The operations of value and slope in their order, so the result is
-        bit-identical to calling them on the grid.
+        table gives each curve's eval, d1 or d2 on the grid, and picks which
+        of the three this is.  The operations are those of value, slope and
+        curvature in their order, so the result is bit-identical to calling
+        them on the grid.
         """
         acc = self.weighted(table)
         if with_base:
@@ -388,27 +391,32 @@ def settle(f, candidates, interval: EffortInterval):
     return (evaluated, *tie_set(evaluated))
 
 
-def hybrid_maximize(f, df, interval: EffortInterval):
-    """Global maximizers of a C1 function f on a closed interval.
+def hybrid_maximize(payoff, tables: EffortTables):
+    """Global maximizers of a C1 payoff f on the tables' effort interval.
 
-    Returns (maximizers, best_value, constant) where maximizers is a tuple
-    of (point, value) pairs sorted by point.  Candidates come from three
-    sources: the interval boundaries, sign-change roots of df bracketed on
-    a uniform grid and bisected to ``REFINE_TOL``, and local maxima of a
-    dense value scan.  Scan brackets that contain a sign change of df are
-    snapped onto the root by bisection (golden-section alone only locates
-    a smooth peak to about sqrt(eps)); the remaining brackets are polished
-    by golden-section.  A flat function (value spread within the tie
-    tolerance) is reported as constant via its two boundary points.
+    payoff gives f and its derivative df as ``value`` and ``slope`` at a
+    point, and on a grid through ``on_table`` from the tables' arrays
+    (LinearPayoff's protocol).  Returns (maximizers, best_value, constant)
+    where maximizers is a tuple of (point, value) pairs sorted by point.
+    Candidates come from three sources: the interval boundaries,
+    sign-change roots of df bracketed on a uniform grid and bisected to
+    ``REFINE_TOL``, and local maxima of a dense value scan.  Scan brackets
+    that contain a sign change of df are snapped onto the root by bisection
+    (golden-section alone only locates a smooth peak to about sqrt(eps));
+    the remaining brackets are polished by golden-section.  A flat function
+    (value spread within the tie tolerance) is reported as constant via its
+    two boundary points.
     """
-    scan = interval.grid(SCAN_GRID_POINTS)
-    fv = np.asarray(f(scan), dtype=float)
+    f, df, interval = payoff.value, payoff.slope, tables.interval
+    scan = tables.grid(SCAN_GRID_POINTS)
+    fv = np.asarray(payoff.on_table(tables.table(SCAN_GRID_POINTS), True), dtype=float)
     flat = flat_scan(scan, fv, interval)
     if flat is not None:
         return flat
 
-    grid = interval.grid(MT_GRID_POINTS)
-    candidates = bracket_roots(df, grid, np.asarray(df(grid), dtype=float))
+    grid = tables.grid(MT_GRID_POINTS)
+    gv = payoff.on_table(tables.table(MT_GRID_POINTS, 1), False)
+    candidates = bracket_roots(df, grid, np.asarray(gv, dtype=float))
     interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
     for first, last in _merge_runs(interior.tolist()):
         a = float(scan[first - 1])
@@ -420,44 +428,27 @@ def hybrid_maximize(f, df, interval: EffortInterval):
     return pairs, best, False
 
 
-class EffortTables:
-    """What the agent's problem shares across the contracts of one scenario.
+class RowScreens:
+    """The RowScreen (or None) of each utility-delta row solve_game meets.
 
-    Holds the scan and bracket grids and, filled on first use, each
-    curve's values on the scan grid and its first derivative on the bracket
-    grid, and the RowScreen (or None) of each utility-delta row, for at
-    most DELTA_ROW_MEMO rows (a full memo starts over).
+    Reads the scenario's EffortTables, and keeps at most DELTA_ROW_MEMO
+    rows (a full memo starts over).
     """
 
-    __slots__ = ("scenario", "scan", "grid", "_values", "_slopes", "_rows", "_cost_size")
+    __slots__ = ("scenario", "tables", "_rows", "_cost_size")
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.scan = scenario.interval.grid(SCAN_GRID_POINTS)
-        self.grid = scenario.interval.grid(MT_GRID_POINTS)
-        self._values: dict[int, np.ndarray] = {}
-        self._slopes: dict[int, np.ndarray] = {}
+        self.tables = effort_tables(scenario)
         self._rows: dict[tuple[float, ...], RowScreen | None] = {}
         self._cost_size: float | None = None
 
-    def _value_on_scan(self, curve) -> np.ndarray:
-        key = id(curve)
-        if key not in self._values:
-            self._values[key] = curve.eval(self.scan)
-        return self._values[key]
-
-    def _cost_on_scan(self) -> tuple[np.ndarray, float]:
+    def cost_on_scan(self) -> tuple[np.ndarray, float]:
         """The effort cost on the scan and its largest magnitude there."""
-        v = self._value_on_scan(self.scenario.agent.effort_cost)
+        v = self.tables.array(self.scenario.agent.effort_cost, SCAN_GRID_POINTS)
         if self._cost_size is None:
             self._cost_size = float(max(v.max(), -v.min()))
         return v, self._cost_size
-
-    def _slope_on_grid(self, curve) -> np.ndarray:
-        key = id(curve)
-        if key not in self._slopes:
-            self._slopes[key] = curve.d1(self.grid)
-        return self._slopes[key]
 
     def screen(self, deltas: tuple[float, ...]) -> RowScreen | None:
         """The RowScreen of a finite utility-delta row (LinearPayoff.deltas).
@@ -508,12 +499,12 @@ class RowScreen:
     points: np.ndarray
 
     @classmethod
-    def build(cls, tables: EffortTables, deltas: tuple[float, ...]) -> RowScreen | None:
-        scenario = tables.scenario
-        scan = tables.scan
+    def build(cls, screens: RowScreens, deltas: tuple[float, ...]) -> RowScreen | None:
+        scenario, tables = screens.scenario, screens.tables
+        scan = tables.grid(SCAN_GRID_POINTS)
         payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-        a = payoff.weighted(tables._value_on_scan)
-        v, v_size = tables._cost_on_scan()
+        a = payoff.weighted(tables.table(SCAN_GRID_POINTS))
+        v, v_size = screens.cost_on_scan()
         h = a - v
         d = h[1:] - h[:-1]
         reach = float(np.abs(d).min())
@@ -522,8 +513,9 @@ class RowScreen:
         size = max(top, -low) + 2.0 * v_size
         if not (reach > 0.0 and math.isfinite(size)):
             return None
-        gv = payoff.on_table(tables._slope_on_grid, with_base=False)
-        candidates = bracket_roots(payoff.slope, tables.grid, np.asarray(gv, dtype=float))
+        gv = payoff.on_table(tables.table(MT_GRID_POINTS, 1), with_base=False)
+        grid = tables.grid(MT_GRID_POINTS)
+        candidates = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
         rising = d > 0.0
         for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
             root = snap_root(payoff.slope, float(scan[j - 1]), float(scan[j + 1]))
@@ -601,9 +593,7 @@ def agent_best_response(scenario: Scenario, contract: Contract) -> BestResponse:
     maximizer list, only the flag flips).
     """
     payoff = LinearPayoff.agent(scenario, contract)
-    pairs, best, constant = hybrid_maximize(
-        payoff.value, payoff.slope, scenario.interval
-    )
+    pairs, best, constant = hybrid_maximize(payoff, effort_tables(scenario))
     accepted = best >= scenario.agent.reservation_utility
     return best_response_from(pairs, best, constant, scenario.interval, accepted)
 
@@ -633,6 +623,7 @@ def classify_risk(scenario: Scenario, contract: Contract) -> RiskClassification:
     DomainError.
     """
     payoff = LinearPayoff.agent(scenario, contract)
-    grid = scenario.interval.grid(RISK_GRID_POINTS)
-    samples = np.asarray(payoff.curvature(grid), dtype=float)
+    tables = effort_tables(scenario)
+    grid = tables.grid(RISK_GRID_POINTS)
+    samples = np.asarray(payoff.on_table(tables.table(RISK_GRID_POINTS, 2), False), dtype=float)
     return classify_persistence_samples(require_finite(samples, grid, "persistence"))

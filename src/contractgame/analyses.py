@@ -32,6 +32,7 @@ from .agent import (
 from .errors import NotTwoOutcomeLinearError
 from .curves import Polynomial
 from .model import VALIDATION_GRID_POINTS, Contract, Scenario, require_finite
+from .tables import effort_tables
 
 __all__ = [
     "EPSILON_INVISIBLE",
@@ -111,6 +112,27 @@ class ClassicalAssumptionsReport:
         )
 
 
+class _Negated:
+    """-curve in LinearPayoff's protocol (value, slope, on_table), for hybrid_maximize.
+
+    Negated, not subtracted from 0.0, so a zero cost gives -0.0 as -v does.
+    """
+
+    __slots__ = ("curve",)
+
+    def __init__(self, curve):
+        self.curve = curve
+
+    def value(self, e):
+        return -self.curve.eval(e)
+
+    def slope(self, e):
+        return -self.curve.d1(e)
+
+    def on_table(self, table, with_base: bool):
+        return -table(self.curve)
+
+
 def detect_invisible_effort(
     scenario: Scenario, epsilon: float = EPSILON_INVISIBLE
 ) -> InvisibleEffortReport:
@@ -122,13 +144,14 @@ def detect_invisible_effort(
     carries the argmin set (found by the same hybrid machinery, applied to
     -v) and the risk posture implied by -v''.
     """
-    grid = scenario.interval.grid(VALIDATION_GRID_POINTS)
+    tables = effort_tables(scenario)
+    grid = tables.grid(VALIDATION_GRID_POINTS)
     mid = 0.5 * (scenario.interval.lo + scenario.interval.hi)
     deviation = 0.0
     total_grid = np.zeros_like(grid)
     total_mid = 0.0
     for comp in scenario.profile.components:
-        vals = np.asarray(comp.eval(grid), dtype=float)
+        vals = tables.array(comp, VALIDATION_GRID_POINTS)
         ref = comp.eval(mid)
         deviation = max(deviation, float(np.max(np.abs(vals - ref))))
         total_grid += vals
@@ -140,14 +163,10 @@ def detect_invisible_effort(
     if deviation > epsilon:
         return InvisibleEffortReport(False, deviation, epsilon, None, None)
 
-    cost = scenario.agent.effort_cost
-    pairs, best, constant = hybrid_maximize(
-        lambda e: -cost.eval(e),
-        lambda e: -cost.d1(e),
-        scenario.interval,
-    )
+    cost = _Negated(scenario.agent.effort_cost)
+    pairs, best, constant = hybrid_maximize(cost, tables)
     best_response = best_response_from(pairs, best, constant, scenario.interval, True)
-    samples = -np.asarray(cost.d2(grid), dtype=float)
+    samples = cost.on_table(tables.table(VALIDATION_GRID_POINTS, 2), False)
     risk = classify_persistence_samples(require_finite(samples, grid, "persistence"))
     return InvisibleEffortReport(True, deviation, epsilon, best_response, risk)
 
@@ -185,20 +204,23 @@ def two_outcome_linear_analysis(
     interval = scenario.interval
     lo, hi = interval.lo, interval.hi
     payoff = LinearPayoff.agent(scenario, contract)
+    tables = effort_tables(scenario)
 
-    scan = interval.grid(SCAN_GRID_POINTS)
-    flat = flat_scan(scan, np.asarray(payoff.value(scan), dtype=float), interval)
+    scan = tables.grid(SCAN_GRID_POINTS)
+    fv = payoff.on_table(tables.table(SCAN_GRID_POINTS), True)
+    flat = flat_scan(scan, np.asarray(fv, dtype=float), interval)
     if flat is not None:
         pairs, best, constant = flat
         interior, interior_values = (), ()
         boundary_values = (pairs[0][1], pairs[1][1])
     else:
-        grid = interval.grid(MT_GRID_POINTS)
+        grid = tables.grid(MT_GRID_POINTS)
 
         def foc(e):
             return target - cost.d1(e)
 
-        roots = dedup_sorted(bracket_roots(foc, grid, np.asarray(foc(grid), dtype=float)))
+        gv = target - tables.array(cost, MT_GRID_POINTS, 1)
+        roots = dedup_sorted(bracket_roots(foc, grid, gv))
         interior = tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E)
         boundary_values = (float(payoff.value(lo)), float(payoff.value(hi)))
         evaluated, pairs, best = settle(payoff.value, interior, interval)
@@ -244,15 +266,16 @@ def classical_assumptions_report(
     if hi < lo:
         lo, hi = hi, lo
     wgrid = np.linspace(lo, hi, VALIDATION_GRID_POINTS)
-    egrid = scenario.interval.grid(VALIDATION_GRID_POINTS)
+    tables = effort_tables(scenario)
+    egrid = tables.grid(VALIDATION_GRID_POINTS)
 
     u = scenario.agent.utility
     v = scenario.agent.effort_cost
     u1 = require_finite(np.asarray(u.d1(wgrid), dtype=float), wgrid, "u'")
     u2 = require_finite(np.asarray(u.d2(wgrid), dtype=float), wgrid, "u''")
-    v0 = np.asarray(v.eval(egrid), dtype=float)
-    v1 = require_finite(np.asarray(v.d1(egrid), dtype=float), egrid, "v'")
-    v2 = require_finite(np.asarray(v.d2(egrid), dtype=float), egrid, "v''")
+    v0 = tables.array(v, VALIDATION_GRID_POINTS)
+    v1 = require_finite(tables.array(v, VALIDATION_GRID_POINTS, 1), egrid, "v'")
+    v2 = require_finite(tables.array(v, VALIDATION_GRID_POINTS, 2), egrid, "v''")
 
     return ClassicalAssumptionsReport(
         wage_range=(lo, hi),

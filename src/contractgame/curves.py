@@ -226,6 +226,9 @@ class Tabulated(Curve):
     knots: tuple[float, ...]
     values: tuple[float, ...]
     slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # for numpy arguments, one row per cell quantity: x_k, y_k, y_k+1,
+    # h = x_k+1 - x_k, h*m_k and h*m_k+1 (one array keeps the memory small)
+    _cells: np.ndarray = field(init=False, repr=False, compare=False)
     family = "tabulated"
 
     def __post_init__(self):
@@ -243,6 +246,11 @@ class Tabulated(Curve):
         if not all(map(math.isfinite, slopes)):
             raise ValueError("knots and values give knot slopes that are not finite")
         object.__setattr__(self, "slopes", slopes)
+        x, y, m = np.array((knots, values, slopes))
+        h = x[1:] - x[:-1]
+        cells = np.array([x[:-1], y[:-1], y[1:], h, h * m[:-1], h * m[1:]])
+        cells.flags.writeable = False
+        object.__setattr__(self, "_cells", cells)
 
     @staticmethod
     def _fritsch_carlson(x, y):
@@ -284,60 +292,55 @@ class Tabulated(Curve):
                 f"tabulated curve defined on [{lo}, {hi}]; got t={t}"
             )
 
-    def _cells(self, t):
-        if isinstance(t, np.ndarray):
-            idx = np.searchsorted(self.knots, t, side="right") - 1
-            return np.clip(idx, 0, len(self.knots) - 2)
-        idx = bisect_right(self.knots, t) - 1
-        return min(max(idx, 0), len(self.knots) - 2)
-
     def _pieces(self, t):
+        """(y_k, y_k+1, h*m_k, h*m_k+1, h, s) of the cells of t, s = (t - x_k) / h.
+
+        The range check makes k >= 0.  For arrays k is found among the
+        cells' left ends, which puts the top knot in the last cell.
+        """
         self._check_range(t)
-        k = self._cells(t)
         if isinstance(t, np.ndarray):
-            x = np.asarray(self.knots)
-            y = np.asarray(self.values)
-            m = np.asarray(self.slopes)
-            h = x[k + 1] - x[k]
-            s = (t - x[k]) / h
-            return y[k], y[k + 1], m[k], m[k + 1], h, s
+            cells = self._cells
+            k = np.searchsorted(cells[0], t, side="right") - 1
+            x0, y0, y1, h, hm0, hm1 = cells.take(k, axis=1)
+            return y0, y1, hm0, hm1, h, (t - x0) / h
+        k = min(bisect_right(self.knots, t) - 1, len(self.knots) - 2)
         h = self.knots[k + 1] - self.knots[k]
-        s = (t - self.knots[k]) / h
         return (
             self.values[k],
             self.values[k + 1],
-            self.slopes[k],
-            self.slopes[k + 1],
+            h * self.slopes[k],
+            h * self.slopes[k + 1],
             h,
-            s,
+            (t - self.knots[k]) / h,
         )
 
     def eval(self, t):
-        y0, y1, m0, m1, h, s = self._pieces(t)
+        y0, y1, hm0, hm1, _, s = self._pieces(t)
         s2 = s * s
         s3 = s2 * s
         return (
             y0 * (2.0 * s3 - 3.0 * s2 + 1.0)
-            + h * m0 * (s3 - 2.0 * s2 + s)
+            + hm0 * (s3 - 2.0 * s2 + s)
             + y1 * (-2.0 * s3 + 3.0 * s2)
-            + h * m1 * (s3 - s2)
+            + hm1 * (s3 - s2)
         )
 
     def d1(self, t):
-        y0, y1, m0, m1, h, s = self._pieces(t)
+        y0, y1, hm0, hm1, h, s = self._pieces(t)
         s2 = s * s
         return (
             y0 * (6.0 * s2 - 6.0 * s)
-            + h * m0 * (3.0 * s2 - 4.0 * s + 1.0)
+            + hm0 * (3.0 * s2 - 4.0 * s + 1.0)
             + y1 * (-6.0 * s2 + 6.0 * s)
-            + h * m1 * (3.0 * s2 - 2.0 * s)
+            + hm1 * (3.0 * s2 - 2.0 * s)
         ) / h
 
     def d2(self, t):
-        y0, y1, m0, m1, h, s = self._pieces(t)
+        y0, y1, hm0, hm1, h, s = self._pieces(t)
         return (
             y0 * (12.0 * s - 6.0)
-            + h * m0 * (6.0 * s - 4.0)
+            + hm0 * (6.0 * s - 4.0)
             + y1 * (-12.0 * s + 6.0)
-            + h * m1 * (6.0 * s - 2.0)
+            + hm1 * (6.0 * s - 2.0)
         ) / (h * h)

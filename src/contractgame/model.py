@@ -17,6 +17,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import DimensionError, DomainError, ProbabilityRangeError, ValidationError
+from .tables import effort_tables
 
 __all__ = [
     "TAU_P",
@@ -220,7 +221,8 @@ def scenario_validate(
     checked at the wages / net results induced by the given contracts.
     """
     issues: list[Exception] = []
-    grid = scenario.interval.grid(VALIDATION_GRID_POINTS)
+    tables = effort_tables(scenario)
+    grid = tables.grid(VALIDATION_GRID_POINTS)
     n = scenario.n_outcomes
 
     total = np.zeros_like(grid)
@@ -229,7 +231,7 @@ def scenario_validate(
     with np.errstate(all="ignore"):
         for i, comp in enumerate(scenario.profile.components):
             try:
-                vals = np.asarray(comp.eval(grid), dtype=float)
+                vals = tables.array(comp, VALIDATION_GRID_POINTS)
             except DomainError as err:
                 issues.append(DomainError(f"profile component {i}: {err}"))
                 complement_ok = False
@@ -238,7 +240,10 @@ def scenario_validate(
             total += vals
         if complement_ok:
             issues.extend(_range_issues(1.0 - total, grid, n - 1))
-        issues.extend(_curve_issues(scenario.agent.effort_cost, grid, "effort cost"))
+        cost = scenario.agent.effort_cost
+        issues.extend(_curve_issues(
+            lambda _: tables.array(cost, VALIDATION_GRID_POINTS), grid, "effort cost"
+        ))
 
     for ci, contract in enumerate(contracts):
         issues.extend(contract_issues(scenario, contract, f"contract {ci}"))
@@ -261,12 +266,12 @@ def contract_issues(scenario: Scenario, contract: Contract, name: str) -> list[E
             continue
         issues.extend(
             _curve_issues(
-                scenario.agent.utility, wage, f"wage utility at {name} w{wi+1}"
+                scenario.agent.utility.eval, wage, f"wage utility at {name} w{wi+1}"
             )
         )
         issues.extend(
             _curve_issues(
-                scenario.principal.utility, scenario.outcomes[wi] - wage,
+                scenario.principal.utility.eval, scenario.outcomes[wi] - wage,
                 f"principal utility at {name} net result x{wi+1} - w{wi+1}",
             )
         )
@@ -282,11 +287,11 @@ def require_finite(values: np.ndarray, points: np.ndarray, what: str) -> np.ndar
     return values
 
 
-def _curve_issues(curve: Curve, t, what: str) -> list[Exception]:
-    """A DomainError where curve is undefined or not finite at t (a point
-    or an effort grid); empty when it is fine."""
+def _curve_issues(evaluate, t, what: str) -> list[Exception]:
+    """A DomainError where evaluate(t), a curve's values at t (a point or an
+    effort grid), raises or is not finite; empty when it is fine."""
     try:
-        vals = curve.eval(t)
+        vals = evaluate(t)
     except DomainError as err:
         return [DomainError(f"{what}: {err}")]
     if not isinstance(t, np.ndarray):

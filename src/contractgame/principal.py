@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import TAU_EXPECTATION, BestResponse, EffortTables, LinearPayoff, agent_best_response
+from .agent import TAU_EXPECTATION, BestResponse, LinearPayoff, RowScreens, agent_best_response
 from .errors import DimensionError, EnumerationCapExceeded
 from .model import Contract, Scenario
 
@@ -172,17 +172,17 @@ def _select_effort(
     raise ValueError(f"unknown tie-break policy {policy!r}")
 
 
-def _respond(tables: EffortTables, contract: Contract, policy: str, screened: bool):
+def _respond(screens: RowScreens, contract: Contract, policy: str, screened: bool):
     """One contract's (response, effort, principal value).
 
     The response is its own solve, or for a screened contract built from
     its row's screen (RowScreen.response).  effort and value are None when
     the agent rejects the contract.
     """
-    scenario = tables.scenario
+    scenario = screens.scenario
     if screened:
         agent = LinearPayoff.agent(scenario, contract)
-        response = tables.screen(agent.deltas).response(agent.base, scenario)
+        response = screens.screen(agent.deltas).response(agent.base, scenario)
     else:
         response = agent_best_response(scenario, contract)
     if not response.accepted:
@@ -263,7 +263,7 @@ class _FamilyArrays:
         return np.stack([axis[index[:, i]] for i, axis in enumerate(levels)], axis=1)
 
 
-def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: str):
+def _screen(screens: RowScreens, arrays: _FamilyArrays, index, fits, policy: str):
     """Settle the contracts of one chunk from per-row tables, where that is exact.
 
     Returns (screened, accepted, value) per contract; accepted and value
@@ -312,19 +312,19 @@ def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: st
         return screened, accepted, value
     distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
     which = which.reshape(-1)
-    screens = [tables.screen(tuple(d)) for d in distinct.tolist()]
+    row_screens = [screens.screen(tuple(d)) for d in distinct.tolist()]
 
     # per row: reach, size, top, span (a row without a screen has reach 0,
     # so none of its contracts is decided) and its points' offset in cells
     n_comp = levels.shape[1] - 1
     stats = np.array(
         [(0.0, 0.0, 0.0, 0.0) if sc is None else (sc.reach, sc.size, sc.top, sc.span)
-         for sc in screens]
+         for sc in row_screens]
     ).T
-    set_len = np.array([0 if sc is None else sc.points.shape[1] for sc in screens])
+    set_len = np.array([0 if sc is None else sc.points.shape[1] for sc in row_screens])
     set_off = np.cumsum(set_len) - set_len
     cells = np.concatenate(
-        [np.zeros((3 + n_comp, 0))] + [sc.points for sc in screens if sc is not None], axis=1
+        [np.zeros((3 + n_comp, 0))] + [sc.points for sc in row_screens if sc is not None], axis=1
     )
     a_all, v_all, p_all = cells[1], cells[2], cells[3:]
 
@@ -352,7 +352,7 @@ def _screen(tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: st
         f = (base[owner] + a_all[cell]) - v_all[cell]
         best = np.maximum.reduceat(f, first)
         tie = best[owner] - f <= TAU_EXPECTATION * np.maximum(1.0, np.abs(best))[owner]
-        yes = best >= tables.scenario.agent.reservation_utility
+        yes = best >= screens.scenario.agent.reservation_utility
 
         principal = arrays.matrix(arrays.b, index[rows])
         pdeltas = principal[:, :-1] - principal[:, -1:]
@@ -419,8 +419,8 @@ def solve_game(
     row.  Most contracts are settled from their row's tables (_screen,
     where the bound that makes this exact is set out); the rest are solved
     one by one, in order, by agent_best_response, so an error is raised at
-    the same contract as by a loop of its calls.  Only the winner's
-    BestResponse is built, from its row when it was screened, so the result
+    the same contract as by a loop of its calls.  A screened contract's
+    BestResponse is built only if it wins, from its row, so the result
     equals that loop's.
     """
     if tie_break not in TIE_BREAK_POLICIES:
@@ -429,7 +429,7 @@ def solve_game(
             f"choose one of {TIE_BREAK_POLICIES}"
         )
     family.require_within_cap()
-    tables = EffortTables(scenario)
+    screens = RowScreens(scenario)
     arrays = _FamilyArrays(scenario, family)
     incumbent = None
     winner = None
@@ -437,16 +437,19 @@ def solve_game(
     for start in range(0, total, SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, total)
         index, fits = arrays.chunk(start, stop)
-        screened, accepted, value = _screen(tables, arrays, index, fits, tie_break)
-        for k in np.nonzero(~screened)[0]:
-            response, _, v = _respond(tables, arrays.contract(start + k, index[k]), tie_break, False)
+        screened, accepted, value = _screen(screens, arrays, index, fits, tie_break)
+        solved = {}  # chunk position -> (response, effort, value) of an unscreened contract
+        for k in np.nonzero(~screened)[0].tolist():
+            contract = arrays.contract(start + k, index[k])
+            solved[k] = _respond(screens, contract, tie_break, False)
+            response, _, v = solved[k]
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
         found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
         if found is not incumbent:
             incumbent = found
-            k = found[1]
-            winner = arrays.contract(start + k, index[k]), bool(screened[k])
+            k = int(found[1])
+            winner = arrays.contract(start + k, index[k]), solved.get(k)
     if winner is None:
         return GameSolution(
             all_rejected=True,
@@ -457,8 +460,10 @@ def solve_game(
             tie_break=tie_break,
             best_response=None,
         )
-    contract, screened = winner
-    response, effort, value = _respond(tables, contract, tie_break, screened)
+    contract, result = winner
+    if result is None:  # screened: built from its row
+        result = _respond(screens, contract, tie_break, True)
+    response, effort, value = result
     return GameSolution(
         all_rejected=False,
         contract=contract,

@@ -167,3 +167,53 @@ def test_derivatives_match_finite_differences(family):
             assert rel_close(curve.d1(t), fd1), (family, t)
             fd2 = finite_diff_d1(curve.d1, t, step)
             assert rel_close(curve.d2(t), fd2), (family, t)
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _exact_family_curves(rng, count):
+    """(curve, points) for generated polynomials and tabulated curves.
+
+    Coefficients and values span several decades and include zeros of
+    both signs; the points are a grid with its ends, the knots, and -0.0
+    where 0 is in range.
+    """
+    for _ in range(count):
+        lo = float(rng.uniform(-2.0, 1.0))
+        hi = lo + float(rng.uniform(0.1, 3.0))
+        size = int(rng.integers(1, 8))
+        coefficients = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)
+        coefficients[rng.random(size) < 0.3] = 0.0
+        coefficients[rng.random(size) < 0.2] = -0.0
+        knots = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, int(rng.integers(1, 9)))]))
+        values = rng.uniform(-1.0, 1.0, knots.size) * 10.0 ** float(rng.integers(-3, 4))
+        values[rng.random(knots.size) < 0.3] = 0.0
+        if rng.random() < 0.3:
+            values = np.sort(values)  # monotone data, where the slopes are shape-limited
+        if rng.random() < 0.1:
+            values = np.where(rng.random(knots.size) < 0.5, -0.0, 0.0)  # signed zeros only
+        for curve, extra in (
+            (Polynomial(tuple(coefficients)), ()),
+            (Tabulated(tuple(knots), tuple(values)), tuple(knots)),
+        ):
+            points = [*np.linspace(lo, hi, int(rng.integers(2, 300))), *extra]
+            if lo <= 0.0 <= hi:
+                points += [0.0, -0.0]
+            yield curve, np.array(points)
+
+
+@pytest.mark.parametrize("method", ["eval", "d1", "d2"])
+def test_array_and_scalar_evaluation_agree_bit_for_bit(method):
+    """Polynomial and tabulated arrays run the scalar IEEE operations.
+
+    The exp-, log- and power families are left out: numpy's vectorized
+    exp, log and pow may differ from the C library's in the last bit.
+    """
+    rng = np.random.default_rng(4242)
+    for curve, points in _exact_family_curves(rng, 300):
+        array = getattr(curve, method)(points)
+        scalar = [getattr(curve, method)(float(t)) for t in points]
+        assert np.array_equal(_bits(array), _bits(scalar)), (curve, method)

@@ -9,6 +9,7 @@ Regenerate a golden only for an intended output change, e.g.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,32 @@ def test_every_exported_name_exists(module):
     loaded = importlib.import_module(name)
     missing = [n for n in getattr(loaded, "__all__", ()) if not hasattr(loaded, n)]
     assert missing == []
+
+
+def _tracing_module():
+    """perfbench/tracing.py, loaded from its file (it is not a package)."""
+    path = TESTS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """The benchmark's trace run replaces these by name, so a rename or an
+    inherited curve method would crash it."""
+    tracing = _tracing_module()
+    for module, attr, _ in tracing.LAYER_TARGETS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    for cls in tracing.CURVE_CLASSES:
+        for method in ("eval", "d1", "d2"):
+            assert method in vars(cls), f"{cls.__name__}.{method}"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert run_command(["solve-game", FIXTURE]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["calls"]["principal.solve_game"] == 1
+    assert summary["curve_calls"]["array"] > 0
