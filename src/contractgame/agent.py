@@ -23,15 +23,14 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Contract, EffortInterval, Scenario, require_finite
-from .tables import EffortTables, effort_tables
+from .tables import (
+    MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, EffortTables, effort_tables,
+)
 
 __all__ = [
     "TAU_E",
     "TAU_EXPECTATION",
     "TAU_R",
-    "MT_GRID_POINTS",
-    "SCAN_GRID_POINTS",
-    "RISK_GRID_POINTS",
     "REFINE_TOL",
     "DELTA_ROW_MEMO",
     "MaximizerKind",
@@ -56,9 +55,6 @@ TAU_E = 1e-9            # effort dedup / boundary-coincidence tolerance
 TAU_EXPECTATION = 1e-9  # relative tie tolerance on expectation values
 TAU_R = 1e-9            # absolute persistence sign tolerance
 
-MT_GRID_POINTS = 1025    # bracketing grid for motivation roots
-SCAN_GRID_POINTS = 4097  # dense value scan for local maxima
-RISK_GRID_POINTS = 2049  # persistence sampling grid
 REFINE_TOL = 1e-12       # bisection / golden-section interval target
 
 DELTA_ROW_MEMO = 4096    # utility-delta rows whose RowScreen RowScreens keeps
@@ -174,25 +170,19 @@ class LinearPayoff:
             acc = acc + delta * comp.d2(e)
         return acc if self.cost is None else acc - self.cost.d2(e)
 
-    def weighted(self, table):
-        """sum_i delta_i table(p_i) over the nonzero deltas, in value's order from 0.0."""
+    def on_grid(self, tables: EffortTables, points: int, order: int):
+        """value (order 0), slope (1) or curvature (2) on the tables' grid of points.
+
+        The curves' arrays come from tables, and the operations are those
+        of value, slope and curvature in their order, so the result is
+        bit-identical to calling them on the grid.
+        """
         acc = 0.0
         for delta, comp in self.terms:
-            acc = acc + delta * table(comp)
-        return acc
-
-    def on_table(self, table, with_base: bool):
-        """value (with_base), slope or curvature on a grid from table(curve).
-
-        table gives each curve's eval, d1 or d2 on the grid, and picks which
-        of the three this is.  The operations are those of value, slope and
-        curvature in their order, so the result is bit-identical to calling
-        them on the grid.
-        """
-        acc = self.weighted(table)
-        if with_base:
+            acc = acc + delta * tables.array(comp, points, order)
+        if order == 0:
             acc = self.base + acc
-        return acc if self.cost is None else acc - table(self.cost)
+        return acc if self.cost is None else acc - tables.array(self.cost, points, order)
 
 
 def agent_expectation(scenario: Scenario, contract: Contract, e: float) -> float:
@@ -395,9 +385,9 @@ def hybrid_maximize(payoff, tables: EffortTables):
     """Global maximizers of a C1 payoff f on the tables' effort interval.
 
     payoff gives f and its derivative df as ``value`` and ``slope`` at a
-    point, and on a grid through ``on_table`` from the tables' arrays
-    (LinearPayoff's protocol).  Returns (maximizers, best_value, constant)
-    where maximizers is a tuple of (point, value) pairs sorted by point.
+    point, and on the tables' grids through ``on_grid`` (LinearPayoff's
+    protocol).  Returns (maximizers, best_value, constant) where
+    maximizers is a tuple of (point, value) pairs sorted by point.
     Candidates come from three sources: the interval boundaries,
     sign-change roots of df bracketed on a uniform grid and bisected to
     ``REFINE_TOL``, and local maxima of a dense value scan.  Scan brackets
@@ -409,13 +399,13 @@ def hybrid_maximize(payoff, tables: EffortTables):
     """
     f, df, interval = payoff.value, payoff.slope, tables.interval
     scan = tables.grid(SCAN_GRID_POINTS)
-    fv = np.asarray(payoff.on_table(tables.table(SCAN_GRID_POINTS), True), dtype=float)
+    fv = np.asarray(payoff.on_grid(tables, SCAN_GRID_POINTS, 0), dtype=float)
     flat = flat_scan(scan, fv, interval)
     if flat is not None:
         return flat
 
     grid = tables.grid(MT_GRID_POINTS)
-    gv = payoff.on_table(tables.table(MT_GRID_POINTS, 1), False)
+    gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
     candidates = bracket_roots(df, grid, np.asarray(gv, dtype=float))
     interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
     for first, last in _merge_runs(interior.tolist()):
@@ -443,12 +433,12 @@ class RowScreens:
         self._rows: dict[tuple[float, ...], RowScreen | None] = {}
         self._cost_size: float | None = None
 
-    def cost_on_scan(self) -> tuple[np.ndarray, float]:
-        """The effort cost on the scan and its largest magnitude there."""
-        v = self.tables.array(self.scenario.agent.effort_cost, SCAN_GRID_POINTS)
+    def cost_size(self) -> float:
+        """The effort cost's largest magnitude on the scan."""
         if self._cost_size is None:
+            v = self.tables.array(self.scenario.agent.effort_cost, SCAN_GRID_POINTS)
             self._cost_size = float(max(v.max(), -v.min()))
-        return v, self._cost_size
+        return self._cost_size
 
     def screen(self, deltas: tuple[float, ...]) -> RowScreen | None:
         """The RowScreen of a finite utility-delta row (LinearPayoff.deltas).
@@ -474,7 +464,8 @@ class RowScreen:
 
     A contract with base b = u(w_n) has the scan values fv = (b + a) - v,
     where a = sum_i delta_i p_i and v is the cost on the scan.  With
-    h = a - v and d_j = h_j - h_{j-1} as computed:
+    h = (0.0 + a) - v, the row's payoff with base 0.0 on the scan (a - v
+    up to the sign of a zero), and d_j = h_j - h_{j-1} as computed:
 
     - ``reach``: the least |d_j|, positive; ``top`` and ``span``: max h
       and max h - min h;
@@ -503,17 +494,15 @@ class RowScreen:
         scenario, tables = screens.scenario, screens.tables
         scan = tables.grid(SCAN_GRID_POINTS)
         payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-        a = payoff.weighted(tables.table(SCAN_GRID_POINTS))
-        v, v_size = screens.cost_on_scan()
-        h = a - v
+        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
         d = h[1:] - h[:-1]
         reach = float(np.abs(d).min())
         top = float(h.max())
         low = float(h.min())
-        size = max(top, -low) + 2.0 * v_size
+        size = max(top, -low) + 2.0 * screens.cost_size()
         if not (reach > 0.0 and math.isfinite(size)):
             return None
-        gv = payoff.on_table(tables.table(MT_GRID_POINTS, 1), with_base=False)
+        gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
         grid = tables.grid(MT_GRID_POINTS)
         candidates = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
         rising = d > 0.0
@@ -624,6 +613,6 @@ def classify_risk(scenario: Scenario, contract: Contract) -> RiskClassification:
     """
     payoff = LinearPayoff.agent(scenario, contract)
     tables = effort_tables(scenario)
-    grid = tables.grid(RISK_GRID_POINTS)
-    samples = np.asarray(payoff.on_table(tables.table(RISK_GRID_POINTS, 2), False), dtype=float)
+    grid = tables.grid(VALIDATION_GRID_POINTS)
+    samples = np.asarray(payoff.on_grid(tables, VALIDATION_GRID_POINTS, 2), dtype=float)
     return classify_persistence_samples(require_finite(samples, grid, "persistence"))

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import (
-    MT_GRID_POINTS,
-    SCAN_GRID_POINTS,
     TAU_E,
     BestResponse,
     LinearPayoff,
@@ -31,8 +29,8 @@ from .agent import (
 )
 from .errors import NotTwoOutcomeLinearError
 from .curves import Polynomial
-from .model import VALIDATION_GRID_POINTS, Contract, Scenario, require_finite
-from .tables import effort_tables
+from .model import Contract, Scenario, require_finite
+from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables
 
 __all__ = [
     "EPSILON_INVISIBLE",
@@ -113,7 +111,7 @@ class ClassicalAssumptionsReport:
 
 
 class _Negated:
-    """-curve in LinearPayoff's protocol (value, slope, on_table), for hybrid_maximize.
+    """-curve in LinearPayoff's protocol (value, slope, on_grid), for hybrid_maximize.
 
     Negated, not subtracted from 0.0, so a zero cost gives -0.0 as -v does.
     """
@@ -129,8 +127,8 @@ class _Negated:
     def slope(self, e):
         return -self.curve.d1(e)
 
-    def on_table(self, table, with_base: bool):
-        return -table(self.curve)
+    def on_grid(self, tables, points: int, order: int):
+        return -tables.array(self.curve, points, order)
 
 
 def detect_invisible_effort(
@@ -166,7 +164,7 @@ def detect_invisible_effort(
     cost = _Negated(scenario.agent.effort_cost)
     pairs, best, constant = hybrid_maximize(cost, tables)
     best_response = best_response_from(pairs, best, constant, scenario.interval, True)
-    samples = cost.on_table(tables.table(VALIDATION_GRID_POINTS, 2), False)
+    samples = cost.on_grid(tables, VALIDATION_GRID_POINTS, 2)
     risk = classify_persistence_samples(require_finite(samples, grid, "persistence"))
     return InvisibleEffortReport(True, deviation, epsilon, best_response, risk)
 
@@ -207,7 +205,7 @@ def two_outcome_linear_analysis(
     tables = effort_tables(scenario)
 
     scan = tables.grid(SCAN_GRID_POINTS)
-    fv = payoff.on_table(tables.table(SCAN_GRID_POINTS), True)
+    fv = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
     flat = flat_scan(scan, np.asarray(fv, dtype=float), interval)
     if flat is not None:
         pairs, best, constant = flat

@@ -118,19 +118,11 @@ def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
 def _cmd_validate(args) -> int:
     try:
         parse_scenario(args.file)
-    except ValidationError as err:
+    except (ValidationError, ParseError) as err:
+        issues = err.issues if isinstance(err, ValidationError) else [err]
         report = {
             "valid": False,
-            "issues": [
-                {"kind": type(i).__name__, "message": str(i)} for i in err.issues
-            ],
-        }
-        print(render_json(report))
-        return 1
-    except ParseError as err:
-        report = {
-            "valid": False,
-            "issues": [{"kind": "ParseError", "message": str(err)}],
+            "issues": [{"kind": type(i).__name__, "message": str(i)} for i in issues],
         }
         print(render_json(report))
         return 1
@@ -200,7 +192,10 @@ def _cmd_sweep(args) -> int:
     contract = _resolve_contract(doc, args.contract)
     if args.points < 2:
         raise ContractGameError("--points must be at least 2")
-    grid = doc.scenario.interval.grid(args.points)
+    try:
+        grid = doc.scenario.interval.grid(args.points)
+    except (MemoryError, ValueError) as err:  # ValueError: beyond numpy's largest array
+        raise ContractGameError(f"--points {args.points} is too large: {err}") from err
     names = ("expectation", "motivation", "persistence")
     ev, mv, pv = (
         require_finite(np.asarray(fn(grid), dtype=float), grid, name)

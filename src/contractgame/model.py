@@ -17,11 +17,10 @@ import numpy as np
 
 from .curves import Curve
 from .errors import DimensionError, DomainError, ProbabilityRangeError, ValidationError
-from .tables import effort_tables
+from .tables import VALIDATION_GRID_POINTS, effort_grid, effort_tables
 
 __all__ = [
     "TAU_P",
-    "VALIDATION_GRID_POINTS",
     "EffortInterval",
     "Contract",
     "EffortProfile",
@@ -39,9 +38,6 @@ __all__ = [
 # Probability slack: profile values may stray this far outside [0, 1]
 # before validation fails; values inside the slack are clamped.
 TAU_P = 1e-9
-
-# Uniform grid resolution used by scenario_validate and the risk sampler.
-VALIDATION_GRID_POINTS = 2049
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ class EffortInterval:
             )
 
     def grid(self, points: int) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, points)
+        return effort_grid(self, points)
 
 
 @dataclass(frozen=True)

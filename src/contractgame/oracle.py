@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContractGameError, DomainError
 from .model import Contract, EffortInterval, Scenario, profile_probs
 
 __all__ = [
@@ -51,7 +51,7 @@ def grid_argmax(f, interval: EffortInterval, points: int):
     """
     if points < 2:
         raise ValueError("grid_argmax needs at least 2 points")
-    grid = np.linspace(interval.lo, interval.hi, points)
+    grid = interval.grid(points)
     try:
         vals = np.asarray(f(grid), dtype=float)
         if vals.shape != grid.shape:
@@ -102,7 +102,11 @@ def monte_carlo_payoffs(
 
     rng = np.random.default_rng(seed)
     cdf = _cdf(profile_probs(scenario, e))
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    try:
+        uniforms = rng.random(n)
+    except (MemoryError, ValueError) as err:  # ValueError: beyond numpy's largest array
+        raise ContractGameError(f"{n} draws do not fit in memory: {err}") from err
+    idx = np.searchsorted(cdf, uniforms, side="right")
     counts = np.bincount(idx, minlength=scenario.n_outcomes)
 
     u = scenario.agent.utility

@@ -276,7 +276,10 @@ def _screen(screens: RowScreens, arrays: _FamilyArrays, index, fits, policy: str
     Bound.  Let u = 2^-53 and S = |b| + max_j(|a_j| + |v_j|), at most
     (1 + 2u)(|b| + size).  Then fv_j is b + h_j within 3uS, h_j = a_j - v_j
     exactly, so fv_j - fv_{j-1} is h_j - h_{j-1} within 6uS; the row's
-    d_j = fl(fl(h_j) - fl(h_{j-1})) is h_j - h_{j-1} within 5uS.  If
+    d_j = fl(fl(h_j) - fl(h_{j-1})) is h_j - h_{j-1} within 5uS.  (The row
+    computes fl(h_j) as fl(fl(0.0 + a_j) - v_j), its payoff with base 0.0;
+    0.0 + a_j is a_j but for the sign of a zero, which no difference,
+    comparison, max or magnitude below sees.)  If
     |d_j| > 11uS, fv_j - fv_{j-1} is not 0 and has the sign of d_j, so the
     scan's test fv_j >= fv_{j-1} is d_j > 0.  The screen asks reach =
     min_j |d_j| > sigma = 2^-48 (|b| + size), which is at least 31uS.

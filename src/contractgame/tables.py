@@ -1,13 +1,13 @@
-"""The curves of one scenario on its fixed effort grids, evaluated once.
+"""The effort grids, and the curves of one scenario on them, evaluated once.
 
 The agent-side entry points ask several questions of the same curves on
 the same few effort grids: the optimum of E, its motivation, its
 persistence, whether the profile reacts to effort, and whether the
-scenario is valid.  An EffortTables builds each grid once and fills each
-curve's eval, d1 or d2 on a grid on first use, as a read-only array.
-effort_tables keeps the tables of the most recent scenario only, so
-consecutive calls on one scenario share them while memory stays at one
-scenario's worth.
+scenario is valid.  Every grid is a strided view of one dense scan, and
+each curve's eval, d1 and d2 is evaluated once, on the finest grid it is
+read on.  effort_tables keeps the tables of the most recent scenario
+only, so consecutive calls on one scenario share them while memory stays
+at one scenario's worth.
 """
 
 from __future__ import annotations
@@ -16,50 +16,64 @@ import weakref
 
 import numpy as np
 
-__all__ = ["EffortTables", "effort_tables"]
+__all__ = ["SCAN_GRID_POINTS", "VALIDATION_GRID_POINTS", "MT_GRID_POINTS",
+           "EffortTables", "effort_grid", "effort_tables"]
 
+SCAN_GRID_POINTS = 4097        # dense value scan for local maxima
+VALIDATION_GRID_POINTS = 2049  # validation, persistence and the analyzers: scan[::2]
+MT_GRID_POINTS = 1025          # bracketing grid for motivation roots: scan[::4]
+
+# each grid's stride over the scan, and the grid eval, d1 and d2 are filled on
+_STRIDES = {SCAN_GRID_POINTS: 1, VALIDATION_GRID_POINTS: 2, MT_GRID_POINTS: 4}
+_FILLS = (SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, VALIDATION_GRID_POINTS)
 _ORDERS = ("eval", "d1", "d2")
 
 
-class EffortTables:
-    """Grids over one effort interval and curve arrays on them, filled on first use.
+def effort_grid(interval, points: int) -> np.ndarray:
+    """The uniform grid of that many efforts over interval, both ends included."""
+    # point i is lo + i * (width / (points - 1)); halving points - 1 doubles
+    # the step exactly, so the coarse grid is every other point of the fine
+    # one bit for bit, unless the width is below 2^-1010 (a subnormal step)
+    return np.linspace(interval.lo, interval.hi, points)
 
-    ``grid(points)`` is the uniform grid of that many points, and
-    ``array(curve, points, order)`` the curve's eval (order 0), d1 or d2 on
-    it.  Both are read-only.  A call that raises caches nothing, so the
-    next caller meets the same error.
+
+class EffortTables:
+    """The effort grids over one interval and curve arrays on them, filled on first use.
+
+    ``grid(points)`` is the grid of SCAN_GRID_POINTS, VALIDATION_GRID_POINTS
+    or MT_GRID_POINTS points, a view of the scan.  ``array(curve, points,
+    order)`` is the curve's eval (order 0, filled on the scan), d1 or d2
+    (filled on the VALIDATION_GRID_POINTS grid, so read there or on the
+    bracket grid) on it, a view of that fill.  Both are read-only.  A call
+    that raises caches nothing, so the next caller meets the same error.
     """
 
     __slots__ = ("interval", "_grids", "_arrays")
 
     def __init__(self, interval):
         self.interval = interval
-        self._grids: dict[int, np.ndarray] = {}
+        scan = effort_grid(interval, SCAN_GRID_POINTS)
+        scan.flags.writeable = False
+        self._grids = {points: scan[::stride] for points, stride in _STRIDES.items()}
         # (id(curve), points, order) -> (curve, values); holding the curve
         # keeps its id from being reused while the entry lives
         self._arrays: dict[tuple[int, int, int], tuple[object, np.ndarray]] = {}
 
     def grid(self, points: int) -> np.ndarray:
-        grid = self._grids.get(points)
-        if grid is None:
-            grid = self.interval.grid(points)
-            grid.flags.writeable = False
-            self._grids[points] = grid
-        return grid
+        return self._grids[points]
 
     def array(self, curve, points: int, order: int = 0) -> np.ndarray:
         key = (id(curve), points, order)
         entry = self._arrays.get(key)
         if entry is None:
-            values = getattr(curve, _ORDERS[order])(self.grid(points))
-            values = np.asarray(values, dtype=float)
-            values.flags.writeable = False
+            fill = _FILLS[order]
+            if points == fill:
+                values = np.asarray(getattr(curve, _ORDERS[order])(self._grids[fill]), dtype=float)
+                values.flags.writeable = False
+            else:  # a view, cached: solve_game reads the same arrays for every delta row
+                values = self.array(curve, fill, order)[:: _STRIDES[points] // _STRIDES[fill]]
             entry = self._arrays[key] = (curve, values)
         return entry[1]
-
-    def table(self, points: int, order: int = 0):
-        """curve -> array(curve, points, order): the table LinearPayoff.on_table reads."""
-        return lambda curve: self.array(curve, points, order)
 
 
 # (weak reference to the most recent scenario, its tables); replaced whole,

@@ -360,6 +360,25 @@ class TestMalformedDocuments:
         assert run_command(["analyze", FIXTURE, "--epsilon", epsilon]) == 1
         assert "--epsilon" in capsys.readouterr().err
 
+    # 10^16 floats are 71 PiB, beyond any address space, so the allocation
+    # fails at once; 10^30 is beyond numpy's largest array
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", FIXTURE, "--points", str(10**16)],
+            ["sweep", FIXTURE, "--points", str(10**30)],
+            ["simulate", FIXTURE, "--effort", "0.5", "--n", str(10**16)],
+            ["simulate", FIXTURE, "--effort", "0.5", "--n", str(10**30)],
+        ],
+        ids=["sweep-1e16", "sweep-1e30", "simulate-1e16", "simulate-1e30"],
+    )
+    def test_sizes_beyond_memory_give_one_error_line(self, argv, capsys):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(int(argv[-1])) in captured.err
+
 
 def _overflowing_cost_derivatives(raw):
     raw["agent"]["effort_cost"]["coefficients"] = [0.0, 0.0, -1e308]

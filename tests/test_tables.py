@@ -3,14 +3,18 @@
 Every agent-side entry point reads its grid arrays from effort_tables.
 Whether a call fills the tables or finds them filled must not change a
 result or an error, the arrays must be read-only, and only the most
-recent scenario's tables may stay reachable.
+recent scenario's tables may stay reachable.  Every grid is a view of
+one scan, each curve's eval, d1 and d2 is evaluated once, and a strided
+view must equal what evaluating on its own grid gives.
 """
 
 import gc
+import json
 import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from contractgame import (
     DomainError,
     EffortInterval,
     EffortProfile,
+    ExpAffine,
     LogAffine,
     Polynomial,
     Power,
@@ -37,9 +42,14 @@ from contractgame import (
     solve_game,
     two_outcome_linear_analysis,
 )
-from contractgame.agent import MT_GRID_POINTS, RISK_GRID_POINTS, SCAN_GRID_POINTS
-from contractgame.model import VALIDATION_GRID_POINTS
-from contractgame.tables import EffortTables, effort_tables
+from contractgame.cli import run_command
+from contractgame.tables import (
+    MT_GRID_POINTS,
+    SCAN_GRID_POINTS,
+    VALIDATION_GRID_POINTS,
+    EffortTables,
+    effort_tables,
+)
 from scenario_gen import (
     averse_taxonomy_scenario,
     constant_profile_scenario,
@@ -173,7 +183,8 @@ class TestSharedResults:
             with pytest.raises(DomainError, match="flaky"):
                 tables.array(curve, SCAN_GRID_POINTS)
         assert len(calls) == 2
-        assert tables.array(curve, SCAN_GRID_POINTS, 1) is tables.array(curve, SCAN_GRID_POINTS, 1)
+        d1 = tables.array(curve, VALIDATION_GRID_POINTS, 1)
+        assert tables.array(curve, VALIDATION_GRID_POINTS, 1) is d1
 
 
 class TestStore:
@@ -213,7 +224,7 @@ class TestStore:
         for name in sorted(ENTRY_POINTS):
             _outcome(name, scenario, contract)
         tables = effort_tables(scenario)
-        arrays = [tables.grid(p) for p in (SCAN_GRID_POINTS, MT_GRID_POINTS, RISK_GRID_POINTS)]
+        arrays = [tables.grid(p) for p in (SCAN_GRID_POINTS, MT_GRID_POINTS, VALIDATION_GRID_POINTS)]
         for curve in (*scenario.profile.components, scenario.agent.effort_cost):
             arrays += [tables.array(curve, VALIDATION_GRID_POINTS, order) for order in range(3)]
             arrays.append(tables.array(curve, SCAN_GRID_POINTS))
@@ -225,10 +236,14 @@ class TestStore:
             with pytest.raises(ValueError):
                 array += 1.0
 
-    def test_validation_and_risk_grids_are_one_grid(self):
-        assert VALIDATION_GRID_POINTS == RISK_GRID_POINTS
+    def test_every_grid_is_a_view_of_the_one_scan(self):
         tables = effort_tables(reference_scenario()[0])
-        assert tables.grid(VALIDATION_GRID_POINTS) is tables.grid(RISK_GRID_POINTS)
+        scan = tables.grid(SCAN_GRID_POINTS)
+        for points, stride in ((VALIDATION_GRID_POINTS, 2), (MT_GRID_POINTS, 4)):
+            grid = tables.grid(points)
+            assert grid is tables.grid(points)
+            assert np.shares_memory(grid, scan)
+            assert np.array_equal(grid, scan[::stride])
 
     def test_threads_sharing_the_store_get_their_own_results(self):
         """Threads on different scenarios swap the one slot under each other."""
@@ -249,3 +264,120 @@ class TestStore:
         finally:
             sys.setswitchinterval(interval)
         assert got == [expected[k % len(docs)] for k in range(20)]
+
+
+ORDERS = ("eval", "d1", "d2")
+CURVE_CLASSES = (Polynomial, ExpAffine, LogAffine, Power, Tabulated)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestOneEvaluation:
+    def test_each_curve_order_is_evaluated_on_an_array_once(self, monkeypatch):
+        """All seven entry points on one scenario call eval, d1 and d2 at most once each."""
+        calls = []
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(self, t):
+                if isinstance(t, np.ndarray):
+                    calls.append((id(self), name))
+                return method(self, t)
+
+            return wrapper
+
+        for cls in CURVE_CLASSES:
+            for name in ORDERS:
+                monkeypatch.setattr(cls, name, counting(cls, name))
+        docs = _documents()[: -len(ERROR_SCENARIOS)]
+        for scenario, contract in docs:
+            _clear()
+            calls.clear()
+            for name in sorted(ENTRY_POINTS):
+                _outcome(name, scenario, contract)
+            repeated = {key for key in calls if calls.count(key) > 1}
+            assert not repeated, (scenario, repeated)
+            # the scan's eval and the d1 of every profile component were read
+            for comp in scenario.profile.components:
+                assert (id(comp), "eval") in calls and (id(comp), "d1") in calls
+
+
+def _family_curves(rng, interval):
+    """One curve of each of the five families, defined on the interval."""
+    lo, hi = interval.lo, interval.hi
+    shift = float(rng.uniform(0.05, 1.0)) - lo  # t + shift > 0 on the interval
+    knots = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, int(rng.integers(1, 9)))]))
+    a, b = (float(x) for x in rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, size=2))
+    return (
+        Polynomial(tuple(float(c) for c in rng.normal(size=int(rng.integers(1, 7))))),
+        ExpAffine(a, b, float(rng.uniform(-4.0, 4.0))),
+        LogAffine(a, b, shift),
+        Power(b, float(rng.uniform(-2.0, 3.0)), shift),
+        Tabulated(tuple(knots), tuple(rng.uniform(-1.0, 1.0, knots.size))),
+    )
+
+
+class TestStrides:
+    def test_coarse_grids_are_the_scans_even_and_fourth_points(self):
+        """np.linspace nests for every width of at least 2^-1010."""
+        rng = np.random.default_rng(8104)
+        checked = 0
+        for _ in range(2000):
+            lo = 0.0 if rng.random() < 0.1 else float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300))
+            hi = lo + float(10.0 ** rng.uniform(-300, 300))
+            if not (np.isfinite(hi) and hi - lo >= 2.0**-1010):
+                continue
+            interval = EffortInterval(lo, hi)
+            scan = interval.grid(SCAN_GRID_POINTS)
+            assert np.array_equal(_bits(interval.grid(VALIDATION_GRID_POINTS)), _bits(scan[::2]))
+            assert np.array_equal(_bits(interval.grid(MT_GRID_POINTS)), _bits(scan[::4]))
+            checked += 1
+        assert checked > 1000
+
+    def test_strided_fills_equal_evaluation_on_the_coarse_grid(self):
+        rng = np.random.default_rng(8105)
+        for _ in range(150):
+            lo = float(rng.uniform(-3.0, 3.0)) * 10.0 ** float(rng.integers(-3, 3))
+            interval = EffortInterval(lo, lo + float(rng.uniform(0.01, 5.0)))
+            tables = EffortTables(interval)
+            with np.errstate(all="ignore"):  # exp-affine may overflow to inf
+                for curve in _family_curves(rng, interval):
+                    for order, name in enumerate(ORDERS):
+                        for points in (VALIDATION_GRID_POINTS, MT_GRID_POINTS):
+                            direct = getattr(curve, name)(interval.grid(points))
+                            strided = tables.array(curve, points, order)
+                            assert np.array_equal(_bits(strided), _bits(direct)), (curve, name, points)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1e-310), (1e-310, 3e-310)])
+    def test_widths_that_do_not_nest_solve_as_separate_grids(self, bounds, tmp_path, monkeypatch, capsys):
+        """Below 2^-1010 the coarse grids are still the scan's views, with the same reports."""
+
+        class LinspaceTables(EffortTables):
+            """Each grid its own np.linspace, and each array evaluated on it."""
+
+            def grid(self, points):
+                return self.interval.grid(points)
+
+            def array(self, curve, points, order=0):
+                return np.asarray(getattr(curve, ORDERS[order])(self.grid(points)), dtype=float)
+
+        interval = EffortInterval(*bounds)
+        assert not np.array_equal(interval.grid(MT_GRID_POINTS), interval.grid(SCAN_GRID_POINTS)[::4])
+        fixture = Path(__file__).parent / "fixtures" / "scenario_r.json"
+        raw = json.loads(fixture.read_text(encoding="utf-8"))
+        raw["effort_interval"] = list(bounds)
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        reports = {}
+        for store in (EffortTables, LinspaceTables):
+            monkeypatch.setattr(tables_module, "EffortTables", store)
+            _clear()
+            reports[store] = []
+            for command in ("validate", "solve-agent", "classify-risk", "analyze", "solve-game"):
+                code = run_command([command, str(path)])
+                reports[store].append((command, code, capsys.readouterr()))
+        assert [code for _, code, _ in reports[EffortTables]] == [0] * 5
+        assert reports[EffortTables] == reports[LinspaceTables]
