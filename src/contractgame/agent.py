@@ -32,14 +32,11 @@ __all__ = [
     "TAU_EXPECTATION",
     "TAU_R",
     "REFINE_TOL",
-    "DELTA_ROW_MEMO",
     "MaximizerKind",
     "Maximizer",
     "BestResponse",
     "RiskClass",
     "RiskClassification",
-    "RowScreens",
-    "RowScreen",
     "agent_expectation",
     "motivation",
     "persistence",
@@ -56,8 +53,6 @@ TAU_EXPECTATION = 1e-9  # relative tie tolerance on expectation values
 TAU_R = 1e-9            # absolute persistence sign tolerance
 
 REFINE_TOL = 1e-12       # bisection / golden-section interval target
-
-DELTA_ROW_MEMO = 4096    # utility-delta rows whose RowScreen RowScreens keeps
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -286,7 +281,8 @@ def _merge_runs(indices):
 
 # The maximizer pipeline.  hybrid_maximize chains the stages below; the
 # two-outcome analyzer runs its own candidate set through the same ones, and
-# RowScreen the slope work of a utility-delta row.
+# solve_game's row screen (contractgame.principal) the slope work of a
+# utility-delta row.
 
 def flat_scan(scan: np.ndarray, fv: np.ndarray, interval: EffortInterval):
     """The flat shortcut on the values fv of the dense scan.
@@ -416,133 +412,6 @@ def hybrid_maximize(payoff, tables: EffortTables):
 
     _, pairs, best = settle(f, candidates, interval)
     return pairs, best, False
-
-
-class RowScreens:
-    """The RowScreen (or None) of each utility-delta row solve_game meets.
-
-    Reads the scenario's EffortTables, and keeps at most DELTA_ROW_MEMO
-    rows (a full memo starts over).
-    """
-
-    __slots__ = ("scenario", "tables", "_rows", "_cost_size")
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.tables = effort_tables(scenario)
-        self._rows: dict[tuple[float, ...], RowScreen | None] = {}
-        self._cost_size: float | None = None
-
-    def cost_size(self) -> float:
-        """The effort cost's largest magnitude on the scan."""
-        if self._cost_size is None:
-            v = self.tables.array(self.scenario.agent.effort_cost, SCAN_GRID_POINTS)
-            self._cost_size = float(max(v.max(), -v.min()))
-        return self._cost_size
-
-    def screen(self, deltas: tuple[float, ...]) -> RowScreen | None:
-        """The RowScreen of a finite utility-delta row (LinearPayoff.deltas).
-
-        None when the row has no screen, or when building it raises or
-        meets a value that is not finite: the row's contracts are then
-        solved one by one, which raises the same error at the same contract.
-        """
-        rows = self._rows
-        if deltas not in rows:
-            if len(rows) >= DELTA_ROW_MEMO:
-                rows.clear()
-            try:
-                rows[deltas] = RowScreen.build(self, deltas)
-            except Exception:
-                rows[deltas] = None
-        return rows[deltas]
-
-
-@dataclass(frozen=True, eq=False)
-class RowScreen:
-    """A delta row's base-free tables, from which solve_game screens its contracts.
-
-    A contract with base b = u(w_n) has the scan values fv = (b + a) - v,
-    where a = sum_i delta_i p_i and v is the cost on the scan.  With
-    h = (0.0 + a) - v, the row's payoff with base 0.0 on the scan (a - v
-    up to the sign of a zero), and d_j = h_j - h_{j-1} as computed:
-
-    - ``reach``: the least |d_j|, positive; ``top`` and ``span``: max h
-      and max h - min h;
-    - ``size``: max |h| + 2 max |v|, so that (1 + 2^-52) size bounds every
-      |a_j| + |v_j| on the scan, and at least max |a| + max |v| at the
-      points below;
-    - ``points``: the settled candidates of a contract whose scan peaks are
-      h's: its bracket-grid roots and the roots h's peaks snap onto, as an
-      array with one column per effort and the rows effort, a, v, p_1, ...,
-      p_{n-1} (the base-free sum, the cost and every component there, from
-      scalar calls, as settle and the principal make them).
-
-    A row has no screen (build returns None) when h has a flat step
-    (reach 0) or a scan peak of h brackets no sign change of the slope
-    (golden section).
-    """
-
-    reach: float
-    top: float
-    span: float
-    size: float
-    points: np.ndarray
-
-    @classmethod
-    def build(cls, screens: RowScreens, deltas: tuple[float, ...]) -> RowScreen | None:
-        scenario, tables = screens.scenario, screens.tables
-        scan = tables.grid(SCAN_GRID_POINTS)
-        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
-        d = h[1:] - h[:-1]
-        reach = float(np.abs(d).min())
-        top = float(h.max())
-        low = float(h.min())
-        size = max(top, -low) + 2.0 * screens.cost_size()
-        if not (reach > 0.0 and math.isfinite(size)):
-            return None
-        gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
-        grid = tables.grid(MT_GRID_POINTS)
-        candidates = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
-        rising = d > 0.0
-        for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
-            root = snap_root(payoff.slope, float(scan[j - 1]), float(scan[j + 1]))
-            if root is None:
-                return None
-            candidates.append(root)
-        points = cls._at(scenario, deltas, settle_points(candidates, scenario.interval))
-        a_max, v_max = np.abs(points[1:3]).max(axis=1)
-        return cls(reach, top, top - low, float(max(size, a_max + v_max)), points)
-
-    @staticmethod
-    def _at(scenario: Scenario, deltas, points) -> np.ndarray:
-        """The rows effort, a, v, p_1, ... at the points from scalar calls, in value's order."""
-        cost = scenario.agent.effort_cost
-        p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
-        a = []
-        for k in range(len(points)):
-            acc = 0.0
-            for delta, pk in zip(deltas, p):
-                if delta != 0.0:
-                    acc = acc + delta * pk[k]
-            a.append(acc)
-        v = [cost.eval(c) for c in points]
-        if not all(map(math.isfinite, a + v)):
-            raise DomainError(f"objective is not finite at {points}")
-        return np.array([points, a, v, *p], dtype=float)
-
-    def response(self, base: float, scenario: Scenario) -> BestResponse:
-        """The BestResponse of the row's screened contract with base u(w_n).
-
-        Its settle values are (b + a_k) - v_k at the points, the operations
-        of LinearPayoff.value on the same scalar calls.
-        """
-        points, a, v = self.points[:3].tolist()
-        evaluated = [(c, float((base + ak) - vk)) for c, ak, vk in zip(points, a, v)]
-        pairs, best = tie_set(evaluated)
-        accepted = best >= scenario.agent.reservation_utility
-        return best_response_from(pairs, best, False, scenario.interval, accepted)
 
 
 def _kind_at(e: float, interval: EffortInterval) -> MaximizerKind:

@@ -13,19 +13,25 @@ result is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import TAU_EXPECTATION, BestResponse, LinearPayoff, RowScreens, agent_best_response
-from .errors import DimensionError, EnumerationCapExceeded
+from .agent import (
+    TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, best_response_from,
+    bracket_roots, settle_points, snap_root, tie_set,
+)
+from .errors import DimensionError, DomainError, EnumerationCapExceeded
 from .model import Contract, Scenario
+from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effort_tables
 
 __all__ = [
     "ENUMERATION_CAP",
     "SCREEN_CHUNK",
+    "DELTA_ROW_MEMO",
     "TIE_BREAK_POLICIES",
     "WageGrid",
     "ContractFamily",
@@ -36,6 +42,7 @@ __all__ = [
 
 ENUMERATION_CAP = 10**6
 SCREEN_CHUNK = 1024  # contracts enumerated and screened at a time
+DELTA_ROW_MEMO = 4096  # utility-delta rows whose _Row solve_game keeps
 
 _MARGIN = 2.0**-48   # 32 units of roundoff, the screen's rounding margin
 _SLACK = 2.0**-40    # relative slack for the rounding of the flat test itself
@@ -172,19 +179,11 @@ def _select_effort(
     raise ValueError(f"unknown tie-break policy {policy!r}")
 
 
-def _respond(screens: RowScreens, contract: Contract, policy: str, screened: bool):
-    """One contract's (response, effort, principal value).
+def _respond(scenario: Scenario, contract: Contract, response: BestResponse, policy: str):
+    """One contract's (response, effort, principal value) given the agent's response.
 
-    The response is its own solve, or for a screened contract built from
-    its row's screen (RowScreen.response).  effort and value are None when
-    the agent rejects the contract.
+    effort and value are None when the agent rejects the contract.
     """
-    scenario = screens.scenario
-    if screened:
-        agent = LinearPayoff.agent(scenario, contract)
-        response = screens.screen(agent.deltas).response(agent.base, scenario)
-    else:
-        response = agent_best_response(scenario, contract)
     if not response.accepted:
         return response, None, None
     payoff = LinearPayoff.principal(scenario, contract)
@@ -263,26 +262,117 @@ class _FamilyArrays:
         return np.stack([axis[index[:, i]] for i, axis in enumerate(levels)], axis=1)
 
 
-def _screen(screens: RowScreens, arrays: _FamilyArrays, index, fits, policy: str):
-    """Settle the contracts of one chunk from per-row tables, where that is exact.
+@dataclass(frozen=True, eq=False)
+class _Row:
+    """A utility-delta row's base-free tables, from which _screen settles
+    its contracts; _screen's docstring defines the fields and the bound
+    they serve."""
+
+    reach: float
+    top: float
+    span: float
+    size: float
+    points: np.ndarray
+
+    @classmethod
+    def build(cls, scenario: Scenario, tables: EffortTables, deltas, cost_size) -> _Row | None:
+        """The row's tables, or None when the row has no screen.
+
+        cost_size() is the effort cost's largest magnitude on the scan.
+        """
+        scan = tables.grid(SCAN_GRID_POINTS)
+        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
+        d = h[1:] - h[:-1]
+        reach = float(np.abs(d).min())
+        top = float(h.max())
+        low = float(h.min())
+        size = max(top, -low) + 2.0 * cost_size()
+        if not (reach > 0.0 and math.isfinite(size)):
+            return None
+        gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
+        grid = tables.grid(MT_GRID_POINTS)
+        candidates = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
+        # with no flat step (reach > 0), a scan peak is where h stops rising
+        rising = d > 0.0
+        for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
+            root = snap_root(payoff.slope, float(scan[j - 1]), float(scan[j + 1]))
+            if root is None:
+                return None
+            candidates.append(root)
+        points = cls._at(scenario, deltas, settle_points(candidates, scenario.interval))
+        a_max, v_max = np.abs(points[1:3]).max(axis=1)
+        return cls(reach, top, top - low, float(max(size, a_max + v_max)), points)
+
+    @staticmethod
+    def _at(scenario: Scenario, deltas, points) -> np.ndarray:
+        """The rows effort, a, v, p_1, ... at the points from scalar calls, in value's order."""
+        cost = scenario.agent.effort_cost
+        p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
+        a = []
+        for k in range(len(points)):
+            acc = 0.0
+            for delta, pk in zip(deltas, p):
+                if delta != 0.0:
+                    acc = acc + delta * pk[k]
+            a.append(acc)
+        v = [cost.eval(c) for c in points]
+        if not all(map(math.isfinite, a + v)):
+            raise DomainError(f"objective is not finite at {points}")
+        return np.array([points, a, v, *p], dtype=float)
+
+    def response(self, base: float, scenario: Scenario) -> BestResponse:
+        """The BestResponse of the row's screened contract with base u(w_n).
+
+        Its settle values are (b + a_k) - v_k at the points, the operations
+        of LinearPayoff.value on the same scalar calls.
+        """
+        points, a, v = self.points[:3].tolist()
+        evaluated = [(c, float((base + ak) - vk)) for c, ak, vk in zip(points, a, v)]
+        pairs, best = tie_set(evaluated)
+        accepted = best >= scenario.agent.reservation_utility
+        return best_response_from(pairs, best, False, scenario.interval, accepted)
+
+
+def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy: str):
+    """Settle the contracts of one chunk from their rows' tables, where that is exact.
 
     Returns (screened, accepted, value) per contract; accepted and value
     (the principal's payoff at the policy's effort) are as the contract's
-    own solve gives them wherever screened is set.
+    own solve gives them wherever screened is set.  row(deltas) is the
+    _Row of a utility-delta row (LinearPayoff.deltas), or None.
 
-    A contract with base b = u(w_n) in a delta row has the scan values
-    fv_j = fl(fl(b + a_j) - v_j), a and v being the row's base-free sum and
-    the cost on the scan (RowScreen); b enters nowhere else before settle.
+    The row.  A contract with base b = u(w_n) in a delta row has the scan
+    values fv_j = fl(fl(b + a_j) - v_j), where a = sum_i delta_i p_i is the
+    row's base-free sum and v the cost on the scan; b enters nowhere else
+    before settle.  Let h_j = a_j - v_j exactly.  The row (_Row.build)
+    computes fl(h_j) as fl(fl(0.0 + a_j) - v_j), its payoff with base 0.0
+    (0.0 + a_j is a_j but for the sign of a zero, which no difference,
+    comparison, max or magnitude below sees), and d_j = fl(fl(h_j) -
+    fl(h_{j-1})).  With h as computed, it keeps:
+
+    - ``reach``: the least |d_j|, positive; ``top`` and ``span``: max h
+      and max h - min h;
+    - ``size``: max |h| + 2 max |v|, so that (1 + 2^-52) size bounds every
+      |a_j| + |v_j| on the scan, and at least max |a| + max |v| at the
+      points below;
+    - ``points``: the settled candidates of a contract whose scan peaks are
+      h's: its bracket-grid roots and the roots h's peaks snap onto, as an
+      array with one column per effort and the rows effort, a, v, p_1, ...,
+      p_{n-1} (the base-free sum, the cost and every component there, from
+      scalar calls, as settle and the principal make them).
+
+    A row has no screen (None) when its tables raise or are not finite, h
+    has a flat step (reach 0), or a scan peak of h brackets no sign change
+    of the slope (golden section).
+
     Bound.  Let u = 2^-53 and S = |b| + max_j(|a_j| + |v_j|), at most
-    (1 + 2u)(|b| + size).  Then fv_j is b + h_j within 3uS, h_j = a_j - v_j
-    exactly, so fv_j - fv_{j-1} is h_j - h_{j-1} within 6uS; the row's
-    d_j = fl(fl(h_j) - fl(h_{j-1})) is h_j - h_{j-1} within 5uS.  (The row
-    computes fl(h_j) as fl(fl(0.0 + a_j) - v_j), its payoff with base 0.0;
-    0.0 + a_j is a_j but for the sign of a zero, which no difference,
-    comparison, max or magnitude below sees.)  If
-    |d_j| > 11uS, fv_j - fv_{j-1} is not 0 and has the sign of d_j, so the
-    scan's test fv_j >= fv_{j-1} is d_j > 0.  The screen asks reach =
-    min_j |d_j| > sigma = 2^-48 (|b| + size), which is at least 31uS.
+    (1 + 2u)(|b| + size).  Then fv_j is b + h_j within 3uS, so
+    fv_j - fv_{j-1} is h_j - h_{j-1} within 6uS, and d_j is h_j - h_{j-1}
+    within 5uS.  If |d_j| > 11uS, fv_j - fv_{j-1} is not 0 and has the
+    sign of d_j, so the scan's test fv_j >= fv_{j-1} is d_j > 0.  The
+    screen asks reach = min_j |d_j| > sigma = 2^-48 (|b| + size), which is
+    at least 31uS.
     Then every neighbour comparison, so every scan peak, is the row's own,
     and so are the peaks' snapped roots and the settled points.  Likewise
     max fv - min fv is the row's span within 14uS and |max fv| is
@@ -290,17 +380,16 @@ def _screen(screens: RowScreens, arrays: _FamilyArrays, index, fits, policy: str
     TAU_EXPECTATION * max(1, |b + top| + sigma) by 2 sigma, with the
     relative slack 2^-40 for the rounding of the test itself.
     |b| + size < 2^1000 keeps every value finite.
+
     Exact values.  A decided contract's settle values are
     F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same
     scalar calls in the same order, so the same IEEE operations; its best
     value, tie set and acceptance follow with the operations settle uses.
     The principal's value at each tied point is B(x_n - w_n) plus the
     nonzero deltas times p_i there, added from 0.0 in component order as
-    LinearPayoff.value adds them.  Left unscreened: rows without a screen
-    (their tables raise or are not finite, h has a flat step, or a peak
-    needs golden section), contracts that may take the flat shortcut, and
-    accepted contracts whose principal levels or deltas are not finite or
-    whose tied values are NaN.
+    LinearPayoff.value adds them.  Left unscreened: rows without a screen,
+    contracts that may take the flat shortcut, and accepted contracts whose
+    principal levels or deltas are not finite or whose tied values are NaN.
     """
     count = len(fits)
     screened = np.zeros(count, dtype=bool)
@@ -315,7 +404,7 @@ def _screen(screens: RowScreens, arrays: _FamilyArrays, index, fits, policy: str
         return screened, accepted, value
     distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
     which = which.reshape(-1)
-    row_screens = [screens.screen(tuple(d)) for d in distinct.tolist()]
+    row_screens = [row(tuple(d)) for d in distinct.tolist()]
 
     # per row: reach, size, top, span (a row without a screen has reach 0,
     # so none of its contracts is decided) and its points' offset in cells
@@ -355,7 +444,7 @@ def _screen(screens: RowScreens, arrays: _FamilyArrays, index, fits, policy: str
         f = (base[owner] + a_all[cell]) - v_all[cell]
         best = np.maximum.reduceat(f, first)
         tie = best[owner] - f <= TAU_EXPECTATION * np.maximum(1.0, np.abs(best))[owner]
-        yes = best >= screens.scenario.agent.reservation_utility
+        yes = best >= scenario.agent.reservation_utility
 
         principal = arrays.matrix(arrays.b, index[rows])
         pdeltas = principal[:, :-1] - principal[:, -1:]
@@ -423,8 +512,8 @@ def solve_game(
     where the bound that makes this exact is set out); the rest are solved
     one by one, in order, by agent_best_response, so an error is raised at
     the same contract as by a loop of its calls.  A screened contract's
-    BestResponse is built only if it wins, from its row, so the result
-    equals that loop's.
+    BestResponse is built only if it wins, from its row (_Row.response), so
+    the result equals that loop's.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -432,7 +521,28 @@ def solve_game(
             f"choose one of {TIE_BREAK_POLICIES}"
         )
     family.require_within_cap()
-    screens = RowScreens(scenario)
+    tables = effort_tables(scenario)
+
+    @functools.cache
+    def cost_size() -> float:
+        v = tables.array(scenario.agent.effort_cost, SCAN_GRID_POINTS)
+        return float(max(v.max(), -v.min()))
+
+    rows = {}  # the last DELTA_ROW_MEMO rows met, oldest first
+
+    def row(deltas: tuple[float, ...]) -> _Row | None:
+        """The _Row of a utility-delta row, or None.  A row whose build
+        raises is kept as None: its contracts are solved one by one, which
+        raises the same error at the same contract."""
+        if deltas not in rows:
+            if len(rows) >= DELTA_ROW_MEMO:
+                del rows[next(iter(rows))]
+            try:
+                rows[deltas] = _Row.build(scenario, tables, deltas, cost_size)
+            except Exception:
+                rows[deltas] = None
+        return rows[deltas]
+
     arrays = _FamilyArrays(scenario, family)
     incumbent = None
     winner = None
@@ -440,12 +550,13 @@ def solve_game(
     for start in range(0, total, SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, total)
         index, fits = arrays.chunk(start, stop)
-        screened, accepted, value = _screen(screens, arrays, index, fits, tie_break)
+        screened, accepted, value = _screen(scenario, row, arrays, index, fits, tie_break)
         solved = {}  # chunk position -> (response, effort, value) of an unscreened contract
         for k in np.nonzero(~screened)[0].tolist():
             contract = arrays.contract(start + k, index[k])
-            solved[k] = _respond(screens, contract, tie_break, False)
-            response, _, v = solved[k]
+            response = agent_best_response(scenario, contract)
+            solved[k] = _respond(scenario, contract, response, tie_break)
+            _, _, v = solved[k]
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
         found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
@@ -465,7 +576,9 @@ def solve_game(
         )
     contract, result = winner
     if result is None:  # screened: built from its row
-        result = _respond(screens, contract, tie_break, True)
+        agent = LinearPayoff.agent(scenario, contract)
+        response = row(agent.deltas).response(agent.base, scenario)
+        result = _respond(scenario, contract, response, tie_break)
     response, effort, value = result
     return GameSolution(
         all_rejected=False,

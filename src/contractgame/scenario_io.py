@@ -50,8 +50,9 @@ __all__ = [
 class SolverOptions:
     """Document defaults for the CLI's --epsilon, --tie-break and --seed flags.
 
-    The solver's grid sizes and tolerances are fixed module constants
-    (``contractgame.agent`` and ``contractgame.model``), not options.
+    The solver's grid sizes (``contractgame.tables``) and tolerances
+    (``contractgame.agent`` and ``contractgame.model``) are fixed module
+    constants, not options.
     """
 
     epsilon_invisible: float = _analyses.EPSILON_INVISIBLE
@@ -277,42 +278,37 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
         raise ParseError(
             "contract_family: expected exactly one of 'contracts', 'wage_grids'"
         )
-    try:
-        if has_list:
-            contracts = _contract_list(raw["contracts"], "contract_family.contracts")
-            for i, c in enumerate(contracts):
-                if len(c) != n_outcomes:
-                    raise ValidationError(
-                        [
-                            ContractGameError(
-                                f"contract_family.contracts[{i}] has {len(c)} "
-                                f"wages for {n_outcomes} outcomes"
-                            )
-                        ]
-                    )
-            return ContractFamily(contracts=contracts, cap=cap)
-        grids_raw = raw["wage_grids"]
-        if not isinstance(grids_raw, list) or len(grids_raw) != n_outcomes:
-            raise ParseError(
-                f"contract_family.wage_grids: expected {n_outcomes} grids "
-                "(one per outcome)"
-            )
-        grids = []
-        for i, g in enumerate(grids_raw):
-            gpath = f"contract_family.wage_grids[{i}]"
-            _check_keys(g, {"min", "max", "step"}, ("min", "max", "step"), gpath)
-            grids.append(
-                WageGrid(
-                    _number(g["min"], f"{gpath}.min"),
-                    _number(g["max"], f"{gpath}.max"),
-                    _number(g["step"], f"{gpath}.step"),
+    if has_list:
+        contracts = _contract_list(raw["contracts"], "contract_family.contracts")
+        for i, c in enumerate(contracts):
+            if len(c) != n_outcomes:
+                raise ValidationError(
+                    [
+                        ContractGameError(
+                            f"contract_family.contracts[{i}] has {len(c)} "
+                            f"wages for {n_outcomes} outcomes"
+                        )
+                    ]
                 )
+        return ContractFamily(contracts=contracts, cap=cap)
+    grids_raw = raw["wage_grids"]
+    if not isinstance(grids_raw, list) or len(grids_raw) != n_outcomes:
+        raise ParseError(
+            f"contract_family.wage_grids: expected {n_outcomes} grids "
+            "(one per outcome)"
+        )
+    grids = []
+    for i, g in enumerate(grids_raw):
+        gpath = f"contract_family.wage_grids[{i}]"
+        _check_keys(g, {"min", "max", "step"}, ("min", "max", "step"), gpath)
+        grids.append(
+            WageGrid(
+                _number(g["min"], f"{gpath}.min"),
+                _number(g["max"], f"{gpath}.max"),
+                _number(g["step"], f"{gpath}.step"),
             )
-        return ContractFamily(grids=tuple(grids), cap=cap)
-    except ContractGameError:
-        raise
-    except ValueError as err:
-        raise ParseError(f"contract_family: {err}") from err
+        )
+    return ContractFamily(grids=tuple(grids), cap=cap)
 
 
 _OPTION_TYPES = {

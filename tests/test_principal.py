@@ -366,8 +366,8 @@ class TestFamilyBatching:
         scenario, family = _BATCHING_FAMILIES[name]()
         calls = {"rows": 0, "golden": 0, "snapped": 0}
 
-        build = agent_module.RowScreen.build.__func__
-        snap, golden = agent_module.snap_root, agent_module._golden_max
+        build = principal_module._Row.build.__func__
+        snap, golden = principal_module.snap_root, agent_module._golden_max
 
         def counting_build(cls, *args):
             calls["rows"] += 1
@@ -382,8 +382,8 @@ class TestFamilyBatching:
             calls["golden"] += 1
             return golden(*args)
 
-        monkeypatch.setattr(agent_module.RowScreen, "build", classmethod(counting_build))
-        monkeypatch.setattr(agent_module, "snap_root", counting_snap)
+        monkeypatch.setattr(principal_module._Row, "build", classmethod(counting_build))
+        monkeypatch.setattr(principal_module, "snap_root", counting_snap)
         monkeypatch.setattr(agent_module, "_golden_max", counting_golden)
         batched = solve_game(scenario, family, policy)
         batched_calls = dict(calls)
@@ -402,13 +402,39 @@ class TestFamilyBatching:
             )
             assert 0 < rejected < family.size()
 
-    def test_full_delta_row_memo_starts_over(self, monkeypatch):
-        monkeypatch.setattr(agent_module, "DELTA_ROW_MEMO", 3)
+    def test_full_delta_row_memo_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
         scenario, family = _BATCHING_FAMILIES["fixture-shared-step"]()
         for policy in TIE_BREAK_POLICIES:
             assert solve_game(scenario, family, policy) == _per_contract_solve(
                 scenario, family, policy
             )
+
+    def test_full_delta_row_memo_keeps_recent_rows(self, monkeypatch):
+        """Chunks of two whose new row sorts before the one the last chunk
+        met: a memo of three that started over would build that one again.
+
+        The last contract, (0, 0), wins, so the winner's row is still kept.
+        """
+        monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
+        monkeypatch.setattr(principal_module, "SCREEN_CHUNK", 2)
+        built = []
+        build = principal_module._Row.build.__func__
+
+        def counting_build(cls, scenario, tables, deltas, cost_size):
+            built.append(deltas)
+            return build(cls, scenario, tables, deltas, cost_size)
+
+        monkeypatch.setattr(principal_module._Row, "build", classmethod(counting_build))
+        scenario = _scenario((2.5, 2.0), _RISING, Polynomial((0.0, 0.0, 2.0)))
+        wages = [w for k in range(8, 0, -1) for w in (k * 0.25, (k - 1) * 0.25)]
+        family = ContractFamily(contracts=tuple(Contract((w, 0.0)) for w in wages))
+        for policy in TIE_BREAK_POLICIES:
+            built.clear()
+            got = solve_game(scenario, family, policy)
+            assert got == _per_contract_solve(scenario, family, policy)
+            assert got.contract == Contract((0.0, 0.0))
+            assert sorted(built) == [(k * 0.25,) for k in range(9)]
 
 
 _RISING = [Polynomial((0.2, 0.5))]
@@ -484,23 +510,23 @@ _SCREEN_FAMILIES = {
 def _count_screening(monkeypatch):
     """Counts of contracts the screen settles and of one-by-one solves.
 
-    A screened winner's response is rebuilt from its row by _respond(...,
-    screened=True); that is no solve, so only unscreened calls count.
+    A screened winner's response is rebuilt from its row; that is no
+    solve, so only agent_best_response calls count.
     """
     counts = {"screened": 0, "solved": 0}
-    screen, respond = principal_module._screen, principal_module._respond
+    screen, solve = principal_module._screen, principal_module.agent_best_response
 
     def counting_screen(*args):
         out = screen(*args)
         counts["screened"] += int(out[0].sum())
         return out
 
-    def counting_respond(*args):
-        counts["solved"] += not args[-1]
-        return respond(*args)
+    def counting_solve(*args):
+        counts["solved"] += 1
+        return solve(*args)
 
     monkeypatch.setattr(principal_module, "_screen", counting_screen)
-    monkeypatch.setattr(principal_module, "_respond", counting_respond)
+    monkeypatch.setattr(principal_module, "agent_best_response", counting_solve)
     return counts
 
 
