@@ -281,8 +281,8 @@ def _merge_runs(indices):
 
 # The maximizer pipeline.  hybrid_maximize chains the stages below; the
 # two-outcome analyzer runs its own candidate set through the same ones, and
-# solve_game's row screen (contractgame.principal) the slope work of a
-# utility-delta row.
+# solve_game's row screen (contractgame.principal) runs scan_candidates on
+# a utility-delta row.
 
 def flat_scan(scan: np.ndarray, fv: np.ndarray, interval: EffortInterval):
     """The flat shortcut on the values fv of the dense scan.
@@ -333,6 +333,32 @@ def snap_root(g, a: float, b: float) -> float | None:
     return None
 
 
+def scan_candidates(payoff, tables: EffortTables, fv: np.ndarray):
+    """(roots, open_brackets): the candidates the slope pins down, and the rest.
+
+    roots are the slope's sign-change roots bracketed on the tables'
+    bracket grid, then the roots that the scan's local maxima (fv on the
+    scan grid, a run of equal maxima as one) snap onto.  open_brackets are
+    the (a, b) brackets of the scan maxima with no sign change of the
+    slope, left for golden-section search.
+    """
+    scan = tables.grid(SCAN_GRID_POINTS)
+    grid = tables.grid(MT_GRID_POINTS)
+    gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
+    roots = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
+    open_brackets = []
+    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
+    for first, last in _merge_runs(interior.tolist()):
+        a = float(scan[first - 1])
+        b = float(scan[last + 1])
+        root = snap_root(payoff.slope, a, b)
+        if root is None:
+            open_brackets.append((a, b))
+        else:
+            roots.append(root)
+    return roots, open_brackets
+
+
 def dedup_sorted(points) -> list[float]:
     """Sorted points, dropping each one within TAU_E of the last kept."""
     kept: list[float] = []
@@ -356,25 +382,20 @@ def settle_points(candidates, interval: EffortInterval) -> list[float]:
     return points
 
 
-def tie_set(evaluated):
-    """(pairs, best): the (point, value) pairs whose value ties the best
-    within the relative tie tolerance, and the best value."""
+def settle(f, candidates, interval: EffortInterval):
+    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
+
+    Returns (evaluated, pairs, best): every kept (point, value) pair, the
+    ones whose value ties the best within the relative tie tolerance, and
+    the best value.
+    """
+    evaluated = [(c, float(f(c))) for c in settle_points(candidates, interval)]
     best = max(fc for _, fc in evaluated)
     scale = max(1.0, abs(best))
     pairs = tuple(
         (c, fc) for c, fc in evaluated if best - fc <= TAU_EXPECTATION * scale
     )
-    return pairs, best
-
-
-def settle(f, candidates, interval: EffortInterval):
-    """Add the boundaries, clamp, sort and dedup candidates, evaluate f, keep the ties.
-
-    Returns (evaluated, pairs, best): every kept (point, value) pair, the
-    ones tied with the best (tie_set), and the best value.
-    """
-    evaluated = [(c, float(f(c))) for c in settle_points(candidates, interval)]
-    return (evaluated, *tie_set(evaluated))
+    return evaluated, pairs, best
 
 
 def hybrid_maximize(payoff, tables: EffortTables):
@@ -389,27 +410,20 @@ def hybrid_maximize(payoff, tables: EffortTables):
     ``REFINE_TOL``, and local maxima of a dense value scan.  Scan brackets
     that contain a sign change of df are snapped onto the root by bisection
     (golden-section alone only locates a smooth peak to about sqrt(eps));
-    the remaining brackets are polished by golden-section.  A flat function
+    the remaining brackets are polished by golden-section.  scan_candidates
+    gives the roots and the open brackets.  A flat function
     (value spread within the tie tolerance) is reported as constant via its
     two boundary points.
     """
-    f, df, interval = payoff.value, payoff.slope, tables.interval
+    f, interval = payoff.value, tables.interval
     scan = tables.grid(SCAN_GRID_POINTS)
     fv = np.asarray(payoff.on_grid(tables, SCAN_GRID_POINTS, 0), dtype=float)
     flat = flat_scan(scan, fv, interval)
     if flat is not None:
         return flat
 
-    grid = tables.grid(MT_GRID_POINTS)
-    gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
-    candidates = bracket_roots(df, grid, np.asarray(gv, dtype=float))
-    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
-    for first, last in _merge_runs(interior.tolist()):
-        a = float(scan[first - 1])
-        b = float(scan[last + 1])
-        root = snap_root(df, a, b)
-        candidates.append(_golden_max(f, a, b) if root is None else root)
-
+    roots, open_brackets = scan_candidates(payoff, tables, fv)
+    candidates = roots + [_golden_max(f, a, b) for a, b in open_brackets]
     _, pairs, best = settle(f, candidates, interval)
     return pairs, best, False
 

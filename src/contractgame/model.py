@@ -42,7 +42,7 @@ TAU_P = 1e-9
 
 @dataclass(frozen=True)
 class EffortInterval:
-    """Closed effort interval [lo, hi] with lo < hi, both finite."""
+    """Closed effort interval [lo, hi] with lo < hi, both finite, and a finite width."""
 
     lo: float
     hi: float
@@ -54,6 +54,10 @@ class EffortInterval:
         if not lo < hi:
             raise DimensionError(
                 f"effort interval needs lo < hi; got [{lo}, {hi}]"
+            )
+        if not math.isfinite(hi - lo):
+            raise DimensionError(
+                f"effort interval [{lo}, {hi}] is too wide: its width overflows"
             )
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import (
-    TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, best_response_from,
-    bracket_roots, settle_points, snap_root, tie_set,
+    TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, scan_candidates,
+    settle_points,
 )
 from .errors import DimensionError, DomainError, EnumerationCapExceeded
 from .model import Contract, Scenario
-from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effort_tables
+from .tables import SCAN_GRID_POINTS, EffortTables, effort_tables
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -179,11 +179,12 @@ def _select_effort(
     raise ValueError(f"unknown tie-break policy {policy!r}")
 
 
-def _respond(scenario: Scenario, contract: Contract, response: BestResponse, policy: str):
-    """One contract's (response, effort, principal value) given the agent's response.
+def _respond(scenario: Scenario, contract: Contract, policy: str):
+    """One contract's agent response, and the policy's effort and principal value.
 
     effort and value are None when the agent rejects the contract.
     """
+    response = agent_best_response(scenario, contract)
     if not response.accepted:
         return response, None, None
     payoff = LinearPayoff.principal(scenario, contract)
@@ -280,33 +281,24 @@ class _Row:
 
         cost_size() is the effort cost's largest magnitude on the scan.
         """
-        scan = tables.grid(SCAN_GRID_POINTS)
         payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
         h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
-        d = h[1:] - h[:-1]
-        reach = float(np.abs(d).min())
+        reach = float(np.abs(h[1:] - h[:-1]).min())
         top = float(h.max())
         low = float(h.min())
         size = max(top, -low) + 2.0 * cost_size()
         if not (reach > 0.0 and math.isfinite(size)):
             return None
-        gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
-        grid = tables.grid(MT_GRID_POINTS)
-        candidates = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
-        # with no flat step (reach > 0), a scan peak is where h stops rising
-        rising = d > 0.0
-        for j in (np.nonzero(rising[:-1] > rising[1:])[0] + 1).tolist():
-            root = snap_root(payoff.slope, float(scan[j - 1]), float(scan[j + 1]))
-            if root is None:
-                return None
-            candidates.append(root)
-        points = cls._at(scenario, deltas, settle_points(candidates, scenario.interval))
-        a_max, v_max = np.abs(points[1:3]).max(axis=1)
+        roots, open_brackets = scan_candidates(payoff, tables, h)
+        if open_brackets:
+            return None
+        points = cls._at(scenario, deltas, settle_points(roots, scenario.interval))
+        a_max, v_max = np.abs(points[:2]).max(axis=1)
         return cls(reach, top, top - low, float(max(size, a_max + v_max)), points)
 
     @staticmethod
     def _at(scenario: Scenario, deltas, points) -> np.ndarray:
-        """The rows effort, a, v, p_1, ... at the points from scalar calls, in value's order."""
+        """The rows a, v, p_1, ... at the points from scalar calls, in value's order."""
         cost = scenario.agent.effort_cost
         p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
         a = []
@@ -319,19 +311,7 @@ class _Row:
         v = [cost.eval(c) for c in points]
         if not all(map(math.isfinite, a + v)):
             raise DomainError(f"objective is not finite at {points}")
-        return np.array([points, a, v, *p], dtype=float)
-
-    def response(self, base: float, scenario: Scenario) -> BestResponse:
-        """The BestResponse of the row's screened contract with base u(w_n).
-
-        Its settle values are (b + a_k) - v_k at the points, the operations
-        of LinearPayoff.value on the same scalar calls.
-        """
-        points, a, v = self.points[:3].tolist()
-        evaluated = [(c, float((base + ak) - vk)) for c, ak, vk in zip(points, a, v)]
-        pairs, best = tie_set(evaluated)
-        accepted = best >= scenario.agent.reservation_utility
-        return best_response_from(pairs, best, False, scenario.interval, accepted)
+        return np.array([a, v, *p], dtype=float)
 
 
 def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy: str):
@@ -357,22 +337,24 @@ def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy:
       |a_j| + |v_j| on the scan, and at least max |a| + max |v| at the
       points below;
     - ``points``: the settled candidates of a contract whose scan peaks are
-      h's: its bracket-grid roots and the roots h's peaks snap onto, as an
-      array with one column per effort and the rows effort, a, v, p_1, ...,
-      p_{n-1} (the base-free sum, the cost and every component there, from
-      scalar calls, as settle and the principal make them).
+      h's (agent.scan_candidates on h: its bracket-grid roots and the roots
+      h's peaks snap onto), as an array with one column per effort and the
+      rows a, v, p_1, ..., p_{n-1} (the base-free sum, the cost and every
+      component there, from scalar calls, as settle and the principal make
+      them).
 
     A row has no screen (None) when its tables raise or are not finite, h
     has a flat step (reach 0), or a scan peak of h brackets no sign change
-    of the slope (golden section).
+    of the slope (an open bracket, for golden section).
 
     Bound.  Let u = 2^-53 and S = |b| + max_j(|a_j| + |v_j|), at most
     (1 + 2u)(|b| + size).  Then fv_j is b + h_j within 3uS, so
     fv_j - fv_{j-1} is h_j - h_{j-1} within 6uS, and d_j is h_j - h_{j-1}
     within 5uS.  If |d_j| > 11uS, fv_j - fv_{j-1} is not 0 and has the
-    sign of d_j, so the scan's test fv_j >= fv_{j-1} is d_j > 0.  The
-    screen asks reach = min_j |d_j| > sigma = 2^-48 (|b| + size), which is
-    at least 31uS.
+    sign of d_j, so the scan's test fv_j >= fv_{j-1} is d_j > 0, and so
+    is the row's own test h_j >= h_{j-1} (d_j is not 0).  The screen asks
+    reach = min_j |d_j| > sigma = 2^-48 (|b| + size), which is at least
+    31uS.
     Then every neighbour comparison, so every scan peak, is the row's own,
     and so are the peaks' snapped roots and the settled points.  Likewise
     max fv - min fv is the row's span within 14uS and |max fv| is
@@ -416,9 +398,9 @@ def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy:
     set_len = np.array([0 if sc is None else sc.points.shape[1] for sc in row_screens])
     set_off = np.cumsum(set_len) - set_len
     cells = np.concatenate(
-        [np.zeros((3 + n_comp, 0))] + [sc.points for sc in row_screens if sc is not None], axis=1
+        [np.zeros((2 + n_comp, 0))] + [sc.points for sc in row_screens if sc is not None], axis=1
     )
-    a_all, v_all, p_all = cells[1], cells[2], cells[3:]
+    a_all, v_all, p_all = cells[0], cells[1], cells[2:]
 
     reach, row_size, top, span = (x[which] for x in stats)
     base = levels[ok, -1]
@@ -472,8 +454,8 @@ def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy:
 
 def _winner(wages: np.ndarray, accepted, value, incumbent):
     """The chunk's first accepted contract of least key (-value, wages), as
-    (key, position in the chunk), if its key is below the incumbent's key;
-    else the incumbent.
+    (key, position in the chunk), if its key is below the key of the
+    incumbent, a (key, contract) pair; else the incumbent.
 
     A NaN value never compares below another key, nor another below it, so
     with one the keys are compared in order, as a per-contract loop does.
@@ -511,9 +493,10 @@ def solve_game(
     row.  Most contracts are settled from their row's tables (_screen,
     where the bound that makes this exact is set out); the rest are solved
     one by one, in order, by agent_best_response, so an error is raised at
-    the same contract as by a loop of its calls.  A screened contract's
-    BestResponse is built only if it wins, from its row (_Row.response), so
-    the result equals that loop's.
+    the same contract as by a loop of its calls.  The screen decides only
+    acceptance and the principal's value; the winner's BestResponse comes
+    from agent_best_response once more, which gives the result of that loop
+    (_screen: a screened contract's own solve is its row's result).
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -544,27 +527,21 @@ def solve_game(
         return rows[deltas]
 
     arrays = _FamilyArrays(scenario, family)
-    incumbent = None
-    winner = None
+    incumbent = None  # (key, contract) of the best accepted contract so far
     total = family.size()
     for start in range(0, total, SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, total)
         index, fits = arrays.chunk(start, stop)
         screened, accepted, value = _screen(scenario, row, arrays, index, fits, tie_break)
-        solved = {}  # chunk position -> (response, effort, value) of an unscreened contract
         for k in np.nonzero(~screened)[0].tolist():
-            contract = arrays.contract(start + k, index[k])
-            response = agent_best_response(scenario, contract)
-            solved[k] = _respond(scenario, contract, response, tie_break)
-            _, _, v = solved[k]
+            response, _, v = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
         found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
         if found is not incumbent:
-            incumbent = found
-            k = int(found[1])
-            winner = arrays.contract(start + k, index[k]), solved.get(k)
-    if winner is None:
+            key, k = found
+            incumbent = key, arrays.contract(start + int(k), index[k])
+    if incumbent is None:
         return GameSolution(
             all_rejected=True,
             contract=None,
@@ -574,12 +551,8 @@ def solve_game(
             tie_break=tie_break,
             best_response=None,
         )
-    contract, result = winner
-    if result is None:  # screened: built from its row
-        agent = LinearPayoff.agent(scenario, contract)
-        response = row(agent.deltas).response(agent.base, scenario)
-        result = _respond(scenario, contract, response, tie_break)
-    response, effort, value = result
+    contract = incumbent[1]
+    response, effort, value = _respond(scenario, contract, tie_break)
     return GameSolution(
         all_rejected=False,
         contract=contract,

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI output on the reference fixture, and module hygiene.
 
 The files under ``tests/golden/`` hold the stdout of each CLI command on
-``tests/fixtures/scenario_r.json``.  The fixture uses only polynomials and
-the pcg64 stream, so the bytes do not depend on the platform's libm.
-Regenerate a golden only for an intended output change, e.g.
+``tests/fixtures/scenario_r.json``, and of ``solve-game`` under each
+tie-break policy on ``tests/fixtures/scenario_twin.json``, whose contract
+(2, 0) leaves the agent tied between two efforts.  The fixtures use only
+polynomials and the pcg64 stream, so the bytes do not depend on the
+platform's libm.  Regenerate a golden only for an intended output change, e.g.
 ``contractgame solve-agent tests/fixtures/scenario_r.json > tests/golden/solve-agent.json``.
 """
 
@@ -15,26 +17,31 @@ from pathlib import Path
 import pytest
 
 from contractgame.cli import run_command
+from contractgame.principal import TIE_BREAK_POLICIES
 
 TESTS = Path(__file__).parent
 FIXTURE = str(TESTS / "fixtures" / "scenario_r.json")
+TWIN = str(TESTS / "fixtures" / "scenario_twin.json")
 SOURCES = TESTS.parent / "src" / "contractgame"
 
 GOLDEN_COMMANDS = {
-    "validate.json": ["validate"],
-    "solve-agent.json": ["solve-agent"],
-    "classify-risk.json": ["classify-risk"],
-    "analyze.json": ["analyze"],
-    "solve-game.json": ["solve-game"],
-    "sweep.csv": ["sweep", "--points", "11"],
-    "simulate.json": ["simulate", "--effort", "0.5", "--n", "1000", "--seed", "7"],
+    "validate.json": ["validate", FIXTURE],
+    "solve-agent.json": ["solve-agent", FIXTURE],
+    "classify-risk.json": ["classify-risk", FIXTURE],
+    "analyze.json": ["analyze", FIXTURE],
+    "solve-game.json": ["solve-game", FIXTURE],
+    "sweep.csv": ["sweep", FIXTURE, "--points", "11"],
+    "simulate.json": ["simulate", FIXTURE, "--effort", "0.5", "--n", "1000", "--seed", "7"],
+    **{
+        f"solve-game-{policy}.json": ["solve-game", TWIN, "--tie-break", policy]
+        for policy in TIE_BREAK_POLICIES
+    },
 }
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_COMMANDS))
 def test_cli_stdout_matches_golden(golden, capsys):
-    command, *options = GOLDEN_COMMANDS[golden]
-    assert run_command([command, FIXTURE, *options]) == 0
+    assert run_command(GOLDEN_COMMANDS[golden]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     expected = (TESTS / "golden" / golden).read_text(encoding="utf-8")

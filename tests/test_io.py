@@ -197,6 +197,16 @@ class TestParsing:
         out = json.loads(capsys.readouterr().out)
         assert out["issues"][0]["kind"] == "DimensionError"
 
+    def test_interval_of_overflowing_width_is_one_issue(self, tmp_path, capsys):
+        raw = fixture_dict()
+        raw["effort_interval"] = [-1e308, 1e308]
+        path = write_doc(tmp_path, raw)
+        assert run_command(["validate", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] is False
+        assert [issue["kind"] for issue in out["issues"]] == ["DimensionError"]
+        assert "width overflows" in out["issues"][0]["message"]
+
 
 def _nan_coefficient(raw):
     raw["profile"][0]["coefficients"][1] = float("nan")

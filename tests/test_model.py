@@ -113,6 +113,9 @@ def test_interval_invariants():
         EffortInterval(1.0, 1.0)
     with pytest.raises(DimensionError):
         EffortInterval(0.0, math.inf)
+    with pytest.raises(DimensionError, match="width overflows"):
+        EffortInterval(-1e308, 1e308)
+    assert EffortInterval(-1e307, 1e307).span == 2e307
 
 
 def test_validate_well_formed():

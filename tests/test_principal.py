@@ -365,17 +365,23 @@ class TestFamilyBatching:
     def test_equals_per_contract_solves(self, name, policy, monkeypatch):
         scenario, family = _BATCHING_FAMILIES[name]()
         calls = {"rows": 0, "golden": 0, "snapped": 0}
+        building = [False]
 
         build = principal_module._Row.build.__func__
-        snap, golden = principal_module.snap_root, agent_module._golden_max
+        snap, golden = agent_module.snap_root, agent_module._golden_max
 
         def counting_build(cls, *args):
             calls["rows"] += 1
-            return build(cls, *args)
+            building[0] = True
+            try:
+                return build(cls, *args)
+            finally:
+                building[0] = False
 
         def counting_snap(*args):
+            # only a row's own snaps count, not those of a one-by-one solve
             root = snap(*args)
-            calls["snapped"] += root is not None
+            calls["snapped"] += building[0] and root is not None
             return root
 
         def counting_golden(*args):
@@ -383,7 +389,7 @@ class TestFamilyBatching:
             return golden(*args)
 
         monkeypatch.setattr(principal_module._Row, "build", classmethod(counting_build))
-        monkeypatch.setattr(principal_module, "snap_root", counting_snap)
+        monkeypatch.setattr(agent_module, "snap_root", counting_snap)
         monkeypatch.setattr(agent_module, "_golden_max", counting_golden)
         batched = solve_game(scenario, family, policy)
         batched_calls = dict(calls)
@@ -410,12 +416,20 @@ class TestFamilyBatching:
                 scenario, family, policy
             )
 
-    def test_full_delta_row_memo_keeps_recent_rows(self, monkeypatch):
-        """Chunks of two whose new row sorts before the one the last chunk
-        met: a memo of three that started over would build that one again.
-
-        The last contract, (0, 0), wins, so the winner's row is still kept.
-        """
+    @pytest.mark.parametrize(
+        "outcomes, wages, winner",
+        [
+            # each chunk's new row sorts before the one the last chunk met:
+            # a memo of three that started over would build that one again
+            ((2.5, 2.0), [w for k in range(8, 0, -1) for w in (k * 0.25, (k - 1) * 0.25)], 0.0),
+            # the first contract wins, and its row leaves the memo long
+            # before the family ends
+            ((10.0, 2.0), [2.0] + [k * 0.25 for k in range(7, -1, -1) for _ in range(2)], 2.0),
+        ],
+        ids=["last-wins", "first-wins"],
+    )
+    def test_full_delta_row_memo_keeps_recent_rows(self, outcomes, wages, winner, monkeypatch):
+        """Under a memo of three and chunks of two, each row is built once, the winner's included."""
         monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
         monkeypatch.setattr(principal_module, "SCREEN_CHUNK", 2)
         built = []
@@ -426,14 +440,13 @@ class TestFamilyBatching:
             return build(cls, scenario, tables, deltas, cost_size)
 
         monkeypatch.setattr(principal_module._Row, "build", classmethod(counting_build))
-        scenario = _scenario((2.5, 2.0), _RISING, Polynomial((0.0, 0.0, 2.0)))
-        wages = [w for k in range(8, 0, -1) for w in (k * 0.25, (k - 1) * 0.25)]
+        scenario = _scenario(outcomes, _RISING, Polynomial((0.0, 0.0, 2.0)))
         family = ContractFamily(contracts=tuple(Contract((w, 0.0)) for w in wages))
         for policy in TIE_BREAK_POLICIES:
             built.clear()
             got = solve_game(scenario, family, policy)
             assert got == _per_contract_solve(scenario, family, policy)
-            assert got.contract == Contract((0.0, 0.0))
+            assert got.contract == Contract((winner, 0.0))
             assert sorted(built) == [(k * 0.25,) for k in range(9)]
 
 
@@ -508,10 +521,9 @@ _SCREEN_FAMILIES = {
 
 
 def _count_screening(monkeypatch):
-    """Counts of contracts the screen settles and of one-by-one solves.
+    """Counts of contracts the screen settles and of agent_best_response calls.
 
-    A screened winner's response is rebuilt from its row; that is no
-    solve, so only agent_best_response calls count.
+    The calls are the one-by-one solves plus the winner's own solve.
     """
     counts = {"screened": 0, "solved": 0}
     screen, solve = principal_module._screen, principal_module.agent_best_response
@@ -615,26 +627,31 @@ class TestScreenConfirm:
         expected = _per_contract_solve(scenario, family, policy)
         assert screened == expected
         assert repr(screened) == repr(expected)
-        # every contract is screened or solved on its own, exactly once
-        assert counts["screened"] + counts["solved"] == family.size()
+        # every contract is screened or solved on its own, exactly once,
+        # and the winner is solved once more
+        assert counts["screened"] + counts["solved"] == family.size() + (
+            not screened.all_rejected
+        )
         assert counts["screened"] > 0
-        assert counts["solved"] > 0
+        # some contract is left to the one-by-one loop
+        assert counts["solved"] > (not screened.all_rejected)
         if name == "all-rejected":
             assert screened.all_rejected
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
-    def test_screened_winner_comes_from_its_row(self, policy, monkeypatch):
+    def test_winner_is_solved_once(self, policy, monkeypatch):
+        """The screen settles every contract; only the winner is solved."""
         scenario, family = _BATCHING_FAMILIES["fixture-shared-step"]()
-        calls = {"solves": 0}
+        solved = []
         solve = principal_module.agent_best_response
 
-        def counting_solve(*args):
-            calls["solves"] += 1
-            return solve(*args)
+        def counting_solve(scenario, contract):
+            solved.append(contract)
+            return solve(scenario, contract)
 
         monkeypatch.setattr(principal_module, "agent_best_response", counting_solve)
         got = solve_game(scenario, family, policy)
-        assert calls["solves"] == 0
+        assert solved == [got.contract]
         assert repr(got) == repr(_per_contract_solve(scenario, family, policy))
 
     @pytest.mark.parametrize("name", sorted(_ERROR_CASES))
