@@ -226,12 +226,11 @@ def agent_payoff_functions(scenario: Scenario, contract: Contract):
     return expectation, slope, curvature
 
 
-def _bisect_root(g, a: float, b: float) -> float:
-    """Root of g in [a, b] given a sign change; interval shrunk to REFINE_TOL."""
-    ga = g(a)
+def _bisect_root(g, a: float, b: float, ga: float, gb: float) -> float:
+    """Root of g in [a, b] given a sign change and ga = g(a), gb = g(b);
+    interval shrunk to REFINE_TOL."""
     if ga == 0.0:
         return a
-    gb = g(b)
     if gb == 0.0:
         return b
     while b - a > REFINE_TOL:
@@ -281,8 +280,9 @@ def _merge_runs(indices):
 
 # The maximizer pipeline.  hybrid_maximize chains the stages below; the
 # two-outcome analyzer runs its own candidate set through the same ones, and
-# solve_game's row screen (contractgame.principal) runs scan_candidates on
-# a utility-delta row.
+# solve_game's row build (contractgame.principal) runs the bisections of
+# bracket_roots and snap_root for many utility-delta rows at once
+# (bisect_brackets), with scan_candidates' peak rule on each row's scan.
 
 def flat_scan(scan: np.ndarray, fv: np.ndarray, interval: EffortInterval):
     """The flat shortcut on the values fv of the dense scan.
@@ -316,7 +316,8 @@ def bracket_roots(g, grid: np.ndarray, gv: np.ndarray):
         roots.append(float(grid[last]))
     sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
     for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
-        roots.append(_bisect_root(g, float(grid[i]), float(grid[i + 1])))
+        a, b = float(grid[i]), float(grid[i + 1])
+        roots.append(_bisect_root(g, a, b, g(a), g(b)))
     return roots
 
 
@@ -324,13 +325,52 @@ def snap_root(g, a: float, b: float) -> float | None:
     """The root of g a scan-peak bracket [a, b] snaps onto, or None without a sign change."""
     da = g(a)
     db = g(b)
-    if da == 0.0:
-        return a
-    if db == 0.0:
-        return b
-    if da < 0.0 < db or db < 0.0 < da:
-        return _bisect_root(g, a, b)
+    if da == 0.0 or db == 0.0 or da < 0.0 < db or db < 0.0 < da:
+        return _bisect_root(g, a, b, da, db)
     return None
+
+
+def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.ndarray:
+    """The roots of many brackets [a_k, b_k] at once, bit for bit as one by one.
+
+    A bracket with snap set is a scan-peak bracket, whose root is
+    snap_root's (NaN where that is None: no sign change, the bracket is
+    open); the others are bracket_roots' sign changes, bisected whatever
+    the signs at their ends.  g(k, x) gives the function of brackets k at
+    the points x, arrays both, with the sign (or zero) of the scalar call
+    g(x_j) that the one-by-one search makes.  The brackets are bisected in
+    lockstep, with _bisect_root's updates, exits and stop.
+    """
+    count = len(a)
+    every = np.arange(count)
+    ends = g(np.concatenate([every, every]), np.concatenate([a, b]))
+    ga, gb = ends[:count], ends[count:]
+    root = np.full(count, np.nan)
+    at_a = ga == 0.0
+    at_b = ~at_a & (gb == 0.0)
+    root[at_a] = a[at_a]
+    root[at_b] = b[at_b]
+    change = ((ga < 0.0) & (0.0 < gb)) | ((gb < 0.0) & (0.0 < ga))
+    live = np.flatnonzero(~at_a & ~at_b & (change | ~snap))
+    a, b, ga = a[live], b[live], ga[live]
+    while len(live):
+        mid = 0.5 * (a + b)
+        go = (b - a > REFINE_TOL) & (a < mid) & (mid < b)
+        if not go.all():
+            root[live[~go]] = mid[~go]  # the loop ends: 0.5 * (a + b)
+            live, a, b, ga, mid = live[go], a[go], b[go], ga[go], mid[go]
+            if not len(live):
+                break
+        gm = g(live, mid)
+        left = (ga < 0.0) == (gm < 0.0)
+        a = np.where(left, mid, a)
+        ga = np.where(left, gm, ga)
+        b = np.where(left, b, mid)
+        zero = gm == 0.0
+        if zero.any():
+            root[live[zero]] = mid[zero]
+            live, a, b, ga = live[~zero], a[~zero], b[~zero], ga[~zero]
+    return root
 
 
 def scan_candidates(payoff, tables: EffortTables, fv: np.ndarray):

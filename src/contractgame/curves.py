@@ -41,9 +41,15 @@ def _log(t):
 
 
 class Curve:
-    """Base class; subclasses implement eval/d1/d2 and a ``family`` tag."""
+    """Base class; subclasses implement eval/d1/d2 and a ``family`` tag.
+
+    ``d1_array_ulps`` bounds how many ulps d1 on a numpy array may lie from
+    the scalar call at the same point (tests/test_curves.py checks it);
+    infinite where nothing is known.
+    """
 
     family: str = "abstract"
+    d1_array_ulps: float = math.inf
 
     def eval(self, t):
         raise NotImplementedError
@@ -66,6 +72,7 @@ class Polynomial(Curve):
     _d1: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _d2: tuple[float, ...] = field(init=False, repr=False, compare=False)
     family = "polynomial"
+    d1_array_ulps = 0.0
 
     def __post_init__(self):
         if len(self.coefficients) == 0:
@@ -111,6 +118,7 @@ class ExpAffine(Curve):
     b: float
     c: float
     family = "exp-affine"
+    d1_array_ulps = 2.0
 
     def eval(self, t):
         return self.a + self.b * _exp(self.c * t)
@@ -130,6 +138,7 @@ class LogAffine(Curve):
     b: float
     c: float
     family = "log-affine"
+    d1_array_ulps = 0.0
 
     def _shifted(self, t):
         z = t + self.c
@@ -169,6 +178,7 @@ class Power(Curve):
     gamma: float
     c: float
     family = "power"
+    d1_array_ulps = 2.0
 
     def _power(self, t, exponent):
         """(t + c)**exponent, checked against the domain."""
@@ -230,6 +240,7 @@ class Tabulated(Curve):
     # h = x_k+1 - x_k, h*m_k and h*m_k+1 (one array keeps the memory small)
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
     family = "tabulated"
+    d1_array_ulps = 0.0
 
     def __post_init__(self):
         knots = tuple(float(k) for k in self.knots)

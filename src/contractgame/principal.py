@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import (
-    TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, scan_candidates,
+    TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, bisect_brackets,
     settle_points,
 )
 from .errors import DimensionError, DomainError, EnumerationCapExceeded
 from .model import Contract, Scenario
-from .tables import SCAN_GRID_POINTS, EffortTables, effort_tables
+from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effort_tables
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -47,6 +47,10 @@ DELTA_ROW_MEMO = 4096  # utility-delta rows whose _Row solve_game keeps
 _MARGIN = 2.0**-48   # 32 units of roundoff, the screen's rounding margin
 _SLACK = 2.0**-40    # relative slack for the rounding of the flat test itself
 _GUARD = 2.0**1000   # |b| + size below this keeps every scan value finite
+
+# rows per block of _build_rows' dense stage: four scan-long rows, 128 kB an
+# array (eight rows were no faster here and raised the peak RSS twice as much)
+_BLOCK = 2**14 // (SCAN_GRID_POINTS - 1)
 
 TIE_BREAK_POLICIES = (
     "principal-favorable",
@@ -267,34 +271,13 @@ class _FamilyArrays:
 class _Row:
     """A utility-delta row's base-free tables, from which _screen settles
     its contracts; _screen's docstring defines the fields and the bound
-    they serve."""
+    they serve, and _build_rows builds them."""
 
     reach: float
     top: float
     span: float
     size: float
     points: np.ndarray
-
-    @classmethod
-    def build(cls, scenario: Scenario, tables: EffortTables, deltas, cost_size) -> _Row | None:
-        """The row's tables, or None when the row has no screen.
-
-        cost_size() is the effort cost's largest magnitude on the scan.
-        """
-        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
-        reach = float(np.abs(h[1:] - h[:-1]).min())
-        top = float(h.max())
-        low = float(h.min())
-        size = max(top, -low) + 2.0 * cost_size()
-        if not (reach > 0.0 and math.isfinite(size)):
-            return None
-        roots, open_brackets = scan_candidates(payoff, tables, h)
-        if open_brackets:
-            return None
-        points = cls._at(scenario, deltas, settle_points(roots, scenario.interval))
-        a_max, v_max = np.abs(points[:2]).max(axis=1)
-        return cls(reach, top, top - low, float(max(size, a_max + v_max)), points)
 
     @staticmethod
     def _at(scenario: Scenario, deltas, points) -> np.ndarray:
@@ -314,18 +297,253 @@ class _Row:
         return np.array([a, v, *p], dtype=float)
 
 
-def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy: str):
+def _d1(curve, x: np.ndarray) -> np.ndarray:
+    """curve.d1 on the array x; NaN where the call raises, so each point is then called alone."""
+    try:
+        return np.asarray(curve.d1(x), dtype=float)
+    except Exception:
+        return np.full(len(x), np.nan)
+
+
+class _Slopes:
+    """The slopes sum_i delta_i p_i'(e) - v'(e) of delta rows, at many points at once.
+
+    ``slopes(rows, x)`` takes arrays of row numbers and points and gives
+    each slope with the sign, or zero, of the scalar call
+    LinearPayoff.slope(x) that a search of the row alone makes.  The terms
+    are summed from numpy's d1 arrays in that call's order, so a row whose
+    curves' d1 arrays are the scalar calls bit for bit (d1_array_ulps 0:
+    polynomial, tabulated and log-affine) gets the scalar call's value.
+
+    The guard.  Let U be the most ulps a term's d1 array may lie from the
+    scalar call (Curve.d1_array_ulps; 2 for exp-affine and power, and
+    tests/test_curves.py checks it) and m the row's terms, the cost
+    included.  A term's product then differs by at most (2U + 2) u of its
+    magnitude, u = 2^-53, and each sum's m roundings move it by at most
+    m u of S = sum_i |delta_i p_i'| + |v'|, so the two slopes lie within
+    (2U + 2m) u S of each other to first order.  The guard is more than
+    twice that, (2U + 2m + 4) 2^-52 S: a value further from 0 has the
+    scalar call's sign, even on a numpy build whose d1 arrays are up to
+    2U + m + 4 ulps off.  Any other value, or one that is not finite, is
+    the scalar call's (``scalar``), and so is every value of a row with a
+    curve of no stated bound.  A row whose scalar call raises is marked
+    in ``failed``, and its values are NaN from then on.
+    """
+
+    def __init__(self, scenario: Scenario, keys, deltas: np.ndarray):
+        self.scenario = scenario
+        self.keys = keys
+        self.deltas = deltas
+        self.components = scenario.profile.components
+        self.cost = scenario.agent.effort_cost
+        used = deltas != 0.0
+        self.full = used.all(axis=0)  # the components every row has a term of
+        ulps = [getattr(c, "d1_array_ulps", math.inf) for c in (*self.components, self.cost)]
+        ulps = np.where(used, ulps[:-1], 0.0).max(axis=1, initial=ulps[-1])
+        terms = used.sum(axis=1) + 1.0
+        self.guard = np.where(ulps == 0.0, 0.0, (2.0 * ulps + 2.0 * terms + 4.0) * 2.0**-52)
+        self.exact = not self.guard.any()
+        self.failed = np.zeros(len(keys), dtype=bool)
+
+    def __call__(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        deltas = self.deltas[rows]
+        g = np.zeros(len(rows))
+        size = np.zeros(len(rows))
+        for i, comp in enumerate(self.components):
+            if self.full[i]:
+                use = slice(None)
+            else:
+                use = np.flatnonzero(deltas[:, i])
+                if not len(use):
+                    continue
+            term = deltas[use, i] * _d1(comp, x[use])
+            g[use] = g[use] + term
+            if not self.exact:
+                size[use] = size[use] + np.abs(term)
+        v = _d1(self.cost, x)
+        g = g - v
+        if self.exact:
+            redo = ~(np.abs(g) > 0.0)
+        else:
+            redo = ~(np.abs(g) > self.guard[rows] * (size + np.abs(v)))
+        for k in np.flatnonzero(redo).tolist():
+            g[k] = self.scalar(int(rows[k]), float(x[k]))
+        return g
+
+    def scalar(self, row: int, x: float) -> float:
+        """The scalar call LinearPayoff.slope(x) of the row, or NaN once it has raised."""
+        if not self.failed[row]:
+            try:
+                return LinearPayoff(self.scenario, (*self.keys[row], 0.0), self.cost).slope(x)
+            except Exception:
+                self.failed[row] = True
+        return math.nan
+
+
+def _build_rows(scenario: Scenario, tables: EffortTables, keys, cost_size) -> list:
+    """The _Row of each utility-delta row in keys (tuples), or None where it has no screen.
+
+    _screen's docstring defines the tables, and a row's are those that
+    searching it alone gives, bit for bit.  The rows are built together, in
+    three stages:
+
+    - dense: h (base 0.0) on the scan and the slope on the bracket grid as
+      (rows x grid) arrays, _BLOCK rows at a time, summed in
+      LinearPayoff.on_grid's order by broadcasting, not by a matrix
+      product (a masked add only in a column where some row skips a zero
+      delta), so each value keeps its bits but for the sign of a zero
+      (``sums``); reach, top and low by axis reductions; the bracket
+      grid's zero runs and sign changes; and the scan peaks, from the
+      signs of h's steps, whose least magnitude is reach: reach > 0 rules
+      out equal neighbours, so a peak is a point where a rising step meets
+      a falling one (agent.scan_candidates' rule on h);
+    - bisection: every sign change and scan-peak bracket of every row in one
+      lockstep loop (agent.bisect_brackets) on _Slopes;
+    - finish: settle_points and _at, one row at a time.
+
+    A row is None when its tables raise or are not finite, when h has a
+    flat step (reach 0), when a scan peak brackets no sign change of the
+    slope (an open bracket), or when a scalar call on it raises.
+    cost_size() is the effort cost's largest magnitude on the scan.
+    """
+    count = len(keys)
+    components = scenario.profile.components
+    cost = scenario.agent.effort_cost
+    deltas = np.array(keys, dtype=float).reshape(count, len(components))
+    built = [None] * count
+
+    def sums(block: np.ndarray, used: np.ndarray, points: int, order: int):
+        """on_grid of each row of the block but for the sign of a zero, and
+        the rows whose arrays raise.
+
+        on_grid adds its terms to 0.0 (and then the base 0.0), so a zero
+        sum is +0.0; here the first term is the sum's start, so it may be
+        -0.0.  No other value differs, and nothing read from these sums
+        sees the sign of a zero but max and min, which add 0.0 to theirs.
+        """
+        acc = None
+        failed = np.zeros(len(block), dtype=bool)
+        for i, comp in enumerate(components):
+            use = used[:, i]
+            if use.any():
+                try:
+                    values = tables.array(comp, points, order)
+                except Exception:
+                    failed |= use
+                    continue
+                term = block[:, i, None] * values
+                if use.all():
+                    if acc is None:
+                        acc = term
+                    else:
+                        acc += term
+                else:
+                    if acc is None:
+                        acc = np.zeros((len(block), points))
+                    np.add(acc, term, out=acc, where=use[:, None])
+        if acc is None:
+            acc = np.zeros((len(block), points))
+        try:
+            acc -= tables.array(cost, points, order)
+        except Exception:
+            failed[:] = True
+        return acc, failed
+
+    try:
+        tables.array(cost, SCAN_GRID_POINTS)  # cost_size() reads it
+    except Exception:
+        return built
+    scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
+    used = deltas != 0.0
+    stats = np.zeros((4, count))  # reach, top, low, size
+    # the rows that pass the dense stage, and flat indices into their
+    # (rows x grid) arrays of the slope's zeros and sign changes on the
+    # bracket grid and of h's scan peaks
+    passed, zeros, changes, peaks = [], [], [], []
+    held = 0
+    with np.errstate(all="ignore"):
+        for start in range(0, count, _BLOCK):
+            stop = min(start + _BLOCK, count)
+            h, failed = sums(deltas[start:stop], used[start:stop], SCAN_GRID_POINTS, 0)
+            steps = h[:, 1:] - h[:, :-1]
+            rising = steps > 0.0
+            reach = np.abs(steps, out=steps).min(axis=1)
+            top, low = h.max(axis=1) + 0.0, h.min(axis=1) + 0.0
+            size = np.where(-low > top, -low, top) + 2.0 * cost_size()
+            stats[:, start:stop] = reach, top, low, size
+            sel = np.flatnonzero(~failed & (reach > 0.0) & np.isfinite(size)) + start
+            if not len(sel):
+                continue
+            rows = sel if len(sel) < stop - start else slice(start, stop)
+            gv, failed = sums(deltas[rows], used[rows], MT_GRID_POINTS, 1)
+            finite = ~failed & np.isfinite(gv).all(axis=1)
+            if not finite.all():
+                sel, gv = sel[finite], gv[finite]
+            if len(sel) < stop - start:
+                rising = rising[sel - start]
+            sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
+            passed.append(sel)
+            zeros.append(np.flatnonzero(gv == 0.0) + held * MT_GRID_POINTS)
+            changes.append(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0) + held * (MT_GRID_POINTS - 1))
+            peaks.append(np.flatnonzero(rising[:, :-1] > rising[:, 1:]) + held * (SCAN_GRID_POINTS - 2))
+            held += len(sel)
+
+        passed = np.concatenate([np.zeros(0, dtype=np.intp), *passed])
+        alive = np.zeros(count, dtype=bool)
+        alive[passed] = True
+        # zero runs: each run's first and last point, a lone zero twice
+        at = np.concatenate([np.zeros(0, dtype=np.intp), *zeros])
+        col = at % MT_GRID_POINTS
+        first = (col == 0) | (np.diff(at, prepend=-2) != 1)
+        last = (col == MT_GRID_POINTS - 1) | (np.diff(at, append=-2) != 1)
+        ends = np.stack([at[first], at[last]], axis=1).reshape(-1)
+        edge_rows, edge_values = passed[ends // MT_GRID_POINTS], grid[ends % MT_GRID_POINTS]
+        # sign changes, then scan peaks (point j + 1 of a row is a peak
+        # where the step before it rises and the one after it falls)
+        r, j = np.divmod(np.concatenate([np.zeros(0, dtype=np.intp), *changes]), MT_GRID_POINTS - 1)
+        p, k = np.divmod(np.concatenate([np.zeros(0, dtype=np.intp), *peaks]), SCAN_GRID_POINTS - 2)
+        item_rows = np.concatenate([passed[r], passed[p]])
+        order = np.argsort(item_rows, kind="stable")
+        item_rows = item_rows[order]
+        a = np.concatenate([grid[j], scan[k]])[order]
+        b = np.concatenate([grid[j + 1], scan[k + 2]])[order]
+        snap = np.concatenate([np.zeros(len(r), dtype=bool), np.ones(len(p), dtype=bool)])[order]
+        slopes = _Slopes(scenario, keys, deltas)
+        roots = np.zeros(0)
+        if len(item_rows):
+            roots = bisect_brackets(lambda k, x: slopes(item_rows[k], x), a, b, snap)
+    alive[item_rows[np.isnan(roots)]] = False  # open scan-peak brackets
+    alive &= ~slopes.failed
+
+    every = np.arange(count + 1)
+    edge_at = np.searchsorted(edge_rows, every).tolist()
+    root_at = np.searchsorted(item_rows, every).tolist()
+    edge_values, roots = edge_values.tolist(), roots.tolist()
+    reach, top, low, size = stats.tolist()
+    for r in np.flatnonzero(alive).tolist():
+        candidates = edge_values[edge_at[r]:edge_at[r + 1]] + roots[root_at[r]:root_at[r + 1]]
+        try:
+            points = _Row._at(scenario, keys[r], settle_points(candidates, scenario.interval))
+        except Exception:
+            continue
+        a_max, v_max = np.abs(points[:2]).max(axis=1).tolist()
+        built[r] = _Row(reach[r], top[r], top[r] - low[r], max(size[r], a_max + v_max), points)
+    return built
+
+
+def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, policy: str):
     """Settle the contracts of one chunk from their rows' tables, where that is exact.
 
     Returns (screened, accepted, value) per contract; accepted and value
     (the principal's payoff at the policy's effort) are as the contract's
-    own solve gives them wherever screened is set.  row(deltas) is the
-    _Row of a utility-delta row (LinearPayoff.deltas), or None.
+    own solve gives them wherever screened is set.  row_tables(keys) gives
+    the _Row, or None, of each utility-delta row (LinearPayoff.deltas) in
+    keys.
 
     The row.  A contract with base b = u(w_n) in a delta row has the scan
     values fv_j = fl(fl(b + a_j) - v_j), where a = sum_i delta_i p_i is the
     row's base-free sum and v the cost on the scan; b enters nowhere else
-    before settle.  Let h_j = a_j - v_j exactly.  The row (_Row.build)
+    before settle.  Let h_j = a_j - v_j exactly.  The row (_build_rows)
     computes fl(h_j) as fl(fl(0.0 + a_j) - v_j), its payoff with base 0.0
     (0.0 + a_j is a_j but for the sign of a zero, which no difference,
     comparison, max or magnitude below sees), and d_j = fl(fl(h_j) -
@@ -384,9 +602,14 @@ def _screen(scenario: Scenario, row, arrays: _FamilyArrays, index, fits, policy:
     ok = np.nonzero(fits & np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1))[0]
     if len(ok) == 0:
         return screened, accepted, value
-    distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
+    if deltas.shape[1] == 1:
+        distinct, which = np.unique(deltas[ok, 0], return_inverse=True)
+        distinct = distinct[:, None]
+    else:
+        distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
     which = which.reshape(-1)
-    row_screens = [row(tuple(d)) for d in distinct.tolist()]
+
+    row_screens = row_tables([tuple(d) for d in distinct.tolist()])
 
     # per row: reach, size, top, span (a row without a screen has reach 0,
     # so none of its contracts is decided) and its points' offset in cells
@@ -513,18 +736,19 @@ def solve_game(
 
     rows = {}  # the last DELTA_ROW_MEMO rows met, oldest first
 
-    def row(deltas: tuple[float, ...]) -> _Row | None:
-        """The _Row of a utility-delta row, or None.  A row whose build
-        raises is kept as None: its contracts are solved one by one, which
-        raises the same error at the same contract."""
-        if deltas not in rows:
+    def row_tables(keys: list) -> list:
+        """The _Row of each utility-delta row in keys, or None.  The rows
+        not held are built in one _build_rows call and added in order.  A
+        row without a screen is kept as None: its contracts are solved one
+        by one, which raises the same error at the same contract."""
+        new = [key for key in keys if key not in rows]
+        built = dict(zip(new, _build_rows(scenario, tables, new, cost_size))) if new else {}
+        found = [rows[key] if key in rows else built[key] for key in keys]
+        for key, row in built.items():
             if len(rows) >= DELTA_ROW_MEMO:
                 del rows[next(iter(rows))]
-            try:
-                rows[deltas] = _Row.build(scenario, tables, deltas, cost_size)
-            except Exception:
-                rows[deltas] = None
-        return rows[deltas]
+            rows[key] = row
+        return found
 
     arrays = _FamilyArrays(scenario, family)
     incumbent = None  # (key, contract) of the best accepted contract so far
@@ -532,7 +756,7 @@ def solve_game(
     for start in range(0, total, SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, total)
         index, fits = arrays.chunk(start, stop)
-        screened, accepted, value = _screen(scenario, row, arrays, index, fits, tie_break)
+        screened, accepted, value = _screen(scenario, row_tables, arrays, index, fits, tie_break)
         for k in np.nonzero(~screened)[0].tolist():
             response, _, v = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
             accepted[k] = response.accepted

@@ -4,13 +4,21 @@ Per candidate contract the agent's effort is located by a dense-grid argmax
 over the expectation closure followed by a local golden-section refinement
 written here, and the principal's payoff is an inline probability-weighted
 sum.  Nothing is shared with the solver's best-response search.
+
+``row_build`` is the reference for solve_game's batched row build: one
+utility-delta row's tables, searched alone with the per-contract stages.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from contractgame import agent_payoff_functions, grid_argmax, profile_probs
+from contractgame.agent import LinearPayoff, scan_candidates, settle_points
+from contractgame.principal import _Row
+from contractgame.tables import SCAN_GRID_POINTS
 
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -64,3 +72,29 @@ def enumeration_oracle(scenario, family, argmax_points: int = 4097):
     if best is None:
         return None
     return best[1], best[2], best[3]
+
+
+def row_build(scenario, tables, deltas, cost_size):
+    """The row's _Row searched alone, and why it is None: (row, None) for
+    a built row, (None, why) with why "raises", "flat step", "not finite"
+    or "open bracket" for a row without a screen.
+
+    cost_size() is the effort cost's largest magnitude on the scan.
+    """
+    try:
+        payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
+        reach = float(np.abs(h[1:] - h[:-1]).min())
+        top = float(h.max())
+        low = float(h.min())
+        size = max(top, -low) + 2.0 * cost_size()
+        if not (reach > 0.0 and math.isfinite(size)):
+            return None, "flat step" if reach == 0.0 else "not finite"
+        roots, open_brackets = scan_candidates(payoff, tables, h)
+        if open_brackets:
+            return None, "open bracket"
+        points = _Row._at(scenario, deltas, settle_points(roots, scenario.interval))
+    except Exception:
+        return None, "raises"
+    a_max, v_max = np.abs(points[:2]).max(axis=1)
+    return _Row(reach, top, top - low, float(max(size, a_max + v_max)), points), None

@@ -213,7 +213,56 @@ def test_array_and_scalar_evaluation_agree_bit_for_bit(method):
     exp, log and pow may differ from the C library's in the last bit.
     """
     rng = np.random.default_rng(4242)
+    assert Polynomial.d1_array_ulps == Tabulated.d1_array_ulps == 0.0
     for curve, points in _exact_family_curves(rng, 300):
         array = getattr(curve, method)(points)
         scalar = [getattr(curve, method)(float(t)) for t in points]
         assert np.array_equal(_bits(array), _bits(scalar)), (curve, method)
+
+
+def _ulps_apart(a, b) -> np.ndarray:
+    """How many floats lie between a and b, counting a step across zero as one."""
+    ia, ib = _bits(a), _bits(b)
+    # map the bit patterns onto a line on which neighbouring floats are 1 apart
+    ia = np.where(ia < 0, np.int64(-2**63) - ia, ia)
+    ib = np.where(ib < 0, np.int64(-2**63) - ib, ib)
+    return np.abs(ia - ib)
+
+
+@pytest.mark.parametrize("method", ["eval", "d1"])
+@pytest.mark.parametrize("family", ["exp-affine", "log-affine", "power"])
+def test_nonexact_arrays_are_within_two_ulp_of_scalar_calls(family, method):
+    """numpy's exp, log and pow are within 2 ulp of the C library's, and
+    d1 arrays within the curve's d1_array_ulps of its scalar calls.
+
+    solve_game's batched row build takes numpy's slope only when it is
+    further from 0 than that difference can reach (principal._Slopes);
+    this is the premise it rests on.  LogAffine.d1 is one division, the
+    same on both sides.  eval is checked with a = 0: adding a is one IEEE
+    addition on both sides, whose cancellation can turn that difference
+    into many ulps of the sum.
+    """
+    rng = np.random.default_rng(("exp-affine", "log-affine", "power").index(family) + 4343)
+    worst = 0
+    checked = 0
+    for _ in range(40):
+        lo = float(rng.uniform(-2.0, 2.0))
+        hi = lo + float(rng.uniform(0.1, 4.0))
+        a, b = (float(x) for x in rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, size=2))
+        if method == "eval":
+            a = 0.0
+        shift = float(rng.uniform(1e-3, 2.0)) - lo  # t + shift > 0 on [lo, hi]
+        curve = {
+            "exp-affine": lambda: ExpAffine(a, b, float(rng.uniform(-30.0, 30.0))),
+            "log-affine": lambda: LogAffine(a, b, shift),
+            "power": lambda: Power(b, float(rng.uniform(-3.0, 4.0)), shift),
+        }[family]()
+        points = rng.uniform(lo, hi, 1000)
+        array = getattr(curve, method)(points)
+        scalar = np.array([getattr(curve, method)(float(t)) for t in points])
+        finite = np.isfinite(scalar)
+        assert np.array_equal(finite, np.isfinite(array))
+        worst = max(worst, int(_ulps_apart(array[finite], scalar[finite]).max(initial=0)))
+        checked += int(finite.sum())
+    assert checked > 30000
+    assert worst <= (2 if method == "eval" else type(curve).d1_array_ulps)

@@ -1,5 +1,8 @@
 """Principal expectation and backward induction over contract families."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,9 @@ from contractgame import (
     LogAffine,
     GameSolution,
     DimensionError,
+    DomainError,
     Polynomial,
+    Power,
     PrincipalPreferences,
     Scenario,
     Tabulated,
@@ -25,8 +30,11 @@ from contractgame import (
     principal_expectation,
     solve_game,
 )
+from contractgame.agent import LinearPayoff, _bisect_root, snap_root
+from contractgame.curves import Curve
 from contractgame.principal import TIE_BREAK_POLICIES
-from game_oracle import enumeration_oracle
+from contractgame.tables import SCAN_GRID_POINTS, effort_tables
+from game_oracle import enumeration_oracle, row_build
 from scenario_gen import game_corpus, linear_two_outcome_scenario, reference_scenario
 
 IDENTITY = Polynomial((0.0, 1.0))
@@ -365,31 +373,25 @@ class TestFamilyBatching:
     def test_equals_per_contract_solves(self, name, policy, monkeypatch):
         scenario, family = _BATCHING_FAMILIES[name]()
         calls = {"rows": 0, "golden": 0, "snapped": 0}
-        building = [False]
+        build, bisect = principal_module._build_rows, principal_module.bisect_brackets
+        golden = agent_module._golden_max
 
-        build = principal_module._Row.build.__func__
-        snap, golden = agent_module.snap_root, agent_module._golden_max
+        def counting_build(scenario, tables, keys, cost_size):
+            calls["rows"] += len(keys)
+            return build(scenario, tables, keys, cost_size)
 
-        def counting_build(cls, *args):
-            calls["rows"] += 1
-            building[0] = True
-            try:
-                return build(cls, *args)
-            finally:
-                building[0] = False
-
-        def counting_snap(*args):
-            # only a row's own snaps count, not those of a one-by-one solve
-            root = snap(*args)
-            calls["snapped"] += building[0] and root is not None
-            return root
+        def counting_bisect(g, a, b, snap):
+            # the scan-peak brackets the row build snaps onto a root
+            roots = bisect(g, a, b, snap)
+            calls["snapped"] += int((snap & ~np.isnan(roots)).sum())
+            return roots
 
         def counting_golden(*args):
             calls["golden"] += 1
             return golden(*args)
 
-        monkeypatch.setattr(principal_module._Row, "build", classmethod(counting_build))
-        monkeypatch.setattr(agent_module, "snap_root", counting_snap)
+        monkeypatch.setattr(principal_module, "_build_rows", counting_build)
+        monkeypatch.setattr(principal_module, "bisect_brackets", counting_bisect)
         monkeypatch.setattr(agent_module, "_golden_max", counting_golden)
         batched = solve_game(scenario, family, policy)
         batched_calls = dict(calls)
@@ -433,13 +435,13 @@ class TestFamilyBatching:
         monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
         monkeypatch.setattr(principal_module, "SCREEN_CHUNK", 2)
         built = []
-        build = principal_module._Row.build.__func__
+        build = principal_module._build_rows
 
-        def counting_build(cls, scenario, tables, deltas, cost_size):
-            built.append(deltas)
-            return build(cls, scenario, tables, deltas, cost_size)
+        def counting_build(scenario, tables, keys, cost_size):
+            built.extend(keys)
+            return build(scenario, tables, keys, cost_size)
 
-        monkeypatch.setattr(principal_module._Row, "build", classmethod(counting_build))
+        monkeypatch.setattr(principal_module, "_build_rows", counting_build)
         scenario = _scenario(outcomes, _RISING, Polynomial((0.0, 0.0, 2.0)))
         family = ContractFamily(contracts=tuple(Contract((w, 0.0)) for w in wages))
         for policy in TIE_BREAK_POLICIES:
@@ -704,3 +706,198 @@ class TestGeneratedCorpus:
                 assert repr(got) == repr(expected)
             rejected += any(not r.accepted for r in responses.values())
         assert rejected > 0
+
+
+class _ScalarOnlyRise(Curve):
+    """p(e) = 0.2 + 0.5e, whose scalar d1 raises above e = 0.9.
+
+    Its class is none of the five families, so the row build makes every
+    slope call on it a scalar one.
+    """
+
+    family = "scalar-only"
+
+    def eval(self, t):
+        return 0.2 + 0.5 * t
+
+    def d1(self, t):
+        if not isinstance(t, np.ndarray) and t > 0.9:
+            raise DomainError(f"no slope at {t}")
+        return 0.5 + 0.0 * t
+
+    def d2(self, t):
+        return 0.0 * t
+
+
+def _family_rows(scenario, family):
+    """The distinct utility-delta rows of the family's contracts, as solve_game meets them."""
+    arrays = principal_module._FamilyArrays(scenario, family)
+    if arrays.u is None:
+        return []
+    index, fits = arrays.chunk(0, family.size())
+    levels = arrays.matrix(arrays.u, index)
+    deltas = levels[:, :-1] - levels[:, -1:]
+    ok = fits & np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1)
+    return [tuple(d) for d in np.unique(deltas[ok], axis=0).tolist()]
+
+
+def _cost_size(scenario):
+    tables = effort_tables(scenario)
+
+    @functools.cache
+    def cost_size():
+        v = tables.array(scenario.agent.effort_cost, SCAN_GRID_POINTS)
+        return float(max(v.max(), -v.min()))
+
+    return cost_size
+
+
+def _same_row(got, expected):
+    """The same None-ness, field bits and points bytes."""
+    if got is None or expected is None:
+        return got is None and expected is None
+    fields = ("reach", "top", "span", "size")
+    return (
+        np.array([getattr(got, f) for f in fields]).tobytes()
+        == np.array([getattr(expected, f) for f in fields]).tobytes()
+        and got.points.shape == expected.points.shape
+        and got.points.dtype == expected.points.dtype
+        and got.points.tobytes() == expected.points.tobytes()
+    )
+
+
+def _row_cases():
+    """(scenario, rows) per family of the screen, batching, error and generated corpora,
+    plus rows whose tables raise and rows whose scalar slope raises."""
+    families = [make() for make in _SCREEN_FAMILIES.values()]
+    families += [make() for make in _BATCHING_FAMILIES.values()]
+    families += [make() for make in _ERROR_CASES.values()]
+    families += [(scenario, family) for _, scenario, family in game_corpus(240, seed=6101)]
+    cases = [(scenario, _family_rows(scenario, family)) for scenario, family in families]
+    # p2 = 0.1 ln(e - 0.5) is undefined on the lower half of the scan
+    undefined = _scenario(
+        (10.0, 2.0, 2.0),
+        [Polynomial((0.2, 0.5)), LogAffine(0.0, 0.1, -0.5)],
+        Polynomial((0.0, 0.0, 2.0)),
+    )
+    cases.append((undefined, [(1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (0.0, 0.25)]))
+    # the slope 0.5 d - 4e has its root at d / 8: beyond 0.9 its scalar call raises
+    scalar_only = _scenario((10.0, 2.0), [_ScalarOnlyRise()], Polynomial((0.0, 0.0, 2.0)))
+    cases.append((scalar_only, [(1.0,), (4.0,), (7.5,), (7.9,), (-1.0,)]))
+    return cases
+
+
+class TestBatchedRowBuild:
+    """_build_rows gives each row the _Row (or None) that searching it alone gives."""
+
+    def test_equals_the_per_row_build(self, monkeypatch):
+        fallbacks = [0]
+        scalar = principal_module._Slopes.scalar
+
+        def counting_scalar(self, row, x):
+            fallbacks[0] += 1
+            return scalar(self, row, x)
+
+        monkeypatch.setattr(principal_module._Slopes, "scalar", counting_scalar)
+        why_none = {}
+        built = 0
+        for scenario, rows in _row_cases():
+            if not rows:
+                continue
+            tables, cost_size = effort_tables(scenario), _cost_size(scenario)
+            got = principal_module._build_rows(scenario, tables, rows, cost_size)
+            assert len(got) == len(rows)
+            for deltas, row in zip(rows, got):
+                expected, why = row_build(scenario, tables, deltas, cost_size)
+                assert _same_row(row, expected), (scenario, deltas)
+                why_none[why] = why_none.get(why, 0) + 1
+            built += len(rows)
+        assert built > 5000
+        # the ways a row can have no screen are met, and the guard falls back
+        assert {None, "raises", "flat step", "open bracket"} <= set(why_none), why_none
+        assert fallbacks[0] > 0
+
+
+def _random_curve(rng, kind, lo, hi):
+    """A curve of the family kind, defined and smooth on [lo, hi]."""
+    shift = float(rng.uniform(0.05, 1.0)) - lo  # t + shift > 0 on the interval
+    a, b = (float(x) for x in rng.normal(size=2) * 10.0 ** rng.integers(-2, 3, size=2))
+    if kind == "polynomial":
+        return Polynomial(tuple(float(c) for c in rng.normal(size=int(rng.integers(1, 6)))))
+    if kind == "exp-affine":
+        return ExpAffine(a, b, float(rng.uniform(-4.0, 4.0)) / max(1.0, hi))
+    if kind == "log-affine":
+        return LogAffine(a, b, shift)
+    if kind == "power":
+        return Power(b, float(rng.uniform(-2.0, 3.0)), shift)
+    knots = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, int(rng.integers(1, 9)))]))
+    return Tabulated(tuple(knots), tuple(rng.uniform(-1.0, 1.0, knots.size)))
+
+
+_KINDS = ("polynomial", "exp-affine", "log-affine", "power", "tabulated")
+
+
+def _one_by_one(g, a, b, snap):
+    """bracket_roots' and snap_root's bisection of one bracket: NaN for an open one."""
+    if snap:
+        root = snap_root(g, a, b)
+        return math.nan if root is None else root
+    return _bisect_root(g, a, b, g(a), g(b))
+
+
+class TestLockstepBisection:
+    """bisect_brackets on _Slopes gives _bisect_root's roots, bit for bit."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_random_brackets(self, kind):
+        rng = np.random.default_rng(_KINDS.index(kind) + 8801)
+        exits = {"stop": 0, "open": 0, "root": 0}
+        for trial in range(12):
+            # an interval far from 0 has ulps above REFINE_TOL: the mid <= a stop
+            lo = 0.0 if trial % 3 else 1e4
+            hi = lo + float(rng.uniform(0.5, 2.0))
+            other = _KINDS[int(rng.integers(len(_KINDS)))]
+            components = [_random_curve(rng, kind, lo, hi), _random_curve(rng, other, lo, hi)]
+            cost = _random_curve(rng, _KINDS[int(rng.integers(len(_KINDS)))], lo, hi)
+            scenario = Scenario(
+                (10.0, 5.0, 2.0), EffortInterval(lo, hi), EffortProfile(tuple(components)),
+                AgentPreferences(IDENTITY, cost), PrincipalPreferences(IDENTITY),
+            )
+            keys = [tuple(float(d) for d in rng.normal(size=2) * (rng.random(2) < 0.8)) for _ in range(6)]
+            keys[0] = (1.0, 0.0)
+            count = 200
+            rows = rng.integers(len(keys), size=count)
+            a = rng.uniform(lo, hi, count)
+            width = np.where(rng.random(count) < 0.5, (hi - lo) / 1024, (hi - lo) / 2048)
+            b = np.minimum(a + width, hi)
+            tiny = rng.random(count) < 0.2  # brackets 1 or 2 ulps wide
+            b[tiny] = np.nextafter(np.nextafter(a[tiny], np.inf), np.where(rng.random(tiny.sum()) < 0.5, np.inf, a[tiny]))
+            snap = rng.random(count) < 0.5
+            deltas = np.array(keys)
+            slopes = principal_module._Slopes(scenario, keys, deltas)
+            got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
+            assert not slopes.failed.any()
+            for k in range(count):
+                g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), cost).slope
+                expected = _one_by_one(g, float(a[k]), float(b[k]), bool(snap[k]))
+                assert np.array([got[k]]).tobytes() == np.array([expected]).tobytes(), (k, a[k], b[k])
+                exits["open"] += math.isnan(expected)
+                exits["stop"] += bool(b[k] - a[k] > 1e-12 and tiny[k])
+                exits["root"] += not math.isnan(expected)
+        assert min(exits.values()) > 0
+
+    def test_zero_exits(self):
+        """Roots at a bracket end, and a midpoint where the slope is exactly 0."""
+        # slope d (0.5) - 2e: 0 at e = 0.25 for the row d = 1
+        scenario = _scenario((10.0, 2.0), _RISING, Polynomial((0.0, 0.0, 1.0)))
+        keys = [(1.0,), (2.0,)]
+        a = np.array([0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.375])
+        b = np.array([0.5, 0.25, 0.5, 0.5, 0.25, 0.75, 0.625])
+        rows = np.array([0, 0, 0, 0, 0, 1, 1])
+        snap = np.array([False, False, False, True, True, False, True])
+        slopes = principal_module._Slopes(scenario, keys, np.array(keys))
+        got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
+        assert got.tolist() == [0.25, 0.25, 0.25, 0.25, 0.25, 0.5, 0.5]
+        for k in range(len(a)):
+            g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), scenario.agent.effort_cost).slope
+            assert got[k] == _one_by_one(g, float(a[k]), float(b[k]), bool(snap[k]))

@@ -276,14 +276,23 @@ def _bits(values):
 
 class TestOneEvaluation:
     def test_each_curve_order_is_evaluated_on_an_array_once(self, monkeypatch):
-        """All seven entry points on one scenario call eval, d1 and d2 at most once each."""
+        """All seven entry points on one scenario call eval, d1 and d2 at most once each.
+
+        Only calls on the effort grids count (arrays that share memory with
+        the current tables' scan), so a grid filled twice fails; the point
+        vectors solve_game's row build bisects on do not count.
+        """
         calls = []
+
+        def on_grid(t):
+            last = tables_module._last
+            return last is not None and np.shares_memory(t, last[1].grid(SCAN_GRID_POINTS))
 
         def counting(cls, name):
             method = getattr(cls, name)
 
             def wrapper(self, t):
-                if isinstance(t, np.ndarray):
+                if isinstance(t, np.ndarray) and on_grid(t):
                     calls.append((id(self), name))
                 return method(self, t)
 
