@@ -8,7 +8,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,6 +30,7 @@ from .scenario_io import (
     SweepTable,
     emit_report,
     parse_scenario,
+    read_json,
     render_json,
     result_to_dict,
 )
@@ -87,10 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
     text = spec.strip()
     if text.startswith("["):
-        try:
-            wages = json.loads(text, parse_int=float)  # a huge integer becomes inf
-        except json.JSONDecodeError as err:
-            raise ContractGameError(f"bad inline contract {spec!r}: {err.msg}") from err
+        # a huge integer becomes inf, which contract_issues reports
+        wages = read_json(f"bad inline contract {spec!r}", text, parse_int=float)
         if not isinstance(wages, list) or not all(
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in wages
         ):

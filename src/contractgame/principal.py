@@ -13,7 +13,6 @@ result is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -380,7 +379,7 @@ class _Slopes:
         return math.nan
 
 
-def _build_rows(scenario: Scenario, tables: EffortTables, keys, cost_size) -> list:
+def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
     """The _Row of each utility-delta row in keys (tuples), or None where it has no screen.
 
     _screen's docstring defines the tables, and a row's are those that
@@ -404,7 +403,6 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, cost_size) -> li
     A row is None when its tables raise or are not finite, when h has a
     flat step (reach 0), when a scan peak brackets no sign change of the
     slope (an open bracket), or when a scalar call on it raises.
-    cost_size() is the effort cost's largest magnitude on the scan.
     """
     count = len(keys)
     components = scenario.profile.components
@@ -450,9 +448,10 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, cost_size) -> li
         return acc, failed
 
     try:
-        tables.array(cost, SCAN_GRID_POINTS)  # cost_size() reads it
+        v = tables.array(cost, SCAN_GRID_POINTS)
     except Exception:
         return built
+    cost_size = float(max(v.max(), -v.min()))  # the effort cost's largest magnitude
     scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
     used = deltas != 0.0
     stats = np.zeros((4, count))  # reach, top, low, size
@@ -469,7 +468,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, cost_size) -> li
             rising = steps > 0.0
             reach = np.abs(steps, out=steps).min(axis=1)
             top, low = h.max(axis=1) + 0.0, h.min(axis=1) + 0.0
-            size = np.where(-low > top, -low, top) + 2.0 * cost_size()
+            size = np.where(-low > top, -low, top) + 2.0 * cost_size
             stats[:, start:stop] = reach, top, low, size
             sel = np.flatnonzero(~failed & (reach > 0.0) & np.isfinite(size)) + start
             if not len(sel):
@@ -728,12 +727,6 @@ def solve_game(
         )
     family.require_within_cap()
     tables = effort_tables(scenario)
-
-    @functools.cache
-    def cost_size() -> float:
-        v = tables.array(scenario.agent.effort_cost, SCAN_GRID_POINTS)
-        return float(max(v.max(), -v.min()))
-
     rows = {}  # the last DELTA_ROW_MEMO rows met, oldest first
 
     def row_tables(keys: list) -> list:
@@ -742,7 +735,7 @@ def solve_game(
         row without a screen is kept as None: its contracts are solved one
         by one, which raises the same error at the same contract."""
         new = [key for key in keys if key not in rows]
-        built = dict(zip(new, _build_rows(scenario, tables, new, cost_size))) if new else {}
+        built = dict(zip(new, _build_rows(scenario, tables, new))) if new else {}
         found = [rows[key] if key in rows else built[key] for key in keys]
         for key, row in built.items():
             if len(rows) >= DELTA_ROW_MEMO:

@@ -2,7 +2,10 @@
 
 A scenario document is UTF-8 JSON with ``"schema": 1``.  Parsing is strict:
 unknown keys anywhere in the document are rejected, so a typo in a curve
-parameter fails loudly instead of silently changing the economics.  All
+parameter fails loudly instead of silently changing the economics.  Every
+node that maps onto a dataclass (a curve, ``agent``, ``principal``,
+``options``, a wage grid) is read and written by one walk over the
+dataclass's init fields, and every JSON input is decoded by read_json.  All
 floating-point output is rendered with 17 significant digits, which
 round-trips 64-bit floats exactly, and keys are emitted in a fixed order,
 so identical inputs produce byte-identical reports.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 
 from . import analyses as _analyses
@@ -36,6 +39,7 @@ __all__ = [
     "ScenarioDocument",
     "SweepTable",
     "parse_scenario",
+    "read_json",
     "document_from_dict",
     "document_to_dict",
     "curve_from_spec",
@@ -44,6 +48,12 @@ __all__ = [
     "render_json",
     "emit_report",
 ]
+
+
+# Annotations of option fields whose values are checked beyond their type:
+# the field walk picks a field's parser by its annotation.
+TieBreak = str
+Seed = int
 
 
 @dataclass(frozen=True)
@@ -56,8 +66,8 @@ class SolverOptions:
     """
 
     epsilon_invisible: float = _analyses.EPSILON_INVISIBLE
-    tie_break: str = "principal-favorable"
-    seed: int = 0
+    tie_break: TieBreak = "principal-favorable"
+    seed: Seed = 0
 
 
 @dataclass(frozen=True)
@@ -114,10 +124,20 @@ def _seed(value, path: str) -> int:
     return value
 
 
+def _tie_break(value, path: str) -> str:
+    if value not in _principal.TIE_BREAK_POLICIES:
+        raise ParseError(f"{path}: {value!r} not in {_principal.TIE_BREAK_POLICIES}")
+    return value
+
+
 def _number_list(value, path: str) -> list[float]:
     if not isinstance(value, list):
         raise ParseError(f"{path}: expected a list of numbers")
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(value)]
+
+
+def _number_tuple(value, path: str) -> tuple[float, ...]:
+    return tuple(_number_list(value, path))
 
 
 def _contract_list(value, path: str) -> tuple[Contract, ...]:
@@ -128,14 +148,82 @@ def _contract_list(value, path: str) -> tuple[Contract, ...]:
     )
 
 
+def read_json(where: str, text: str | None = None, parse_int=None):
+    """Decode JSON text, or the UTF-8 file named where when text is None.
+
+    NaN and Infinity are refused; parse_int is json.loads' own.  Any
+    failure to read or decode (a missing file, bad UTF-8, invalid JSON, an
+    integer too long to convert, nesting too deep) is a ParseError whose
+    message starts with where.
+    """
+
+    def reject_constant(name: str):
+        raise ParseError(f"{where}: {name} is not a finite number")
+
+    try:
+        if text is None:
+            with open(where, encoding="utf-8") as handle:
+                text = handle.read()
+        return json.loads(text, parse_constant=reject_constant, parse_int=parse_int)
+    except OSError as err:
+        raise ParseError(f"{where}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ParseError(
+            f"{where}: invalid JSON at line {err.lineno} column {err.colno}: "
+            f"{err.msg}"
+        ) from err
+    except (ValueError, RecursionError) as err:
+        raise ParseError(f"{where}: cannot decode: {err}") from err
+
+
+# ---------------------------------------------------------------------------
+# the field walk: a document object per dataclass, one key per init field
+
 _CURVE_CLASSES = {
     cls.family: cls for cls in (Polynomial, ExpAffine, LogAffine, Power, Tabulated)
 }
 
+# WageGrid's fields that the document names otherwise
+_GRID_KEYS = {"lo": "min", "hi": "max"}
 
-def _curve_params(cls) -> list:
-    """The family's parameters: its init fields, tuples as number lists."""
-    return [f for f in fields(cls) if f.init]
+
+def _document_fields(cls, keys=None) -> list:
+    """(field, document key) of each init field of cls, in field order."""
+    keys = keys or {}
+    return [(f, keys.get(f.name, f.name)) for f in fields(cls) if f.init]
+
+
+def _from_fields(cls, raw, path: str, keys=None, extra=()):
+    """cls built from the document object raw.
+
+    A field's annotation picks its parser (_PARSERS).  The fields without a
+    default are required, in field order; an absent optional key keeps the
+    field's default.  extra names the other keys raw may hold.  A
+    ValueError from cls is a ParseError.
+    """
+    named = _document_fields(cls, keys)
+    required = [key for f, key in named if f.default is MISSING]
+    _check_keys(raw, {*extra, *(key for _, key in named)}, required, path)
+    kwargs = {
+        f.name: _PARSERS[f.type](raw[key], f"{path}.{key}")
+        for f, key in named
+        if key in raw
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ParseError(f"{path}: {err}") from err
+
+
+def _to_fields(obj, keys=None) -> dict:
+    """The document object of obj, under _from_fields' keys."""
+    out = {}
+    for f, key in _document_fields(type(obj), keys):
+        value = getattr(obj, f.name)
+        if isinstance(value, Curve):
+            value = curve_to_spec(value)
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def curve_from_spec(spec, path: str) -> Curve:
@@ -148,51 +236,29 @@ def curve_from_spec(spec, path: str) -> Curve:
             f"{path}: unknown curve family {family!r}; "
             f"expected one of {sorted(_CURVE_CLASSES)}"
         )
-    params = _curve_params(cls)
-    names = [f.name for f in params]
-    _check_keys(spec, {"family", *names}, names, path)
-    kwargs = {}
-    for f in params:
-        value, where = spec[f.name], f"{path}.{f.name}"
-        if str(f.type).startswith("tuple"):
-            kwargs[f.name] = tuple(_number_list(value, where))
-        else:
-            kwargs[f.name] = _number(value, where)
-    try:
-        return cls(**kwargs)
-    except ValueError as err:
-        raise ParseError(f"{path}: {err}") from err
+    return _from_fields(cls, spec, path, extra=("family",))
 
 
 def curve_to_spec(curve: Curve) -> dict:
     if _CURVE_CLASSES.get(getattr(curve, "family", None)) is not type(curve):
         raise TypeError(f"cannot serialize curve {curve!r}")
-    spec = {"family": curve.family}
-    for f in _curve_params(type(curve)):
-        value = getattr(curve, f.name)
-        spec[f.name] = list(value) if isinstance(value, tuple) else value
-    return spec
+    return {"family": curve.family, **_to_fields(curve)}
 
 
-_TOP_KEYS = {
-    "schema",
-    "outcomes",
-    "effort_interval",
-    "profile",
-    "agent",
-    "principal",
-    "contracts",
-    "contract_family",
-    "options",
+_PARSERS = {
+    "float": _number,
+    "tuple[float, ...]": _number_tuple,
+    "Curve": curve_from_spec,
+    "TieBreak": _tie_break,
+    "Seed": _seed,
 }
-_TOP_REQUIRED = (
-    "schema",
-    "outcomes",
-    "effort_interval",
-    "profile",
-    "agent",
-    "principal",
-)
+
+
+# ---------------------------------------------------------------------------
+# documents
+
+_TOP_REQUIRED = ("schema", "outcomes", "effort_interval", "profile", "agent", "principal")
+_TOP_KEYS = {*_TOP_REQUIRED, "contracts", "contract_family", "options"}
 
 
 def document_from_dict(raw: dict) -> ScenarioDocument:
@@ -213,28 +279,8 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
         curve_from_spec(spec, f"profile[{i}]")
         for i, spec in enumerate(raw["profile"])
     )
-
-    agent_raw = raw["agent"]
-    _check_keys(
-        agent_raw,
-        {"utility", "effort_cost", "reservation_utility"},
-        ("utility", "effort_cost"),
-        "agent",
-    )
-    agent_prefs = AgentPreferences(
-        utility=curve_from_spec(agent_raw["utility"], "agent.utility"),
-        effort_cost=curve_from_spec(agent_raw["effort_cost"], "agent.effort_cost"),
-        reservation_utility=_number(
-            agent_raw.get("reservation_utility", 0.0), "agent.reservation_utility"
-        ),
-    )
-
-    principal_raw = raw["principal"]
-    _check_keys(principal_raw, {"utility"}, ("utility",), "principal")
-    principal_prefs = PrincipalPreferences(
-        utility=curve_from_spec(principal_raw["utility"], "principal.utility")
-    )
-
+    agent_prefs = _from_fields(AgentPreferences, raw["agent"], "agent")
+    principal_prefs = _from_fields(PrincipalPreferences, raw["principal"], "principal")
     contracts = _contract_list(raw.get("contracts", []), "contracts")
 
     family = None
@@ -246,7 +292,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
         except ContractGameError as err:
             raise ValidationError([err]) from err
 
-    options = _options_from_dict(raw.get("options", {}))
+    options = _from_fields(SolverOptions, raw.get("options", {}), "options")
 
     try:
         scenario = Scenario(
@@ -297,60 +343,16 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
             f"contract_family.wage_grids: expected {n_outcomes} grids "
             "(one per outcome)"
         )
-    grids = []
-    for i, g in enumerate(grids_raw):
-        gpath = f"contract_family.wage_grids[{i}]"
-        _check_keys(g, {"min", "max", "step"}, ("min", "max", "step"), gpath)
-        grids.append(
-            WageGrid(
-                _number(g["min"], f"{gpath}.min"),
-                _number(g["max"], f"{gpath}.max"),
-                _number(g["step"], f"{gpath}.step"),
-            )
-        )
-    return ContractFamily(grids=tuple(grids), cap=cap)
-
-
-_OPTION_TYPES = {
-    "epsilon_invisible": _number,
-    "tie_break": None,
-    "seed": _seed,
-}
-
-
-def _options_from_dict(raw: dict) -> SolverOptions:
-    _check_keys(raw, set(_OPTION_TYPES), (), "options")
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "tie_break":
-            if value not in _principal.TIE_BREAK_POLICIES:
-                raise ParseError(
-                    f"options.tie_break: {value!r} not in "
-                    f"{_principal.TIE_BREAK_POLICIES}"
-                )
-            kwargs[key] = value
-        else:
-            kwargs[key] = _OPTION_TYPES[key](value, f"options.{key}")
-    return SolverOptions(**kwargs)
+    grids = tuple(
+        _from_fields(WageGrid, g, f"contract_family.wage_grids[{i}]", _GRID_KEYS)
+        for i, g in enumerate(grids_raw)
+    )
+    return ContractFamily(grids=grids, cap=cap)
 
 
 def parse_scenario(path: str) -> ScenarioDocument:
     """Read, parse, and grid-validate a scenario document from disk."""
-
-    def reject_constant(name: str):
-        raise ParseError(f"{path}: {name} is not a finite number")
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle, parse_constant=reject_constant)
-    except OSError as err:
-        raise ParseError(f"{path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ParseError(
-            f"{path}: invalid JSON at line {err.lineno} column {err.colno}: "
-            f"{err.msg}"
-        ) from err
-    return document_from_dict(raw)
+    return document_from_dict(read_json(path))
 
 
 def document_to_dict(doc: ScenarioDocument) -> dict:
@@ -360,12 +362,8 @@ def document_to_dict(doc: ScenarioDocument) -> dict:
         "outcomes": list(s.outcomes),
         "effort_interval": [s.interval.lo, s.interval.hi],
         "profile": [curve_to_spec(c) for c in s.profile.components],
-        "agent": {
-            "utility": curve_to_spec(s.agent.utility),
-            "effort_cost": curve_to_spec(s.agent.effort_cost),
-            "reservation_utility": s.agent.reservation_utility,
-        },
-        "principal": {"utility": curve_to_spec(s.principal.utility)},
+        "agent": _to_fields(s.agent),
+        "principal": _to_fields(s.principal),
     }
     if doc.contracts:
         out["contracts"] = [list(c.wages) for c in doc.contracts]
@@ -375,16 +373,14 @@ def document_to_dict(doc: ScenarioDocument) -> dict:
         if fam.contracts is not None:
             fam_out["contracts"] = [list(c.wages) for c in fam.contracts]
         else:
-            fam_out["wage_grids"] = [
-                {"min": g.lo, "max": g.hi, "step": g.step} for g in fam.grids
-            ]
+            fam_out["wage_grids"] = [_to_fields(g, _GRID_KEYS) for g in fam.grids]
         fam_out["cap"] = fam.cap
         out["contract_family"] = fam_out
-    defaults = SolverOptions()
+    defaults = _to_fields(SolverOptions())
     overrides = {
-        f.name: getattr(doc.options, f.name)
-        for f in fields(SolverOptions)
-        if getattr(doc.options, f.name) != getattr(defaults, f.name)
+        key: value
+        for key, value in _to_fields(doc.options).items()
+        if value != defaults[key]
     }
     if overrides:
         out["options"] = overrides

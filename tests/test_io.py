@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from contractgame import (
+    AgentPreferences,
     Contract,
     ContractFamily,
     ContractGameError,
@@ -19,11 +21,14 @@ from contractgame import (
     ParseError,
     Polynomial,
     Power,
+    PrincipalPreferences,
     Tabulated,
     ValidationError,
+    WageGrid,
     parse_scenario,
     solve_game,
 )
+from contractgame import scenario_io
 from contractgame.cli import run_command
 from contractgame.scenario_io import (
     SolverOptions,
@@ -390,6 +395,49 @@ class TestMalformedDocuments:
         assert str(int(argv[-1])) in captured.err
 
 
+def _latin1_text(path):
+    text = Path(FIXTURE).read_text(encoding="utf-8")
+    path.write_bytes(text.replace('"schema": 1', '"schema": 1, "note": "caf\u00e9"').encode("latin-1"))
+
+
+def _overlong_integer(path):
+    text = Path(FIXTURE).read_text(encoding="utf-8")
+    path.write_text(text.replace('"reservation_utility": 0.0', '"reservation_utility": ' + "1" * 5000))
+
+
+def _deep_nesting(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+class TestUndecodableInput:
+    """JSON that cannot be read or decoded is one ParseError, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "write", [_latin1_text, _overlong_integer, _deep_nesting],
+        ids=["latin-1", "5000-digit-integer", "100000-nested-arrays"],
+    )
+    def test_document_is_one_parse_error(self, write, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        write(path)
+        assert run_command(["validate", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is False
+        assert [issue["kind"] for issue in report["issues"]] == ["ParseError"]
+        assert report["issues"][0]["message"].startswith(f"{path}: cannot decode: ")
+        assert run_command(["solve-agent", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_deeply_nested_inline_contract_is_one_error_line(self, capsys):
+        nested = "[" * 2000 + "]" * 2000
+        assert run_command(["solve-agent", FIXTURE, "--contract", nested]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad inline contract ")
+        assert captured.err.count("\n") == 1
+
+
 def _overflowing_cost_derivatives(raw):
     raw["agent"]["effort_cost"]["coefficients"] = [0.0, 0.0, -1e308]
 
@@ -441,6 +489,20 @@ class TestOverflowAfterValidation:
         assert "finite" in captured.err
 
 
+# an instance of each dataclass the document walk reads and writes, and its key table
+_WALKED = [
+    (Polynomial((0.5, -1.0, 2.0)), None),
+    (ExpAffine(0.1, 2.0, -0.5), None),
+    (LogAffine(0.0, 1.5, 2.0), None),
+    (Power(2.0, 0.5, 1.0), None),
+    (Tabulated((0.0, 0.5, 1.0), (0.0, 0.7, 1.0)), None),
+    (AgentPreferences(Polynomial((0.0, 1.0)), ExpAffine(0.0, 1.0, 1.0), -0.5), None),
+    (PrincipalPreferences(Power(1.0, 0.5, 0.0)), None),
+    (SolverOptions(1e-7, "agent-highest-effort", 9), None),
+    (WageGrid(0.0, 6.0, 0.25), scenario_io._GRID_KEYS),
+]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "curve, params",
@@ -459,14 +521,46 @@ class TestRoundTrip:
         assert spec["family"] == curve.family
         assert curve_from_spec(json.loads(json.dumps(spec)), "curve") == curve
 
-    def test_document_round_trips_exactly(self, tmp_path):
-        doc = parse_scenario(FIXTURE)
+    @staticmethod
+    def _round_trip(path):
+        doc = parse_scenario(path)
         text = render_json(document_to_dict(doc))
         again = document_from_dict(json.loads(text))
         assert again.scenario == doc.scenario
         assert again.contracts == doc.contracts
         assert again.contract_family == doc.contract_family
         assert again.options == doc.options
+        assert render_json(document_to_dict(again)) == text
+        return again
+
+    def test_document_round_trips_exactly(self, tmp_path):
+        assert self._round_trip(FIXTURE).contract_family.grids is not None
+
+    def test_explicit_family_round_trips_like_wage_grids(self, tmp_path):
+        raw = fixture_dict()
+        raw["contract_family"] = {"contracts": [[4.0, 0.0], [2.5, 0.5]], "cap": 7}
+        family = self._round_trip(write_doc(tmp_path, raw)).contract_family
+        assert family.contracts == (Contract((4.0, 0.0)), Contract((2.5, 0.5)))
+        assert family.cap == 7
+
+    @pytest.mark.parametrize("obj, keys", _WALKED, ids=[type(o).__name__ for o, _ in _WALKED])
+    def test_every_walked_field_has_a_parser_and_a_key(self, obj, keys):
+        cls = type(obj)
+        names = [f.name for f in fields(cls) if f.init]
+        assert set(keys or {}) <= set(names)
+        walked = scenario_io._document_fields(cls, keys)
+        assert [f.name for f, _ in walked] == names
+        for f, key in walked:
+            assert f.type in scenario_io._PARSERS, (cls.__name__, f.name, f.type)
+        document_keys = [key for _, key in walked]
+        assert len(set(document_keys)) == len(document_keys)
+        node = json.loads(render_json(scenario_io._to_fields(obj, keys)))
+        assert list(node) == document_keys
+        assert scenario_io._from_fields(cls, node, "node", keys) == obj
+
+    def test_every_curve_family_is_walked(self):
+        walked = {type(obj) for obj, _ in _WALKED}
+        assert set(scenario_io._CURVE_CLASSES.values()) <= walked
 
     def test_awkward_floats_survive(self, tmp_path):
         raw = fixture_dict()

@@ -376,9 +376,9 @@ class TestFamilyBatching:
         build, bisect = principal_module._build_rows, principal_module.bisect_brackets
         golden = agent_module._golden_max
 
-        def counting_build(scenario, tables, keys, cost_size):
+        def counting_build(scenario, tables, keys):
             calls["rows"] += len(keys)
-            return build(scenario, tables, keys, cost_size)
+            return build(scenario, tables, keys)
 
         def counting_bisect(g, a, b, snap):
             # the scan-peak brackets the row build snaps onto a root
@@ -437,9 +437,9 @@ class TestFamilyBatching:
         built = []
         build = principal_module._build_rows
 
-        def counting_build(scenario, tables, keys, cost_size):
+        def counting_build(scenario, tables, keys):
             built.extend(keys)
-            return build(scenario, tables, keys, cost_size)
+            return build(scenario, tables, keys)
 
         monkeypatch.setattr(principal_module, "_build_rows", counting_build)
         scenario = _scenario(outcomes, _RISING, Polynomial((0.0, 0.0, 2.0)))
@@ -805,7 +805,7 @@ class TestBatchedRowBuild:
             if not rows:
                 continue
             tables, cost_size = effort_tables(scenario), _cost_size(scenario)
-            got = principal_module._build_rows(scenario, tables, rows, cost_size)
+            got = principal_module._build_rows(scenario, tables, rows)
             assert len(got) == len(rows)
             for deltas, row in zip(rows, got):
                 expected, why = row_build(scenario, tables, deltas, cost_size)
