@@ -166,18 +166,25 @@ class LinearPayoff:
         return acc if self.cost is None else acc - self.cost.d2(e)
 
     def on_grid(self, tables: EffortTables, points: int, order: int):
-        """value (order 0), slope (1) or curvature (2) on the tables' grid of points.
+        """slope (order 1) or curvature (2) on the tables' grid of points.
 
         The curves' arrays come from tables, and the operations are those
-        of value, slope and curvature in their order, so the result is
+        of slope and curvature in their order, so the result is
         bit-identical to calling them on the grid.
         """
         acc = 0.0
         for delta, comp in self.terms:
             acc = acc + delta * tables.array(comp, points, order)
-        if order == 0:
-            acc = self.base + acc
         return acc if self.cost is None else acc - tables.array(self.cost, points, order)
+
+    def scans(self, tables: EffortTables):
+        """(h, fv) on the scan grid from one sum a = sum_i delta_i p_i: the
+        base-free h = a - cost, and fv = (base + a) - cost, value's bits."""
+        a = 0.0
+        for delta, comp in self.terms:
+            a = a + delta * tables.array(comp, SCAN_GRID_POINTS)
+        v = tables.array(self.cost, SCAN_GRID_POINTS)
+        return a - v, (self.base + a) - v
 
 
 def agent_expectation(scenario: Scenario, contract: Contract, e: float) -> float:
@@ -280,26 +287,34 @@ def _merge_runs(indices):
 
 # The maximizer pipeline.  hybrid_maximize chains the stages below; the
 # two-outcome analyzer runs its own candidate set through the same ones, and
-# solve_game's row build (contractgame.principal) runs the bisections of
-# bracket_roots and snap_root for many utility-delta rows at once
-# (bisect_brackets), with scan_candidates' peak rule on each row's scan.
+# solve_game's row screen (contractgame.principal) runs them for many
+# utility-delta rows at once: the flat test and scan peaks on each row's
+# base-free scan h, and the bisections of bracket_roots and snap_root in
+# one loop (bisect_brackets).  The base b = u(w_n) of the payoff b + h
+# cannot move a maximizer, so only the flat test's tolerance, the constant
+# result, the finiteness check and golden section (whose comparisons see
+# the rounding of b + h) read it.
 
-def flat_scan(scan: np.ndarray, fv: np.ndarray, interval: EffortInterval):
-    """The flat shortcut on the values fv of the dense scan.
+def flat_scan(payoff, tables: EffortTables):
+    """The flat stage: (h, constant) from the payoff's scans (h, fv).
 
-    When the value spread is within the tie tolerance, returns the constant
-    result (pairs, best, True): the two boundary points represent the whole
-    interval.  Otherwise returns None.  A value that is not finite raises
-    DomainError.
+    The test reads h alone, top - low <= TAU_EXPECTATION * max(1, |base +
+    top|) with top and low its max and min.  When it holds, constant is
+    the constant result (pairs, best, True) from fv, whose two boundary
+    points represent the interval; else None.  A scan value that is not
+    finite raises DomainError.
     """
-    fmax = float(fv.max())
-    fmin = float(fv.min())
-    if not (math.isfinite(fmax) and math.isfinite(fmin)):
-        require_finite(fv, scan, "objective")
-    if fmax - fmin <= TAU_EXPECTATION * max(1.0, abs(fmax)):
+    h, fv = payoff.scans(tables)
+    fmax, fmin = float(fv.max()), float(fv.min())
+    top, low = float(h.max()), float(h.min())
+    if not all(map(math.isfinite, (fmax, fmin, top, low))):
+        for values in (fv, h):
+            require_finite(values, tables.grid(SCAN_GRID_POINTS), "objective")
+    if top - low <= TAU_EXPECTATION * max(1.0, abs(payoff.base + top)):
+        interval = tables.interval
         pairs = ((interval.lo, float(fv[0])), (interval.hi, float(fv[-1])))
-        return pairs, fmax, True
-    return None
+        return h, (pairs, fmax, True)
+    return h, None
 
 
 def bracket_roots(g, grid: np.ndarray, gv: np.ndarray):
@@ -373,21 +388,21 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
     return root
 
 
-def scan_candidates(payoff, tables: EffortTables, fv: np.ndarray):
+def scan_candidates(payoff, tables: EffortTables, h: np.ndarray):
     """(roots, open_brackets): the candidates the slope pins down, and the rest.
 
     roots are the slope's sign-change roots bracketed on the tables'
-    bracket grid, then the roots that the scan's local maxima (fv on the
-    scan grid, a run of equal maxima as one) snap onto.  open_brackets are
-    the (a, b) brackets of the scan maxima with no sign change of the
-    slope, left for golden-section search.
+    bracket grid, then the roots that the local maxima of h on the scan (a
+    run of equal maxima as one) snap onto.  open_brackets are the (a, b)
+    brackets of the scan maxima with no sign change of the slope, left for
+    golden-section search.
     """
     scan = tables.grid(SCAN_GRID_POINTS)
     grid = tables.grid(MT_GRID_POINTS)
     gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
     roots = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
     open_brackets = []
-    interior = np.nonzero((fv[1:-1] >= fv[:-2]) & (fv[1:-1] >= fv[2:]))[0] + 1
+    interior = np.nonzero((h[1:-1] >= h[:-2]) & (h[1:-1] >= h[2:]))[0] + 1
     for first, last in _merge_runs(interior.tolist()):
         a = float(scan[first - 1])
         b = float(scan[last + 1])
@@ -439,32 +454,29 @@ def settle(f, candidates, interval: EffortInterval):
 
 
 def hybrid_maximize(payoff, tables: EffortTables):
-    """Global maximizers of a C1 payoff f on the tables' effort interval.
+    """Global maximizers of a C1 payoff f = base + h on the tables' effort interval.
 
     payoff gives f and its derivative df as ``value`` and ``slope`` at a
-    point, and on the tables' grids through ``on_grid`` (LinearPayoff's
-    protocol).  Returns (maximizers, best_value, constant) where
-    maximizers is a tuple of (point, value) pairs sorted by point.
-    Candidates come from three sources: the interval boundaries,
-    sign-change roots of df bracketed on a uniform grid and bisected to
-    ``REFINE_TOL``, and local maxima of a dense value scan.  Scan brackets
-    that contain a sign change of df are snapped onto the root by bisection
-    (golden-section alone only locates a smooth peak to about sqrt(eps));
-    the remaining brackets are polished by golden-section.  scan_candidates
-    gives the roots and the open brackets.  A flat function
-    (value spread within the tie tolerance) is reported as constant via its
-    two boundary points.
+    point, df on the tables' grids through ``on_grid`` and the dense scans
+    of h and f through ``scans`` (LinearPayoff's protocol).  Returns
+    (maximizers, best_value, constant) where maximizers is a tuple of
+    (point, value) pairs sorted by point.  Candidates come from three
+    sources: the interval boundaries, sign-change roots of df bracketed on
+    a uniform grid and bisected to ``REFINE_TOL``, and local maxima of the
+    scan of h (scan_candidates).  Scan brackets that contain a sign change
+    of df are snapped onto the root by bisection (golden-section alone only
+    locates a smooth peak to about sqrt(eps)); the rest are polished by
+    golden-section on f.  A flat function (flat_scan) is reported as
+    constant via its two boundary points.
     """
-    f, interval = payoff.value, tables.interval
-    scan = tables.grid(SCAN_GRID_POINTS)
-    fv = np.asarray(payoff.on_grid(tables, SCAN_GRID_POINTS, 0), dtype=float)
-    flat = flat_scan(scan, fv, interval)
+    h, flat = flat_scan(payoff, tables)
     if flat is not None:
         return flat
 
-    roots, open_brackets = scan_candidates(payoff, tables, fv)
+    f = payoff.value
+    roots, open_brackets = scan_candidates(payoff, tables, h)
     candidates = roots + [_golden_max(f, a, b) for a, b in open_brackets]
-    _, pairs, best = settle(f, candidates, interval)
+    _, pairs, best = settle(f, candidates, tables.interval)
     return pairs, best, False
 
 

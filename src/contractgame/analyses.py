@@ -111,12 +111,14 @@ class ClassicalAssumptionsReport:
 
 
 class _Negated:
-    """-curve in LinearPayoff's protocol (value, slope, on_grid), for hybrid_maximize.
+    """-curve in LinearPayoff's protocol (value, slope, on_grid, scans, base), for
+    hybrid_maximize: a payoff with base 0.0 whose h and values are both -curve.
 
     Negated, not subtracted from 0.0, so a zero cost gives -0.0 as -v does.
     """
 
     __slots__ = ("curve",)
+    base = 0.0
 
     def __init__(self, curve):
         self.curve = curve
@@ -129,6 +131,10 @@ class _Negated:
 
     def on_grid(self, tables, points: int, order: int):
         return -tables.array(self.curve, points, order)
+
+    def scans(self, tables):
+        h = self.on_grid(tables, SCAN_GRID_POINTS, 0)
+        return h, h
 
 
 def detect_invisible_effort(
@@ -204,9 +210,7 @@ def two_outcome_linear_analysis(
     payoff = LinearPayoff.agent(scenario, contract)
     tables = effort_tables(scenario)
 
-    scan = tables.grid(SCAN_GRID_POINTS)
-    fv = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
-    flat = flat_scan(scan, np.asarray(fv, dtype=float), interval)
+    _, flat = flat_scan(payoff, tables)
     if flat is not None:
         pairs, best, constant = flat
         interior, interior_values = (), ()

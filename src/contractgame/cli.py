@@ -28,6 +28,7 @@ from .principal import TIE_BREAK_POLICIES, solve_game
 from .scenario_io import (
     ScenarioDocument,
     SweepTable,
+    clip,
     emit_report,
     parse_scenario,
     read_json,
@@ -86,20 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
     text = spec.strip()
+    quoted = clip(f"{spec!r}")
     if text.startswith("["):
         # a huge integer becomes inf, which contract_issues reports
-        wages = read_json(f"bad inline contract {spec!r}", text, parse_int=float)
+        wages = read_json(f"bad inline contract {quoted}", text, parse_int=float)
         if not isinstance(wages, list) or not all(
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in wages
         ):
-            raise ContractGameError(f"bad inline contract {spec!r}: expected numbers")
+            raise ContractGameError(f"bad inline contract {quoted}: expected numbers")
         contract = Contract(tuple(float(w) for w in wages))
     else:
         try:
             index = int(text)
         except ValueError as err:
             raise ContractGameError(
-                f"--contract must be an index or an inline vector, got {spec!r}"
+                f"--contract must be an index or an inline vector, got {quoted}"
             ) from err
         if not 0 <= index < len(doc.contracts):
             raise ContractGameError(
@@ -107,7 +109,7 @@ def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
                 f"{len(doc.contracts)} contract(s)"
             )
         contract = doc.contracts[index]
-    issues = contract_issues(doc.scenario, contract, f"contract {text}")
+    issues = contract_issues(doc.scenario, contract, f"contract {clip(text)}")
     if issues:
         raise ValidationError(issues)
     return contract

@@ -4,8 +4,8 @@ The agent's move is solved exactly (per contract) by the agent solver; the
 principal's move is completed by enumerating a finite contract family and
 keeping the candidate with the best expected payoff among those the agent
 accepts.  Most contracts are settled in bulk from tables shared by their
-utility-delta row, under a rounding bound that makes the result the one a
-per-contract solve gives; the rest are solved one by one.  Ties between
+utility-delta row, with the operations of a per-contract solve, so the
+result is the one that solve gives; the rest are solved one by one.  Ties between
 the agent's optimal efforts are settled by an explicit policy, ties
 between contracts by the lexicographically smallest wage vector, so the
 result is deterministic regardless of evaluation order.
@@ -43,8 +43,6 @@ ENUMERATION_CAP = 10**6
 SCREEN_CHUNK = 1024  # contracts enumerated and screened at a time
 DELTA_ROW_MEMO = 4096  # utility-delta rows whose _Row solve_game keeps
 
-_MARGIN = 2.0**-48   # 32 units of roundoff, the screen's rounding margin
-_SLACK = 2.0**-40    # relative slack for the rounding of the flat test itself
 _GUARD = 2.0**1000   # |b| + size below this keeps every scan value finite
 
 # rows per block of _build_rows' dense stage: four scan-long rows, 128 kB an
@@ -269,10 +267,9 @@ class _FamilyArrays:
 @dataclass(frozen=True, eq=False)
 class _Row:
     """A utility-delta row's base-free tables, from which _screen settles
-    its contracts; _screen's docstring defines the fields and the bound
-    they serve, and _build_rows builds them."""
+    its contracts; _screen's docstring defines the fields, and _build_rows
+    builds them."""
 
-    reach: float
     top: float
     span: float
     size: float
@@ -379,6 +376,15 @@ class _Slopes:
         return math.nan
 
 
+def _runs(at: np.ndarray, width: int):
+    """(first, last): the ends of each run of consecutive indices in at, sorted
+    flat indices into a (rows x width) array; no run crosses a row."""
+    col = at % width
+    first = (col == 0) | (np.diff(at, prepend=-2) != 1)
+    last = (col == width - 1) | (np.diff(at, append=-2) != 1)
+    return at[first], at[last]
+
+
 def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
     """The _Row of each utility-delta row in keys (tuples), or None where it has no screen.
 
@@ -386,23 +392,22 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
     searching it alone gives, bit for bit.  The rows are built together, in
     three stages:
 
-    - dense: h (base 0.0) on the scan and the slope on the bracket grid as
-      (rows x grid) arrays, _BLOCK rows at a time, summed in
-      LinearPayoff.on_grid's order by broadcasting, not by a matrix
+    - dense: h on the scan and the slope on the bracket grid as
+      (rows x grid) arrays, _BLOCK rows at a time, summed from 0.0 in
+      LinearPayoff.scans' and on_grid's order by broadcasting, not by a matrix
       product (a masked add only in a column where some row skips a zero
-      delta), so each value keeps its bits but for the sign of a zero
-      (``sums``); reach, top and low by axis reductions; the bracket
-      grid's zero runs and sign changes; and the scan peaks, from the
-      signs of h's steps, whose least magnitude is reach: reach > 0 rules
-      out equal neighbours, so a peak is a point where a rising step meets
-      a falling one (agent.scan_candidates' rule on h);
+      delta), so each value keeps its bits (``sums``); top and low by axis
+      reductions; and as flat indices the bracket grid's zeros and sign
+      changes and h's scan maxima (agent.scan_candidates' rule: no lower
+      than either neighbour), whose runs (_runs) give the zero-run edges
+      and the peak brackets;
     - bisection: every sign change and scan-peak bracket of every row in one
       lockstep loop (agent.bisect_brackets) on _Slopes;
     - finish: settle_points and _at, one row at a time.
 
-    A row is None when its tables raise or are not finite, when h has a
-    flat step (reach 0), when a scan peak brackets no sign change of the
-    slope (an open bracket), or when a scalar call on it raises.
+    A row is None when its tables raise or are not finite, when a scan
+    peak brackets no sign change of the slope (an open bracket), or when a
+    scalar call on it raises.
     """
     count = len(keys)
     components = scenario.profile.components
@@ -411,15 +416,8 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
     built = [None] * count
 
     def sums(block: np.ndarray, used: np.ndarray, points: int, order: int):
-        """on_grid of each row of the block but for the sign of a zero, and
-        the rows whose arrays raise.
-
-        on_grid adds its terms to 0.0 (and then the base 0.0), so a zero
-        sum is +0.0; here the first term is the sum's start, so it may be
-        -0.0.  No other value differs, and nothing read from these sums
-        sees the sign of a zero but max and min, which add 0.0 to theirs.
-        """
-        acc = None
+        """on_grid of each row of the block, and the rows whose arrays raise."""
+        acc = np.zeros((len(block), points))
         failed = np.zeros(len(block), dtype=bool)
         for i, comp in enumerate(components):
             use = used[:, i]
@@ -431,16 +429,9 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
                     continue
                 term = block[:, i, None] * values
                 if use.all():
-                    if acc is None:
-                        acc = term
-                    else:
-                        acc += term
+                    acc += term
                 else:
-                    if acc is None:
-                        acc = np.zeros((len(block), points))
                     np.add(acc, term, out=acc, where=use[:, None])
-        if acc is None:
-            acc = np.zeros((len(block), points))
         try:
             acc -= tables.array(cost, points, order)
         except Exception:
@@ -454,23 +445,20 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
     cost_size = float(max(v.max(), -v.min()))  # the effort cost's largest magnitude
     scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
     used = deltas != 0.0
-    stats = np.zeros((4, count))  # reach, top, low, size
+    stats = np.zeros((3, count))  # top, low, size
     # the rows that pass the dense stage, and flat indices into their
     # (rows x grid) arrays of the slope's zeros and sign changes on the
-    # bracket grid and of h's scan peaks
+    # bracket grid and of h's interior scan maxima
     passed, zeros, changes, peaks = [], [], [], []
     held = 0
     with np.errstate(all="ignore"):
         for start in range(0, count, _BLOCK):
             stop = min(start + _BLOCK, count)
             h, failed = sums(deltas[start:stop], used[start:stop], SCAN_GRID_POINTS, 0)
-            steps = h[:, 1:] - h[:, :-1]
-            rising = steps > 0.0
-            reach = np.abs(steps, out=steps).min(axis=1)
-            top, low = h.max(axis=1) + 0.0, h.min(axis=1) + 0.0
+            top, low = h.max(axis=1), h.min(axis=1)
             size = np.where(-low > top, -low, top) + 2.0 * cost_size
-            stats[:, start:stop] = reach, top, low, size
-            sel = np.flatnonzero(~failed & (reach > 0.0) & np.isfinite(size)) + start
+            stats[:, start:stop] = top, low, size
+            sel = np.flatnonzero(~failed & np.isfinite(size)) + start
             if not len(sel):
                 continue
             rows = sel if len(sel) < stop - start else slice(start, stop)
@@ -479,33 +467,34 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
             if not finite.all():
                 sel, gv = sel[finite], gv[finite]
             if len(sel) < stop - start:
-                rising = rising[sel - start]
+                h = h[sel - start]
             sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
+            inner = h[:, 1:-1]
             passed.append(sel)
             zeros.append(np.flatnonzero(gv == 0.0) + held * MT_GRID_POINTS)
             changes.append(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0) + held * (MT_GRID_POINTS - 1))
-            peaks.append(np.flatnonzero(rising[:, :-1] > rising[:, 1:]) + held * (SCAN_GRID_POINTS - 2))
+            peak = (inner >= h[:, :-2]) & (inner >= h[:, 2:])
+            peaks.append(np.flatnonzero(peak) + held * (SCAN_GRID_POINTS - 2))
             held += len(sel)
 
-        passed = np.concatenate([np.zeros(0, dtype=np.intp), *passed])
+        empty = np.zeros(0, dtype=np.intp)
+        passed = np.concatenate([empty, *passed])
         alive = np.zeros(count, dtype=bool)
         alive[passed] = True
         # zero runs: each run's first and last point, a lone zero twice
-        at = np.concatenate([np.zeros(0, dtype=np.intp), *zeros])
-        col = at % MT_GRID_POINTS
-        first = (col == 0) | (np.diff(at, prepend=-2) != 1)
-        last = (col == MT_GRID_POINTS - 1) | (np.diff(at, append=-2) != 1)
-        ends = np.stack([at[first], at[last]], axis=1).reshape(-1)
+        first, last = _runs(np.concatenate([empty, *zeros]), MT_GRID_POINTS)
+        ends = np.stack([first, last], axis=1).reshape(-1)
         edge_rows, edge_values = passed[ends // MT_GRID_POINTS], grid[ends % MT_GRID_POINTS]
-        # sign changes, then scan peaks (point j + 1 of a row is a peak
-        # where the step before it rises and the one after it falls)
-        r, j = np.divmod(np.concatenate([np.zeros(0, dtype=np.intp), *changes]), MT_GRID_POINTS - 1)
-        p, k = np.divmod(np.concatenate([np.zeros(0, dtype=np.intp), *peaks]), SCAN_GRID_POINTS - 2)
+        # sign changes, then scan-peak runs (the run of interior points
+        # j + 1 .. k + 1 of a row brackets scan[j] .. scan[k + 2])
+        r, j = np.divmod(np.concatenate([empty, *changes]), MT_GRID_POINTS - 1)
+        first, last = _runs(np.concatenate([empty, *peaks]), SCAN_GRID_POINTS - 2)
+        p, k = np.divmod(first, SCAN_GRID_POINTS - 2)
         item_rows = np.concatenate([passed[r], passed[p]])
         order = np.argsort(item_rows, kind="stable")
         item_rows = item_rows[order]
         a = np.concatenate([grid[j], scan[k]])[order]
-        b = np.concatenate([grid[j + 1], scan[k + 2]])[order]
+        b = np.concatenate([grid[j + 1], scan[last % (SCAN_GRID_POINTS - 2) + 2]])[order]
         snap = np.concatenate([np.zeros(len(r), dtype=bool), np.ones(len(p), dtype=bool)])[order]
         slopes = _Slopes(scenario, keys, deltas)
         roots = np.zeros(0)
@@ -518,7 +507,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
     edge_at = np.searchsorted(edge_rows, every).tolist()
     root_at = np.searchsorted(item_rows, every).tolist()
     edge_values, roots = edge_values.tolist(), roots.tolist()
-    reach, top, low, size = stats.tolist()
+    top, low, size = stats.tolist()
     for r in np.flatnonzero(alive).tolist():
         candidates = edge_values[edge_at[r]:edge_at[r + 1]] + roots[root_at[r]:root_at[r + 1]]
         try:
@@ -526,7 +515,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
         except Exception:
             continue
         a_max, v_max = np.abs(points[:2]).max(axis=1).tolist()
-        built[r] = _Row(reach[r], top[r], top[r] - low[r], max(size[r], a_max + v_max), points)
+        built[r] = _Row(top[r], top[r] - low[r], max(size[r], a_max + v_max), points)
     return built
 
 
@@ -539,46 +528,29 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     the _Row, or None, of each utility-delta row (LinearPayoff.deltas) in
     keys.
 
-    The row.  A contract with base b = u(w_n) in a delta row has the scan
-    values fv_j = fl(fl(b + a_j) - v_j), where a = sum_i delta_i p_i is the
-    row's base-free sum and v the cost on the scan; b enters nowhere else
-    before settle.  Let h_j = a_j - v_j exactly.  The row (_build_rows)
-    computes fl(h_j) as fl(fl(0.0 + a_j) - v_j), its payoff with base 0.0
-    (0.0 + a_j is a_j but for the sign of a zero, which no difference,
-    comparison, max or magnitude below sees), and d_j = fl(fl(h_j) -
-    fl(h_{j-1})).  With h as computed, it keeps:
+    The row.  A contract with base b = u(w_n) in a delta row has the
+    payoff b + h, with h = a - v base-free (a = sum_i delta_i p_i, v the
+    cost).  Its solve (agent.hybrid_maximize) reads the scan of h for its
+    flat test's spread and its scan peaks; b enters only the test's
+    tolerance, the constant result, the finiteness of (b + a) - v on the
+    scan and golden section.  The row (_build_rows) computes h with the
+    solve's operations and keeps:
 
-    - ``reach``: the least |d_j|, positive; ``top`` and ``span``: max h
-      and max h - min h;
-    - ``size``: max |h| + 2 max |v|, so that (1 + 2^-52) size bounds every
-      |a_j| + |v_j| on the scan, and at least max |a| + max |v| at the
-      points below;
-    - ``points``: the settled candidates of a contract whose scan peaks are
-      h's (agent.scan_candidates on h: its bracket-grid roots and the roots
-      h's peaks snap onto), as an array with one column per effort and the
-      rows a, v, p_1, ..., p_{n-1} (the base-free sum, the cost and every
-      component there, from scalar calls, as settle and the principal make
-      them).
+    - ``top`` and ``span``: max h and max h - min h, so the flat test
+      span <= TAU_EXPECTATION * max(1, |b + top|) is the solve's own;
+    - ``size``: max |h| + 2 max |v|, which bounds every |a_j| + |v_j| on
+      the scan to rounding and is at least max |a| + max |v| at the points
+      below, so |b| + size < 2^1000 keeps (b + a) - v finite;
+    - ``points``: the settled candidates of a solve that is not flat (the
+      bracket-grid roots and the roots h's scan peaks snap onto), as an
+      array with one column per effort and the rows a, v, p_1, ...,
+      p_{n-1}, from scalar calls, as settle and the principal make them.
 
-    A row has no screen (None) when its tables raise or are not finite, h
-    has a flat step (reach 0), or a scan peak of h brackets no sign change
-    of the slope (an open bracket, for golden section).
-
-    Bound.  Let u = 2^-53 and S = |b| + max_j(|a_j| + |v_j|), at most
-    (1 + 2u)(|b| + size).  Then fv_j is b + h_j within 3uS, so
-    fv_j - fv_{j-1} is h_j - h_{j-1} within 6uS, and d_j is h_j - h_{j-1}
-    within 5uS.  If |d_j| > 11uS, fv_j - fv_{j-1} is not 0 and has the
-    sign of d_j, so the scan's test fv_j >= fv_{j-1} is d_j > 0, and so
-    is the row's own test h_j >= h_{j-1} (d_j is not 0).  The screen asks
-    reach = min_j |d_j| > sigma = 2^-48 (|b| + size), which is at least
-    31uS.
-    Then every neighbour comparison, so every scan peak, is the row's own,
-    and so are the peaks' snapped roots and the settled points.  Likewise
-    max fv - min fv is the row's span within 14uS and |max fv| is
-    |b + top| within 6uS: the flat test fails when span exceeds
-    TAU_EXPECTATION * max(1, |b + top| + sigma) by 2 sigma, with the
-    relative slack 2^-40 for the rounding of the test itself.
-    |b| + size < 2^1000 keeps every value finite.
+    A row has no screen (None) when its tables raise or are not finite, or
+    a scan peak of h brackets no sign change of the slope (an open
+    bracket, for golden section).  Otherwise a contract whose flat test
+    fails and with |b| + size < 2^1000 is decided: its solve neither
+    raises nor takes the flat shortcut, and settles the row's points.
 
     Exact values.  A decided contract's settle values are
     F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same
@@ -587,7 +559,7 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     The principal's value at each tied point is B(x_n - w_n) plus the
     nonzero deltas times p_i there, added from 0.0 in component order as
     LinearPayoff.value adds them.  Left unscreened: rows without a screen,
-    contracts that may take the flat shortcut, and accepted contracts whose
+    contracts that take the flat shortcut, and accepted contracts whose
     principal levels or deltas are not finite or whose tied values are NaN.
     """
     count = len(fits)
@@ -610,11 +582,11 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
 
     row_screens = row_tables([tuple(d) for d in distinct.tolist()])
 
-    # per row: reach, size, top, span (a row without a screen has reach 0,
-    # so none of its contracts is decided) and its points' offset in cells
+    # per row: top, span, size (a row without a screen has size inf, so
+    # none of its contracts is decided) and its points' offset in cells
     n_comp = levels.shape[1] - 1
     stats = np.array(
-        [(0.0, 0.0, 0.0, 0.0) if sc is None else (sc.reach, sc.size, sc.top, sc.span)
+        [(0.0, 0.0, math.inf) if sc is None else (sc.top, sc.span, sc.size)
          for sc in row_screens]
     ).T
     set_len = np.array([0 if sc is None else sc.points.shape[1] for sc in row_screens])
@@ -624,14 +596,11 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     )
     a_all, v_all, p_all = cells[0], cells[1], cells[2:]
 
-    reach, row_size, top, span = (x[which] for x in stats)
+    top, span, row_size = (x[which] for x in stats)
     base = levels[ok, -1]
     with np.errstate(all="ignore"):
-        scale = np.abs(base) + row_size
-        sigma = _MARGIN * scale
-        level = np.abs(base + top)
-        not_flat = span > TAU_EXPECTATION * np.maximum(1.0, level + sigma) * (1.0 + _SLACK) + 2.0 * sigma
-        decided = (scale < _GUARD) & not_flat & (reach > sigma)
+        not_flat = span > TAU_EXPECTATION * np.maximum(1.0, np.abs(base + top))
+        decided = (np.abs(base) + row_size < _GUARD) & not_flat
     if not decided.any():
         return screened, accepted, value
     rows = ok[decided]
@@ -713,7 +682,7 @@ def solve_game(
     wins, the first such contract on a tie.  The family is enumerated as
     arrays, SCREEN_CHUNK contracts at a time, and grouped by utility-delta
     row.  Most contracts are settled from their row's tables (_screen,
-    where the bound that makes this exact is set out); the rest are solved
+    where the argument that makes this exact is set out); the rest are solved
     one by one, in order, by agent_best_response, so an error is raised at
     the same contract as by a loop of its calls.  The screen decides only
     acceptance and the principal's value; the winner's BestResponse comes

@@ -40,6 +40,7 @@ __all__ = [
     "SweepTable",
     "parse_scenario",
     "read_json",
+    "clip",
     "document_from_dict",
     "document_to_dict",
     "curve_from_spec",
@@ -89,44 +90,57 @@ class SweepTable:
 # ---------------------------------------------------------------------------
 # strict parsing
 
+QUOTE_CHARS = 100  # the most characters of a value a message quotes
+
+
+def clip(text: str) -> str:
+    """text cut to QUOTE_CHARS characters and "...".  Messages quote a value
+    as clip(f"{value!r}"): repr() takes one more level of the recursion
+    limit than !r, and a value nested nearly as deep as read_json decodes
+    has none to spare."""
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
+
+
 def _check_keys(obj: dict, allowed, required, path: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected an object")
     for key in obj:
         if key not in allowed:
-            raise ParseError(f"{path}: unknown key {key!r}")
+            raise ParseError(f"{path}: unknown key {clip(f'{key!r}')}")
     for key in required:
         if key not in obj:
-            raise ParseError(f"{path}: missing required key {key!r}")
+            raise ParseError(f"{path}: missing required key {clip(f'{key!r}')}")
 
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {value!r}")
+        raise ParseError(f"{path}: expected a number, got {clip(f'{value!r}')}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"{path}: expected a finite number, got {value!r}")
+        raise ParseError(f"{path}: expected a finite number, got {clip(f'{value!r}')}")
     return number
 
 
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
+        raise ParseError(f"{path}: expected an integer, got {clip(f'{value!r}')}")
     return value
 
 
 def _seed(value, path: str) -> int:
     if _integer(value, path) < 0:
-        raise ParseError(f"{path}: expected a non-negative integer, got {value!r}")
+        raise ParseError(
+            f"{path}: expected a non-negative integer, got {clip(f'{value!r}')}"
+        )
     return value
 
 
 def _tie_break(value, path: str) -> str:
     if value not in _principal.TIE_BREAK_POLICIES:
-        raise ParseError(f"{path}: {value!r} not in {_principal.TIE_BREAK_POLICIES}")
+        raise ParseError(f"{path}: {clip(f'{value!r}')} not in {_principal.TIE_BREAK_POLICIES}")
     return value
 
 
@@ -233,7 +247,7 @@ def curve_from_spec(spec, path: str) -> Curve:
     cls = _CURVE_CLASSES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ParseError(
-            f"{path}: unknown curve family {family!r}; "
+            f"{path}: unknown curve family {clip(f'{family!r}')}; "
             f"expected one of {sorted(_CURVE_CLASSES)}"
         )
     return _from_fields(cls, spec, path, extra=("family",))
@@ -266,7 +280,7 @@ def document_from_dict(raw: dict) -> ScenarioDocument:
     _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "document")
     schema = raw["schema"]
     if isinstance(schema, bool) or not isinstance(schema, int) or schema != 1:
-        raise ParseError(f"document: unsupported schema {schema!r}")
+        raise ParseError(f"document: unsupported schema {clip(f'{schema!r}')}")
 
     outcomes = _number_list(raw["outcomes"], "outcomes")
     bounds = _number_list(raw["effort_interval"], "effort_interval")

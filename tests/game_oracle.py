@@ -18,7 +18,6 @@ import numpy as np
 from contractgame import agent_payoff_functions, grid_argmax, profile_probs
 from contractgame.agent import LinearPayoff, scan_candidates, settle_points
 from contractgame.principal import _Row
-from contractgame.tables import SCAN_GRID_POINTS
 
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -76,20 +75,19 @@ def enumeration_oracle(scenario, family, argmax_points: int = 4097):
 
 def row_build(scenario, tables, deltas, cost_size):
     """The row's _Row searched alone, and why it is None: (row, None) for
-    a built row, (None, why) with why "raises", "flat step", "not finite"
-    or "open bracket" for a row without a screen.
+    a built row, (None, why) with why "raises", "not finite" or "open
+    bracket" for a row without a screen.
 
     cost_size() is the effort cost's largest magnitude on the scan.
     """
     try:
         payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
-        reach = float(np.abs(h[1:] - h[:-1]).min())
+        h, _ = payoff.scans(tables)
         top = float(h.max())
         low = float(h.min())
         size = max(top, -low) + 2.0 * cost_size()
-        if not (reach > 0.0 and math.isfinite(size)):
-            return None, "flat step" if reach == 0.0 else "not finite"
+        if not math.isfinite(size):
+            return None, "not finite"
         roots, open_brackets = scan_candidates(payoff, tables, h)
         if open_brackets:
             return None, "open bracket"
@@ -97,4 +95,4 @@ def row_build(scenario, tables, deltas, cost_size):
     except Exception:
         return None, "raises"
     a_max, v_max = np.abs(points[:2]).max(axis=1)
-    return _Row(reach, top, top - low, float(max(size, a_max + v_max)), points), None
+    return _Row(top, top - low, float(max(size, a_max + v_max)), points), None

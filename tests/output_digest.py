@@ -1,0 +1,142 @@
+"""Print one line per solver result over fixed corpora, to compare two versions.
+
+Run from the repository root, once per checkout of the program:
+
+    PYTHONPATH=src python tests/output_digest.py > digest.txt
+
+and compare the two files with diff.  To check an older checkout with these
+corpora, point PYTHONPATH at its src.  A line is "<set> <key> <result>",
+the result being the repr of what the call returns, or the type and
+message of what it raises.  The sets:
+
+- ``agent``: agent_best_response, and the invisible-effort and two-outcome
+  analyzers where they apply, on perfbench/gen.agent_pairs of seeds
+  4200-4202, 3,000 pairs each;
+- ``corpus``: tests/scenario_gen.game_corpus(120) of seeds 11 and 12: each
+  contract of each family alone, then solve_game under each policy;
+- ``families``: solve_game on perfbench/gen.game_families of seeds 1 and 2;
+- ``principal``: the screen, batching and error families of
+  tests/test_principal.py: each contract alone, then solve_game under each
+  policy;
+- ``fuzz``: the mutated documents and raw texts of tests/test_fuzz.py
+  through its seven commands: the exit code, and the length and SHA-256
+  of the output.
+
+pytest does not collect this file.  It runs for about half a minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "perfbench")]
+
+import gen  # noqa: E402  (perfbench/gen.py)
+import test_fuzz  # noqa: E402
+import test_principal  # noqa: E402
+from scenario_gen import game_corpus  # noqa: E402
+
+from contractgame import (  # noqa: E402
+    ContractFamily,
+    WageGrid,
+    agent_best_response,
+    detect_invisible_effort,
+    solve_game,
+    two_outcome_linear_analysis,
+)
+from contractgame.cli import run_command  # noqa: E402
+from contractgame.principal import TIE_BREAK_POLICIES  # noqa: E402
+
+
+def result(call) -> str:
+    try:
+        return repr(call())
+    except Exception as err:  # noqa: BLE001 - an error is a result too
+        return f"{type(err).__name__}: {err}"
+
+
+def agent_lines():
+    for seed in (4200, 4201, 4202):
+        for k, pair in enumerate(gen.agent_pairs(seed, 3000)):
+            s, c = pair.scenario, pair.contract
+            yield f"agent {seed}/{k}", result(lambda: agent_best_response(s, c))
+            yield f"agent {seed}/{k} invisible", result(lambda: detect_invisible_effort(s))
+            if pair.two_outcome_linear:
+                yield f"agent {seed}/{k} two-outcome", result(
+                    lambda: two_outcome_linear_analysis(s, c)
+                )
+
+
+def family_lines(name: str, scenario, family):
+    """Each contract of the family alone, then solve_game under each policy."""
+    for k, contract in enumerate(family):
+        yield f"{name} contract {k}", result(lambda: agent_best_response(scenario, contract))
+    for policy in TIE_BREAK_POLICIES:
+        yield f"{name} {policy}", result(lambda: solve_game(scenario, family, policy))
+
+
+def corpus_lines():
+    for seed in (11, 12):
+        for k, (kind, scenario, family) in enumerate(game_corpus(120, seed)):
+            yield from family_lines(f"corpus {seed}/{k} {kind}", scenario, family)
+
+
+def families_lines():
+    for seed in (1, 2):
+        for k, fam in enumerate(gen.game_families(seed, 60_000, 1)):
+            grids = ContractFamily(grids=tuple(WageGrid(*g) for g in fam.grids))
+            yield f"families {seed}/{k}", result(lambda: solve_game(fam.scenario, grids))
+
+
+def principal_lines():
+    named = {
+        **{f"screen {n}": make for n, make in test_principal._SCREEN_FAMILIES.items()},
+        **{f"batching {n}": make for n, make in test_principal._BATCHING_FAMILIES.items()},
+        **{f"error {n}": make for n, make in test_principal._ERROR_CASES.items()},
+    }
+    for name in sorted(named):
+        scenario, family = named[name]()
+        yield from family_lines(f"principal {name}", scenario, family)
+
+
+def fuzz_lines():
+    def run(key: str, path: Path):
+        for command in test_fuzz.COMMANDS:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = result(lambda: run_command([command[0], str(path), *command[1:]]))
+            # the same bytes wherever the temporary directory is
+            out = sink.getvalue().replace(str(path), "doc.json").encode("utf-8", "backslashreplace")
+            yield f"fuzz {key} {command[0]}", (
+                f"exit {code} {len(out)} {hashlib.sha256(out).hexdigest()}"
+            )
+
+    base = json.loads(test_fuzz.FIXTURE.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        rng = random.Random(test_fuzz.SEED)
+        for k in range(test_fuzz.DOCUMENTS):
+            path.write_text(json.dumps(test_fuzz.mutate(base, rng)), encoding="utf-8")
+            yield from run(f"document {k}", path)
+        rng = random.Random(test_fuzz.SEED)
+        for k, text in enumerate(test_fuzz.raw_mutations(test_fuzz.FIXTURE.read_bytes(), rng)):
+            path.write_bytes(text)
+            yield from run(f"raw {k}", path)
+
+
+def main() -> None:
+    for lines in (agent_lines, corpus_lines, families_lines, principal_lines, fuzz_lines):
+        for key, line in lines():
+            print(key, line)
+
+
+if __name__ == "__main__":
+    main()

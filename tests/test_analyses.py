@@ -22,6 +22,7 @@ from contractgame import (
     detect_invisible_effort,
     two_outcome_linear_analysis,
 )
+from contractgame.scenario_io import render_json, result_to_dict
 from scenario_gen import (
     averse_taxonomy_scenario,
     constant_profile_scenario,
@@ -51,6 +52,17 @@ class TestInvisibleEffort:
         assert report.max_profile_deviation == 0.0
         assert report.best_response.efforts() == pytest.approx((0.3,), abs=1e-9)
         assert report.risk.classification is RiskClass.AVERSE
+
+    def test_zero_cost_keeps_the_sign_of_zero(self):
+        """The detector maximizes -v, so v = 0 gives -0.0 (0.0 - v would give 0.0)."""
+        scenario = _two_outcome(Polynomial((0.3,)), v=Polynomial((0.0,)))
+        report = result_to_dict(detect_invisible_effort(scenario))
+        assert render_json(report["best_response"], indent=0).replace("\n", "") == (
+            '{"maximizers": ['
+            '{"effort": 0,"kind": "boundary_min","expectation": -0},'
+            '{"effort": 1,"kind": "boundary_max","expectation": -0}],'
+            '"optimal_expectation": -0,"accepted": true,"constant_expectation": true}'
+        )
 
     def test_linear_profile_not_invisible(self):
         scenario, _ = reference_scenario()

@@ -438,6 +438,37 @@ class TestUndecodableInput:
         assert captured.err.count("\n") == 1
 
 
+class TestLongValuesInMessages:
+    """A message quotes at most scenario_io.QUOTE_CHARS characters of a value."""
+
+    def test_long_document_value_is_clipped(self, tmp_path, capsys):
+        raw = json.loads(Path(FIXTURE).read_text(encoding="utf-8"))
+        raw["outcomes"][0] = list(range(100_000))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(raw))
+        assert run_command(["solve-agent", str(path)]) == 1
+        quoted = repr(list(range(100_000)))[:100]
+        expected = f"error: outcomes[0]: expected a number, got {quoted}...\n"
+        assert capsys.readouterr().err == expected
+        assert run_command(["validate", str(path)]) == 1
+        assert len(capsys.readouterr().out) < 400
+
+    def test_deeply_nested_inline_contract_is_clipped(self, capsys):
+        nested = "[" * 2000 + "]" * 2000
+        assert run_command(["solve-agent", FIXTURE, "--contract", nested]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad inline contract '" + "[" * 99 + "...: cannot decode: ")
+        assert err.count("\n") == 1 and len(err) < 300
+
+    @pytest.mark.parametrize("value", ["ten", "x" * 98])
+    def test_short_values_are_quoted_whole(self, value):
+        raw = json.loads(Path(FIXTURE).read_text(encoding="utf-8"))
+        raw["outcomes"][0] = value
+        with pytest.raises(ParseError) as err:
+            document_from_dict(raw)
+        assert str(err.value) == f"outcomes[0]: expected a number, got {value!r}"
+
+
 def _overflowing_cost_derivatives(raw):
     raw["agent"]["effort_cost"]["coefficients"] = [0.0, 0.0, -1e308]
 

@@ -487,6 +487,23 @@ def _relatively_flat_contracts():
     return scenario, ContractFamily(contracts=tuple(map(Contract, huge + small)))
 
 
+def _flat_margin_contracts():
+    """Contracts (b + d, b) with b = 1e12 - 1e6, u = w, v = 0 and d just above 2000.
+
+    E = b + d (0.2 + 0.5e) spreads d / 2 over the interval, just above the
+    flat test's tolerance 1e-9 |b + 0.7d|: the solve does not take the flat
+    shortcut, though the spread is within 0.01 of the tolerance.
+    """
+    base = 1e12 - 1e6
+    scenario = _scenario((10.0, 2.0), _RISING, Polynomial((0.0,)))
+    spreads = (2000.0, 2000.00390625, 2000.0078125)
+    return scenario, ContractFamily(contracts=tuple(Contract((base + d, base)) for d in spreads))
+
+
+_KNOTS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_POSITIVE_DELTAS = (WageGrid(2.0, 4.0, 0.5), WageGrid(0.0, 1.0, 0.5))
+
+
 def _twin_peak_contracts():
     """A twin-peak contract, a rival whose value lies between its peaks' and a huge one.
 
@@ -519,6 +536,21 @@ _SCREEN_FAMILIES = {
         _NOTCH_COST,
         (WageGrid(0.0, 2.0, 0.5),) * 3,
     ),
+    # p1 is flat on [0.25, 0.5] and v = 0, so E rises with a flat step
+    "flat-step": lambda: _game(
+        (10.0, 2.0), [Tabulated(_KNOTS, (0.2, 0.4, 0.4, 0.6, 0.7))], Polynomial((0.0,)),
+        _POSITIVE_DELTAS,
+    ),
+    # p1 peaks on the plateau [0.25, 0.5], whose points tie
+    "plateau-peak": lambda: _game(
+        (10.0, 2.0), [Tabulated(_KNOTS, (0.2, 0.4, 0.4, 0.2, 0.1))], Polynomial((0.0,)),
+        _POSITIVE_DELTAS,
+    ),
+    "spread-just-above-flat-tolerance": _flat_margin_contracts,
+}
+# the families whose every contract the screen settles
+_ALL_SCREENED = {
+    "huge-base", "all-rejected", "flat-step", "plateau-peak", "spread-just-above-flat-tolerance",
 }
 
 
@@ -635,8 +667,13 @@ class TestScreenConfirm:
             not screened.all_rejected
         )
         assert counts["screened"] > 0
-        # some contract is left to the one-by-one loop
-        assert counts["solved"] > (not screened.all_rejected)
+        if name in _ALL_SCREENED:
+            assert counts["screened"] == family.size()
+        else:
+            # some contract is left to the one-by-one loop
+            assert counts["solved"] > (not screened.all_rejected)
+        if name == "plateau-peak":
+            assert len(screened.best_response.maximizers) > 1
         if name == "all-rejected":
             assert screened.all_rejected
 
@@ -756,7 +793,7 @@ def _same_row(got, expected):
     """The same None-ness, field bits and points bytes."""
     if got is None or expected is None:
         return got is None and expected is None
-    fields = ("reach", "top", "span", "size")
+    fields = ("top", "span", "size")
     return (
         np.array([getattr(got, f) for f in fields]).tobytes()
         == np.array([getattr(expected, f) for f in fields]).tobytes()
@@ -800,7 +837,7 @@ class TestBatchedRowBuild:
 
         monkeypatch.setattr(principal_module._Slopes, "scalar", counting_scalar)
         why_none = {}
-        built = 0
+        built = flat_steps = 0
         for scenario, rows in _row_cases():
             if not rows:
                 continue
@@ -811,10 +848,16 @@ class TestBatchedRowBuild:
                 expected, why = row_build(scenario, tables, deltas, cost_size)
                 assert _same_row(row, expected), (scenario, deltas)
                 why_none[why] = why_none.get(why, 0) + 1
+                if row is not None:
+                    payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+                    h, _ = payoff.scans(tables)
+                    flat_steps += bool((h[1:] == h[:-1]).any())
             built += len(rows)
         assert built > 5000
+        # rows whose h has equal neighbours on the scan are screened too
+        assert flat_steps > 0
         # the ways a row can have no screen are met, and the guard falls back
-        assert {None, "raises", "flat step", "open bracket"} <= set(why_none), why_none
+        assert {None, "raises", "open bracket"} <= set(why_none), why_none
         assert fallbacks[0] > 0
 
 
