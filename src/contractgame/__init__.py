@@ -18,131 +18,52 @@ The ``contractgame`` command line drives all of it from JSON scenario
 documents.
 """
 
-from .curves import Curve, ExpAffine, LogAffine, Polynomial, Power, Tabulated
-from .errors import (
-    ContractGameError,
-    DimensionError,
-    DomainError,
-    EnumerationCapExceeded,
-    NotTwoOutcomeLinearError,
-    ParseError,
-    ProbabilityRangeError,
-    ValidationError,
-)
-from .model import (
-    AgentPreferences,
-    Contract,
-    EffortInterval,
-    EffortProfile,
-    PrincipalPreferences,
-    Scenario,
-    ensure_valid,
-    profile_matrix,
-    profile_probs,
-    scenario_validate,
-)
-from .agent import (
-    BestResponse,
-    Maximizer,
-    MaximizerKind,
-    RiskClass,
-    RiskClassification,
-    agent_best_response,
-    agent_expectation,
-    agent_payoff_functions,
-    classify_risk,
-    motivation,
-    persistence,
-    transience,
-)
-from .analyses import (
-    ClassicalAssumptionsReport,
-    InvisibleEffortReport,
-    TwoOutcomeLinearReport,
-    classical_assumptions_report,
-    detect_invisible_effort,
-    two_outcome_linear_analysis,
-)
-from .principal import (
-    ContractFamily,
-    GameSolution,
-    WageGrid,
-    principal_expectation,
-    solve_game,
-)
-from .oracle import (
-    SimulationResult,
-    finite_diff_d1,
-    finite_diff_d2,
-    grid_argmax,
-    monte_carlo_payoffs,
-    sample_outcome,
-)
-from .scenario_io import (
-    ScenarioDocument,
-    SolverOptions,
-    emit_report,
-    parse_scenario,
-)
+import importlib
+
+# every public name, by the module that defines it; a name is imported from
+# its module on first access (PEP 562), so `import contractgame` loads none
+_HOMES = {
+    "curves": ("Curve", "ExpAffine", "LogAffine", "Polynomial", "Power", "Tabulated"),
+    "errors": (
+        "ContractGameError", "DimensionError", "DomainError", "EnumerationCapExceeded",
+        "NotTwoOutcomeLinearError", "ParseError", "ProbabilityRangeError", "ValidationError",
+    ),
+    "model": (
+        "AgentPreferences", "Contract", "ContractFamily", "EffortInterval", "EffortProfile",
+        "PrincipalPreferences", "Scenario", "WageGrid", "ensure_valid", "profile_matrix",
+        "profile_probs", "scenario_validate",
+    ),
+    "agent": (
+        "BestResponse", "Maximizer", "MaximizerKind", "RiskClass", "RiskClassification",
+        "agent_best_response", "agent_expectation", "agent_payoff_functions",
+        "classify_risk", "motivation", "persistence", "transience",
+    ),
+    "analyses": (
+        "ClassicalAssumptionsReport", "InvisibleEffortReport", "TwoOutcomeLinearReport",
+        "classical_assumptions_report", "detect_invisible_effort",
+        "two_outcome_linear_analysis",
+    ),
+    "principal": ("GameSolution", "principal_expectation", "solve_game"),
+    "oracle": (
+        "SimulationResult", "finite_diff_d1", "finite_diff_d2", "grid_argmax",
+        "monte_carlo_payoffs", "sample_outcome",
+    ),
+    "scenario_io": ("ScenarioDocument", "SolverOptions", "emit_report", "parse_scenario"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgentPreferences",
-    "BestResponse",
-    "ClassicalAssumptionsReport",
-    "Contract",
-    "ContractFamily",
-    "ContractGameError",
-    "Curve",
-    "DimensionError",
-    "DomainError",
-    "EffortInterval",
-    "EffortProfile",
-    "EnumerationCapExceeded",
-    "ExpAffine",
-    "GameSolution",
-    "InvisibleEffortReport",
-    "LogAffine",
-    "Maximizer",
-    "MaximizerKind",
-    "NotTwoOutcomeLinearError",
-    "ParseError",
-    "Polynomial",
-    "Power",
-    "PrincipalPreferences",
-    "ProbabilityRangeError",
-    "RiskClass",
-    "RiskClassification",
-    "Scenario",
-    "ScenarioDocument",
-    "SimulationResult",
-    "SolverOptions",
-    "Tabulated",
-    "TwoOutcomeLinearReport",
-    "ValidationError",
-    "WageGrid",
-    "agent_best_response",
-    "agent_expectation",
-    "agent_payoff_functions",
-    "classical_assumptions_report",
-    "classify_risk",
-    "detect_invisible_effort",
-    "emit_report",
-    "ensure_valid",
-    "finite_diff_d1",
-    "finite_diff_d2",
-    "grid_argmax",
-    "monte_carlo_payoffs",
-    "motivation",
-    "parse_scenario",
-    "persistence",
-    "principal_expectation",
-    "profile_matrix",
-    "profile_probs",
-    "sample_outcome",
-    "scenario_validate",
-    "solve_game",
-    "transience",
-    "two_outcome_linear_analysis",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

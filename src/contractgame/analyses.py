@@ -29,7 +29,7 @@ from .agent import (
 )
 from .errors import NotTwoOutcomeLinearError
 from .curves import Polynomial
-from .model import Contract, Scenario, require_finite
+from .model import EPSILON_INVISIBLE, Contract, Scenario, require_finite
 from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables
 
 __all__ = [
@@ -42,12 +42,6 @@ __all__ = [
     "two_outcome_linear_analysis",
     "classical_assumptions_report",
 ]
-
-# Default threshold on the profile's total variation across efforts below
-# which the outcome distribution counts as effort-independent.  Raise it to
-# hunt for "almost flat" profiles.
-EPSILON_INVISIBLE = 1e-9
-
 
 @dataclass(frozen=True)
 class InvisibleEffortReport:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse/validation/solver failure, 2 usage error.
 Reports go to stdout (or the file given by --out); error text goes to
-stderr.
+stderr.  Each command imports its solver module when it runs, so a CLI
+process loads only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -15,16 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .agent import agent_best_response, agent_payoff_functions, classify_risk
-from .analyses import (
-    classical_assumptions_report,
-    detect_invisible_effort,
-    two_outcome_linear_analysis,
-)
 from .errors import ContractGameError, NotTwoOutcomeLinearError, ParseError, ValidationError
-from .model import Contract, contract_issues, require_finite
-from .oracle import monte_carlo_payoffs
-from .principal import TIE_BREAK_POLICIES, solve_game
+from .model import TIE_BREAK_POLICIES, Contract, contract_issues, require_finite
 from .scenario_io import (
     ScenarioDocument,
     SweepTable,
@@ -131,6 +124,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve_agent(args) -> int:
+    from .agent import agent_best_response, classify_risk
+
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
     response = agent_best_response(doc.scenario, contract)
@@ -142,6 +137,8 @@ def _cmd_solve_agent(args) -> int:
 
 
 def _cmd_classify_risk(args) -> int:
+    from .agent import classify_risk
+
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
     risk = classify_risk(doc.scenario, contract)
@@ -150,6 +147,10 @@ def _cmd_classify_risk(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analyses import (
+        classical_assumptions_report, detect_invisible_effort, two_outcome_linear_analysis,
+    )
+
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
     epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon_invisible
@@ -178,6 +179,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_solve_game(args) -> int:
+    from .principal import solve_game
+
     doc = parse_scenario(args.file)
     if doc.contract_family is None:
         raise ContractGameError("document has no contract_family to search")
@@ -188,6 +191,8 @@ def _cmd_solve_game(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .agent import agent_payoff_functions
+
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
     if args.points < 2:
@@ -213,6 +218,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .oracle import monte_carlo_payoffs
+
     doc = parse_scenario(args.file)
     contract = _resolve_contract(doc, args.contract)
     if args.n < 1:

@@ -1,4 +1,4 @@
-"""Data model of the contract game: outcomes, contracts, profiles, scenarios.
+"""Data model of the contract game: outcomes, contracts, families, profiles, scenarios.
 
 A scenario bundles everything both parties know before play starts: the
 finite outcome set, the admissible effort interval, the effort profile
@@ -10,19 +10,27 @@ violation it finds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import Curve
-from .errors import DimensionError, DomainError, ProbabilityRangeError, ValidationError
+from .errors import (
+    DimensionError, DomainError, EnumerationCapExceeded, ProbabilityRangeError, ValidationError,
+)
 from .tables import VALIDATION_GRID_POINTS, effort_grid, effort_tables
 
 __all__ = [
     "TAU_P",
+    "EPSILON_INVISIBLE",
+    "ENUMERATION_CAP",
+    "TIE_BREAK_POLICIES",
     "EffortInterval",
     "Contract",
+    "WageGrid",
+    "ContractFamily",
     "EffortProfile",
     "AgentPreferences",
     "PrincipalPreferences",
@@ -38,6 +46,19 @@ __all__ = [
 # Probability slack: profile values may stray this far outside [0, 1]
 # before validation fails; values inside the slack are clamped.
 TAU_P = 1e-9
+
+# Default threshold on the profile's total variation across efforts below
+# which the outcome distribution counts as effort-independent.  Raise it to
+# hunt for "almost flat" profiles.
+EPSILON_INVISIBLE = 1e-9
+
+ENUMERATION_CAP = 10**6  # a contract family's default limit on its size
+
+TIE_BREAK_POLICIES = (
+    "principal-favorable",
+    "agent-lowest-effort",
+    "agent-highest-effort",
+)
 
 
 @dataclass(frozen=True)
@@ -95,6 +116,92 @@ class Contract:
 
     def __getitem__(self, i: int) -> float:
         return self.wages[i]
+
+
+@dataclass(frozen=True)
+class WageGrid:
+    """Arithmetic wage range lo, lo+step, ... capped at hi (inclusive)."""
+
+    lo: float
+    hi: float
+    step: float
+
+    def __post_init__(self):
+        if self.step <= 0.0:
+            raise DimensionError(f"wage grid step must be positive, got {self.step}")
+        if self.hi < self.lo:
+            raise DimensionError(
+                f"wage grid needs hi >= lo, got [{self.lo}, {self.hi}]"
+            )
+        if not math.isfinite((self.hi - self.lo) / self.step):
+            raise DimensionError(
+                f"wage grid [{self.lo}, {self.hi}] step {self.step} "
+                "has too many points to count"
+            )
+
+    def count(self) -> int:
+        return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
+
+    def values(self) -> tuple[float, ...]:
+        """The k-th value is the float nearest the decimal lo + k*step.
+
+        lo and step are read as their shortest decimal reprs, so
+        WageGrid(0, 6, 0.2) yields 2.4, not 2.4000000000000004.
+        """
+        # imported here: fractions loads decimal, about 1 ms of every CLI start
+        from fractions import Fraction
+
+        lo, step = (Fraction(repr(float(x))) for x in (self.lo, self.step))
+        return tuple(float(lo + k * step) for k in range(self.count()))
+
+
+@dataclass(frozen=True)
+class ContractFamily:
+    """Finite candidate set: an explicit list or a per-wage grid product."""
+
+    contracts: tuple[Contract, ...] | None = None
+    grids: tuple[WageGrid, ...] | None = None
+    cap: int = ENUMERATION_CAP
+
+    def __post_init__(self):
+        if self.cap < 1:
+            raise DimensionError(f"contract family cap must be at least 1, got {self.cap}")
+        if (self.contracts is None) == (self.grids is None):
+            raise DimensionError(
+                "contract family needs exactly one of: contracts, grids"
+            )
+        if self.contracts is not None:
+            object.__setattr__(self, "contracts", tuple(self.contracts))
+            if len(self.contracts) == 0:
+                raise DimensionError("contract family must not be empty")
+        else:
+            object.__setattr__(self, "grids", tuple(self.grids))
+            if len(self.grids) == 0:
+                raise DimensionError("contract family must not be empty")
+
+    def size(self) -> int:
+        if self.contracts is not None:
+            return len(self.contracts)
+        prod = 1
+        for g in self.grids:
+            prod *= g.count()
+        return prod
+
+    def require_within_cap(self) -> None:
+        size = self.size()
+        if size > self.cap:
+            raise EnumerationCapExceeded(
+                f"family enumerates {size} candidates, cap is {self.cap}"
+            )
+
+    def __iter__(self):
+        self.require_within_cap()
+        if self.contracts is not None:
+            return iter(self.contracts)
+        return (
+            Contract(wages)
+            for wages in itertools.product(*(g.values() for g in self.grids))
+        )
 
 
 @dataclass(frozen=True)

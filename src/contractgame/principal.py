@@ -13,7 +13,6 @@ result is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,10 @@ from .agent import (
     TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, bisect_brackets,
     settle_points,
 )
-from .errors import DimensionError, DomainError, EnumerationCapExceeded
-from .model import Contract, Scenario
+from .errors import DomainError
+from .model import (
+    ENUMERATION_CAP, TIE_BREAK_POLICIES, Contract, ContractFamily, Scenario, WageGrid,
+)
 from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effort_tables
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "solve_game",
 ]
 
-ENUMERATION_CAP = 10**6
 SCREEN_CHUNK = 1024  # contracts enumerated and screened at a time
 DELTA_ROW_MEMO = 4096  # utility-delta rows whose _Row solve_game keeps
 
@@ -48,99 +48,6 @@ _GUARD = 2.0**1000   # |b| + size below this keeps every scan value finite
 # rows per block of _build_rows' dense stage: four scan-long rows, 128 kB an
 # array (eight rows were no faster here and raised the peak RSS twice as much)
 _BLOCK = 2**14 // (SCAN_GRID_POINTS - 1)
-
-TIE_BREAK_POLICIES = (
-    "principal-favorable",
-    "agent-lowest-effort",
-    "agent-highest-effort",
-)
-
-
-@dataclass(frozen=True)
-class WageGrid:
-    """Arithmetic wage range lo, lo+step, ... capped at hi (inclusive)."""
-
-    lo: float
-    hi: float
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0.0:
-            raise DimensionError(f"wage grid step must be positive, got {self.step}")
-        if self.hi < self.lo:
-            raise DimensionError(
-                f"wage grid needs hi >= lo, got [{self.lo}, {self.hi}]"
-            )
-        if not math.isfinite((self.hi - self.lo) / self.step):
-            raise DimensionError(
-                f"wage grid [{self.lo}, {self.hi}] step {self.step} "
-                "has too many points to count"
-            )
-
-    def count(self) -> int:
-        return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
-
-    def values(self) -> tuple[float, ...]:
-        """The k-th value is the float nearest the decimal lo + k*step.
-
-        lo and step are read as their shortest decimal reprs, so
-        WageGrid(0, 6, 0.2) yields 2.4, not 2.4000000000000004.
-        """
-        # imported here: fractions loads decimal, about 1 ms of every CLI start
-        from fractions import Fraction
-
-        lo, step = (Fraction(repr(float(x))) for x in (self.lo, self.step))
-        return tuple(float(lo + k * step) for k in range(self.count()))
-
-
-@dataclass(frozen=True)
-class ContractFamily:
-    """Finite candidate set: an explicit list or a per-wage grid product."""
-
-    contracts: tuple[Contract, ...] | None = None
-    grids: tuple[WageGrid, ...] | None = None
-    cap: int = ENUMERATION_CAP
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise DimensionError(f"contract family cap must be at least 1, got {self.cap}")
-        if (self.contracts is None) == (self.grids is None):
-            raise DimensionError(
-                "contract family needs exactly one of: contracts, grids"
-            )
-        if self.contracts is not None:
-            object.__setattr__(self, "contracts", tuple(self.contracts))
-            if len(self.contracts) == 0:
-                raise DimensionError("contract family must not be empty")
-        else:
-            object.__setattr__(self, "grids", tuple(self.grids))
-            if len(self.grids) == 0:
-                raise DimensionError("contract family must not be empty")
-
-    def size(self) -> int:
-        if self.contracts is not None:
-            return len(self.contracts)
-        prod = 1
-        for g in self.grids:
-            prod *= g.count()
-        return prod
-
-    def require_within_cap(self) -> None:
-        size = self.size()
-        if size > self.cap:
-            raise EnumerationCapExceeded(
-                f"family enumerates {size} candidates, cap is {self.cap}"
-            )
-
-    def __iter__(self):
-        self.require_within_cap()
-        if self.contracts is not None:
-            return iter(self.contracts)
-        return (
-            Contract(wages)
-            for wages in itertools.product(*(g.values() for g in self.grids))
-        )
-
 
 @dataclass(frozen=True)
 class GameSolution:

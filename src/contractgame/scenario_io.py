@@ -19,20 +19,22 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 
-from . import analyses as _analyses
-from . import principal as _principal
 from .curves import Curve, ExpAffine, LogAffine, Polynomial, Power, Tabulated
 from .errors import ContractGameError, ParseError, ValidationError
 from .model import (
+    ENUMERATION_CAP,
+    EPSILON_INVISIBLE,
+    TIE_BREAK_POLICIES,
     AgentPreferences,
     Contract,
+    ContractFamily,
     EffortInterval,
     EffortProfile,
     PrincipalPreferences,
     Scenario,
+    WageGrid,
     scenario_validate,
 )
-from .principal import ContractFamily, WageGrid
 
 __all__ = [
     "SolverOptions",
@@ -66,7 +68,7 @@ class SolverOptions:
     constants, not options.
     """
 
-    epsilon_invisible: float = _analyses.EPSILON_INVISIBLE
+    epsilon_invisible: float = EPSILON_INVISIBLE
     tie_break: TieBreak = "principal-favorable"
     seed: Seed = 0
 
@@ -95,9 +97,8 @@ QUOTE_CHARS = 100  # the most characters of a value a message quotes
 
 def clip(text: str) -> str:
     """text cut to QUOTE_CHARS characters and "...".  Messages quote a value
-    as clip(f"{value!r}"): repr() takes one more level of the recursion
-    limit than !r, and a value nested nearly as deep as read_json decodes
-    has none to spare."""
+    as clip(f"{value!r}"); a document value nested too deeply to quote is
+    the ParseError of document_from_dict, which quotes nothing."""
     return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS] + "..."
 
 
@@ -139,8 +140,8 @@ def _seed(value, path: str) -> int:
 
 
 def _tie_break(value, path: str) -> str:
-    if value not in _principal.TIE_BREAK_POLICIES:
-        raise ParseError(f"{path}: {clip(f'{value!r}')} not in {_principal.TIE_BREAK_POLICIES}")
+    if value not in TIE_BREAK_POLICIES:
+        raise ParseError(f"{path}: {clip(f'{value!r}')} not in {TIE_BREAK_POLICIES}")
     return value
 
 
@@ -276,37 +277,45 @@ _TOP_KEYS = {*_TOP_REQUIRED, "contracts", "contract_family", "options"}
 
 
 def document_from_dict(raw: dict) -> ScenarioDocument:
-    """Build and grid-validate a document from parsed JSON."""
-    _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "document")
-    schema = raw["schema"]
-    if isinstance(schema, bool) or not isinstance(schema, int) or schema != 1:
-        raise ParseError(f"document: unsupported schema {clip(f'{schema!r}')}")
+    """Build and grid-validate a document from parsed JSON.
 
-    outcomes = _number_list(raw["outcomes"], "outcomes")
-    bounds = _number_list(raw["effort_interval"], "effort_interval")
-    if len(bounds) != 2:
-        raise ParseError("effort_interval: expected [lo, hi]")
+    A value nested too deeply to walk or quote is a ParseError, caught here
+    and not in a wrapper: a document nested nearly as deep as read_json
+    decodes has no call level to spare.
+    """
+    try:
+        _check_keys(raw, _TOP_KEYS, _TOP_REQUIRED, "document")
+        schema = raw["schema"]
+        if isinstance(schema, bool) or not isinstance(schema, int) or schema != 1:
+            raise ParseError(f"document: unsupported schema {clip(f'{schema!r}')}")
 
-    if not isinstance(raw["profile"], list):
-        raise ParseError("profile: expected a list of curves")
-    components = tuple(
-        curve_from_spec(spec, f"profile[{i}]")
-        for i, spec in enumerate(raw["profile"])
-    )
-    agent_prefs = _from_fields(AgentPreferences, raw["agent"], "agent")
-    principal_prefs = _from_fields(PrincipalPreferences, raw["principal"], "principal")
-    contracts = _contract_list(raw.get("contracts", []), "contracts")
+        outcomes = _number_list(raw["outcomes"], "outcomes")
+        bounds = _number_list(raw["effort_interval"], "effort_interval")
+        if len(bounds) != 2:
+            raise ParseError("effort_interval: expected [lo, hi]")
 
-    family = None
-    if "contract_family" in raw:
-        try:
-            family = _family_from_dict(raw["contract_family"], len(outcomes))
-        except (ParseError, ValidationError):
-            raise
-        except ContractGameError as err:
-            raise ValidationError([err]) from err
+        if not isinstance(raw["profile"], list):
+            raise ParseError("profile: expected a list of curves")
+        components = tuple(
+            curve_from_spec(spec, f"profile[{i}]")
+            for i, spec in enumerate(raw["profile"])
+        )
+        agent_prefs = _from_fields(AgentPreferences, raw["agent"], "agent")
+        principal_prefs = _from_fields(PrincipalPreferences, raw["principal"], "principal")
+        contracts = _contract_list(raw.get("contracts", []), "contracts")
 
-    options = _from_fields(SolverOptions, raw.get("options", {}), "options")
+        family = None
+        if "contract_family" in raw:
+            try:
+                family = _family_from_dict(raw["contract_family"], len(outcomes))
+            except (ParseError, ValidationError):
+                raise
+            except ContractGameError as err:
+                raise ValidationError([err]) from err
+
+        options = _from_fields(SolverOptions, raw.get("options", {}), "options")
+    except RecursionError as err:
+        raise ParseError("document: nested too deeply") from err
 
     try:
         scenario = Scenario(
@@ -329,7 +338,7 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
     _check_keys(
         raw, {"contracts", "wage_grids", "cap"}, (), "contract_family"
     )
-    cap = _integer(raw.get("cap", _principal.ENUMERATION_CAP), "contract_family.cap")
+    cap = _integer(raw.get("cap", ENUMERATION_CAP), "contract_family.cap")
     if cap < 1:
         raise ParseError(f"contract_family.cap: expected a positive integer, got {cap}")
     has_list = "contracts" in raw

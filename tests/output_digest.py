@@ -20,9 +20,13 @@ message of what it raises.  The sets:
   policy;
 - ``fuzz``: the mutated documents and raw texts of tests/test_fuzz.py
   through its seven commands: the exit code, and the length and SHA-256
-  of the output.
+  of the output;
+- ``cold``: tests/scenario_gen.game_corpus(20) of seed 13, each written as
+  a document with its family's middle contract, through the same seven
+  commands, each a fresh ``python -m contractgame.cli`` process: the exit
+  code and the SHA-256 of stdout and of stderr.
 
-pytest does not collect this file.  It runs for about half a minute.
+pytest does not collect this file.  It runs for about a minute.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +59,11 @@ from contractgame import (  # noqa: E402
     two_outcome_linear_analysis,
 )
 from contractgame.cli import run_command  # noqa: E402
+from contractgame.scenario_io import (  # noqa: E402
+    ScenarioDocument,
+    SolverOptions,
+    document_to_dict,
+)
 from contractgame.principal import TIE_BREAK_POLICIES  # noqa: E402
 
 
@@ -132,8 +143,30 @@ def fuzz_lines():
             yield from run(f"raw {k}", path)
 
 
+def cold_lines():
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (kind, scenario, family) in enumerate(game_corpus(20, 13)):
+            contracts = tuple(family)
+            doc = ScenarioDocument(
+                scenario, (contracts[len(contracts) // 2],), family, SolverOptions()
+            )
+            path = os.path.join(tmp, f"doc{k}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document_to_dict(doc), handle)
+            for command in test_fuzz.COMMANDS:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "contractgame.cli", command[0], path, *command[1:]],
+                    capture_output=True, timeout=60,
+                )
+                out, err = (hashlib.sha256(b.replace(path.encode(), b"doc.json")).hexdigest()
+                            for b in (proc.stdout, proc.stderr))
+                yield f"cold {k} {kind} {command[0]}", f"exit {proc.returncode} {out} {err}"
+
+
 def main() -> None:
-    for lines in (agent_lines, corpus_lines, families_lines, principal_lines, fuzz_lines):
+    for lines in (
+        agent_lines, corpus_lines, families_lines, principal_lines, fuzz_lines, cold_lines
+    ):
         for key, line in lines():
             print(key, line)
 

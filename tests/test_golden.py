@@ -7,15 +7,24 @@ tie-break policy on ``tests/fixtures/scenario_twin.json``, whose contract
 polynomials and the pcg64 stream, so the bytes do not depend on the
 platform's libm.  Regenerate a golden only for an intended output change, e.g.
 ``contractgame solve-agent tests/fixtures/scenario_r.json > tests/golden/solve-agent.json``.
+Each golden is checked in this process and from a cold ``python -m
+contractgame.cli`` process, which imports only what its command needs.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import contractgame
+import contractgame.analyses
+import contractgame.model
+import contractgame.principal
 from contractgame.cli import run_command
 from contractgame.principal import TIE_BREAK_POLICIES
 
@@ -46,6 +55,45 @@ def test_cli_stdout_matches_golden(golden, capsys):
     assert captured.err == ""
     expected = (TESTS / "golden" / golden).read_text(encoding="utf-8")
     assert captured.out == expected
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_COMMANDS))
+def test_cold_cli_stdout_matches_golden(golden):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "contractgame.cli", *GOLDEN_COMMANDS[golden]],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (TESTS / "golden" / golden).read_bytes()
+
+
+def test_package_names_resolve_to_their_home_modules():
+    for name in contractgame.__all__:
+        value = getattr(contractgame, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(contractgame.__all__) <= set(dir(contractgame))
+    namespace = {}
+    exec("from contractgame import *", namespace)
+    assert all(namespace[name] is getattr(contractgame, name) for name in contractgame.__all__)
+    with pytest.raises(AttributeError):
+        contractgame.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (contractgame.principal, "WageGrid"),
+        (contractgame.principal, "ContractFamily"),
+        (contractgame.principal, "TIE_BREAK_POLICIES"),
+        (contractgame.principal, "ENUMERATION_CAP"),
+        (contractgame.analyses, "EPSILON_INVISIBLE"),
+    ],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_moved_names_are_the_model_objects(module, name):
+    assert getattr(module, name) is getattr(contractgame.model, name)
 
 
 def _private_imports(path: Path):

@@ -460,6 +460,16 @@ class TestLongValuesInMessages:
         assert err.startswith("error: bad inline contract '" + "[" * 99 + "...: cannot decode: ")
         assert err.count("\n") == 1 and len(err) < 300
 
+    def test_value_too_deep_to_quote_is_one_parse_error(self):
+        nested = []
+        for _ in range(100_000):
+            nested = [nested]
+        raw = fixture_dict()
+        raw["outcomes"][0] = nested
+        with pytest.raises(ParseError) as err:
+            document_from_dict(raw)
+        assert str(err.value) == "document: nested too deeply"
+
     @pytest.mark.parametrize("value", ["ten", "x" * 98])
     def test_short_values_are_quoted_whole(self, value):
         raw = json.loads(Path(FIXTURE).read_text(encoding="utf-8"))
