@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 parse/validation/solver failure, 2 usage error.
-Reports go to stdout (or the file given by --out); error text goes to
-stderr.  Each command imports its solver module when it runs, so a CLI
-process loads only the modules its command uses.
+Exit codes: 0 success, 1 parse/validation/solver failure or out of memory,
+2 usage error.  Reports go to stdout (or the file given by --out); error
+text goes to stderr, one line.  Each command imports its solver module
+when it runs, so a CLI process loads only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .scenario_io import (
     emit_report,
     parse_scenario,
     read_json,
-    render_json,
     result_to_dict,
 )
 
@@ -108,51 +107,42 @@ def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
     return contract
 
 
-def _cmd_validate(args) -> int:
+def _validate(path: str) -> tuple[dict, int]:
+    """validate's report and exit code: a document that fails is a report."""
     try:
-        parse_scenario(args.file)
+        parse_scenario(path)
     except (ValidationError, ParseError) as err:
         issues = err.issues if isinstance(err, ValidationError) else [err]
         report = {
             "valid": False,
             "issues": [{"kind": type(i).__name__, "message": str(i)} for i in issues],
         }
-        print(render_json(report))
-        return 1
-    print(render_json({"valid": True, "issues": []}))
-    return 0
+        return report, 1
+    return {"valid": True, "issues": []}, 0
 
 
-def _cmd_solve_agent(args) -> int:
+# Each other command is a handler (ScenarioDocument, the resolved --contract
+# or None, args) -> report; run_command parses, resolves and writes around it.
+
+def _solve_agent(doc, contract, args):
     from .agent import agent_best_response, classify_risk
 
-    doc = parse_scenario(args.file)
-    contract = _resolve_contract(doc, args.contract)
-    response = agent_best_response(doc.scenario, contract)
-    risk = classify_risk(doc.scenario, contract)
-    out = result_to_dict(response)
-    out["risk"] = result_to_dict(risk)
-    print(render_json(out))
-    return 0
+    out = result_to_dict(agent_best_response(doc.scenario, contract))
+    out["risk"] = result_to_dict(classify_risk(doc.scenario, contract))
+    return out
 
 
-def _cmd_classify_risk(args) -> int:
+def _classify_risk(doc, contract, args):
     from .agent import classify_risk
 
-    doc = parse_scenario(args.file)
-    contract = _resolve_contract(doc, args.contract)
-    risk = classify_risk(doc.scenario, contract)
-    print(render_json(result_to_dict(risk)))
-    return 0
+    return classify_risk(doc.scenario, contract)
 
 
-def _cmd_analyze(args) -> int:
+def _analyze(doc, contract, args):
     from .analyses import (
         classical_assumptions_report, detect_invisible_effort, two_outcome_linear_analysis,
     )
 
-    doc = parse_scenario(args.file)
-    contract = _resolve_contract(doc, args.contract)
     epsilon = args.epsilon if args.epsilon is not None else doc.options.epsilon_invisible
     if not math.isfinite(epsilon):
         raise ContractGameError("--epsilon must be a finite number")
@@ -169,32 +159,25 @@ def _cmd_analyze(args) -> int:
     classical = classical_assumptions_report(
         doc.scenario, (min(contract.wages), max(contract.wages))
     )
-    out = {
+    return {
         "invisible_effort": result_to_dict(invisible),
         "two_outcome_linear": linear,
         "classical_assumptions": result_to_dict(classical),
     }
-    print(render_json(out))
-    return 0
 
 
-def _cmd_solve_game(args) -> int:
+def _solve_game(doc, contract, args):
     from .principal import solve_game
 
-    doc = parse_scenario(args.file)
     if doc.contract_family is None:
         raise ContractGameError("document has no contract_family to search")
     tie_break = args.tie_break if args.tie_break is not None else doc.options.tie_break
-    solution = solve_game(doc.scenario, doc.contract_family, tie_break=tie_break)
-    print(render_json(result_to_dict(solution)))
-    return 0
+    return solve_game(doc.scenario, doc.contract_family, tie_break=tie_break)
 
 
-def _cmd_sweep(args) -> int:
+def _sweep(doc, contract, args):
     from .agent import agent_payoff_functions
 
-    doc = parse_scenario(args.file)
-    contract = _resolve_contract(doc, args.contract)
     if args.points < 2:
         raise ContractGameError("--points must be at least 2")
     try:
@@ -206,44 +189,40 @@ def _cmd_sweep(args) -> int:
         require_finite(np.asarray(fn(grid), dtype=float), grid, name)
         for fn, name in zip(agent_payoff_functions(doc.scenario, contract), names)
     )
-    table = SweepTable(
+    return SweepTable(
         columns=("e", *names),
         rows=tuple(
             (float(e), float(a), float(b), float(c))
             for e, a, b, c in zip(grid, ev, mv, pv)
         ),
     )
-    emit_report(table, format="csv", destination=args.out)
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _simulate(doc, contract, args):
     from .oracle import monte_carlo_payoffs
 
-    doc = parse_scenario(args.file)
-    contract = _resolve_contract(doc, args.contract)
     if args.n < 1:
         raise ContractGameError("--n must be at least 1")
     if args.seed is not None and args.seed < 0:
         raise ContractGameError("--seed must be non-negative")
     seed = args.seed if args.seed is not None else doc.options.seed
-    result = monte_carlo_payoffs(doc.scenario, contract, args.effort, args.n, seed)
-    print(render_json(result_to_dict(result)))
-    return 0
+    return monte_carlo_payoffs(doc.scenario, contract, args.effort, args.n, seed)
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "solve-agent": _cmd_solve_agent,
-    "classify-risk": _cmd_classify_risk,
-    "analyze": _cmd_analyze,
-    "solve-game": _cmd_solve_game,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
+_HANDLERS = {
+    "solve-agent": _solve_agent,
+    "classify-risk": _classify_risk,
+    "analyze": _analyze,
+    "solve-game": _solve_game,
+    "sweep": _sweep,
+    "simulate": _simulate,
 }
 
 
 def run_command(argv) -> int:
+    """Run one command: parse the document, resolve --contract where the
+    command takes it, run the command and write its report.  Any
+    ContractGameError, and running out of memory, is one error line."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -253,10 +232,20 @@ def run_command(argv) -> int:
         # every reported array is checked for finiteness, so numpy's
         # overflow warnings would only repeat the error on stderr
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            if args.command == "validate":
+                report, code = _validate(args.file)
+            else:
+                doc = parse_scenario(args.file)
+                contract = _resolve_contract(doc, args.contract) if "contract" in args else None
+                report, code = _HANDLERS[args.command](doc, contract, args), 0
+            fmt = "csv" if isinstance(report, SweepTable) else "json"
+            emit_report(report, format=fmt, destination=getattr(args, "out", None))
+            return code
     except ContractGameError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .curves import Curve, ExpAffine, LogAffine, Polynomial, Power, Tabulated
 from .errors import ContractGameError, ParseError, ValidationError
@@ -163,13 +165,22 @@ def _contract_list(value, path: str) -> tuple[Contract, ...]:
     )
 
 
+MAX_NESTING = 100  # the deepest array/object nesting read_json decodes
+# what the nesting check drops: a string, whose brackets do not count (an
+# unclosed one runs to the end of the text), or a run of other characters
+_NOT_BRACKETS = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[^"\[\]{}]+', re.DOTALL)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def read_json(where: str, text: str | None = None, parse_int=None):
     """Decode JSON text, or the UTF-8 file named where when text is None.
 
     NaN and Infinity are refused; parse_int is json.loads' own.  Any
     failure to read or decode (a missing file, bad UTF-8, invalid JSON, an
-    integer too long to convert, nesting too deep) is a ParseError whose
-    message starts with where.
+    integer too long to convert, nesting deeper than MAX_NESTING) is a
+    ParseError whose message starts with where.  The nesting limit is
+    checked before decoding, so the message does not depend on how deep
+    the caller's stack is.
     """
 
     def reject_constant(name: str):
@@ -179,6 +190,10 @@ def read_json(where: str, text: str | None = None, parse_int=None):
         if text is None:
             with open(where, encoding="utf-8") as handle:
                 text = handle.read()
+        # up to where json.loads would fail, this depth is the decoder's own
+        brackets = map(_DEPTH_STEP.__getitem__, _NOT_BRACKETS.sub("", text))
+        if max(accumulate(brackets, initial=0)) > MAX_NESTING:
+            raise ParseError(f"{where}: cannot decode: nested deeper than {MAX_NESTING} levels")
         return json.loads(text, parse_constant=reject_constant, parse_int=parse_int)
     except OSError as err:
         raise ParseError(f"{where}: {err}") from err

@@ -24,7 +24,9 @@ message of what it raises.  The sets:
 - ``cold``: tests/scenario_gen.game_corpus(20) of seed 13, each written as
   a document with its family's middle contract, through the same seven
   commands, each a fresh ``python -m contractgame.cli`` process: the exit
-  code and the SHA-256 of stdout and of stderr.
+  code and the SHA-256 of stdout and of stderr;
+- ``cold error``: the same, for error inputs made from the reference
+  fixture (COLD_ERRORS) through each command.
 
 pytest does not collect this file.  It runs for about a minute.
 """
@@ -143,6 +145,17 @@ def fuzz_lines():
             yield from run(f"raw {k}", path)
 
 
+def cold_run(command, path: str, flags=()) -> str:
+    """One command on the document at path, in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "contractgame.cli", command[0], path, *command[1:], *flags],
+        capture_output=True, timeout=60,
+    )
+    out, err = (hashlib.sha256(b.replace(path.encode(), b"doc.json")).hexdigest()
+                for b in (proc.stdout, proc.stderr))
+    return f"exit {proc.returncode} {out} {err}"
+
+
 def cold_lines():
     with tempfile.TemporaryDirectory() as tmp:
         for k, (kind, scenario, family) in enumerate(game_corpus(20, 13)):
@@ -154,18 +167,49 @@ def cold_lines():
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(document_to_dict(doc), handle)
             for command in test_fuzz.COMMANDS:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "contractgame.cli", command[0], path, *command[1:]],
-                    capture_output=True, timeout=60,
-                )
-                out, err = (hashlib.sha256(b.replace(path.encode(), b"doc.json")).hexdigest()
-                            for b in (proc.stdout, proc.stderr))
-                yield f"cold {k} {kind} {command[0]}", f"exit {proc.returncode} {out} {err}"
+                yield f"cold {k} {kind} {command[0]}", cold_run(command, path)
+
+
+# a bad value for a flag each command takes, or a flag it does not take;
+# the last of a repeated flag wins
+BAD_FLAGS = {
+    "validate": ["--points", "5"],
+    "solve-agent": ["--points", "5"],
+    "classify-risk": ["--points", "5"],
+    "analyze": ["--epsilon", "nan"],
+    "solve-game": ["--tie-break", "none"],
+    "sweep": ["--points", "1"],
+    "simulate": ["--n", "0"],
+}
+
+# (name, the fixture's text -> the document's text, extra flags or None for
+# the command's BAD_FLAGS); 101 nested arrays under the top object pass the
+# decoder's nesting limit of 100
+COLD_ERRORS = (
+    ("truncated", lambda text: text[: len(text) // 2], ()),
+    ("bad-utf8", lambda text: text.replace(b'"schema"', b'"sch\xffema"'), ()),
+    ("nested-101", lambda text: text.replace(b"[10.0, 2.0]", b"[" * 101 + b"]" * 101), ()),
+    ("contract-99", lambda text: text, ("--contract", "99")),
+    ("bad-flag", lambda text: text, None),
+)
+
+
+def cold_error_lines():
+    fixture = test_fuzz.FIXTURE.read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        for name, edit, flags in COLD_ERRORS:
+            with open(path, "wb") as handle:
+                handle.write(edit(fixture))
+            for command in test_fuzz.COMMANDS:
+                extra = BAD_FLAGS[command[0]] if flags is None else flags
+                yield f"cold error {name} {command[0]}", cold_run(command, path, extra)
 
 
 def main() -> None:
     for lines in (
-        agent_lines, corpus_lines, families_lines, principal_lines, fuzz_lines, cold_lines
+        agent_lines, corpus_lines, families_lines, principal_lines, fuzz_lines, cold_lines,
+        cold_error_lines,
     ):
         for key, line in lines():
             print(key, line)

@@ -68,7 +68,7 @@ def mutate(doc, rng: random.Random):
     return doc
 
 
-def _deepest_decodable() -> int:
+def deepest_decodable() -> int:
     """The deepest array nesting json.loads decodes from this stack depth."""
     lo, hi = 1, 100_000
     while lo < hi:
@@ -97,8 +97,9 @@ def raw_mutations(data: bytes, rng: random.Random) -> list[bytes]:
         number = rng.choice(numbers)
         texts.append(data[: number.start()] + rng.choice(DIGIT_RUNS) + data[number.end():])
     # nesting about as deep as the decoder reaches from here, where a message
-    # that quotes the value could exceed the recursion limit, and far deeper
-    deepest = _deepest_decodable()
+    # that quotes the value could exceed the recursion limit, and far deeper;
+    # read_json refuses them all before decoding (scenario_io.MAX_NESTING)
+    deepest = deepest_decodable()
     for depth in range(deepest - 30, deepest + 3):
         number = rng.choice(numbers)
         nested = b"[" * depth + b"]" * depth

@@ -1,5 +1,6 @@
 """Scenario document parsing, precise serialization, CLI contract."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from test_fuzz import deepest_decodable
 
 from contractgame import (
     AgentPreferences,
@@ -438,6 +440,47 @@ class TestUndecodableInput:
         assert captured.err.count("\n") == 1
 
 
+def _at_stack_depth(frames: int, call):
+    """call() from frames more Python frames down the stack."""
+    return call() if frames == 0 else _at_stack_depth(frames - 1, call)
+
+
+class TestNestingLimit:
+    """Text nested deeper than scenario_io.MAX_NESTING is refused before it is
+    decoded, so the message is the same from any caller's stack depth."""
+
+    @pytest.mark.parametrize("where", ["document", "inline-contract"])
+    def test_message_does_not_depend_on_stack_depth(self, where, tmp_path, capsys):
+        # decodable from this frame, but not from 60 frames further down
+        depth = deepest_decodable() - 40
+        nested = "[" * depth + "]" * depth
+        if where == "document":
+            raw = fixture_dict()
+            raw["outcomes"] = "NESTED"
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(raw).replace('"NESTED"', nested), encoding="utf-8")
+            argv = ["solve-agent", str(path)]
+        else:
+            argv = ["solve-agent", FIXTURE, "--contract", nested]
+        errors = []
+        for frames in (0, 60):
+            assert _at_stack_depth(frames, lambda: run_command(argv)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        limit = scenario_io.MAX_NESTING
+        assert errors[0].endswith(f": cannot decode: nested deeper than {limit} levels\n")
+
+    def test_limit_is_exact_and_ignores_brackets_in_strings(self):
+        limit = scenario_io.MAX_NESTING
+        at_limit = "[" * limit + "]" * limit
+        assert scenario_io.read_json("text", at_limit) == json.loads(at_limit)
+        assert scenario_io.read_json("text", json.dumps(["[{" * 200])) == ["[{" * 200]
+        with pytest.raises(ParseError, match=f"^text: cannot decode: nested deeper than {limit} levels$"):
+            scenario_io.read_json("text", "[" * (limit + 1) + "]" * (limit + 1))
+
+
 class TestLongValuesInMessages:
     """A message quotes at most scenario_io.QUOTE_CHARS characters of a value."""
 
@@ -771,6 +814,72 @@ class TestCli:
         first = capsys.readouterr().out
         assert run_command(["solve-agent", FIXTURE]) == 0
         assert capsys.readouterr().out == first
+
+
+# each command but validate with an out-of-range --contract and a bad flag,
+# where it takes them
+_BAD_ARGS = {
+    "solve-agent": ["--contract", "99"],
+    "classify-risk": ["--contract", "99"],
+    "analyze": ["--contract", "99", "--epsilon", "nan"],
+    "solve-game": [],
+    "sweep": ["--contract", "99", "--points", "1"],
+    "simulate": ["--contract", "99", "--effort", "0.5", "--n", "0"],
+}
+
+# what each command runs that may allocate, and the flags it needs
+_ALLOCATING = {
+    "validate": ("scenario_io", "document_from_dict", []),
+    "solve-agent": ("agent", "agent_best_response", []),
+    "classify-risk": ("agent", "classify_risk", []),
+    "analyze": ("analyses", "detect_invisible_effort", []),
+    "solve-game": ("principal", "solve_game", []),
+    "sweep": ("agent", "agent_payoff_functions", ["--points", "5"]),
+    "simulate": ("oracle", "monte_carlo_payoffs", ["--effort", "0.5", "--n", "10"]),
+}
+
+
+class TestCommandEnvelope:
+    """run_command reads the document, then resolves --contract, then runs
+    the command with its own checks; any failure is one stderr line."""
+
+    @pytest.mark.parametrize("command", sorted(_BAD_ARGS))
+    def test_unreadable_document_comes_first(self, command, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text("{", encoding="utf-8")
+        assert run_command([command, str(path), *_BAD_ARGS[command]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: invalid JSON at line 1 ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(c for c, bad in _BAD_ARGS.items() if bad))
+    def test_contract_comes_before_the_command_flags(self, command, capsys):
+        assert run_command([command, FIXTURE, *_BAD_ARGS[command]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: contract index 99 out of range; document has 1 contract(s)\n"
+
+    def test_solve_game_needs_a_family(self, tmp_path, capsys):
+        raw = fixture_dict()
+        del raw["contract_family"]
+        assert run_command(["solve-game", write_doc(tmp_path, raw)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document has no contract_family to search\n"
+
+    @pytest.mark.parametrize("command", sorted(_ALLOCATING))
+    def test_out_of_memory_is_one_error_line(self, command, monkeypatch, capsys):
+        module, name, flags = _ALLOCATING[command]
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(importlib.import_module(f"contractgame.{module}"), name, exhausted)
+        assert run_command([command, FIXTURE, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
 
 class TestEmitReport:
