@@ -28,6 +28,7 @@ from .tables import (
 )
 
 __all__ = [
+    "FINITE_BOUND",
     "TAU_E",
     "TAU_EXPECTATION",
     "TAU_R",
@@ -53,6 +54,10 @@ TAU_EXPECTATION = 1e-9  # relative tie tolerance on expectation values
 TAU_R = 1e-9            # absolute persistence sign tolerance
 
 REFINE_TOL = 1e-12       # bisection / golden-section interval target
+
+# |u(w_n)| + max|h| + 2 max|v| below this keeps every value (u(w_n) + a) - v
+# of a scan finite: |a| <= |h| + |v| to rounding, and 2^1001 < DBL_MAX
+FINITE_BOUND = 2.0**1000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -180,11 +185,23 @@ class LinearPayoff:
     def scans(self, tables: EffortTables):
         """(h, fv) on the scan grid from one sum a = sum_i delta_i p_i: the
         base-free h = a - cost, and fv = (base + a) - cost, value's bits."""
+        a = self._scan_sum(tables)
+        v = tables.array(self.cost, SCAN_GRID_POINTS)
+        return a - v, (self.base + a) - v
+
+    def scan(self, tables: EffortTables):
+        """h alone, with the bits scans gives it."""
+        return self._scan_sum(tables) - tables.array(self.cost, SCAN_GRID_POINTS)
+
+    def _scan_sum(self, tables: EffortTables):
         a = 0.0
         for delta, comp in self.terms:
             a = a + delta * tables.array(comp, SCAN_GRID_POINTS)
-        v = tables.array(self.cost, SCAN_GRID_POINTS)
-        return a - v, (self.base + a) - v
+        return a
+
+    def cost_size(self, tables: EffortTables) -> float:
+        """max |cost| on the scan."""
+        return tables.magnitude(self.cost)
 
 
 def agent_expectation(scenario: Scenario, contract: Contract, e: float) -> float:
@@ -302,8 +319,18 @@ def flat_scan(payoff, tables: EffortTables):
     top|) with top and low its max and min.  When it holds, constant is
     the constant result (pairs, best, True) from fv, whose two boundary
     points represent the interval; else None.  A scan value that is not
-    finite raises DomainError.
+    finite raises DomainError.  fv is built only when something reads
+    it: when the test fails and |base| + max(top, -low) + 2 max|cost| <
+    FINITE_BOUND (payoff.cost_size), fv is finite and unread, and h (from
+    payoff.scan) is all the stage gives.
     """
+    h = payoff.scan(tables)
+    top, low = float(h.max()), float(h.min())
+    if (
+        not top - low <= TAU_EXPECTATION * max(1.0, abs(payoff.base + top))
+        and abs(payoff.base) + max(top, -low) + 2.0 * payoff.cost_size(tables) < FINITE_BOUND
+    ):
+        return h, None
     h, fv = payoff.scans(tables)
     fmax, fmin = float(fv.max()), float(fv.min())
     top, low = float(h.max()), float(h.min())
@@ -457,8 +484,9 @@ def hybrid_maximize(payoff, tables: EffortTables):
     """Global maximizers of a C1 payoff f = base + h on the tables' effort interval.
 
     payoff gives f and its derivative df as ``value`` and ``slope`` at a
-    point, df on the tables' grids through ``on_grid`` and the dense scans
-    of h and f through ``scans`` (LinearPayoff's protocol).  Returns
+    point, df on the tables' grids through ``on_grid``, the dense scans of
+    h and f through ``scan`` and ``scans``, and max |cost| on the scan
+    through ``cost_size`` (LinearPayoff's protocol).  Returns
     (maximizers, best_value, constant) where maximizers is a tuple of
     (point, value) pairs sorted by point.  Candidates come from three
     sources: the interval boundaries, sign-change roots of df bracketed on

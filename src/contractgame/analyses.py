@@ -105,8 +105,9 @@ class ClassicalAssumptionsReport:
 
 
 class _Negated:
-    """-curve in LinearPayoff's protocol (value, slope, on_grid, scans, base), for
-    hybrid_maximize: a payoff with base 0.0 whose h and values are both -curve.
+    """-curve in LinearPayoff's protocol (value, slope, on_grid, scan, scans,
+    cost_size, base), for hybrid_maximize: a payoff with base 0.0 whose h
+    and values are both -curve.
 
     Negated, not subtracted from 0.0, so a zero cost gives -0.0 as -v does.
     """
@@ -127,8 +128,14 @@ class _Negated:
         return -tables.array(self.curve, points, order)
 
     def scans(self, tables):
-        h = self.on_grid(tables, SCAN_GRID_POINTS, 0)
+        h = self.scan(tables)
         return h, h
+
+    def scan(self, tables):
+        return self.on_grid(tables, SCAN_GRID_POINTS, 0)
+
+    def cost_size(self, tables) -> float:
+        return 0.0  # fv is h, finite where h is
 
 
 def detect_invisible_effort(

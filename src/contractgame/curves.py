@@ -45,11 +45,53 @@ class Curve:
 
     ``d1_array_ulps`` bounds how many ulps d1 on a numpy array may lie from
     the scalar call at the same point (tests/test_curves.py checks it);
-    infinite where nothing is known.
+    infinite where nothing is known.  ``eval_ulps`` is the float error of
+    eval that ``enclosure`` pads by, in ulps of the cell's scale (see
+    ``_range``); a class that states none (infinite) has no enclosure.
     """
 
     family: str = "abstract"
     d1_array_ulps: float = math.inf
+    eval_ulps: float = math.inf
+
+    def enclosure(self, edges: np.ndarray):
+        """(low, high) per cell [edges[k], edges[k + 1]]: every float eval
+        returns on the cell, scalar or array, lies in [low[k], high[k]].
+
+        The bounds come from ``_range``, padded outward by eval_ulps ulps
+        of its scale.  They are NaN throughout when a scalar eval or d1
+        call could raise somewhere in [edges[0], edges[-1]], or an edge is
+        not above the one before it; None for a class of no stated error,
+        or a subclass whose eval or d1 is not its family's.
+        """
+        cls = type(self)
+        family = next(c for c in cls.__mro__ if "_range" in vars(c))
+        if not math.isfinite(self.eval_ulps) or (cls.eval, cls.d1) != (family.eval, family.d1):
+            return None
+        edges = np.asarray(edges, dtype=float)
+        with np.errstate(all="ignore"):
+            try:
+                if not (edges[1:] > edges[:-1]).all():
+                    raise DomainError("cell edges must increase")
+                low, high, scale = self._range(edges)
+            except (DomainError, ArithmeticError):
+                low = high = scale = np.full(len(edges) - 1, np.nan)
+            pad = self.eval_ulps * 2.0**-53 * scale
+            return np.nextafter(low - pad, -np.inf), np.nextafter(high + pad, np.inf)
+
+    def _range(self, edges: np.ndarray):
+        """(low, high, scale) per cell before padding; raises where a scalar call could."""
+        raise NotImplementedError
+
+    def _monotone_range(self, edges: np.ndarray, offset: float):
+        """_range of a curve whose computed eval is a monotone function of the
+        point up to its one library call (exp, log or pow): the scalar
+        values at the cell's ends, and the scale 2|offset| + their larger
+        magnitude, offset the additive term."""
+        values = np.array([self.eval(t) for t in edges.tolist()])
+        left, right = values[:-1], values[1:]
+        scale = 2.0 * abs(offset) + np.maximum(np.abs(left), np.abs(right))
+        return np.minimum(left, right), np.maximum(left, right), scale
 
     def eval(self, t):
         raise NotImplementedError
@@ -73,6 +115,11 @@ class Polynomial(Curve):
     _d2: tuple[float, ...] = field(init=False, repr=False, compare=False)
     family = "polynomial"
     d1_array_ulps = 0.0
+
+    @property
+    def eval_ulps(self) -> float:
+        """Horner's rule rounds twice per coefficient."""
+        return 2.0 * len(self.coefficients) + 4.0
 
     def __post_init__(self):
         if len(self.coefficients) == 0:
@@ -102,6 +149,17 @@ class Polynomial(Curve):
     def d2(self, t):
         return self._horner(self._d2, t)
 
+    def _range(self, edges):
+        """Interval Horner on each cell, every bound rounded outward; the
+        scale is Horner's rule on |c_j| at the cell's largest |t|."""
+        a, b = edges[:-1], edges[1:]
+        low = high = np.zeros(len(a))
+        for c in reversed(self.coefficients):
+            products = (low * a, low * b, high * a, high * b)
+            low = np.nextafter(np.nextafter(np.minimum.reduce(products), -np.inf) + c, -np.inf)
+            high = np.nextafter(np.nextafter(np.maximum.reduce(products), np.inf) + c, np.inf)
+        return low, high, self._horner([abs(c) for c in self.coefficients], np.maximum(-a, b))
+
     def degree(self) -> int:
         """Effective degree: index of the last nonzero coefficient."""
         for j in range(len(self.coefficients) - 1, -1, -1):
@@ -119,6 +177,7 @@ class ExpAffine(Curve):
     c: float
     family = "exp-affine"
     d1_array_ulps = 2.0
+    eval_ulps = 16.0
 
     def eval(self, t):
         return self.a + self.b * _exp(self.c * t)
@@ -128,6 +187,10 @@ class ExpAffine(Curve):
 
     def d2(self, t):
         return self.b * self.c * self.c * _exp(self.c * t)
+
+    def _range(self, edges):
+        # d1 calls the same exp as eval, so it raises only where eval does
+        return self._monotone_range(edges, self.a)
 
 
 @dataclass(frozen=True)
@@ -139,6 +202,7 @@ class LogAffine(Curve):
     c: float
     family = "log-affine"
     d1_array_ulps = 0.0
+    eval_ulps = 16.0
 
     def _shifted(self, t):
         z = t + self.c
@@ -164,6 +228,10 @@ class LogAffine(Curve):
         z = self._shifted(t)
         return -self.b / (z * z)
 
+    def _range(self, edges):
+        # d1 is one division of the same shifted point: it raises only where eval does
+        return self._monotone_range(edges, self.a)
+
 
 @dataclass(frozen=True)
 class Power(Curve):
@@ -179,6 +247,7 @@ class Power(Curve):
     c: float
     family = "power"
     d1_array_ulps = 2.0
+    eval_ulps = 16.0
 
     def _power(self, t, exponent):
         """(t + c)**exponent, checked against the domain."""
@@ -221,6 +290,12 @@ class Power(Curve):
             return np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
         return self.a * self.gamma * (self.gamma - 1.0) * self._power(t, self.gamma - 2.0)
 
+    def _range(self, edges):
+        # d1's power of t + c is monotone too, so it raises somewhere only if at an end
+        self.d1(float(edges[0]))
+        self.d1(float(edges[-1]))
+        return self._monotone_range(edges, 0.0)
+
 
 @dataclass(frozen=True)
 class Tabulated(Curve):
@@ -241,6 +316,7 @@ class Tabulated(Curve):
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
     family = "tabulated"
     d1_array_ulps = 0.0
+    eval_ulps = 64.0
 
     def __post_init__(self):
         knots = tuple(float(k) for k in self.knots)
@@ -336,6 +412,43 @@ class Tabulated(Curve):
             + y1 * (-2.0 * s3 + 3.0 * s2)
             + hm1 * (s3 - s2)
         )
+
+    def _range(self, edges):
+        """Each cell split at the knots; on each part, the Bernstein
+        coefficients of its Hermite piece restricted to the part's range of
+        s, whose hull holds the piece there.  The scale is the piece's
+        |y_k| + |y_k+1| + |h m_k| + |h m_k+1|.
+
+        The piece of y_k, y_k+1 has the Bernstein coefficients y_k,
+        y_k + h m_k / 3, y_k+1 - h m_k+1 / 3 and y_k+1 on s in [0, 1], and
+        its blossom at (s0, s0, s0), (s0, s0, s1), (s0, s1, s1) and
+        (s1, s1, s1) gives those on [s0, s1] (de Casteljau).  s is computed
+        as eval computes it, a monotone function of the point, so every s
+        eval meets on the part lies in [s0, s1].
+        """
+        self._check_range(edges)
+        cells = self._cells
+        knots = np.array(self.knots)
+        inner = knots[(knots > edges[0]) & (knots < edges[-1])]
+        points = np.union1d(edges, inner)
+        k = np.searchsorted(cells[0], points[:-1], side="right") - 1
+        x0, y0, y1, h, hm0, hm1 = cells.take(k, axis=1)
+        s0, s1 = (points[:-1] - x0) / h, (points[1:] - x0) / h
+        coefficients = (y0, y0 + hm0 / 3.0, y1 - hm1 / 3.0, y1)
+
+        def blossom(*params):
+            level = coefficients
+            for t in params:
+                level = [(1.0 - t) * p + t * q for p, q in zip(level, level[1:])]
+            return level[0]
+
+        hull = np.array([blossom(s0, s0, s0), blossom(s0, s0, s1),
+                         blossom(s0, s1, s1), blossom(s1, s1, s1)])
+        scale = np.abs(y0) + np.abs(y1) + np.abs(hm0) + np.abs(hm1)
+        starts = np.searchsorted(points, edges[:-1])
+        return (np.minimum.reduceat(hull.min(axis=0), starts),
+                np.maximum.reduceat(hull.max(axis=0), starts),
+                np.maximum.reduceat(scale, starts))
 
     def d1(self, t):
         y0, y1, hm0, hm1, h, s = self._pieces(t)

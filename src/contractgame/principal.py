@@ -14,19 +14,21 @@ result is deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .agent import (
-    TAU_EXPECTATION, BestResponse, LinearPayoff, agent_best_response, bisect_brackets,
-    settle_points,
+    FINITE_BOUND, REFINE_TOL, TAU_E, TAU_EXPECTATION, BestResponse, LinearPayoff,
+    agent_best_response, bisect_brackets, settle_points,
 )
 from .errors import DomainError
 from .model import (
     ENUMERATION_CAP, TIE_BREAK_POLICIES, Contract, ContractFamily, Scenario, WageGrid,
 )
-from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effort_tables
+from .tables import CELLS, MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effort_tables
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -43,11 +45,6 @@ __all__ = [
 SCREEN_CHUNK = 1024  # contracts enumerated and screened at a time
 DELTA_ROW_MEMO = 4096  # utility-delta rows whose _Row solve_game keeps
 
-_GUARD = 2.0**1000   # |b| + size below this keeps every scan value finite
-
-# rows per block of _build_rows' dense stage: four scan-long rows, 128 kB an
-# array (eight rows were no faster here and raised the peak RSS twice as much)
-_BLOCK = 2**14 // (SCAN_GRID_POINTS - 1)
 
 @dataclass(frozen=True)
 class GameSolution:
@@ -153,6 +150,13 @@ class _FamilyArrays:
                 _levels(B, [x - w for w in v]) for x, v in zip(scenario.outcomes, self.values)
             ]
 
+    def base_size(self) -> float:
+        """The largest finite |u(w_n)| of the contracts (0.0 without levels)."""
+        if self.u is None:
+            return 0.0
+        last = self.u[-1]
+        return float(np.abs(last[np.isfinite(last)]).max(initial=0.0))
+
     def chunk(self, start: int, stop: int):
         """(index, fits) of contracts start..stop-1: (C, n) axis indices, (C,) bools."""
         if self.index is None:
@@ -181,6 +185,7 @@ class _Row:
     span: float
     size: float
     points: np.ndarray
+    kept: int | None = None  # a pruned row's kept cells, bit c for cell c
 
     @staticmethod
     def _at(scenario: Scenario, deltas, points) -> np.ndarray:
@@ -292,137 +297,373 @@ def _runs(at: np.ndarray, width: int):
     return at[first], at[last]
 
 
-def _build_rows(scenario: Scenario, tables: EffortTables, keys) -> list:
+def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) -> np.ndarray:
+    """sum_i deltas[:, i] values(i) - cost, one row per delta row.
+
+    Summed from 0.0 in LinearPayoff.scans' and on_grid's order by
+    broadcasting, not by a matrix product (a masked add only in a row that
+    skips a zero delta), so each value keeps the bits of the per-contract
+    arrays.  values(i) is read only when some row uses curve i.
+    """
+    acc = np.zeros(np.broadcast_shapes((len(deltas), 1), cost.shape))
+    for i in range(deltas.shape[1]):
+        use = used[:, i]
+        if use.any():
+            term = deltas[:, i, None] * values(i)
+            if use.all():
+                acc += term
+            else:
+                np.add(acc, term, out=acc, where=use[:, None])
+    acc -= cost
+    return acc
+
+
+# scan and bracket-grid steps per cell
+_STEP = (SCAN_GRID_POINTS - 1) // CELLS
+_GRID_STEP = (MT_GRID_POINTS - 1) // CELLS
+# kept cells per group of pruned rows of the dense stage, and rows per
+# block of _cells: arrays of about 2^12 values, 32 kB
+_BLOCK = 2**12 // (_STEP + 3)
+_ROWS = 2**12 // (CELLS + 1)
+# rows per block of the full build: four scan-long rows, 128 kB an array
+# (eight rows were no faster and raised the peak RSS twice as much)
+_FULL_BLOCK = 2**14 // (SCAN_GRID_POINTS - 1)
+
+
+def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: float):
+    """The cells of each delta row that can hold a contract's maximizer.
+
+    Returns (kept, floor, low, size, slope_size): kept is (rows x CELLS),
+    all set for a row that takes the full build; the rest are per row, for
+    a pruned one: the least h its best kept point must reach, the least h
+    at the cell edges, its enclosure size and
+    sum_i |delta_i| max |p_i'| + max |v'|.
+
+    The bound.  With P_i and V the enclosures of p_i and v on a cell
+    (EffortTables.enclosure), every point of the cell has
+    h <= U = sum_i max(delta_i P_i) - min V, to rounding (U is a matrix
+    product, whose rounding is no larger).  L is the row's
+    best h at the cell edges (strided views of the scan, so the scan's
+    bits), Z = base_size + max over the interval of sum_i |delta_i p_i| +
+    |v| (from the enclosures), and tau = TAU_EXPECTATION max(1, Z) is at
+    least the tie tolerance of every contract of the family on the row.
+    A cell is pruned when U < L - tau - margin, margin = (8m + 2^9) 2^-53 Z
+    with m the row's terms.  If the best kept point has h >= floor =
+    L - 2^8 2^-53 Z (checked by the build), every point of a pruned cell
+    lies further below every contract's best value than its tie
+    tolerance, since the rounding of each h, of each bound and of each
+    (b + a) - v is at most (2m + 4) 2^-53 Z: the margin covers the sum.
+
+    A row takes the full build when a curve of it has no finite enclosure
+    or a d1 table that is not finite, when Z or its slope size is not
+    below FINITE_BOUND, when it looks flat (L - low <= tau), when nothing
+    is pruned, and for every row when the interval's ulp is above
+    REFINE_TOL / 16 (so bisection and golden section end strictly inside
+    their brackets).  Below those sizes no value of h or of the slope on
+    the grids is infinite, and no scalar eval or d1 call in a pruned cell
+    raises (Curve.enclosure is NaN where one could).
+    """
+    count = len(deltas)
+    kept = np.ones((count, CELLS), dtype=bool)
+    floor, low, size, slope_size = np.full((4, count), np.nan)
+    interval = scenario.interval
+    if np.spacing(max(abs(interval.lo), abs(interval.hi))) > REFINE_TOL / 16:
+        return kept, floor, low, size, slope_size
+    curves = (*scenario.profile.components, scenario.agent.effort_cost)
+    use = np.concatenate([used, np.ones((count, 1), dtype=bool)], axis=1)
+    signed = np.concatenate([deltas, -np.ones((count, 1))], axis=1)  # h's weight of each curve
+    # the enclosures' upper bounds, then their lower ones, per curve: U is a
+    # matrix product, whose rounding the margin covers
+    bounds = np.zeros((2 * len(curves), CELLS))
+    sizes, slope_sizes = np.zeros((2, len(curves)))
+    ok = np.ones(count, dtype=bool)
+    with np.errstate(all="ignore"):
+        for i, curve in enumerate(curves):
+            if not use[:, i].any():
+                continue
+            enclosure = tables.enclosure(curve)
+            try:
+                slope_sizes[i] = tables.magnitude(curve, 1)
+            except Exception:
+                slope_sizes[i] = math.nan
+            if enclosure is not None:
+                sizes[i] = np.maximum(-enclosure[0], enclosure[1]).max()
+            if enclosure is None or not (math.isfinite(sizes[i]) and math.isfinite(slope_sizes[i])):
+                ok &= ~use[:, i]
+                sizes[i] = slope_sizes[i] = 0.0
+            else:
+                bounds[i], bounds[len(curves) + i] = enclosure[1], enclosure[0]
+        weight = np.abs(signed)
+        magnitude = (weight * sizes).sum(axis=1) * (1.0 + 2.0**-40)
+        slope_size = (weight * slope_sizes).sum(axis=1) * (1.0 + 2.0**-40)
+        size = (magnitude + 2.0 * sizes[-1]) * (1.0 + 2.0**-40)
+        z = (base_size + magnitude) * (1.0 + 2.0**-40)
+        tau = TAU_EXPECTATION * np.maximum(1.0, z)
+        margin = (8.0 * use.sum(axis=1) + 2.0**9) * 2.0**-53 * z
+        ok &= (magnitude < FINITE_BOUND) & (slope_size < FINITE_BOUND) & np.isfinite(z)
+        split = np.concatenate([np.maximum(signed, 0.0), np.minimum(signed, 0.0)], axis=1)
+        top = np.full(count, np.nan)
+        live = np.flatnonzero(ok)
+        for start in range(0, len(live), _ROWS):
+            rows = live[start:start + _ROWS]
+            values = _weighted(
+                deltas[rows], used[rows], lambda i: tables.array(curves[i], CELLS + 1),
+                tables.array(curves[-1], CELLS + 1),
+            )
+            top[rows], low[rows] = values.max(axis=1), values.min(axis=1)
+            bound = np.einsum("rk,kc->rc", split[rows], bounds)
+            kept[rows] = bound >= ((top[rows] - tau[rows]) - margin[rows])[:, None]
+        ok &= ~(top - low <= tau) & ~kept.all(axis=1) & kept.any(axis=1)
+        kept[~ok] = True
+        floor = top - 2.0**8 * 2.0**-53 * z
+    return kept, floor, low, size, slope_size
+
+
+def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float) -> list:
     """The _Row of each utility-delta row in keys (tuples), or None where it has no screen.
 
-    _screen's docstring defines the tables, and a row's are those that
-    searching it alone gives, bit for bit.  The rows are built together, in
+    base_size is the largest |u(w_n)| of the family's contracts.
+    _screen's docstring defines the tables.  Each row is built on the
+    cells of the scan that _cells keeps (a full build keeps them all), in
     three stages:
 
-    - dense: h on the scan and the slope on the bracket grid as
-      (rows x grid) arrays, _BLOCK rows at a time, summed from 0.0 in
-      LinearPayoff.scans' and on_grid's order by broadcasting, not by a matrix
-      product (a masked add only in a column where some row skips a zero
-      delta), so each value keeps its bits (``sums``); top and low by axis
-      reductions; and as flat indices the bracket grid's zeros and sign
-      changes and h's scan maxima (agent.scan_candidates' rule: no lower
-      than either neighbour), whose runs (_runs) give the zero-run edges
-      and the peak brackets;
+    - dense: for a pruned row, h on each kept cell's window of the scan
+      (its CELLS-th of the scan and one point past each edge) and the
+      slope on its part of the bracket grid, as (row-cells x window)
+      arrays, groups of rows with about _BLOCK kept cells at a time; for
+      a full build, h on the scan and the slope on the bracket grid, as
+      (rows x grid) arrays, _FULL_BLOCK rows at a time; all summed by
+      _weighted, so each value has the scan's bits; top and low by
+      reductions; as flat indices into the row's whole scan and grid, the
+      bracket grid's zeros and sign changes and h's scan maxima
+      (agent.scan_candidates' rule: no lower than either neighbour) that
+      the cell owns (a point shared by two kept cells belongs to the
+      later), whose runs (_runs) give the zero-run edges and the peak
+      brackets, as a search of the whole row has them;
     - bisection: every sign change and scan-peak bracket of every row in one
       lockstep loop (agent.bisect_brackets) on _Slopes;
-    - finish: settle_points and _at, one row at a time.
+    - finish: settle_points and _at, one row at a time; a pruned row keeps
+      the settled points in its kept cells.
 
     A row is None when its tables raise or are not finite, when a scan
     peak brackets no sign change of the slope (an open bracket), or when a
-    scalar call on it raises.
+    scalar call on it raises.  A full build gives the row that searching it
+    alone gives, bit for bit.  A pruned row has that search's top, a span
+    no larger, its enclosure size, and those of its points that lie in its
+    kept cells, whose bits are in ``kept``; it is None where the search is,
+    except that an open bracket in a pruned cell is not seen.  _screen
+    decides each of its contracts as the contract's own solve does.
+
+    A pruned row is built again in full when it cannot carry the proof:
+    when, at an edge between a kept and a pruned cell, the slope on the
+    bracket grid is within 2^-40 of the row's slope size of 0 (a zero run
+    or a root could reach across), or a scan peak ties its neighbour across
+    the edge (its run could go on); when a candidate or hi lies within
+    TAU_E above such an edge (a candidate of the pruned cell, which the
+    build never sees, could drop it from the settled points; above TAU_E
+    none can, nor can a pruned candidate drop a later kept one); and when
+    its best kept point has h below the floor.
     """
     count = len(keys)
     components = scenario.profile.components
     cost = scenario.agent.effort_cost
     deltas = np.array(keys, dtype=float).reshape(count, len(components))
-    built = [None] * count
-
-    def sums(block: np.ndarray, used: np.ndarray, points: int, order: int):
-        """on_grid of each row of the block, and the rows whose arrays raise."""
-        acc = np.zeros((len(block), points))
-        failed = np.zeros(len(block), dtype=bool)
-        for i, comp in enumerate(components):
-            use = used[:, i]
-            if use.any():
-                try:
-                    values = tables.array(comp, points, order)
-                except Exception:
-                    failed |= use
-                    continue
-                term = block[:, i, None] * values
-                if use.all():
-                    acc += term
-                else:
-                    np.add(acc, term, out=acc, where=use[:, None])
-        try:
-            acc -= tables.array(cost, points, order)
-        except Exception:
-            failed[:] = True
-        return acc, failed
-
-    try:
-        v = tables.array(cost, SCAN_GRID_POINTS)
-    except Exception:
-        return built
-    cost_size = float(max(v.max(), -v.min()))  # the effort cost's largest magnitude
-    scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
     used = deltas != 0.0
-    stats = np.zeros((3, count))  # top, low, size
-    # the rows that pass the dense stage, and flat indices into their
-    # (rows x grid) arrays of the slope's zeros and sign changes on the
-    # bracket grid and of h's interior scan maxima
-    passed, zeros, changes, peaks = [], [], [], []
-    held = 0
+    built = [None] * count
+    # each curve's scan and bracket-grid slope, and the two with one row
+    # per cell: the scan from one point below the cell to one point above
+    # it (the interval's ends repeated), then the slope on the cell; None
+    # where the tables raise
+    arrays, windows = [], []
+    failed = np.zeros(count, dtype=bool)
     with np.errstate(all="ignore"):
-        for start in range(0, count, _BLOCK):
-            stop = min(start + _BLOCK, count)
-            h, failed = sums(deltas[start:stop], used[start:stop], SCAN_GRID_POINTS, 0)
-            top, low = h.max(axis=1), h.min(axis=1)
-            size = np.where(-low > top, -low, top) + 2.0 * cost_size
-            stats[:, start:stop] = top, low, size
-            sel = np.flatnonzero(~failed & np.isfinite(size)) + start
-            if not len(sel):
-                continue
-            rows = sel if len(sel) < stop - start else slice(start, stop)
-            gv, failed = sums(deltas[rows], used[rows], MT_GRID_POINTS, 1)
-            finite = ~failed & np.isfinite(gv).all(axis=1)
-            if not finite.all():
-                sel, gv = sel[finite], gv[finite]
-            if len(sel) < stop - start:
-                h = h[sel - start]
-            sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
-            inner = h[:, 1:-1]
-            passed.append(sel)
-            zeros.append(np.flatnonzero(gv == 0.0) + held * MT_GRID_POINTS)
-            changes.append(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0) + held * (MT_GRID_POINTS - 1))
-            peak = (inner >= h[:, :-2]) & (inner >= h[:, 2:])
-            peaks.append(np.flatnonzero(peak) + held * (SCAN_GRID_POINTS - 2))
-            held += len(sel)
+        for i, curve in enumerate((*components, cost)):
+            try:
+                values = tables.array(curve, SCAN_GRID_POINTS), tables.array(curve, MT_GRID_POINTS, 1)
+            except Exception:
+                if curve is cost:
+                    return built
+                values = window = None
+                failed |= used[:, i]
+            else:
+                on_scan, on_grid = values
+                padded = np.concatenate([on_scan[:1], on_scan, on_scan[-1:]])
+                window = np.concatenate([
+                    sliding_window_view(padded, _STEP + 3)[::_STEP],
+                    sliding_window_view(on_grid, _GRID_STEP + 1)[::_GRID_STEP],
+                ], axis=1)
+            arrays.append(values)
+            windows.append(window)
+    used_ok = used & ~failed[:, None]
+    kept, floor, low_edges, size_bound, slope_size = _cells(
+        scenario, tables, deltas, used_ok, base_size
+    )
+    cost_size = tables.magnitude(cost)
+    scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
+    edges = tables.grid(CELLS + 1)
+    interval = scenario.interval
+    slopes = _Slopes(scenario, keys, deltas)
 
-        empty = np.zeros(0, dtype=np.intp)
-        passed = np.concatenate([empty, *passed])
+    def dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs) -> np.ndarray:
+        """The dense stage of a group of pruned rows, each with counts[row]
+        kept cells: their stats and liveness, and their zeros, sign changes,
+        scan peaks and runs of kept cells appended to the lists; returns the
+        rows whose proof fails at a cell edge."""
+        pair_row, c = np.nonzero(kept[group])
+        r = group[pair_row]
+        first_pair = np.cumsum(counts[group]) - counts[group]
+        # whether the cell below and the cell above each pair's are kept (the
+        # pairs run in row and cell order, so a key of row and cell rises by
+        # 1 just between neighbours), and so whether a pruned cell precedes
+        # or follows it
+        key = r * (CELLS + 1) + c
+        next_kept = key[1:] - key[:-1] == 1
+        before = np.concatenate([[False], next_kept])
+        after = np.concatenate([next_kept, [False]])
+        out_of = ~before & (c > 0)
+        into = ~after & (c < CELLS - 1)
+        # one row per pair; a group row's pairs are consecutive segments of
+        # the flattened array
+        both = _weighted(deltas[r], used[r], lambda i: windows[i][c], windows[-1][c])
+        h, gv = both[:, :_STEP + 3], both[:, _STEP + 3:]
+        top = np.maximum.reduceat(h, first_pair).max(axis=1)
+        low = np.minimum.reduceat(h, first_pair).min(axis=1)
+        stats[0, group], stats[1, group] = top, low
+        finite = np.logical_and.reduceat(np.isfinite(gv), first_pair).all(axis=1)
+        alive[group] = np.isfinite(np.maximum(top, -low) + 2.0 * cost_size) & finite
+        # h's scan maxima among the window's inner points, the cell's edges
+        # included; the upper edge is the next kept cell's
+        inner = h[:, 1:-1]
+        peak = (inner >= h[:, :-2]) & (inner >= h[:, 2:])
+        peak[:, -1] &= into
+        peak[c == 0, 0] = False  # the interval's ends are not interior
+        k, j = np.divmod(np.flatnonzero(peak), _STEP + 1)
+        peaks.append(r[k] * SCAN_GRID_POINTS + c[k] * _STEP + j)
+        grid_zero = gv == 0.0
+        grid_zero[:, -1] &= ~after
+        k, j = np.divmod(np.flatnonzero(grid_zero), _GRID_STEP + 1)
+        zeros.append(r[k] * MT_GRID_POINTS + c[k] * _GRID_STEP + j)
+        sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
+        k, j = np.divmod(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0), _GRID_STEP)
+        changes.append(r[k] * (MT_GRID_POINTS - 1) + c[k] * _GRID_STEP + j)
+        runs.append(np.array([r[~before], edges[c[~before]], edges[c[~after] + 1]]))
+        tiny = 2.0**-40 * slope_size[r]
+        edge = (out_of & ((peak[:, 0] & (h[:, 0] == h[:, 1])) | ~(np.abs(gv[:, 0]) > tiny))) | (
+            into & ((peak[:, -1] & (h[:, -1] == h[:, -2])) | ~(np.abs(gv[:, -1]) > tiny))
+        )
+        return group[alive[group] & np.logical_or.reduceat(edge, first_pair)]
+
+    def dense_full(block, stats, alive, zeros, changes, peaks) -> None:
+        """The dense stage of a block of rows of the full build, as (rows x
+        grid) arrays of the whole scan and bracket grid."""
+        h = _weighted(deltas[block], used[block], lambda i: arrays[i][0], arrays[-1][0])
+        gv = _weighted(deltas[block], used[block], lambda i: arrays[i][1], arrays[-1][1])
+        top, low = h.max(axis=1), h.min(axis=1)
+        stats[0, block], stats[1, block] = top, low
+        alive[block] = np.isfinite(np.maximum(top, -low) + 2.0 * cost_size) & np.isfinite(gv).all(axis=1)
+        inner = h[:, 1:-1]
+        k, j = np.divmod(np.flatnonzero((inner >= h[:, :-2]) & (inner >= h[:, 2:])), SCAN_GRID_POINTS - 2)
+        peaks.append(block[k] * SCAN_GRID_POINTS + j + 1)
+        k, j = np.divmod(np.flatnonzero(gv == 0.0), MT_GRID_POINTS)
+        zeros.append(block[k] * MT_GRID_POINTS + j)
+        sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
+        k, j = np.divmod(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0), MT_GRID_POINTS - 1)
+        changes.append(block[k] * (MT_GRID_POINTS - 1) + j)
+
+    def build(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Build the rows (sorted) on their kept cells; the pruned rows to build again in full."""
+        stats = np.full((2, count), np.nan)  # top, low
         alive = np.zeros(count, dtype=bool)
-        alive[passed] = True
-        # zero runs: each run's first and last point, a lone zero twice
-        first, last = _runs(np.concatenate([empty, *zeros]), MT_GRID_POINTS)
-        ends = np.stack([first, last], axis=1).reshape(-1)
-        edge_rows, edge_values = passed[ends // MT_GRID_POINTS], grid[ends % MT_GRID_POINTS]
-        # sign changes, then scan-peak runs (the run of interior points
-        # j + 1 .. k + 1 of a row brackets scan[j] .. scan[k + 2])
-        r, j = np.divmod(np.concatenate([empty, *changes]), MT_GRID_POINTS - 1)
-        first, last = _runs(np.concatenate([empty, *peaks]), SCAN_GRID_POINTS - 2)
-        p, k = np.divmod(first, SCAN_GRID_POINTS - 2)
-        item_rows = np.concatenate([passed[r], passed[p]])
-        order = np.argsort(item_rows, kind="stable")
-        item_rows = item_rows[order]
-        a = np.concatenate([grid[j], scan[k]])[order]
-        b = np.concatenate([grid[j + 1], scan[last % (SCAN_GRID_POINTS - 2) + 2]])[order]
-        snap = np.concatenate([np.zeros(len(r), dtype=bool), np.ones(len(p), dtype=bool)])[order]
-        slopes = _Slopes(scenario, keys, deltas)
-        roots = np.zeros(0)
-        if len(item_rows):
-            roots = bisect_brackets(lambda k, x: slopes(item_rows[k], x), a, b, snap)
-    alive[item_rows[np.isnan(roots)]] = False  # open scan-peak brackets
-    alive &= ~slopes.failed
+        retry, zeros, changes, peaks, runs = [], [], [], [], []
+        counts = kept.sum(axis=1)
+        full = counts == CELLS
+        # the rows of the full build _FULL_BLOCK at a time, then groups of
+        # pruned rows with about _BLOCK kept cells in all
+        whole, rows = rows[full[rows]], rows[~full[rows]]
+        pairs = np.cumsum(counts[rows])
+        groups = np.flatnonzero(np.diff(pairs // _BLOCK, prepend=0)) + 1
+        with np.errstate(all="ignore"):
+            for start in range(0, len(whole), _FULL_BLOCK):
+                dense_full(whole[start:start + _FULL_BLOCK], stats, alive, zeros, changes, peaks)
+            for group in np.split(rows, groups[groups < len(rows)]):
+                if len(group):
+                    retry.append(dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs))
+            retry = np.concatenate([np.zeros(0, dtype=np.intp), *retry])
+            alive[retry] = False
 
-    every = np.arange(count + 1)
-    edge_at = np.searchsorted(edge_rows, every).tolist()
-    root_at = np.searchsorted(item_rows, every).tolist()
-    edge_values, roots = edge_values.tolist(), roots.tolist()
-    top, low, size = stats.tolist()
-    for r in np.flatnonzero(alive).tolist():
-        candidates = edge_values[edge_at[r]:edge_at[r + 1]] + roots[root_at[r]:root_at[r + 1]]
-        try:
-            points = _Row._at(scenario, keys[r], settle_points(candidates, scenario.interval))
-        except Exception:
-            continue
-        a_max, v_max = np.abs(points[:2]).max(axis=1).tolist()
-        built[r] = _Row(top[r], top[r] - low[r], max(size[r], a_max + v_max), points)
+            empty = np.zeros(0, dtype=np.intp)
+            zeros = np.sort(np.concatenate([empty, *zeros]))
+            peaks = np.sort(np.concatenate([empty, *peaks]))
+            # zero runs: each run's first and last point, a lone zero twice
+            first, last = _runs(zeros, MT_GRID_POINTS)
+            ends = np.stack([first, last], axis=1).reshape(-1)
+            edge_rows, edge_values = ends // MT_GRID_POINTS, grid[ends % MT_GRID_POINTS]
+            # sign changes, then scan-peak runs (the run of points j .. k of
+            # a row brackets scan[j - 1] .. scan[k + 1])
+            r, j = np.divmod(np.concatenate([empty, *changes]), MT_GRID_POINTS - 1)
+            first, last = _runs(peaks, SCAN_GRID_POINTS)
+            p, k = np.divmod(first, SCAN_GRID_POINTS)
+            item_rows = np.concatenate([r, p])
+            a = np.concatenate([grid[j], scan[k - 1]])
+            b = np.concatenate([grid[j + 1], scan[last % SCAN_GRID_POINTS + 1]])
+            snap = np.concatenate([np.zeros(len(r), dtype=bool), np.ones(len(p), dtype=bool)])
+            live = alive[item_rows]
+            order = np.flatnonzero(live)[np.argsort(item_rows[live], kind="stable")]
+            item_rows, a, b, snap = item_rows[order], a[order], b[order], snap[order]
+            roots = np.zeros(0)
+            if len(item_rows):
+                roots = bisect_brackets(lambda k, x: slopes(item_rows[k], x), a, b, snap)
+        alive[item_rows[np.isnan(roots)]] = False  # open scan-peak brackets
+        alive &= ~slopes.failed
+
+        every = np.arange(count + 1)
+        edge_at = np.searchsorted(edge_rows, every).tolist()
+        root_at = np.searchsorted(item_rows, every).tolist()
+        # the runs of kept cells of each pruned row, as (row, lower, upper)
+        block_rows, lower, upper = np.concatenate([np.zeros((3, 0)), *runs], axis=1)
+        block_at = np.searchsorted(block_rows, every).tolist()
+        lower, upper = lower.tolist(), upper.tolist()
+        # a candidate, or hi, within TAU_E above the lower edge of a run that
+        # a pruned cell precedes could have been dropped by a candidate of that
+        # cell, which the build never saw: such rows are built again in full
+        rows = np.concatenate([edge_rows, item_rows, np.arange(count)])
+        x = np.concatenate([edge_values, roots, np.full(count, interval.hi)])
+        cell = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, CELLS - 1)
+        near = alive[rows] & (cell > 0) & kept[rows, cell] & ~kept[rows, cell - 1]
+        near &= x - edges[cell] <= TAU_E
+        alive[rows[near]] = False
+        again = sorted({*retry.tolist(), *rows[near].tolist()})
+        packed = np.packbits(kept, axis=1, bitorder="little")
+        edge_values, roots = edge_values.tolist(), roots.tolist()
+        top, low = stats.tolist()
+        full = full.tolist()
+        for r in np.flatnonzero(alive).tolist():
+            candidates = edge_values[edge_at[r]:edge_at[r + 1]] + roots[root_at[r]:root_at[r + 1]]
+            points = settle_points(candidates, interval)
+            if not full[r]:
+                points = [
+                    p for k in range(block_at[r], block_at[r + 1])
+                    for p in points[bisect_left(points, lower[k]):bisect_right(points, upper[k])]
+                ]
+            try:
+                points = _Row._at(scenario, keys[r], points)
+            except Exception:
+                continue
+            if full[r]:
+                size = max(top[r], -low[r]) + 2.0 * cost_size
+                a_max, v_max = np.abs(points[:2]).max(axis=1).tolist()
+                built[r] = _Row(top[r], top[r] - low[r], max(size, a_max + v_max), points)
+            elif points.shape[1] and (points[0] - points[1]).max() >= floor[r]:
+                span = top[r] - min(low[r], low_edges[r])
+                bits = int.from_bytes(packed[r].tobytes(), "little")
+                built[r] = _Row(top[r], span, size_bound[r], points, bits)
+            else:
+                again.append(r)
+        return np.array(sorted(again), dtype=np.intp)
+
+    retry = build(np.flatnonzero(~failed), kept)
+    if len(retry):
+        build(retry, np.ones_like(kept))
     return built
 
 
@@ -441,23 +682,36 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     flat test's spread and its scan peaks; b enters only the test's
     tolerance, the constant result, the finiteness of (b + a) - v on the
     scan and golden section.  The row (_build_rows) computes h with the
-    solve's operations and keeps:
+    solve's operations, on the cells of the scan that can hold a tied
+    point of some contract of the family (all of them for a full build),
+    and keeps:
 
-    - ``top`` and ``span``: max h and max h - min h, so the flat test
-      span <= TAU_EXPECTATION * max(1, |b + top|) is the solve's own;
-    - ``size``: max |h| + 2 max |v|, which bounds every |a_j| + |v_j| on
-      the scan to rounding and is at least max |a| + max |v| at the points
-      below, so |b| + size < 2^1000 keeps (b + a) - v finite;
+    - ``top`` and ``span``: max h, which a kept cell always holds, and
+      max h - min h, or a lower bound of it for a pruned row (its kept
+      cells' and cell edges' least h), so span <= TAU_EXPECTATION *
+      max(1, |b + top|) holds wherever the solve's own flat test fails;
+    - ``size``: max |h| + 2 max |v|, or for a pruned row its bound
+      sum_i |delta_i| max |p_i| + 3 max |v| from the curves' enclosures
+      on the whole interval; either bounds every |a_j| + |v_j| on the scan
+      to rounding and is at least max |a| + max |v| at the points below,
+      so |b| + size < FINITE_BOUND = 2^1000 keeps (b + a) - v finite;
     - ``points``: the settled candidates of a solve that is not flat (the
-      bracket-grid roots and the roots h's scan peaks snap onto), as an
-      array with one column per effort and the rows a, v, p_1, ...,
-      p_{n-1}, from scalar calls, as settle and the principal make them.
+      bracket-grid roots and the roots h's scan peaks snap onto) that lie
+      in the kept cells, as an array with one column per effort and the
+      rows a, v, p_1, ..., p_{n-1}, from scalar calls, as settle and the
+      principal make them.
 
     A row has no screen (None) when its tables raise or are not finite, or
-    a scan peak of h brackets no sign change of the slope (an open
-    bracket, for golden section).  Otherwise a contract whose flat test
-    fails and with |b| + size < 2^1000 is decided: its solve neither
-    raises nor takes the flat shortcut, and settles the row's points.
+    a scan peak of h in a kept cell brackets no sign change of the slope
+    (an open bracket, for golden section).  Otherwise a contract whose
+    flat test fails and with |b| + size < 2^1000 is decided: its solve
+    neither raises nor takes the flat shortcut, and settles the row's
+    points and those of the pruned cells (an open bracket there gives
+    golden section a point of a pruned cell).  The pruning proof (_cells)
+    puts every point of a pruned cell further below the contract's best
+    value than its tie tolerance, and keeps the settle order of the kept
+    points, so the best value, the tie set and its order are those of the
+    row's points.
 
     Exact values.  A decided contract's settle values are
     F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same
@@ -507,7 +761,7 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     base = levels[ok, -1]
     with np.errstate(all="ignore"):
         not_flat = span > TAU_EXPECTATION * np.maximum(1.0, np.abs(base + top))
-        decided = (np.abs(base) + row_size < _GUARD) & not_flat
+        decided = (np.abs(base) + row_size < FINITE_BOUND) & not_flat
     if not decided.any():
         return screened, accepted, value
     rows = ok[decided]
@@ -605,13 +859,16 @@ def solve_game(
     tables = effort_tables(scenario)
     rows = {}  # the last DELTA_ROW_MEMO rows met, oldest first
 
+    arrays = _FamilyArrays(scenario, family)
+    base_size = arrays.base_size()
+
     def row_tables(keys: list) -> list:
         """The _Row of each utility-delta row in keys, or None.  The rows
         not held are built in one _build_rows call and added in order.  A
         row without a screen is kept as None: its contracts are solved one
         by one, which raises the same error at the same contract."""
         new = [key for key in keys if key not in rows]
-        built = dict(zip(new, _build_rows(scenario, tables, new))) if new else {}
+        built = dict(zip(new, _build_rows(scenario, tables, new, base_size))) if new else {}
         found = [rows[key] if key in rows else built[key] for key in keys]
         for key, row in built.items():
             if len(rows) >= DELTA_ROW_MEMO:
@@ -619,7 +876,6 @@ def solve_game(
             rows[key] = row
         return found
 
-    arrays = _FamilyArrays(scenario, family)
     incumbent = None  # (key, contract) of the best accepted contract so far
     total = family.size()
     for start in range(0, total, SCREEN_CHUNK):

@@ -5,9 +5,11 @@ the same few effort grids: the optimum of E, its motivation, its
 persistence, whether the profile reacts to effort, and whether the
 scenario is valid.  Every grid is a strided view of one dense scan, and
 each curve's eval, d1 and d2 is evaluated once, on the finest grid it is
-read on.  effort_tables keeps the tables of the most recent scenario
-only, so consecutive calls on one scenario share them while memory stays
-at one scenario's worth.
+read on.  The scan is also split into CELLS equal cells, and each
+curve's enclosure on them (Curve.enclosure) is computed once.
+effort_tables keeps the tables of the most recent scenario only, so
+consecutive calls on one scenario share them while memory stays at one
+scenario's worth.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ import weakref
 
 import numpy as np
 
-__all__ = ["SCAN_GRID_POINTS", "VALIDATION_GRID_POINTS", "MT_GRID_POINTS",
+__all__ = ["SCAN_GRID_POINTS", "VALIDATION_GRID_POINTS", "MT_GRID_POINTS", "CELLS",
            "EffortTables", "effort_grid", "effort_tables"]
 
 SCAN_GRID_POINTS = 4097        # dense value scan for local maxima
 VALIDATION_GRID_POINTS = 2049  # validation, persistence and the analyzers: scan[::2]
 MT_GRID_POINTS = 1025          # bracketing grid for motivation roots: scan[::4]
+CELLS = 256                    # equal cells of the scan, whose CELLS + 1 edges are scan[::16]
 
 # each grid's stride over the scan, and the grid eval, d1 and d2 are filled on
-_STRIDES = {SCAN_GRID_POINTS: 1, VALIDATION_GRID_POINTS: 2, MT_GRID_POINTS: 4}
+_STRIDES = {SCAN_GRID_POINTS: 1, VALIDATION_GRID_POINTS: 2, MT_GRID_POINTS: 4,
+            CELLS + 1: (SCAN_GRID_POINTS - 1) // CELLS}
 _FILLS = (SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, VALIDATION_GRID_POINTS)
 _ORDERS = ("eval", "d1", "d2")
 
@@ -40,15 +44,18 @@ def effort_grid(interval, points: int) -> np.ndarray:
 class EffortTables:
     """The effort grids over one interval and curve arrays on them, filled on first use.
 
-    ``grid(points)`` is the grid of SCAN_GRID_POINTS, VALIDATION_GRID_POINTS
-    or MT_GRID_POINTS points, a view of the scan.  ``array(curve, points,
-    order)`` is the curve's eval (order 0, filled on the scan), d1 or d2
-    (filled on the VALIDATION_GRID_POINTS grid, so read there or on the
-    bracket grid) on it, a view of that fill.  Both are read-only.  A call
-    that raises caches nothing, so the next caller meets the same error.
+    ``grid(points)`` is the grid of SCAN_GRID_POINTS, VALIDATION_GRID_POINTS,
+    MT_GRID_POINTS or CELLS + 1 points (the cell edges), a view of the
+    scan.  ``array(curve, points, order)`` is the curve's eval (order 0,
+    filled on the scan), d1 or d2 (filled on the VALIDATION_GRID_POINTS
+    grid, so read there or on a coarser grid) on it, a view of that fill.
+    Both are read-only.  A call that raises caches nothing, so the next
+    caller meets the same error.  ``enclosure(curve)`` is the curve's
+    Curve.enclosure on the cells, and ``magnitude(curve, order)`` the
+    largest |eval| on the scan, or |d1| on its grid.
     """
 
-    __slots__ = ("interval", "_grids", "_arrays")
+    __slots__ = ("interval", "_grids", "_arrays", "_derived")
 
     def __init__(self, interval):
         self.interval = interval
@@ -58,6 +65,8 @@ class EffortTables:
         # (id(curve), points, order) -> (curve, values); holding the curve
         # keeps its id from being reused while the entry lives
         self._arrays: dict[tuple[int, int, int], tuple[object, np.ndarray]] = {}
+        # (id(curve), name) -> (curve, value), likewise
+        self._derived: dict[tuple[int, str], tuple[object, object]] = {}
 
     def grid(self, points: int) -> np.ndarray:
         return self._grids[points]
@@ -73,6 +82,27 @@ class EffortTables:
             else:  # a view, cached: solve_game reads the same arrays for every delta row
                 values = self.array(curve, fill, order)[:: _STRIDES[points] // _STRIDES[fill]]
             entry = self._arrays[key] = (curve, values)
+        return entry[1]
+
+    def enclosure(self, curve):
+        """Curve.enclosure on the CELLS cells: (low, high), read-only, or None."""
+        key = (id(curve), "enclosure")
+        entry = self._derived.get(key)
+        if entry is None:
+            bounds = curve.enclosure(np.array(self._grids[CELLS + 1]))
+            if bounds is not None:
+                for b in bounds:
+                    b.flags.writeable = False
+            entry = self._derived[key] = (curve, bounds)
+        return entry[1]
+
+    def magnitude(self, curve, order: int = 0) -> float:
+        """max |eval| (order 0) or |d1| (1) on the grid it is filled on; NaN where a value is."""
+        key = (id(curve), f"magnitude {order}")
+        entry = self._derived.get(key)
+        if entry is None:
+            values = self.array(curve, _FILLS[order], order)
+            entry = self._derived[key] = (curve, float(np.abs(values).max()))
         return entry[1]
 
 

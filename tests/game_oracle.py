@@ -6,7 +6,8 @@ written here, and the principal's payoff is an inline probability-weighted
 sum.  Nothing is shared with the solver's best-response search.
 
 ``row_build`` is the reference for solve_game's batched row build: one
-utility-delta row's tables, searched alone with the per-contract stages.
+utility-delta row's tables, searched alone with the per-contract stages;
+``row_efforts`` gives that search's settled efforts and open brackets.
 """
 
 from __future__ import annotations
@@ -96,3 +97,13 @@ def row_build(scenario, tables, deltas, cost_size):
         return None, "raises"
     a_max, v_max = np.abs(points[:2]).max(axis=1)
     return _Row(top, top - low, float(max(size, a_max + v_max)), points), None
+
+
+def row_efforts(scenario, tables, deltas):
+    """(efforts, open_brackets) of the row searched alone: the settled
+    candidate efforts, one per column of row_build's points, and the scan
+    brackets with no sign change of the slope.  For a row whose search
+    does not raise."""
+    payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+    roots, open_brackets = scan_candidates(payoff, tables, payoff.scan(tables))
+    return settle_points(roots, scenario.interval), open_brackets

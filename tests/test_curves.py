@@ -5,13 +5,16 @@ import pytest
 
 from contractgame import (
     DomainError,
+    EffortInterval,
     ExpAffine,
     LogAffine,
     Polynomial,
     Power,
     Tabulated,
 )
+from contractgame.curves import Curve
 from contractgame.oracle import finite_diff_d1
+from contractgame.tables import CELLS, EffortTables
 
 
 def rel_close(a, b, tol=1e-6):
@@ -266,3 +269,111 @@ def test_nonexact_arrays_are_within_two_ulp_of_scalar_calls(family, method):
         checked += int(finite.sum())
     assert checked > 30000
     assert worst <= (2 if method == "eval" else type(curve).d1_array_ulps)
+
+
+def _enclosure_curves(family, rng):
+    """(curve, lo, hi, extra points) for the enclosure checks: random curves
+    of the family, and the hard cases: tabulated cells that straddle knots
+    and knot cells narrower than a scan step, power and log-affine curves
+    whose shifted point nears 0 at lo, steep exp-affine curves and
+    polynomials far from 0."""
+    cases = []
+    for _ in range(16):
+        lo = float(rng.uniform(-2.0, 2.0))
+        hi = lo + float(rng.uniform(0.1, 3.0))
+        a, b = (float(x) for x in rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, size=2))
+        if family == "polynomial":
+            curve = Polynomial(tuple(rng.normal(size=int(rng.integers(1, 8)))
+                                     * 10.0 ** rng.integers(-2, 3)))
+        elif family == "exp-affine":
+            curve = ExpAffine(a, b, float(rng.uniform(-30.0, 30.0)) / (abs(lo) + abs(hi)))
+        elif family in ("log-affine", "power"):
+            # t + shift runs from 10^-k, near the domain's edge, to ~hi - lo
+            shift = 10.0 ** -float(rng.integers(1, 13)) - lo
+            curve = (LogAffine(a, b, shift) if family == "log-affine"
+                     else Power(b, float(rng.uniform(-2.5, 3.5)), shift))
+        else:
+            inner = rng.uniform(lo, hi, int(rng.integers(1, 12)))
+            # a knot cell narrower than a scan step, and one far narrower
+            spike = float(rng.uniform(lo, hi - 0.1))
+            inner = np.concatenate([inner, [spike, spike + 1e-5, spike + 2e-5, spike + 3e-12]])
+            knots = np.unique(np.concatenate([[lo, hi], inner]))
+            values = rng.uniform(-1.0, 1.0, knots.size) * 10.0 ** float(rng.integers(-3, 4))
+            curve = Tabulated(tuple(knots), tuple(values))
+        cases.append((curve, lo, hi))
+    if family == "polynomial":
+        cases.append((Polynomial((3.0, -2.0, 0.5, -0.01)), 1e3, 1e3 + 1.0))
+        cases.append((Polynomial((0.03515625, 0.625, 1.375, -2.0, 1.0)), 0.0, 1.0))
+    if family == "power":
+        cases.append((Power(1.5, 0.5, 1e-300), 0.0, 1.0))
+    return cases
+
+
+@pytest.mark.parametrize("family", ["polynomial", "exp-affine", "log-affine", "power", "tabulated"])
+def test_eval_lies_in_the_enclosure_of_its_cell(family):
+    """Every scalar and array eval at 10^5 points lies in the padded
+    enclosure of each cell that holds the point (both at a cell edge)."""
+    rng = np.random.default_rng(("polynomial", "exp-affine", "log-affine", "power", "tabulated").index(family) + 6464)
+    checked = 0
+    for curve, lo, hi in _enclosure_curves(family, rng):
+        edges = EffortTables(EffortInterval(lo, hi)).grid(CELLS + 1)
+        low, high = curve.enclosure(edges)
+        assert np.isfinite(low).all() and np.isfinite(high).all(), curve
+        assert (low <= high).all()
+        points = [rng.uniform(lo, hi, 6000), edges, np.nextafter(edges, lo), np.nextafter(edges, hi)]
+        if family == "tabulated":
+            knots = np.array(curve.knots)
+            points += [knots, np.nextafter(knots, lo), np.nextafter(knots, hi)]
+        t = np.clip(np.concatenate(points), lo, hi)
+        below = np.clip(np.searchsorted(edges, t, side="left") - 1, 0, CELLS - 1)
+        above = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, CELLS - 1)
+        for values in (curve.eval(t), np.array([curve.eval(float(x)) for x in t])):
+            for cell in (below, above):
+                inside = (low[cell] <= values) & (values <= high[cell])
+                assert inside.all(), (curve, t[~inside][:3], values[~inside][:3])
+        checked += len(t)
+    assert checked >= 10**5
+
+
+def test_enclosures_are_tight_for_monotone_and_polynomial_cells():
+    """The bounds are those of the exact range up to the padding: at most a
+    few ulps wider for monotone curves and Horner's on a linear piece."""
+    edges = EffortTables(EffortInterval(0.0, 1.0)).grid(CELLS + 1)
+    for curve in (Polynomial((0.2, 0.5)), ExpAffine(0.3, -0.2, -1.0), Power(2.0, 2.0, 0.0)):
+        low, high = curve.enclosure(edges)
+        ends = curve.eval(edges)
+        exact_low, exact_high = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+        assert (low <= exact_low).all() and (high >= exact_high).all()
+        assert np.max(high - exact_high) < 1e-13 and np.max(exact_low - low) < 1e-13
+
+
+def test_no_stated_error_no_enclosure():
+    """A class of no stated error, and a family subclass with its own eval, have no enclosure."""
+
+    class Other(Curve):
+        def eval(self, t):
+            return 0.0 * t
+
+    class Shifted(Polynomial):
+        def eval(self, t):
+            return super().eval(t) + 1.0
+
+    edges = EffortTables(EffortInterval(0.0, 1.0)).grid(CELLS + 1)
+    assert Other().enclosure(edges) is None
+    assert Shifted((0.0, 1.0)).enclosure(edges) is None
+    assert Polynomial((0.0, 1.0)).enclosure(edges) is not None
+
+
+@pytest.mark.parametrize(
+    "curve, lo, hi",
+    [
+        (ExpAffine(0.0, 1.0, 800.0), 0.0, 1.0),  # math.exp overflows near hi
+        (LogAffine(0.0, 1.0, -0.5), 0.0, 1.0),  # t + c <= 0 on the lower half
+        (Power(1.0, 0.5, 0.0), 0.0, 1.0),  # d1 is singular at t + c == 0
+        (Power(1.0, 400.0, 1e2), 0.0, 1.0),  # (t + c)**gamma overflows
+        (Tabulated((0.0, 0.5, 0.9), (0.0, 1.0, 0.5)), 0.0, 1.0),  # no knots above 0.9
+    ],
+)
+def test_enclosure_is_nan_where_a_scalar_call_could_raise(curve, lo, hi):
+    low, high = curve.enclosure(EffortTables(EffortInterval(lo, hi)).grid(CELLS + 1))
+    assert np.isnan(low).all() and np.isnan(high).all()

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +34,10 @@ from contractgame import (
 from contractgame.agent import LinearPayoff, _bisect_root, snap_root
 from contractgame.curves import Curve
 from contractgame.principal import TIE_BREAK_POLICIES
-from contractgame.tables import SCAN_GRID_POINTS, effort_tables
-from game_oracle import enumeration_oracle, row_build
+from contractgame.tables import (
+    CELLS, MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables,
+)
+from game_oracle import enumeration_oracle, row_build, row_efforts
 from scenario_gen import game_corpus, linear_two_outcome_scenario, reference_scenario
 
 IDENTITY = Polynomial((0.0, 1.0))
@@ -325,6 +328,9 @@ _TWIN_COST = Polynomial((0.03515625, 0.625, 1.375, -2.0, 1.0))
 _NOTCH_COST = Tabulated(
     (0.0, 0.4999, 0.5, 0.5001, 1.0), (1.0, 0.5001, 0.49, 0.4999, 0.0)
 )
+_NOTCH_AT_THE_TOP = Tabulated(
+    (0.0, 0.4999, 0.5, 0.5001, 0.5005, 1.0), (1.0, 0.5001, 0.49, 0.4999, 0.4995, 1.0)
+)
 _SHARED_STEP = (WageGrid(0.0, 4.0, 0.5), WageGrid(0.0, 2.0, 0.5))
 _BATCHING_FAMILIES = {
     "fixture-shared-step": lambda: (
@@ -376,9 +382,9 @@ class TestFamilyBatching:
         build, bisect = principal_module._build_rows, principal_module.bisect_brackets
         golden = agent_module._golden_max
 
-        def counting_build(scenario, tables, keys):
+        def counting_build(scenario, tables, keys, base_size):
             calls["rows"] += len(keys)
-            return build(scenario, tables, keys)
+            return build(scenario, tables, keys, base_size)
 
         def counting_bisect(g, a, b, snap):
             # the scan-peak brackets the row build snaps onto a root
@@ -437,9 +443,9 @@ class TestFamilyBatching:
         built = []
         build = principal_module._build_rows
 
-        def counting_build(scenario, tables, keys):
+        def counting_build(scenario, tables, keys, base_size):
             built.extend(keys)
-            return build(scenario, tables, keys)
+            return build(scenario, tables, keys, base_size)
 
         monkeypatch.setattr(principal_module, "_build_rows", counting_build)
         scenario = _scenario(outcomes, _RISING, Polynomial((0.0, 0.0, 2.0)))
@@ -526,6 +532,12 @@ _SCREEN_FAMILIES = {
         (10.0, 2.0), _RISING, Polynomial((0.0, 1.0)), _SHARED_STEP
     ),
     "golden-section-notch": lambda: _game((10.0, 2.0), _RISING, _NOTCH_COST, _SHARED_STEP),
+    # v's notch at e = 0.5 is its minimum, and v still falls just past it:
+    # for the delta row 0 the scan peak there brackets no sign change of E'
+    "golden-section-notch-at-the-top": lambda: (
+        _scenario((10.0, 2.0), _RISING, _NOTCH_AT_THE_TOP),
+        ContractFamily(contracts=tuple(map(Contract, ((1.0, 1.0), (2.0, 1.0), (3.5, 0.5))))),
+    ),
     "shuffled-ties-duplicates": _tied_contracts,
     "all-rejected": lambda: _game(
         (10.0, 2.0), _RISING, *_STEEP, utility=_HUGE_BASE, reservation=2e12
@@ -548,9 +560,11 @@ _SCREEN_FAMILIES = {
     ),
     "spread-just-above-flat-tolerance": _flat_margin_contracts,
 }
-# the families whose every contract the screen settles
+# the families whose every contract the screen settles; in the two notch
+# families every open bracket lies in a cell the row build prunes
 _ALL_SCREENED = {
     "huge-base", "all-rejected", "flat-step", "plateau-peak", "spread-just-above-flat-tolerance",
+    "golden-section-notch", "three-outcomes-zero-deltas",
 }
 
 
@@ -804,30 +818,63 @@ def _same_row(got, expected):
 
 
 def _row_cases():
-    """(scenario, rows) per family of the screen, batching, error and generated corpora,
-    plus rows whose tables raise and rows whose scalar slope raises."""
+    """(scenario, family, rows, base_size) per family of the screen, batching,
+    error and generated corpora, plus rows whose tables raise and rows whose
+    scalar slope raises (family None, base_size 0)."""
     families = [make() for make in _SCREEN_FAMILIES.values()]
     families += [make() for make in _BATCHING_FAMILIES.values()]
     families += [make() for make in _ERROR_CASES.values()]
     families += [(scenario, family) for _, scenario, family in game_corpus(240, seed=6101)]
-    cases = [(scenario, _family_rows(scenario, family)) for scenario, family in families]
+    cases = [
+        (scenario, family, _family_rows(scenario, family),
+         principal_module._FamilyArrays(scenario, family).base_size())
+        for scenario, family in families
+    ]
     # p2 = 0.1 ln(e - 0.5) is undefined on the lower half of the scan
     undefined = _scenario(
         (10.0, 2.0, 2.0),
         [Polynomial((0.2, 0.5)), LogAffine(0.0, 0.1, -0.5)],
         Polynomial((0.0, 0.0, 2.0)),
     )
-    cases.append((undefined, [(1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (0.0, 0.25)]))
+    cases.append((undefined, None, [(1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (0.0, 0.25)], 0.0))
     # the slope 0.5 d - 4e has its root at d / 8: beyond 0.9 its scalar call raises
     scalar_only = _scenario((10.0, 2.0), [_ScalarOnlyRise()], Polynomial((0.0, 0.0, 2.0)))
-    cases.append((scalar_only, [(1.0,), (4.0,), (7.5,), (7.9,), (-1.0,)]))
+    cases.append((scalar_only, None, [(1.0,), (4.0,), (7.5,), (7.9,), (-1.0,)], 0.0))
+    # h = 0.2 d + 0.5 d e - 1e308 is finite, but 2 max |v| is not
+    huge_cost = _scenario((10.0, 2.0), _RISING, Polynomial((1e308,)))
+    cases.append((huge_cost, None, [(1.0,), (-3.0,)], 0.0))
     return cases
 
 
-class TestBatchedRowBuild:
-    """_build_rows gives each row the _Row (or None) that searching it alone gives."""
+def _kept_cells(row) -> np.ndarray:
+    """A pruned row's kept cells as a (CELLS,) bool array."""
+    data = np.frombuffer(row.kept.to_bytes(CELLS // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, bitorder="little").astype(bool)
 
-    def test_equals_the_per_row_build(self, monkeypatch):
+
+def _in_kept_cells(x, kept, edges) -> np.ndarray:
+    """Whether each effort lies in a kept cell, edges included."""
+    x = np.asarray(x, dtype=float)
+    below = np.clip(np.searchsorted(edges, x, side="left") - 1, 0, CELLS - 1)
+    above = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, CELLS - 1)
+    return kept[below] | kept[above]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestBatchedRowBuild:
+    """_build_rows gives each row the row searching it alone gives, or its pruned part.
+
+    tests/game_oracle.row_build is the full per-row reference.  A row that
+    takes the full build is that reference bit for bit; a pruned row has
+    its top, a span no larger, a size no smaller, and its points in the
+    kept cells; and the screen decides every contract as the full build's
+    screen, or the contract's own solve, does.
+    """
+
+    def test_rows_equal_the_per_row_build_on_their_kept_cells(self, monkeypatch):
         fallbacks = [0]
         scalar = principal_module._Slopes.scalar
 
@@ -837,28 +884,266 @@ class TestBatchedRowBuild:
 
         monkeypatch.setattr(principal_module._Slopes, "scalar", counting_scalar)
         why_none = {}
+        counts = {"full": 0, "pruned": 0, "open in a pruned cell": 0}
+        cells = [0, 0]  # (row, cell) pairs of the pruned rows, and those kept
         built = flat_steps = 0
-        for scenario, rows in _row_cases():
+        for scenario, _, rows, base_size in _row_cases():
             if not rows:
                 continue
             tables, cost_size = effort_tables(scenario), _cost_size(scenario)
-            got = principal_module._build_rows(scenario, tables, rows)
+            edges = tables.grid(CELLS + 1)
+            got = principal_module._build_rows(scenario, tables, rows, base_size)
             assert len(got) == len(rows)
             for deltas, row in zip(rows, got):
                 expected, why = row_build(scenario, tables, deltas, cost_size)
-                assert _same_row(row, expected), (scenario, deltas)
                 why_none[why] = why_none.get(why, 0) + 1
-                if row is not None:
-                    payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-                    h, _ = payoff.scans(tables)
-                    flat_steps += bool((h[1:] == h[:-1]).any())
-            built += len(rows)
+                built += 1
+                if row is None or row.kept is None:
+                    assert _same_row(row, expected), (scenario, deltas)
+                    counts["full"] += row is not None
+                    continue
+                kept = _kept_cells(row)
+                assert not kept.all()
+                cells[0] += CELLS
+                cells[1] += int(kept.sum())
+                efforts, open_brackets = row_efforts(scenario, tables, deltas)
+                payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+                h = payoff.scan(tables)
+                flat_steps += bool((h[1:] == h[:-1]).any())
+                assert _bits(row.top) == _bits(h.max())
+                assert row.span <= h.max() - h.min()
+                if expected is None:
+                    # the search finds an open bracket, but only in pruned cells
+                    assert why == "open bracket" and open_brackets, (scenario, deltas)
+                    for a, b in open_brackets:
+                        assert not (kept & (edges[:-1] < b) & (edges[1:] > a)).any()
+                    counts["open in a pruned cell"] += 1
+                    continue
+                counts["pruned"] += 1
+                assert _bits(row.top) == _bits(expected.top)
+                assert row.size >= expected.size
+                inside = _in_kept_cells(efforts, kept, edges)
+                assert _bits(row.points) == _bits(np.ascontiguousarray(expected.points[:, inside]))
         assert built > 5000
-        # rows whose h has equal neighbours on the scan are screened too
+        # most rows are pruned, and to a small part of their cells
+        assert counts["pruned"] > 3 * counts["full"], counts
+        assert counts["open in a pruned cell"] > 0, counts
+        assert cells[1] < 0.2 * cells[0], cells
+        # rows whose h has equal neighbours on the scan are pruned too
         assert flat_steps > 0
         # the ways a row can have no screen are met, and the guard falls back
-        assert {None, "raises", "open bracket"} <= set(why_none), why_none
+        assert {None, "raises", "open bracket", "not finite"} <= set(why_none), why_none
         assert fallbacks[0] > 0
+
+    def test_screen_decides_as_the_full_build(self):
+        """Every contract the screen settles from pruned rows or from full
+        ones gets the same acceptance and value from both, or, where only
+        one settles it, from its own solve."""
+        own_solves = 0
+        for scenario, family, rows, base_size in _row_cases():
+            if family is None or not rows:
+                continue
+            tables = effort_tables(scenario)
+            builds = [
+                dict(zip(rows, principal_module._build_rows(scenario, tables, rows, size)))
+                for size in (base_size, math.inf)
+            ]
+            # no cell is pruned under an infinite tie tolerance
+            assert all(row is None or row.kept is None for row in builds[1].values())
+            arrays = principal_module._FamilyArrays(scenario, family)
+            index, fits = arrays.chunk(0, family.size())
+            for policy in TIE_BREAK_POLICIES:
+                pruned, full = (
+                    principal_module._screen(
+                        scenario, lambda keys, b=b: [b[k] for k in keys], arrays, index, fits, policy
+                    )
+                    for b in builds
+                )
+                both = pruned[0] & full[0]
+                assert np.array_equal(pruned[1][both], full[1][both])
+                assert _bits(pruned[2][both]) == _bits(full[2][both])
+                for k in np.flatnonzero(pruned[0] != full[0]).tolist():
+                    screen = pruned if pruned[0][k] else full
+                    response, _, value = principal_module._respond(
+                        scenario, arrays.contract(k, index[k]), policy
+                    )
+                    assert screen[1][k] == response.accepted
+                    assert _bits(screen[2][k]) == _bits(math.nan if value is None else value)
+                    own_solves += 1
+        # some contracts are settled by one screen only
+        assert own_solves > 0
+
+
+_ST = 1.0 / (SCAN_GRID_POINTS - 1)  # the scan's step on [0, 1]
+_NO_COST = Polynomial((0.0,))
+_QUADRATIC_COST = Polynomial((0.0, 0.0, 2.0))
+
+
+def _prune_proposed(scenario, rows, base_size):
+    """Whether _cells prunes each row before the build checks it."""
+    deltas = np.array(rows, dtype=float)
+    kept = principal_module._cells(scenario, effort_tables(scenario), deltas, deltas != 0.0, base_size)[0]
+    return ~kept.all(axis=1)
+
+
+def _fallback_cases():
+    """name -> (scenario, rows, base_size, proposed, check): rows that take
+    the full build; proposed says whether _cells prunes them first (so a
+    check of the build sends them back; None: not asked), and
+    check(scenario, tables) asserts the condition that sends them."""
+    cases = {}
+
+    # the family holds a contract with u(w_n) = 1e12, so the tie tolerance
+    # of the twin-peak row is ~1e3 and no cell is pruned
+    scenario, family = _twin_peak_contracts()
+    cases["twin-peak-fixture"] = (
+        scenario, _family_rows(scenario, family),
+        principal_module._FamilyArrays(scenario, family).base_size(), False,
+        lambda scenario, tables: None,
+    )
+
+    def enclosure_is(finite):
+        def check(scenario, tables):
+            bounds = tables.enclosure(scenario.profile.components[-1])
+            assert bounds is not None and np.isfinite(bounds).all() == finite
+        return check
+
+    # p = 1e308 (1 + e - e^2) is finite, but its magnitude bound is not
+    cases["enclosure-not-finite"] = (
+        _scenario((10.0, 2.0), [Polynomial((1e308, 1e308, -1e308))], _QUADRATIC_COST),
+        [(1e-300,), (-2e-300,)], 0.0, False, enclosure_is(False),
+    )
+    # a scalar call on p2 = 0.1 ln(e - 0.5) raises on the lower half; so
+    # does its table, which leaves the row without a screen (proposed None:
+    # _cells never sees a row whose tables raise)
+    cases["enclosure-where-a-call-raises"] = (
+        _scenario((10.0, 2.0, 2.0), [_RISING[0], LogAffine(0.0, 0.1, -0.5)], _QUADRATIC_COST),
+        [(1.0, 0.5), (2.0, -0.25)], 0.0, None, enclosure_is(False),
+    )
+
+    def no_enclosure(scenario, tables):
+        assert tables.enclosure(scenario.profile.components[0]) is None
+
+    # a class of no stated error, whose scalar slope raises above e = 0.9
+    cases["no-stated-error"] = (
+        _scenario((10.0, 2.0), [_ScalarOnlyRise()], _QUADRATIC_COST),
+        [(1.0,), (7.9,)], 0.0, False, no_enclosure,
+    )
+
+    def flat_on_the_scan(scenario, tables):
+        for comp in scenario.profile.components:
+            assert np.ptp(tables.array(comp, SCAN_GRID_POINTS)) < 1e-15
+        assert tables.enclosure(scenario.profile.components[0])[1].max() > 0.8
+
+    # v = e makes h = 0.4 flat for the row 2; the spike (0.3, 0.30002) of
+    # height 0.9 lies between two scan points, so h = 0.2 d is flat on the
+    # scan, though the enclosure of the spike's cell reaches 0.9 d
+    spike = Tabulated((0.0, 0.3, 0.30001, 0.30002, 1.0), (0.2, 0.2, 0.9, 0.2, 0.2))
+    cases["flat-looking"] = (
+        _scenario((10.0, 2.0), _RISING, Polynomial((0.0, 1.0))), [(2.0,)], 0.0, False,
+        lambda scenario, tables: None,
+    )
+    cases["spike-narrower-than-a-cell"] = (
+        _scenario((10.0, 2.0), [spike], _NO_COST), [(1.0,), (4.0,)], 0.0, False,
+        flat_on_the_scan,
+    )
+
+    def slope_overflows(scenario, tables):
+        d1 = tables.array(scenario.profile.components[0], VALIDATION_GRID_POINTS, 1)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(d1).all() and not np.isfinite(1e300 * d1).all()
+
+    # p rises by 0.05 within 2e-10 at e = 0.5, far below its top at e = 0;
+    # the slope of the row 1e300 overflows there alone
+    ramp = Tabulated(
+        (0.0, 0.2, 0.3, 0.5 - 1e-10, 0.5 + 1e-10, 0.7, 1.0),
+        (0.3, 0.3, 0.1, 0.1, 0.15, 0.15, 0.15),
+    )
+    cases["slope-overflows-in-a-pruned-cell"] = (
+        _scenario((10.0, 2.0), [ramp], _QUADRATIC_COST), [(1e300,)], 0.0, False, slope_overflows,
+    )
+
+    def d1_not_finite(scenario, tables):
+        d1 = tables.array(scenario.profile.components[0], VALIDATION_GRID_POINTS, 1)
+        assert not np.isfinite(d1).all()
+
+    # p = 1e308 e^2 is finite on [0, 1], its derivative is not
+    cases["d1-table-not-finite"] = (
+        _scenario((10.0, 2.0), [Polynomial((0.0, 0.0, 1e308))], _QUADRATIC_COST),
+        [(1e-300,)], 0.0, False, d1_not_finite,
+    )
+
+    def wide_ulp(scenario, tables):
+        assert np.spacing(scenario.interval.hi) > agent_module.REFINE_TOL / 16
+
+    wide = Scenario(
+        (10.0, 2.0), EffortInterval(1e4, 1e4 + 1.0), EffortProfile((Polynomial((-4999.8, 0.5)),)),
+        AgentPreferences(IDENTITY, Polynomial((2e8, -4e4, 2.0))), PrincipalPreferences(IDENTITY),
+    )
+    cases["interval-ulp-above-refine-tol"] = (wide, [(1.0,), (2.0,)], 0.0, False, wide_ulp)
+
+    def dip_below_the_scan_peak(scenario, tables):
+        efforts, _ = row_efforts(scenario, tables, (1.0,))
+        assert 0.5 - 0.5 * _ST in efforts
+
+    # the scan peak at the cell edge e = 0.5 snaps onto the bottom of a dip
+    # a tenth as deep as the peak is high, between it and the scan point
+    # below it: every kept candidate lies below the cell edges' best h
+    dip = Tabulated(
+        (0.0, 0.5 - 0.6 * _ST, 0.5 - 0.5 * _ST, 0.5 - 0.4 * _ST, 0.5 - 0.1 * _ST, 1.0),
+        (0.2, 0.6, 0.59, 0.605, 0.61, 0.2),
+    )
+    cases["best-kept-point-below-the-floor"] = (
+        _scenario((10.0, 2.0), [dip], _NO_COST), [(1.0,)], 0.0, True, dip_below_the_scan_peak,
+    )
+
+    def flat_at_the_edge(scenario, tables):
+        d1 = tables.array(scenario.profile.components[0], MT_GRID_POINTS, 1)
+        assert d1[(MT_GRID_POINTS - 1) // 2] == 0.0
+
+    # p is flat at 0.2 up to 0.5001 and rises to its top 0.6 at 0.503,
+    # inside the cell above e = 0.5: the run of zero slopes on the bracket
+    # grid reaches across the cell edge at 0.5
+    step = Tabulated((0.0, 0.5001, 0.503, 1.0), (0.2, 0.2, 0.6, 0.6))
+    cases["slope-zero-at-a-kept-cell-edge"] = (
+        _scenario((10.0, 2.0), [step], _NO_COST), [(1.0,), (3.0,)], 0.0, True, flat_at_the_edge,
+    )
+
+    def root_just_above_the_edge(scenario, tables):
+        efforts, _ = row_efforts(scenario, tables, (1.0,))
+        assert any(0.0 <= e - 0.5 <= agent_module.TAU_E for e in efforts)
+
+    # p has a minimum 5e-10 above the cell edge e = 0.5 and rises to its
+    # top in the cell above: the root there is a candidate within TAU_E of
+    # the edge, which a candidate of the pruned cell below could drop
+    notch = Tabulated((0.0, 0.499, 0.5 + 5e-10, 0.502, 1.0), (0.2, 0.21, 0.205, 0.6, 0.6))
+    cases["candidate-within-tau-e-above-a-kept-cell-edge"] = (
+        _scenario((10.0, 2.0), [notch], _NO_COST), [(1.0,)], 0.0, True, root_just_above_the_edge,
+    )
+    return cases
+
+
+_FALLBACKS = _fallback_cases()
+
+
+class TestFullBuildFallbacks:
+    """Rows that cannot carry the pruning proof take the full build."""
+
+    @pytest.mark.parametrize("name", sorted(_FALLBACKS))
+    def test_takes_the_full_build(self, name):
+        scenario, rows, base_size, proposed, check = _FALLBACKS[name]
+        tables, cost_size = effort_tables(scenario), _cost_size(scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the build warns of no overflow
+            got = principal_module._build_rows(scenario, tables, rows, base_size)
+        check(scenario, tables)
+        if proposed is not None:
+            assert (_prune_proposed(scenario, rows, base_size) == proposed).all()
+        for deltas, row in zip(rows, got):
+            assert row is None or row.kept is None
+            with np.errstate(all="ignore"):  # the huge rows overflow
+                expected, _ = row_build(scenario, tables, deltas, cost_size)
+            assert _same_row(row, expected), (name, deltas)
 
 
 def _random_curve(rng, kind, lo, hi):
