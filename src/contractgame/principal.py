@@ -18,7 +18,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .agent import (
     FINITE_BOUND, REFINE_TOL, TAU_E, TAU_EXPECTATION, BestResponse, LinearPayoff,
@@ -185,7 +184,6 @@ class _Row:
     span: float
     size: float
     points: np.ndarray
-    kept: int | None = None  # a pruned row's kept cells, bit c for cell c
 
     @staticmethod
     def _at(scenario: Scenario, deltas, points) -> np.ndarray:
@@ -321,17 +319,21 @@ def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) ->
 # scan and bracket-grid steps per cell
 _STEP = (SCAN_GRID_POINTS - 1) // CELLS
 _GRID_STEP = (MT_GRID_POINTS - 1) // CELLS
-# kept cells per group of pruned rows of the dense stage, and rows per
-# block of _cells: arrays of about 2^12 values, 32 kB
+# kept cells per group of the dense stage, and rows per block of _cells:
+# arrays of about 2^12 values, 32 kB
 _BLOCK = 2**12 // (_STEP + 3)
 _ROWS = 2**12 // (CELLS + 1)
-# rows per block of the full build: four scan-long rows, 128 kB an array
-# (eight rows were no faster and raised the peak RSS twice as much)
-_FULL_BLOCK = 2**14 // (SCAN_GRID_POINTS - 1)
+# each cell's window into a curve's scan, padded with its ends repeated,
+# followed by its bracket-grid slope: the scan from one point below the
+# cell to one point above it, then the slope on the cell
+_WINDOW = np.concatenate([
+    np.arange(CELLS)[:, None] * _STEP + np.arange(_STEP + 3),
+    SCAN_GRID_POINTS + 2 + np.arange(CELLS)[:, None] * _GRID_STEP + np.arange(_GRID_STEP + 1),
+], axis=1)
 
 
 def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: float):
-    """The cells of each delta row that can hold a contract's maximizer.
+    """The cells of each delta row that can hold a contract's maximizer or a scan peak of h.
 
     Returns (kept, floor, low, size, slope_size): kept is (rows x CELLS),
     all set for a row that takes the full build; the rest are per row, for
@@ -341,8 +343,8 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
 
     The bound.  With P_i and V the enclosures of p_i and v on a cell
     (EffortTables.enclosure), every point of the cell has
-    h <= U = sum_i max(delta_i P_i) - min V, to rounding (U is a matrix
-    product, whose rounding is no larger).  L is the row's
+    h <= U = sum_i max(delta_i P_i) - min V, to rounding (U is a sum of
+    products in some order, whose rounding is no larger).  L is the row's
     best h at the cell edges (strided views of the scan, so the scan's
     bits), Z = base_size + max over the interval of sum_i |delta_i p_i| +
     |v| (from the enclosures), and tau = TAU_EXPECTATION max(1, Z) is at
@@ -354,14 +356,27 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     tolerance, since the rounding of each h, of each bound and of each
     (b + a) - v is at most (2m + 4) 2^-53 Z: the margin covers the sum.
 
-    A row takes the full build when a curve of it has no finite enclosure
-    or a d1 table that is not finite, when Z or its slope size is not
-    below FINITE_BOUND, when it looks flat (L - low <= tau), when nothing
-    is pruned, and for every row when the interval's ulp is above
-    REFINE_TOL / 16 (so bisection and golden section end strictly inside
-    their brackets).  Below those sizes no value of h or of the slope on
-    the grids is infinite, and no scalar eval or d1 call in a pruned cell
-    raises (Curve.enclosure is NaN where one could).
+    The steps.  With D_i the least and largest step of p_i's scan across
+    a cell (EffortTables.steps, float differences of the scan's values),
+    and D_v v's, each step of h's scan there rises by at least
+    sum_i min(delta_i D_i) - max D_v and by at most
+    sum_i max(delta_i D_i) - min D_v, up to the rounding of the two h
+    values, of the differences and of the sums, (6m + 12) 2^-53 Z in all.
+    A cell is pruned only when h's scan rises across each of its steps by
+    more than the margin, or falls across each; and a rising cell only
+    when the cell after it does not fall.  Then no point of a pruned cell,
+    its edges included, is a scan peak of h (agent.scan_candidates' rule)
+    but an edge it shares with a kept cell, which the dense stage sees:
+    every scan peak, and so every open bracket, lies in the kept cells.
+
+    A row takes the full build when a curve of it has no finite enclosure,
+    steps or d1 table, when Z or its slope size is not below FINITE_BOUND,
+    when it looks flat (L - low <= tau), when nothing is pruned, and for
+    every row when the interval's ulp is above REFINE_TOL / 16 (so
+    bisection and golden section end strictly inside their brackets).
+    Below those sizes no value of h or of the slope on the grids is
+    infinite, and no scalar eval or d1 call in a pruned cell raises
+    (Curve.enclosure is NaN where one could).
     """
     count = len(deltas)
     kept = np.ones((count, CELLS), dtype=bool)
@@ -370,29 +385,33 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     if np.spacing(max(abs(interval.lo), abs(interval.hi))) > REFINE_TOL / 16:
         return kept, floor, low, size, slope_size
     curves = (*scenario.profile.components, scenario.agent.effort_cost)
+    n = len(curves)
     use = np.concatenate([used, np.ones((count, 1), dtype=bool)], axis=1)
     signed = np.concatenate([deltas, -np.ones((count, 1))], axis=1)  # h's weight of each curve
-    # the enclosures' upper bounds, then their lower ones, per curve: U is a
-    # matrix product, whose rounding the margin covers
-    bounds = np.zeros((2 * len(curves), CELLS))
-    sizes, slope_sizes = np.zeros((2, len(curves)))
+    # per curve, the enclosures' upper bounds and the steps' largest, then
+    # their lower bounds and least: U and the largest rise across a step are
+    # products of h's weights split by sign (split) with these, the least
+    # rise of its halves exchanged (swapped)
+    bounds, steps = np.zeros((2, 2 * n, CELLS))
+    sizes, slope_sizes = np.zeros((2, n))
     ok = np.ones(count, dtype=bool)
     with np.errstate(all="ignore"):
         for i, curve in enumerate(curves):
             if not use[:, i].any():
                 continue
+            both, good = [i, n + i], False
             enclosure = tables.enclosure(curve)
-            try:
-                slope_sizes[i] = tables.magnitude(curve, 1)
-            except Exception:
-                slope_sizes[i] = math.nan
-            if enclosure is not None:
-                sizes[i] = np.maximum(-enclosure[0], enclosure[1]).max()
-            if enclosure is None or not (math.isfinite(sizes[i]) and math.isfinite(slope_sizes[i])):
+            if enclosure is not None and np.isfinite(enclosure).all():
+                try:
+                    bounds[both], steps[both] = enclosure[::-1], tables.steps(curve)[::-1]
+                    sizes[i], slope_sizes[i] = np.abs(enclosure).max(), tables.magnitude(curve, 1)
+                    good = np.isfinite(steps[both]).all() and math.isfinite(slope_sizes[i])
+                except Exception:
+                    pass
+            if not good:
                 ok &= ~use[:, i]
+                bounds[both] = steps[both] = 0.0
                 sizes[i] = slope_sizes[i] = 0.0
-            else:
-                bounds[i], bounds[len(curves) + i] = enclosure[1], enclosure[0]
         weight = np.abs(signed)
         magnitude = (weight * sizes).sum(axis=1) * (1.0 + 2.0**-40)
         slope_size = (weight * slope_sizes).sum(axis=1) * (1.0 + 2.0**-40)
@@ -401,18 +420,29 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
         tau = TAU_EXPECTATION * np.maximum(1.0, z)
         margin = (8.0 * use.sum(axis=1) + 2.0**9) * 2.0**-53 * z
         ok &= (magnitude < FINITE_BOUND) & (slope_size < FINITE_BOUND) & np.isfinite(z)
-        split = np.concatenate([np.maximum(signed, 0.0), np.minimum(signed, 0.0)], axis=1)
         top = np.full(count, np.nan)
         live = np.flatnonzero(ok)
+        positive, negative = np.maximum(signed[live], 0.0), np.minimum(signed[live], 0.0)
+        split = np.concatenate([positive, negative], axis=1)
+        swapped = np.concatenate([negative, positive], axis=1)
+        line = margin[live, None]
         for start in range(0, len(live), _ROWS):
-            rows = live[start:start + _ROWS]
+            block = slice(start, start + _ROWS)
+            rows = live[block]
             values = _weighted(
                 deltas[rows], used[rows], lambda i: tables.array(curves[i], CELLS + 1),
                 tables.array(curves[-1], CELLS + 1),
             )
             top[rows], low[rows] = values.max(axis=1), values.min(axis=1)
-            bound = np.einsum("rk,kc->rc", split[rows], bounds)
-            kept[rows] = bound >= ((top[rows] - tau[rows]) - margin[rows])[:, None]
+            bound = np.einsum("rk,kc->rc", split[block], bounds)
+            keep = bound >= ((top[rows] - tau[rows]) - margin[rows])[:, None]
+            rising = np.einsum("rk,kc->rc", swapped[block], steps) > line[block]
+            falling = np.einsum("rk,kc->rc", split[block], steps) < -line[block]
+            # equal where neither holds: both cannot, since the least rise is at
+            # most the largest up to rounding far below the margin
+            keep |= rising == falling
+            keep[:, :-1] |= rising[:, :-1] & falling[:, 1:]
+            kept[rows] = keep
         ok &= ~(top - low <= tau) & ~kept.all(axis=1) & kept.any(axis=1)
         kept[~ok] = True
         floor = top - 2.0**8 * 2.0**-53 * z
@@ -427,19 +457,17 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     cells of the scan that _cells keeps (a full build keeps them all), in
     three stages:
 
-    - dense: for a pruned row, h on each kept cell's window of the scan
-      (its CELLS-th of the scan and one point past each edge) and the
-      slope on its part of the bracket grid, as (row-cells x window)
-      arrays, groups of rows with about _BLOCK kept cells at a time; for
-      a full build, h on the scan and the slope on the bracket grid, as
-      (rows x grid) arrays, _FULL_BLOCK rows at a time; all summed by
-      _weighted, so each value has the scan's bits; top and low by
-      reductions; as flat indices into the row's whole scan and grid, the
-      bracket grid's zeros and sign changes and h's scan maxima
-      (agent.scan_candidates' rule: no lower than either neighbour) that
-      the cell owns (a point shared by two kept cells belongs to the
-      later), whose runs (_runs) give the zero-run edges and the peak
-      brackets, as a search of the whole row has them;
+    - dense: h on each kept cell's window of the scan (its CELLS-th of the
+      scan and one point past each edge) and the slope on its part of the
+      bracket grid, as (row-cells x window) arrays, groups of rows with
+      about _BLOCK kept cells at a time, summed by _weighted, so each
+      value has the scan's bits; top and low by reductions; as flat
+      indices into the row's whole scan and grid, the bracket grid's zeros
+      and sign changes and h's scan maxima (agent.scan_candidates' rule:
+      no lower than either neighbour) that the cell owns (a point shared
+      by two kept cells belongs to the later), whose runs (_runs) give the
+      zero-run edges and the peak brackets, as a search of the whole row
+      has them;
     - bisection: every sign change and scan-peak bracket of every row in one
       lockstep loop (agent.bisect_brackets) on _Slopes;
     - finish: settle_points and _at, one row at a time; a pruned row keeps
@@ -448,17 +476,15 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     A row is None when its tables raise or are not finite, when a scan
     peak brackets no sign change of the slope (an open bracket), or when a
     scalar call on it raises.  A full build gives the row that searching it
-    alone gives, bit for bit.  A pruned row has that search's top, a span
-    no larger, its enclosure size, and those of its points that lie in its
-    kept cells, whose bits are in ``kept``; it is None where the search is,
-    except that an open bracket in a pruned cell is not seen.  _screen
-    decides each of its contracts as the contract's own solve does.
+    alone gives, bit for bit.  A pruned row is None where that search is,
+    and otherwise has its top, a span no larger, its enclosure size, and
+    those of its points that lie in its kept cells.  _screen decides each
+    of its contracts as the contract's own solve does.
 
     A pruned row is built again in full when it cannot carry the proof:
     when, at an edge between a kept and a pruned cell, the slope on the
     bracket grid is within 2^-40 of the row's slope size of 0 (a zero run
-    or a root could reach across), or a scan peak ties its neighbour across
-    the edge (its run could go on); when a candidate or hi lies within
+    or a root could reach across); when a candidate or hi lies within
     TAU_E above such an edge (a candidate of the pruned cell, which the
     build never sees, could drop it from the settled points; above TAU_E
     none can, nor can a pruned candidate drop a later kept one); and when
@@ -470,34 +496,22 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     deltas = np.array(keys, dtype=float).reshape(count, len(components))
     used = deltas != 0.0
     built = [None] * count
-    # each curve's scan and bracket-grid slope, and the two with one row
-    # per cell: the scan from one point below the cell to one point above
-    # it (the interval's ends repeated), then the slope on the cell; None
-    # where the tables raise
-    arrays, windows = [], []
+    # each curve's _WINDOW rows, None where the tables raise
+    windows = []
     failed = np.zeros(count, dtype=bool)
     with np.errstate(all="ignore"):
         for i, curve in enumerate((*components, cost)):
             try:
-                values = tables.array(curve, SCAN_GRID_POINTS), tables.array(curve, MT_GRID_POINTS, 1)
+                on_scan, on_grid = tables.array(curve, SCAN_GRID_POINTS), tables.array(curve, MT_GRID_POINTS, 1)
             except Exception:
                 if curve is cost:
                     return built
-                values = window = None
+                windows.append(None)
                 failed |= used[:, i]
             else:
-                on_scan, on_grid = values
-                padded = np.concatenate([on_scan[:1], on_scan, on_scan[-1:]])
-                window = np.concatenate([
-                    sliding_window_view(padded, _STEP + 3)[::_STEP],
-                    sliding_window_view(on_grid, _GRID_STEP + 1)[::_GRID_STEP],
-                ], axis=1)
-            arrays.append(values)
-            windows.append(window)
-    used_ok = used & ~failed[:, None]
-    kept, floor, low_edges, size_bound, slope_size = _cells(
-        scenario, tables, deltas, used_ok, base_size
-    )
+                windows.append(np.concatenate([on_scan[:1], on_scan, on_scan[-1:], on_grid])[_WINDOW])
+    used = used & ~failed[:, None]
+    kept, floor, low_edges, size_bound, slope_size = _cells(scenario, tables, deltas, used, base_size)
     cost_size = tables.magnitude(cost)
     scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
     edges = tables.grid(CELLS + 1)
@@ -505,8 +519,8 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     slopes = _Slopes(scenario, keys, deltas)
 
     def dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs) -> np.ndarray:
-        """The dense stage of a group of pruned rows, each with counts[row]
-        kept cells: their stats and liveness, and their zeros, sign changes,
+        """The dense stage of a group of rows, each with counts[row] kept
+        cells: their stats and liveness, and their zeros, sign changes,
         scan peaks and runs of kept cells appended to the lists; returns the
         rows whose proof fails at a cell edge."""
         pair_row, c = np.nonzero(kept[group])
@@ -548,27 +562,8 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         changes.append(r[k] * (MT_GRID_POINTS - 1) + c[k] * _GRID_STEP + j)
         runs.append(np.array([r[~before], edges[c[~before]], edges[c[~after] + 1]]))
         tiny = 2.0**-40 * slope_size[r]
-        edge = (out_of & ((peak[:, 0] & (h[:, 0] == h[:, 1])) | ~(np.abs(gv[:, 0]) > tiny))) | (
-            into & ((peak[:, -1] & (h[:, -1] == h[:, -2])) | ~(np.abs(gv[:, -1]) > tiny))
-        )
+        edge = (out_of & ~(np.abs(gv[:, 0]) > tiny)) | (into & ~(np.abs(gv[:, -1]) > tiny))
         return group[alive[group] & np.logical_or.reduceat(edge, first_pair)]
-
-    def dense_full(block, stats, alive, zeros, changes, peaks) -> None:
-        """The dense stage of a block of rows of the full build, as (rows x
-        grid) arrays of the whole scan and bracket grid."""
-        h = _weighted(deltas[block], used[block], lambda i: arrays[i][0], arrays[-1][0])
-        gv = _weighted(deltas[block], used[block], lambda i: arrays[i][1], arrays[-1][1])
-        top, low = h.max(axis=1), h.min(axis=1)
-        stats[0, block], stats[1, block] = top, low
-        alive[block] = np.isfinite(np.maximum(top, -low) + 2.0 * cost_size) & np.isfinite(gv).all(axis=1)
-        inner = h[:, 1:-1]
-        k, j = np.divmod(np.flatnonzero((inner >= h[:, :-2]) & (inner >= h[:, 2:])), SCAN_GRID_POINTS - 2)
-        peaks.append(block[k] * SCAN_GRID_POINTS + j + 1)
-        k, j = np.divmod(np.flatnonzero(gv == 0.0), MT_GRID_POINTS)
-        zeros.append(block[k] * MT_GRID_POINTS + j)
-        sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
-        k, j = np.divmod(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0), MT_GRID_POINTS - 1)
-        changes.append(block[k] * (MT_GRID_POINTS - 1) + j)
 
     def build(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """Build the rows (sorted) on their kept cells; the pruned rows to build again in full."""
@@ -576,15 +571,9 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         alive = np.zeros(count, dtype=bool)
         retry, zeros, changes, peaks, runs = [], [], [], [], []
         counts = kept.sum(axis=1)
-        full = counts == CELLS
-        # the rows of the full build _FULL_BLOCK at a time, then groups of
-        # pruned rows with about _BLOCK kept cells in all
-        whole, rows = rows[full[rows]], rows[~full[rows]]
         pairs = np.cumsum(counts[rows])
         groups = np.flatnonzero(np.diff(pairs // _BLOCK, prepend=0)) + 1
         with np.errstate(all="ignore"):
-            for start in range(0, len(whole), _FULL_BLOCK):
-                dense_full(whole[start:start + _FULL_BLOCK], stats, alive, zeros, changes, peaks)
             for group in np.split(rows, groups[groups < len(rows)]):
                 if len(group):
                     retry.append(dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs))
@@ -619,7 +608,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         every = np.arange(count + 1)
         edge_at = np.searchsorted(edge_rows, every).tolist()
         root_at = np.searchsorted(item_rows, every).tolist()
-        # the runs of kept cells of each pruned row, as (row, lower, upper)
+        # the runs of kept cells of each row, as (row, lower, upper)
         block_rows, lower, upper = np.concatenate([np.zeros((3, 0)), *runs], axis=1)
         block_at = np.searchsorted(block_rows, every).tolist()
         lower, upper = lower.tolist(), upper.tolist()
@@ -633,10 +622,9 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         near &= x - edges[cell] <= TAU_E
         alive[rows[near]] = False
         again = sorted({*retry.tolist(), *rows[near].tolist()})
-        packed = np.packbits(kept, axis=1, bitorder="little")
         edge_values, roots = edge_values.tolist(), roots.tolist()
         top, low = stats.tolist()
-        full = full.tolist()
+        full = (counts == CELLS).tolist()
         for r in np.flatnonzero(alive).tolist():
             candidates = edge_values[edge_at[r]:edge_at[r + 1]] + roots[root_at[r]:root_at[r + 1]]
             points = settle_points(candidates, interval)
@@ -655,8 +643,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
                 built[r] = _Row(top[r], top[r] - low[r], max(size, a_max + v_max), points)
             elif points.shape[1] and (points[0] - points[1]).max() >= floor[r]:
                 span = top[r] - min(low[r], low_edges[r])
-                bits = int.from_bytes(packed[r].tobytes(), "little")
-                built[r] = _Row(top[r], span, size_bound[r], points, bits)
+                built[r] = _Row(top[r], span, size_bound[r], points)
             else:
                 again.append(r)
         return np.array(sorted(again), dtype=np.intp)
@@ -702,16 +689,15 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
       principal make them.
 
     A row has no screen (None) when its tables raise or are not finite, or
-    a scan peak of h in a kept cell brackets no sign change of the slope
-    (an open bracket, for golden section).  Otherwise a contract whose
-    flat test fails and with |b| + size < 2^1000 is decided: its solve
-    neither raises nor takes the flat shortcut, and settles the row's
-    points and those of the pruned cells (an open bracket there gives
-    golden section a point of a pruned cell).  The pruning proof (_cells)
-    puts every point of a pruned cell further below the contract's best
-    value than its tie tolerance, and keeps the settle order of the kept
-    points, so the best value, the tie set and its order are those of the
-    row's points.
+    a scan peak of h brackets no sign change of the slope (an open
+    bracket, for golden section); every scan peak lies in a kept cell.
+    Otherwise a contract whose flat test fails and with |b| + size <
+    2^1000 is decided: its solve neither raises nor takes the flat
+    shortcut, and settles the row's points and those of the pruned cells.
+    The pruning proof (_cells) puts every point of a pruned cell further
+    below the contract's best value than its tie tolerance, and keeps the
+    settle order of the kept points, so the best value, the tie set and
+    its order are those of the row's points.
 
     Exact values.  A decided contract's settle values are
     F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same

@@ -51,7 +51,8 @@ class EffortTables:
     grid, so read there or on a coarser grid) on it, a view of that fill.
     Both are read-only.  A call that raises caches nothing, so the next
     caller meets the same error.  ``enclosure(curve)`` is the curve's
-    Curve.enclosure on the cells, and ``magnitude(curve, order)`` the
+    Curve.enclosure on the cells, ``steps(curve)`` the least and largest
+    step of its scan in each cell, and ``magnitude(curve, order)`` the
     largest |eval| on the scan, or |d1| on its grid.
     """
 
@@ -84,26 +85,42 @@ class EffortTables:
             entry = self._arrays[key] = (curve, values)
         return entry[1]
 
-    def enclosure(self, curve):
-        """Curve.enclosure on the CELLS cells: (low, high), read-only, or None."""
-        key = (id(curve), "enclosure")
+    def _derive(self, curve, name: str, make):
+        """make(), cached per curve and name."""
+        key = (id(curve), name)
         entry = self._derived.get(key)
         if entry is None:
+            entry = self._derived[key] = (curve, make())
+        return entry[1]
+
+    def enclosure(self, curve):
+        """Curve.enclosure on the CELLS cells: (low, high), read-only, or None."""
+
+        def make():
             bounds = curve.enclosure(np.array(self._grids[CELLS + 1]))
             if bounds is not None:
                 for b in bounds:
                     b.flags.writeable = False
-            entry = self._derived[key] = (curve, bounds)
-        return entry[1]
+            return bounds
+
+        return self._derive(curve, "enclosure", make)
+
+    def steps(self, curve):
+        """(least, largest) per cell: the increments eval's scan makes
+        across the cell's steps, computed in floats; NaN where a value is."""
+
+        def make():
+            rise = np.diff(self.array(curve, SCAN_GRID_POINTS)).reshape(CELLS, -1)
+            return rise.min(axis=1), rise.max(axis=1)
+
+        return self._derive(curve, "steps", make)
 
     def magnitude(self, curve, order: int = 0) -> float:
         """max |eval| (order 0) or |d1| (1) on the grid it is filled on; NaN where a value is."""
-        key = (id(curve), f"magnitude {order}")
-        entry = self._derived.get(key)
-        if entry is None:
-            values = self.array(curve, _FILLS[order], order)
-            entry = self._derived[key] = (curve, float(np.abs(values).max()))
-        return entry[1]
+        return self._derive(
+            curve, f"magnitude {order}",
+            lambda: float(np.abs(self.array(curve, _FILLS[order], order)).max()),
+        )
 
 
 # (weak reference to the most recent scenario, its tables); replaced whole,

@@ -328,9 +328,6 @@ _TWIN_COST = Polynomial((0.03515625, 0.625, 1.375, -2.0, 1.0))
 _NOTCH_COST = Tabulated(
     (0.0, 0.4999, 0.5, 0.5001, 1.0), (1.0, 0.5001, 0.49, 0.4999, 0.0)
 )
-_NOTCH_AT_THE_TOP = Tabulated(
-    (0.0, 0.4999, 0.5, 0.5001, 0.5005, 1.0), (1.0, 0.5001, 0.49, 0.4999, 0.4995, 1.0)
-)
 _SHARED_STEP = (WageGrid(0.0, 4.0, 0.5), WageGrid(0.0, 2.0, 0.5))
 _BATCHING_FAMILIES = {
     "fixture-shared-step": lambda: (
@@ -532,12 +529,6 @@ _SCREEN_FAMILIES = {
         (10.0, 2.0), _RISING, Polynomial((0.0, 1.0)), _SHARED_STEP
     ),
     "golden-section-notch": lambda: _game((10.0, 2.0), _RISING, _NOTCH_COST, _SHARED_STEP),
-    # v's notch at e = 0.5 is its minimum, and v still falls just past it:
-    # for the delta row 0 the scan peak there brackets no sign change of E'
-    "golden-section-notch-at-the-top": lambda: (
-        _scenario((10.0, 2.0), _RISING, _NOTCH_AT_THE_TOP),
-        ContractFamily(contracts=tuple(map(Contract, ((1.0, 1.0), (2.0, 1.0), (3.5, 0.5))))),
-    ),
     "shuffled-ties-duplicates": _tied_contracts,
     "all-rejected": lambda: _game(
         (10.0, 2.0), _RISING, *_STEEP, utility=_HUGE_BASE, reservation=2e12
@@ -560,11 +551,9 @@ _SCREEN_FAMILIES = {
     ),
     "spread-just-above-flat-tolerance": _flat_margin_contracts,
 }
-# the families whose every contract the screen settles; in the two notch
-# families every open bracket lies in a cell the row build prunes
+# the families whose every contract the screen settles
 _ALL_SCREENED = {
     "huge-base", "all-rejected", "flat-step", "plateau-peak", "spread-just-above-flat-tolerance",
-    "golden-section-notch", "three-outcomes-zero-deltas",
 }
 
 
@@ -846,10 +835,10 @@ def _row_cases():
     return cases
 
 
-def _kept_cells(row) -> np.ndarray:
-    """A pruned row's kept cells as a (CELLS,) bool array."""
-    data = np.frombuffer(row.kept.to_bytes(CELLS // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(data, bitorder="little").astype(bool)
+def _kept(scenario, tables, rows, base_size) -> np.ndarray:
+    """(rows x CELLS): the cells _cells keeps of each row, all of a row it leaves whole."""
+    deltas = np.array(rows, dtype=float)
+    return principal_module._cells(scenario, tables, deltas, deltas != 0.0, base_size)[0]
 
 
 def _in_kept_cells(x, kept, edges) -> np.ndarray:
@@ -867,11 +856,12 @@ def _bits(x) -> bytes:
 class TestBatchedRowBuild:
     """_build_rows gives each row the row searching it alone gives, or its pruned part.
 
-    tests/game_oracle.row_build is the full per-row reference.  A row that
-    takes the full build is that reference bit for bit; a pruned row has
-    its top, a span no larger, a size no smaller, and its points in the
-    kept cells; and the screen decides every contract as the full build's
-    screen, or the contract's own solve, does.
+    tests/game_oracle.row_build is the full per-row reference.  A row is
+    None exactly where the reference is; a row that takes the full build
+    is the reference bit for bit; a pruned row has its top, a span no
+    larger, a size no smaller, and its points in the kept cells; and the
+    screen decides every contract as the full build's screen, or the
+    contract's own solve, does.
     """
 
     def test_rows_equal_the_per_row_build_on_their_kept_cells(self, monkeypatch):
@@ -884,7 +874,7 @@ class TestBatchedRowBuild:
 
         monkeypatch.setattr(principal_module._Slopes, "scalar", counting_scalar)
         why_none = {}
-        counts = {"full": 0, "pruned": 0, "open in a pruned cell": 0}
+        counts = {"full": 0, "pruned": 0, "open bracket in a pruned row": 0}
         cells = [0, 0]  # (row, cell) pairs of the pruned rows, and those kept
         built = flat_steps = 0
         for scenario, _, rows, base_size in _row_cases():
@@ -894,40 +884,40 @@ class TestBatchedRowBuild:
             edges = tables.grid(CELLS + 1)
             got = principal_module._build_rows(scenario, tables, rows, base_size)
             assert len(got) == len(rows)
-            for deltas, row in zip(rows, got):
+            for deltas, row, kept in zip(rows, got, _kept(scenario, tables, rows, base_size)):
                 expected, why = row_build(scenario, tables, deltas, cost_size)
                 why_none[why] = why_none.get(why, 0) + 1
                 built += 1
-                if row is None or row.kept is None:
-                    assert _same_row(row, expected), (scenario, deltas)
+                assert (row is None) == (expected is None), (scenario, deltas, why)
+                if why == "open bracket" and not kept.all():
+                    # the build sees every open bracket of the search: each
+                    # lies in the kept cells
+                    _, open_brackets = row_efforts(scenario, tables, deltas)
+                    assert open_brackets
+                    for a, b in open_brackets:
+                        assert (kept & (edges[:-1] < b) & (edges[1:] > a)).any(), (scenario, deltas)
+                    counts["open bracket in a pruned row"] += 1
+                if _same_row(row, expected):
                     counts["full"] += row is not None
                     continue
-                kept = _kept_cells(row)
+                # a pruned row: its size is the enclosures' bound
                 assert not kept.all()
+                counts["pruned"] += 1
                 cells[0] += CELLS
                 cells[1] += int(kept.sum())
-                efforts, open_brackets = row_efforts(scenario, tables, deltas)
+                efforts, _ = row_efforts(scenario, tables, deltas)
                 payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
                 h = payoff.scan(tables)
                 flat_steps += bool((h[1:] == h[:-1]).any())
-                assert _bits(row.top) == _bits(h.max())
+                assert _bits(row.top) == _bits(h.max()) == _bits(expected.top)
                 assert row.span <= h.max() - h.min()
-                if expected is None:
-                    # the search finds an open bracket, but only in pruned cells
-                    assert why == "open bracket" and open_brackets, (scenario, deltas)
-                    for a, b in open_brackets:
-                        assert not (kept & (edges[:-1] < b) & (edges[1:] > a)).any()
-                    counts["open in a pruned cell"] += 1
-                    continue
-                counts["pruned"] += 1
-                assert _bits(row.top) == _bits(expected.top)
                 assert row.size >= expected.size
                 inside = _in_kept_cells(efforts, kept, edges)
                 assert _bits(row.points) == _bits(np.ascontiguousarray(expected.points[:, inside]))
         assert built > 5000
         # most rows are pruned, and to a small part of their cells
         assert counts["pruned"] > 3 * counts["full"], counts
-        assert counts["open in a pruned cell"] > 0, counts
+        assert counts["open bracket in a pruned row"] > 0, counts
         assert cells[1] < 0.2 * cells[0], cells
         # rows whose h has equal neighbours on the scan are pruned too
         assert flat_steps > 0
@@ -938,18 +928,18 @@ class TestBatchedRowBuild:
     def test_screen_decides_as_the_full_build(self):
         """Every contract the screen settles from pruned rows or from full
         ones gets the same acceptance and value from both, or, where only
-        one settles it, from its own solve."""
-        own_solves = 0
+        one settles it (a pruned row's span is a lower bound), from its own
+        solve."""
         for scenario, family, rows, base_size in _row_cases():
             if family is None or not rows:
                 continue
             tables = effort_tables(scenario)
+            # no cell is pruned under an infinite tie tolerance
+            assert _kept(scenario, tables, rows, math.inf).all()
             builds = [
                 dict(zip(rows, principal_module._build_rows(scenario, tables, rows, size)))
                 for size in (base_size, math.inf)
             ]
-            # no cell is pruned under an infinite tie tolerance
-            assert all(row is None or row.kept is None for row in builds[1].values())
             arrays = principal_module._FamilyArrays(scenario, family)
             index, fits = arrays.chunk(0, family.size())
             for policy in TIE_BREAK_POLICIES:
@@ -969,9 +959,6 @@ class TestBatchedRowBuild:
                     )
                     assert screen[1][k] == response.accepted
                     assert _bits(screen[2][k]) == _bits(math.nan if value is None else value)
-                    own_solves += 1
-        # some contracts are settled by one screen only
-        assert own_solves > 0
 
 
 _ST = 1.0 / (SCAN_GRID_POINTS - 1)  # the scan's step on [0, 1]
@@ -981,9 +968,7 @@ _QUADRATIC_COST = Polynomial((0.0, 0.0, 2.0))
 
 def _prune_proposed(scenario, rows, base_size):
     """Whether _cells prunes each row before the build checks it."""
-    deltas = np.array(rows, dtype=float)
-    kept = principal_module._cells(scenario, effort_tables(scenario), deltas, deltas != 0.0, base_size)[0]
-    return ~kept.all(axis=1)
+    return ~_kept(scenario, effort_tables(scenario), rows, base_size).all(axis=1)
 
 
 def _fallback_cases():
@@ -1101,10 +1086,10 @@ def _fallback_cases():
         d1 = tables.array(scenario.profile.components[0], MT_GRID_POINTS, 1)
         assert d1[(MT_GRID_POINTS - 1) // 2] == 0.0
 
-    # p is flat at 0.2 up to 0.5001 and rises to its top 0.6 at 0.503,
-    # inside the cell above e = 0.5: the run of zero slopes on the bracket
-    # grid reaches across the cell edge at 0.5
-    step = Tabulated((0.0, 0.5001, 0.503, 1.0), (0.2, 0.2, 0.6, 0.6))
+    # p rises to 0.3 at e = 0.5, where a flat piece starts, and on to its
+    # top 0.6 beyond: the cells below e = 0.5 rise and are pruned, and the
+    # slope on the bracket grid is 0 at their edge with the kept ones
+    step = Tabulated((0.0, 0.5, 0.53, 0.6, 1.0), (0.1, 0.3, 0.3, 0.6, 0.6))
     cases["slope-zero-at-a-kept-cell-edge"] = (
         _scenario((10.0, 2.0), [step], _NO_COST), [(1.0,), (3.0,)], 0.0, True, flat_at_the_edge,
     )
@@ -1112,11 +1097,15 @@ def _fallback_cases():
     def root_just_above_the_edge(scenario, tables):
         efforts, _ = row_efforts(scenario, tables, (1.0,))
         assert any(0.0 <= e - 0.5 <= agent_module.TAU_E for e in efforts)
+        # the slope at the edge is far from 0, so this check alone sends it
+        d1 = tables.array(scenario.profile.components[0], MT_GRID_POINTS, 1)
+        assert abs(d1[(MT_GRID_POINTS - 1) // 2]) > 1e-3
 
-    # p has a minimum 5e-10 above the cell edge e = 0.5 and rises to its
-    # top in the cell above: the root there is a candidate within TAU_E of
-    # the edge, which a candidate of the pruned cell below could drop
-    notch = Tabulated((0.0, 0.499, 0.5 + 5e-10, 0.502, 1.0), (0.2, 0.21, 0.205, 0.6, 0.6))
+    # p falls to a minimum 5e-10 above the cell edge e = 0.5 and rises to
+    # its top in the cell above: the cells below fall and are pruned, and
+    # the root at the minimum is a candidate within TAU_E of their edge,
+    # which a candidate of the pruned cell below could drop
+    notch = Tabulated((0.0, 0.4999, 0.5 + 5e-10, 0.502, 1.0), (0.3, 0.21, 0.2, 0.6, 0.6))
     cases["candidate-within-tau-e-above-a-kept-cell-edge"] = (
         _scenario((10.0, 2.0), [notch], _NO_COST), [(1.0,)], 0.0, True, root_just_above_the_edge,
     )
@@ -1139,8 +1128,8 @@ class TestFullBuildFallbacks:
         check(scenario, tables)
         if proposed is not None:
             assert (_prune_proposed(scenario, rows, base_size) == proposed).all()
+        # a pruned row's size is the enclosures' bound, not the reference's
         for deltas, row in zip(rows, got):
-            assert row is None or row.kept is None
             with np.errstate(all="ignore"):  # the huge rows overflow
                 expected, _ = row_build(scenario, tables, deltas, cost_size)
             assert _same_row(row, expected), (name, deltas)

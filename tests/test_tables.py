@@ -44,6 +44,7 @@ from contractgame import (
 )
 from contractgame.cli import run_command
 from contractgame.tables import (
+    CELLS,
     MT_GRID_POINTS,
     SCAN_GRID_POINTS,
     VALIDATION_GRID_POINTS,
@@ -359,6 +360,29 @@ class TestStrides:
                             direct = getattr(curve, name)(interval.grid(points))
                             strided = tables.array(curve, points, order)
                             assert np.array_equal(_bits(strided), _bits(direct)), (curve, name, points)
+
+    def test_steps_bound_every_step_of_the_scan_in_its_cell(self):
+        """EffortTables.steps: per cell, the least and largest float step of
+        the scan between consecutive points of the cell, edges included."""
+        rng = np.random.default_rng(8106)
+        for _ in range(20):
+            lo = float(rng.uniform(-3.0, 3.0))
+            interval = EffortInterval(lo, lo + float(rng.uniform(0.01, 5.0)))
+            tables = EffortTables(interval)
+            scan = interval.grid(SCAN_GRID_POINTS)
+            cell = np.arange(SCAN_GRID_POINTS - 1) // ((SCAN_GRID_POINTS - 1) // CELLS)
+            with np.errstate(all="ignore"):
+                for curve in _family_curves(rng, interval):
+                    values = curve.eval(scan)
+                    least, largest = tables.steps(curve)
+                    assert tables.steps(curve) is tables.steps(curve)
+                    step = values[1:] - values[:-1]
+                    ok = np.isnan(step) | ((least[cell] <= step) & (step <= largest[cell]))
+                    assert ok.all(), curve
+                    for c in rng.integers(0, CELLS, 5).tolist():
+                        mine = step[cell == c]
+                        if np.isfinite(mine).all():
+                            assert least[c] == mine.min() and largest[c] == mine.max()
 
     @pytest.mark.parametrize("bounds", [(0.0, 1e-310), (1e-310, 3e-310)])
     def test_widths_that_do_not_nest_solve_as_separate_grids(self, bounds, tmp_path, monkeypatch, capsys):
