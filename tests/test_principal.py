@@ -814,6 +814,20 @@ def _row_cases():
     families += [make() for make in _BATCHING_FAMILIES.values()]
     families += [make() for make in _ERROR_CASES.values()]
     families += [(scenario, family) for _, scenario, family in game_corpus(240, seed=6101)]
+    # linear costs with a notch or bump narrower than a scan step at random
+    # places, mostly far below the rows' tops: open brackets where the
+    # bound alone would prune
+    rng = np.random.default_rng(6102)
+    for _ in range(12):
+        at, width = rng.uniform(0.02, 0.98), 10.0 ** rng.uniform(-5.0, -2.5)
+        slope, depth = rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, -1.0)
+        knots = (0.0, at - width, at, at + width, 1.0)
+        levels = [0.5 + slope * k for k in knots]
+        levels[2] -= depth
+        rising = Polynomial((rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.5), rng.uniform(-0.3, 0.0)))
+        families.append(
+            (_scenario((10.0, 2.0), [rising], Tabulated(knots, tuple(levels))), ContractFamily(grids=_SHARED_STEP))
+        )
     cases = [
         (scenario, family, _family_rows(scenario, family),
          principal_module._FamilyArrays(scenario, family).base_size())
