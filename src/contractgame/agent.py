@@ -171,7 +171,8 @@ class LinearPayoff:
         return acc if self.cost is None else acc - self.cost.d2(e)
 
     def on_grid(self, tables: EffortTables, points: int, order: int):
-        """slope (order 1) or curvature (2) on the tables' grid of points.
+        """The base-free h = value - base (order 0), slope (1) or curvature
+        (2) on the tables' grid of points.
 
         The curves' arrays come from tables, and the operations are those
         of slope and curvature in their order, so the result is
@@ -182,22 +183,12 @@ class LinearPayoff:
             acc = acc + delta * tables.array(comp, points, order)
         return acc if self.cost is None else acc - tables.array(self.cost, points, order)
 
-    def scans(self, tables: EffortTables):
-        """(h, fv) on the scan grid from one sum a = sum_i delta_i p_i: the
-        base-free h = a - cost, and fv = (base + a) - cost, value's bits."""
-        a = self._scan_sum(tables)
-        v = tables.array(self.cost, SCAN_GRID_POINTS)
-        return a - v, (self.base + a) - v
-
-    def scan(self, tables: EffortTables):
-        """h alone, with the bits scans gives it."""
-        return self._scan_sum(tables) - tables.array(self.cost, SCAN_GRID_POINTS)
-
-    def _scan_sum(self, tables: EffortTables):
+    def based_scan(self, tables: EffortTables):
+        """(base + a) - cost on the scan grid, a = sum_i delta_i p_i: value's bits."""
         a = 0.0
         for delta, comp in self.terms:
             a = a + delta * tables.array(comp, SCAN_GRID_POINTS)
-        return a
+        return (self.base + a) - tables.array(self.cost, SCAN_GRID_POINTS)
 
     def cost_size(self, tables: EffortTables) -> float:
         """max |cost| on the scan."""
@@ -313,31 +304,30 @@ def _merge_runs(indices):
 # the rounding of b + h) read it.
 
 def flat_scan(payoff, tables: EffortTables):
-    """The flat stage: (h, constant) from the payoff's scans (h, fv).
+    """The flat stage: (h, constant) from the payoff's base-free scan h
+    (``on_grid`` of order 0) and, when read, its based scan fv.
 
     The test reads h alone, top - low <= TAU_EXPECTATION * max(1, |base +
     top|) with top and low its max and min.  When it holds, constant is
     the constant result (pairs, best, True) from fv, whose two boundary
     points represent the interval; else None.  A scan value that is not
-    finite raises DomainError.  fv is built only when something reads
-    it: when the test fails and |base| + max(top, -low) + 2 max|cost| <
-    FINITE_BOUND (payoff.cost_size), fv is finite and unread, and h (from
-    payoff.scan) is all the stage gives.
+    finite raises DomainError, fv's first.  fv is built only when
+    something reads it: when the test fails and |base| + max(top, -low) +
+    2 max|cost| < FINITE_BOUND (payoff.cost_size), fv is finite and
+    unread, and h is all the stage gives.
     """
-    h = payoff.scan(tables)
+    h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
     top, low = float(h.max()), float(h.min())
-    if (
-        not top - low <= TAU_EXPECTATION * max(1.0, abs(payoff.base + top))
-        and abs(payoff.base) + max(top, -low) + 2.0 * payoff.cost_size(tables) < FINITE_BOUND
-    ):
+    flat = top - low <= TAU_EXPECTATION * max(1.0, abs(payoff.base + top))
+    size = abs(payoff.base) + max(top, -low)
+    if not flat and size + 2.0 * payoff.cost_size(tables) < FINITE_BOUND:
         return h, None
-    h, fv = payoff.scans(tables)
+    fv = payoff.based_scan(tables)
     fmax, fmin = float(fv.max()), float(fv.min())
-    top, low = float(h.max()), float(h.min())
     if not all(map(math.isfinite, (fmax, fmin, top, low))):
         for values in (fv, h):
             require_finite(values, tables.grid(SCAN_GRID_POINTS), "objective")
-    if top - low <= TAU_EXPECTATION * max(1.0, abs(payoff.base + top)):
+    if flat:
         interval = tables.interval
         pairs = ((interval.lo, float(fv[0])), (interval.hi, float(fv[-1])))
         return h, (pairs, fmax, True)
@@ -484,9 +474,10 @@ def hybrid_maximize(payoff, tables: EffortTables):
     """Global maximizers of a C1 payoff f = base + h on the tables' effort interval.
 
     payoff gives f and its derivative df as ``value`` and ``slope`` at a
-    point, df on the tables' grids through ``on_grid``, the dense scans of
-    h and f through ``scan`` and ``scans``, and max |cost| on the scan
-    through ``cost_size`` (LinearPayoff's protocol).  Returns
+    point, h = f - base and df on the tables' grids through ``on_grid``
+    (orders 0 and 1), the dense scan of f through ``based_scan``, max
+    |cost| on the scan through ``cost_size``, and ``base``
+    (LinearPayoff's protocol).  Returns
     (maximizers, best_value, constant) where maximizers is a tuple of
     (point, value) pairs sorted by point.  Candidates come from three
     sources: the interval boundaries, sign-change roots of df bracketed on

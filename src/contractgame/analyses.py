@@ -105,9 +105,9 @@ class ClassicalAssumptionsReport:
 
 
 class _Negated:
-    """-curve in LinearPayoff's protocol (value, slope, on_grid, scan, scans,
-    cost_size, base), for hybrid_maximize: a payoff with base 0.0 whose h
-    and values are both -curve.
+    """-curve in LinearPayoff's protocol (value, slope, on_grid,
+    based_scan, cost_size, base), for hybrid_maximize: a payoff with base
+    0.0 whose h and based scan are both -curve.
 
     Negated, not subtracted from 0.0, so a zero cost gives -0.0 as -v does.
     """
@@ -127,15 +127,11 @@ class _Negated:
     def on_grid(self, tables, points: int, order: int):
         return -tables.array(self.curve, points, order)
 
-    def scans(self, tables):
-        h = self.scan(tables)
-        return h, h
-
-    def scan(self, tables):
+    def based_scan(self, tables):
         return self.on_grid(tables, SCAN_GRID_POINTS, 0)
 
     def cost_size(self, tables) -> float:
-        return 0.0  # fv is h, finite where h is
+        return 0.0  # the based scan is h, finite where h is
 
 
 def detect_invisible_effort(
@@ -225,8 +221,10 @@ def two_outcome_linear_analysis(
         gv = target - tables.array(cost, MT_GRID_POINTS, 1)
         roots = dedup_sorted(bracket_roots(foc, grid, gv))
         interior = tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E)
-        boundary_values = (float(payoff.value(lo)), float(payoff.value(hi)))
+        # settle keeps both boundaries, first and last: no interior root is
+        # within TAU_E of them
         evaluated, pairs, best = settle(payoff.value, interior, interval)
+        boundary_values = (evaluated[0][1], evaluated[-1][1])
         interior_values = tuple(fe for _, fe in evaluated[1:-1])
         constant = False
 

@@ -238,8 +238,7 @@ def run_command(argv) -> int:
                 doc = parse_scenario(args.file)
                 contract = _resolve_contract(doc, args.contract) if "contract" in args else None
                 report, code = _HANDLERS[args.command](doc, contract, args), 0
-            fmt = "csv" if isinstance(report, SweepTable) else "json"
-            emit_report(report, format=fmt, destination=getattr(args, "out", None))
+            emit_report(report, destination=getattr(args, "out", None))
             return code
     except ContractGameError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,7 +20,7 @@ from .curves import Curve
 from .errors import (
     DimensionError, DomainError, EnumerationCapExceeded, ProbabilityRangeError, ValidationError,
 )
-from .tables import VALIDATION_GRID_POINTS, effort_grid, effort_tables
+from .tables import VALIDATION_GRID_POINTS, effort_tables
 
 __all__ = [
     "TAU_P",
@@ -99,7 +99,11 @@ class EffortInterval:
             )
 
     def grid(self, points: int) -> np.ndarray:
-        return effort_grid(self, points)
+        """The uniform grid of that many efforts, both ends included."""
+        # point i is lo + i * (width / (points - 1)); halving points - 1 doubles
+        # the step exactly, so the coarse grid is every other point of the fine
+        # one bit for bit, unless the width is below 2^-1010 (a subnormal step)
+        return np.linspace(self.lo, self.hi, points)
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,12 @@ class WageGrid:
         from fractions import Fraction
 
         lo, step = (Fraction(repr(float(x))) for x in (self.lo, self.step))
-        return tuple(float(lo + k * step) for k in range(self.count()))
+        # lo + k*step = (a + k*b) / d, and int / int is correctly rounded, as
+        # float() of the reduced fraction is: the same float, without a
+        # Fraction per value
+        a, b = lo.numerator * step.denominator, step.numerator * lo.denominator
+        d = lo.denominator * step.denominator
+        return tuple((a + k * b) / d for k in range(self.count()))
 
 
 @dataclass(frozen=True)

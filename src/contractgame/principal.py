@@ -236,9 +236,8 @@ class _Slopes:
     in ``failed``, and its values are NaN from then on.
     """
 
-    def __init__(self, scenario: Scenario, keys, deltas: np.ndarray):
+    def __init__(self, scenario: Scenario, deltas: np.ndarray):
         self.scenario = scenario
-        self.keys = keys
         self.deltas = deltas
         self.components = scenario.profile.components
         self.cost = scenario.agent.effort_cost
@@ -249,7 +248,7 @@ class _Slopes:
         terms = used.sum(axis=1) + 1.0
         self.guard = np.where(ulps == 0.0, 0.0, (2.0 * ulps + 2.0 * terms + 4.0) * 2.0**-52)
         self.exact = not self.guard.any()
-        self.failed = np.zeros(len(keys), dtype=bool)
+        self.failed = np.zeros(len(deltas), dtype=bool)
 
     def __call__(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         deltas = self.deltas[rows]
@@ -280,7 +279,8 @@ class _Slopes:
         """The scalar call LinearPayoff.slope(x) of the row, or NaN once it has raised."""
         if not self.failed[row]:
             try:
-                return LinearPayoff(self.scenario, (*self.keys[row], 0.0), self.cost).slope(x)
+                levels = (*self.deltas[row].tolist(), 0.0)
+                return LinearPayoff(self.scenario, levels, self.cost).slope(x)
             except Exception:
                 self.failed[row] = True
         return math.nan
@@ -298,7 +298,7 @@ def _runs(at: np.ndarray, width: int):
 def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) -> np.ndarray:
     """sum_i deltas[:, i] values(i) - cost, one row per delta row.
 
-    Summed from 0.0 in LinearPayoff.scans' and on_grid's order by
+    Summed from 0.0 in LinearPayoff.on_grid's order by
     broadcasting, not by a matrix product (a masked add only in a row that
     skips a zero delta), so each value keeps the bits of the per-contract
     arrays.  values(i) is read only when some row uses curve i.
@@ -516,7 +516,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
     edges = tables.grid(CELLS + 1)
     interval = scenario.interval
-    slopes = _Slopes(scenario, keys, deltas)
+    slopes = _Slopes(scenario, deltas)
 
     def dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs) -> np.ndarray:
         """The dense stage of a group of rows, each with counts[row] kept
@@ -637,12 +637,12 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
                 points = _Row._at(scenario, keys[r], points)
             except Exception:
                 continue
+            span = top[r] - min(low[r], low_edges[r])
             if full[r]:
                 size = max(top[r], -low[r]) + 2.0 * cost_size
                 a_max, v_max = np.abs(points[:2]).max(axis=1).tolist()
-                built[r] = _Row(top[r], top[r] - low[r], max(size, a_max + v_max), points)
+                built[r] = _Row(top[r], span, max(size, a_max + v_max), points)
             elif points.shape[1] and (points[0] - points[1]).max() >= floor[r]:
-                span = top[r] - min(low[r], low_edges[r])
                 built[r] = _Row(top[r], span, size_bound[r], points)
             else:
                 again.append(r)

@@ -514,16 +514,13 @@ def sweep_to_csv(table: SweepTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(result, format: str = "json", destination=None) -> None:
-    """Write a report as JSON or CSV to a path (or stdout when None)."""
-    if format == "json":
-        text = render_json(result_to_dict(result)) + "\n"
-    elif format == "csv":
-        if not isinstance(result, SweepTable):
-            raise TypeError("csv output is only defined for sweep tables")
+def emit_report(result, *, destination=None) -> None:
+    """Write a report to a path (or stdout when None): a SweepTable as CSV,
+    anything else as JSON."""
+    if isinstance(result, SweepTable):
         text = sweep_to_csv(result)
     else:
-        raise ValueError(f"unknown format {format!r}")
+        text = render_json(result_to_dict(result)) + "\n"
     if destination is None:
         sys.stdout.write(text)
         return

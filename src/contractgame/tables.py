@@ -19,7 +19,7 @@ import weakref
 import numpy as np
 
 __all__ = ["SCAN_GRID_POINTS", "VALIDATION_GRID_POINTS", "MT_GRID_POINTS", "CELLS",
-           "EffortTables", "effort_grid", "effort_tables"]
+           "EffortTables", "effort_tables"]
 
 SCAN_GRID_POINTS = 4097        # dense value scan for local maxima
 VALIDATION_GRID_POINTS = 2049  # validation, persistence and the analyzers: scan[::2]
@@ -31,14 +31,6 @@ _STRIDES = {SCAN_GRID_POINTS: 1, VALIDATION_GRID_POINTS: 2, MT_GRID_POINTS: 4,
             CELLS + 1: (SCAN_GRID_POINTS - 1) // CELLS}
 _FILLS = (SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, VALIDATION_GRID_POINTS)
 _ORDERS = ("eval", "d1", "d2")
-
-
-def effort_grid(interval, points: int) -> np.ndarray:
-    """The uniform grid of that many efforts over interval, both ends included."""
-    # point i is lo + i * (width / (points - 1)); halving points - 1 doubles
-    # the step exactly, so the coarse grid is every other point of the fine
-    # one bit for bit, unless the width is below 2^-1010 (a subnormal step)
-    return np.linspace(interval.lo, interval.hi, points)
 
 
 class EffortTables:
@@ -60,7 +52,7 @@ class EffortTables:
 
     def __init__(self, interval):
         self.interval = interval
-        scan = effort_grid(interval, SCAN_GRID_POINTS)
+        scan = interval.grid(SCAN_GRID_POINTS)
         scan.flags.writeable = False
         self._grids = {points: scan[::stride] for points, stride in _STRIDES.items()}
         # (id(curve), points, order) -> (curve, values); holding the curve

@@ -19,6 +19,7 @@ import numpy as np
 from contractgame import agent_payoff_functions, grid_argmax, profile_probs
 from contractgame.agent import LinearPayoff, scan_candidates, settle_points
 from contractgame.principal import _Row
+from contractgame.tables import SCAN_GRID_POINTS
 
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
 
@@ -83,7 +84,7 @@ def row_build(scenario, tables, deltas, cost_size):
     """
     try:
         payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-        h, _ = payoff.scans(tables)
+        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
         top = float(h.max())
         low = float(h.min())
         size = max(top, -low) + 2.0 * cost_size()
@@ -105,5 +106,6 @@ def row_efforts(scenario, tables, deltas):
     brackets with no sign change of the slope.  For a row whose search
     does not raise."""
     payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-    roots, open_brackets = scan_candidates(payoff, tables, payoff.scan(tables))
+    h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
+    roots, open_brackets = scan_candidates(payoff, tables, h)
     return settle_points(roots, scenario.interval), open_brackets

@@ -16,8 +16,8 @@ message of what it raises.  The sets:
   contract of each family alone, then solve_game under each policy;
 - ``families``: solve_game on perfbench/gen.game_families of seeds 1 and 2;
 - ``principal``: the screen, batching and error families of
-  tests/test_principal.py: each contract alone, then solve_game under each
-  policy;
+  tests/principal_cases.py: each contract alone, then solve_game under
+  each policy;
 - ``fuzz``: the mutated documents and raw texts of tests/test_fuzz.py
   through its seven commands: the exit code, and the length and SHA-256
   of the output;
@@ -48,8 +48,8 @@ TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "perfbench")]
 
 import gen  # noqa: E402  (perfbench/gen.py)
+import principal_cases  # noqa: E402
 import test_fuzz  # noqa: E402
-import test_principal  # noqa: E402
 from scenario_gen import game_corpus  # noqa: E402
 
 from contractgame import (  # noqa: E402
@@ -111,9 +111,9 @@ def families_lines():
 
 def principal_lines():
     named = {
-        **{f"screen {n}": make for n, make in test_principal._SCREEN_FAMILIES.items()},
-        **{f"batching {n}": make for n, make in test_principal._BATCHING_FAMILIES.items()},
-        **{f"error {n}": make for n, make in test_principal._ERROR_CASES.items()},
+        **{f"screen {n}": make for n, make in principal_cases.SCREEN_FAMILIES.items()},
+        **{f"batching {n}": make for n, make in principal_cases.BATCHING_FAMILIES.items()},
+        **{f"error {n}": make for n, make in principal_cases.ERROR_CASES.items()},
     }
     for name in sorted(named):
         scenario, family = named[name]()

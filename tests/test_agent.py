@@ -8,6 +8,7 @@ import pytest
 from contractgame import (
     AgentPreferences,
     Contract,
+    DomainError,
     EffortInterval,
     EffortProfile,
     ExpAffine,
@@ -29,8 +30,9 @@ from contractgame import (
     transience,
     two_outcome_linear_analysis,
 )
-from contractgame.agent import bracket_roots, snap_root
+from contractgame.agent import FINITE_BOUND, LinearPayoff, bracket_roots, flat_scan, snap_root
 from contractgame.oracle import finite_diff_d1, grid_argmax
+from contractgame.tables import SCAN_GRID_POINTS, effort_tables
 from scenario_gen import (
     constant_profile_scenario,
     linear_two_outcome_scenario,
@@ -355,6 +357,61 @@ class TestSignChanges:
             root = snap_root(g, 0.5, 0.75)
         assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-12
         assert root is not None and abs(root - 0.6) <= 1e-12
+
+
+class TestFlatScan:
+    """flat_scan's four outcomes, bit for bit, with u(w) = w."""
+
+    @staticmethod
+    def _stage(cost, wages, p1=Polynomial((0.2, 0.5))):
+        scenario = _two_outcome(p1, IDENTITY, cost)
+        payoff = LinearPayoff.agent(scenario, Contract(wages))
+        tables = effort_tables(scenario)
+        # the based scan (base + a) - v with a = 0.0 + delta p1, as value adds it
+        a = 0.0 + (wages[0] - wages[1]) * tables.array(p1, SCAN_GRID_POINTS)
+        with np.errstate(over="ignore"):
+            fv = (payoff.base + a) - tables.array(cost, SCAN_GRID_POINTS)
+        return payoff, tables, fv
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("wages", [(2.0, 0.0), (2.0**1001, 2.0**1000)], ids=["small", "huge"])
+    def test_not_flat_gives_h_alone(self, wages):
+        # the huge base puts |base| + size above FINITE_BOUND: the based
+        # scan is read, found finite and not returned
+        payoff, tables, fv = self._stage(Polynomial((0.0, 0.0, 1.0)), wages)
+        assert (abs(payoff.base) >= FINITE_BOUND) == (wages[1] > 1.0)
+        assert np.isfinite(fv).all()
+        h, constant = flat_scan(payoff, tables)
+        assert constant is None
+        assert self._bits(h) == self._bits(payoff.on_grid(tables, SCAN_GRID_POINTS, 0))
+
+    def test_flat_gives_the_constant_result(self):
+        # E = 1e12 + 100 (0.2 + 0.5e) spreads 50, within 1e-9 E
+        payoff, tables, fv = self._stage(Polynomial((0.0,)), (1e12 + 100.0, 1e12))
+        h, constant = flat_scan(payoff, tables)
+        assert self._bits(h) == self._bits(payoff.on_grid(tables, SCAN_GRID_POINTS, 0))
+        pairs, best, flag = constant
+        assert flag is True and (pairs[0][0], pairs[1][0]) == (0.0, 1.0)
+        assert self._bits([pairs[0][1], pairs[1][1], best]) == self._bits([fv[0], fv[-1], fv.max()])
+        assert fv[0] < fv[-1]
+
+    def test_the_based_scan_is_checked_first(self):
+        # p1 = e, base 1e308, delta -1.5e308 and v = -0.9e308 + 1.5e308 e:
+        # the based scan overflows at e = 0, and h = -1.5e308 e - v only
+        # near e = 1
+        payoff, tables, fv = self._stage(
+            Polynomial((-0.9e308, 1.5e308)), (-0.5e308, 1e308), Polynomial((0.0, 1.0))
+        )
+        scan = tables.grid(SCAN_GRID_POINTS)
+        with np.errstate(over="ignore"):
+            h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
+        assert not np.isfinite(fv[0]) and np.isfinite(h[0]) and not np.isfinite(h).all()
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
+            flat_scan(payoff, tables)
+        assert str(err.value) == f"objective is not finite at {scan[0]}: {fv[0]}"
 
 
 class TestRiskClassification:

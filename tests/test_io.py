@@ -24,6 +24,8 @@ from contractgame import (
     Polynomial,
     Power,
     PrincipalPreferences,
+    RiskClass,
+    RiskClassification,
     Tabulated,
     ValidationError,
     WageGrid,
@@ -882,20 +884,39 @@ class TestCommandEnvelope:
         assert captured.err == "error: out of memory\n"
 
 
-class TestEmitReport:
-    def test_csv_only_for_sweep_tables(self):
-        with pytest.raises(TypeError):
-            emit_report({"a": 1.0}, format="csv")
+_TABLE = SweepTable(("e", "E"), ((0.5, 1.25), (1.0, -2.0)))
+_TABLE_CSV = "e,E\n0.5,1.25\n1,-2\n"
+_RISK = RiskClassification(RiskClass.AVERSE, -2.0, -0.5)
+_RISK_JSON = (
+    '{\n  "classification": "averse",\n  "persistence_min": -2,\n'
+    '  "persistence_max": -0.5\n}\n'
+)
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            emit_report({"a": 1.0}, format="yaml")
+
+class TestEmitReport:
+    @pytest.mark.parametrize("report, text", [(_TABLE, _TABLE_CSV), (_RISK, _RISK_JSON)],
+                             ids=["sweep-table-csv", "dataclass-json"])
+    def test_format_follows_the_report_type(self, report, text, tmp_path, capsys):
+        emit_report(report)
+        assert capsys.readouterr().out == text
+        target = tmp_path / "report.txt"
+        emit_report(report, destination=str(target))
+        assert target.read_text(encoding="utf-8") == text
+        assert capsys.readouterr().out == ""
+
+    def test_destination_is_keyword_only(self, tmp_path):
+        # an old positional format argument must not name a file
+        with pytest.raises(TypeError):
+            emit_report(_TABLE, "csv")
+        with pytest.raises(TypeError):
+            emit_report(_RISK, str(tmp_path / "report.json"))
+        assert not any(tmp_path.iterdir())
 
     def test_write_failure_has_path_context(self, tmp_path):
         table = SweepTable(("e",), ((1.0,),))
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(ContractGameError, match="out.csv"):
-            emit_report(table, format="csv", destination=str(target))
+            emit_report(table, destination=str(target))
 
     def test_json_report_to_file(self, tmp_path):
         target = tmp_path / "report.json"

@@ -1,7 +1,9 @@
 """Scenario construction, profile evaluation, and grid validation."""
 
 import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from contractgame import (
     ProbabilityRangeError,
     Scenario,
     ValidationError,
+    WageGrid,
     ensure_valid,
     profile_matrix,
     profile_probs,
@@ -179,3 +182,23 @@ def test_ensure_valid_raises_aggregate():
     with pytest.raises(ValidationError) as err:
         ensure_valid(scenario)
     assert err.value.issues
+
+
+def _fraction_values(grid):
+    """WageGrid.values by Fraction arithmetic per value, the reference."""
+    lo, step = (Fraction(repr(float(x))) for x in (grid.lo, grid.step))
+    return tuple(float(lo + k * step) for k in range(grid.count()))
+
+
+def test_wage_grid_values_keep_the_fraction_bits():
+    rng = random.Random(20)
+    grids = [WageGrid(-0.0, 1.0, 0.1), WageGrid(-3.3, 3.3, 1.1), WageGrid(1e20, 1.5e21, 1.5e20)]
+    for _ in range(2000):
+        lo = rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 1e3) * 10.0 ** rng.randint(-6, 6)
+        step = 10.0 ** rng.uniform(-5.0, 20.0)
+        if rng.random() < 0.5:  # a short decimal, as documents give
+            lo, step = round(lo, rng.randint(0, 4)), round(step, rng.randint(0, 6)) or step
+        grids.append(WageGrid(lo, lo + step * rng.randint(0, 30), step))
+    for grid in grids:
+        got, expected = grid.values(), _fraction_values(grid)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], grid

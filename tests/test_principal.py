@@ -38,9 +38,11 @@ from contractgame.tables import (
     CELLS, MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables,
 )
 from game_oracle import enumeration_oracle, row_build, row_efforts
+from principal_cases import (
+    BATCHING_FAMILIES, ERROR_CASES, IDENTITY, RISING, SCREEN_FAMILIES, SHARED_STEP,
+    tied_contracts, twin_peak_contracts, unit_scenario,
+)
 from scenario_gen import game_corpus, linear_two_outcome_scenario, reference_scenario
-
-IDENTITY = Polynomial((0.0, 1.0))
 
 
 class TestPrincipalExpectation:
@@ -266,21 +268,6 @@ class TestOracleEquivalenceCorpus:
             assert abs(solution.principal_payoff - payoff) <= 1e-6
 
 
-def _scenario(outcomes, components, cost, reservation=0.0, utility=IDENTITY,
-              principal=IDENTITY):
-    return Scenario(
-        outcomes=outcomes,
-        interval=EffortInterval(0.0, 1.0),
-        profile=EffortProfile(tuple(components)),
-        agent=AgentPreferences(utility, cost, reservation),
-        principal=PrincipalPreferences(principal),
-    )
-
-
-def _game(outcomes, components, cost, grids, **kwargs):
-    return _scenario(outcomes, components, cost, **kwargs), ContractFamily(grids=grids)
-
-
 def _per_contract_solve(scenario, family, policy, responses=None):
     """solve_game written as a plain loop: one agent_best_response per contract.
 
@@ -319,62 +306,13 @@ def _per_contract_solve(scenario, family, policy, responses=None):
     return chosen or GameSolution(True, None, None, None, None, policy, None)
 
 
-# ((e - 0.25)(e - 0.75))^2 + e: with p1 = 0.2 + 0.5e, contracts whose
-# utility delta is 2 have twin equal peaks at e = 0.25 and e = 0.75, and
-# the best of them for the principal depends on the tie-break policy
-_TWIN_COST = Polynomial((0.03515625, 0.625, 1.375, -2.0, 1.0))
-# a decreasing cost with a notch narrower than a scan cell at e = 0.5: the
-# scan peak there brackets no sign change of E', so golden-section runs
-_NOTCH_COST = Tabulated(
-    (0.0, 0.4999, 0.5, 0.5001, 1.0), (1.0, 0.5001, 0.49, 0.4999, 0.0)
-)
-_SHARED_STEP = (WageGrid(0.0, 4.0, 0.5), WageGrid(0.0, 2.0, 0.5))
-_BATCHING_FAMILIES = {
-    "fixture-shared-step": lambda: (
-        reference_scenario()[0],
-        ContractFamily(grids=(WageGrid(0.0, 3.0, 0.25), WageGrid(0.0, 1.5, 0.25))),
-    ),
-    "tabulated-profile": lambda: _game(
-        (10.0, 2.0),
-        [Tabulated((0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 0.3, 0.4, 0.6, 0.65))],
-        Polynomial((0.0, 0.0, 2.0)),
-        (WageGrid(0.0, 4.0, 0.25), WageGrid(0.0, 1.5, 0.25)),
-    ),
-    "constant-profile-flat": lambda: _game(
-        (10.0, 2.0), [Polynomial((0.3,))], Polynomial((0.0,)), _SHARED_STEP
-    ),
-    "twin-peaks": lambda: _game(
-        (10.0, 2.0),
-        [Polynomial((0.2, 0.5))],
-        _TWIN_COST,
-        (WageGrid(0.0, 2.0, 0.5), WageGrid(0.0, 2.0, 0.5)),
-    ),
-    "notch-golden-section": lambda: _game(
-        (10.0, 2.0), [Polynomial((0.2, 0.5))], _NOTCH_COST, _SHARED_STEP
-    ),
-    "rejections": lambda: _game(
-        (10.0, 2.0),
-        [Polynomial((0.2, 0.5))],
-        Polynomial((0.0, 0.0, 2.0)),
-        (WageGrid(0.0, 4.0, 0.25), WageGrid(0.0, 1.5, 0.25)),
-        reservation=1.5,
-    ),
-    "three-outcomes-zero-deltas": lambda: _game(
-        (10.0, 5.0, 0.0),
-        [Polynomial((0.2, 0.3)), Polynomial((0.3, -0.1))],
-        Polynomial((0.0, 0.0, 1.0)),
-        (WageGrid(0.0, 2.0, 0.5), WageGrid(0.0, 2.0, 0.5), WageGrid(0.0, 1.0, 0.5)),
-    ),
-}
-
-
 class TestFamilyBatching:
     """solve_game shares grids and row screens across contracts; results must not move."""
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
-    @pytest.mark.parametrize("name", sorted(_BATCHING_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(BATCHING_FAMILIES))
     def test_equals_per_contract_solves(self, name, policy, monkeypatch):
-        scenario, family = _BATCHING_FAMILIES[name]()
+        scenario, family = BATCHING_FAMILIES[name]()
         calls = {"rows": 0, "golden": 0, "snapped": 0}
         build, bisect = principal_module._build_rows, principal_module.bisect_brackets
         golden = agent_module._golden_max
@@ -415,7 +353,7 @@ class TestFamilyBatching:
 
     def test_full_delta_row_memo_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
-        scenario, family = _BATCHING_FAMILIES["fixture-shared-step"]()
+        scenario, family = BATCHING_FAMILIES["fixture-shared-step"]()
         for policy in TIE_BREAK_POLICIES:
             assert solve_game(scenario, family, policy) == _per_contract_solve(
                 scenario, family, policy
@@ -445,7 +383,7 @@ class TestFamilyBatching:
             return build(scenario, tables, keys, base_size)
 
         monkeypatch.setattr(principal_module, "_build_rows", counting_build)
-        scenario = _scenario(outcomes, _RISING, Polynomial((0.0, 0.0, 2.0)))
+        scenario = unit_scenario(outcomes, RISING, Polynomial((0.0, 0.0, 2.0)))
         family = ContractFamily(contracts=tuple(Contract((w, 0.0)) for w in wages))
         for policy in TIE_BREAK_POLICIES:
             built.clear()
@@ -455,102 +393,6 @@ class TestFamilyBatching:
             assert sorted(built) == [(k * 0.25,) for k in range(9)]
 
 
-_RISING = [Polynomial((0.2, 0.5))]
-# a steep cost under a huge base: E varies by more than the flat test's
-# relative tolerance, but near an interior peak its scan steps are below
-# the rounding margin of u(w_n) ~ 1e12
-_STEEP = (Polynomial((0.0, 0.0, 1e4)), (WageGrid(0.0, 4e4, 5e3), WageGrid(0.0, 2e4, 5e3)))
-_HUGE_BASE = Polynomial((1e12, 1.0))
-
-
-def _tied_contracts():
-    """Shuffled wage pairs on a 0.5 grid, some twice, plus two with a huge base.
-
-    Under a constant p1 = 0.5 and the cost v(e) = e, the agent takes e = 0
-    and the principal gets 6 - (w1 + w2) / 2 exactly, so contracts of equal
-    wage sum tie and the lexicographic rule decides.
-    """
-    pairs = [(a * 0.5, b * 0.5) for a in range(7) for b in range(7)]
-    pairs += pairs[10:20] + [(1e12, 1e12 + 0.5), (1e12 + 1.0, 1e12)]
-    order = np.random.default_rng(7).permutation(len(pairs))
-    scenario = _scenario((10.0, 2.0), [Polynomial((0.5,))], Polynomial((0.0, 1.0)), 1.5)
-    return scenario, ContractFamily(contracts=tuple(Contract(pairs[i]) for i in order))
-
-
-def _relatively_flat_contracts():
-    """Contracts (1e12 + k, 1e12) with u = w and v = 0, and small ones.
-
-    The huge ones have E = 1e12 + k (0.2 + 0.5e): its scan steps are above
-    the rounding margin, yet its spread k/2 is within the flat test's
-    relative tolerance, so their solves take the flat shortcut.
-    """
-    huge = [(1e12 + k, 1e12) for k in range(30, 101, 10)]
-    small = [(k / 10.0, 0.0) for k in range(30, 101, 10)]
-    scenario = _scenario((10.0, 2.0), _RISING, Polynomial((0.0,)))
-    return scenario, ContractFamily(contracts=tuple(map(Contract, huge + small)))
-
-
-def _flat_margin_contracts():
-    """Contracts (b + d, b) with b = 1e12 - 1e6, u = w, v = 0 and d just above 2000.
-
-    E = b + d (0.2 + 0.5e) spreads d / 2 over the interval, just above the
-    flat test's tolerance 1e-9 |b + 0.7d|: the solve does not take the flat
-    shortcut, though the spread is within 0.01 of the tolerance.
-    """
-    base = 1e12 - 1e6
-    scenario = _scenario((10.0, 2.0), _RISING, Polynomial((0.0,)))
-    spreads = (2000.0, 2000.00390625, 2000.0078125)
-    return scenario, ContractFamily(contracts=tuple(Contract((base + d, base)) for d in spreads))
-
-
-_KNOTS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_POSITIVE_DELTAS = (WageGrid(2.0, 4.0, 0.5), WageGrid(0.0, 1.0, 0.5))
-
-
-def _twin_peak_contracts():
-    """A twin-peak contract, a rival whose value lies between its peaks' and a huge one.
-
-    Under _TWIN_COST, (2, 0) leaves the agent tied between e = 0.25 and
-    e = 0.75, where the principal gets 3.95 and 5.45; (3, 0.5) gives 5.21.
-    So the policy picks the winner.  (1e12 + 2, 1e12) has the same tie
-    under a base the flat test's tolerance swamps, so it is solved on its own.
-    """
-    scenario = _scenario((10.0, 2.0), _RISING, _TWIN_COST)
-    pairs = ((3.0, 0.5), (2.0, 0.0), (1e12 + 2.0, 1e12))
-    return scenario, ContractFamily(contracts=tuple(map(Contract, pairs)))
-
-
-_SCREEN_FAMILIES = {
-    "twin-peaks-policy-decides": _twin_peak_contracts,
-    "huge-base": lambda: _game((10.0, 2.0), _RISING, *_STEEP, utility=_HUGE_BASE),
-    "huge-base-flat-within-tolerance": _relatively_flat_contracts,
-    # v(e) = e makes E flat for the delta row w1 - w2 = 2 only
-    "flat-row": lambda: _game(
-        (10.0, 2.0), _RISING, Polynomial((0.0, 1.0)), _SHARED_STEP
-    ),
-    "golden-section-notch": lambda: _game((10.0, 2.0), _RISING, _NOTCH_COST, _SHARED_STEP),
-    "shuffled-ties-duplicates": _tied_contracts,
-    "all-rejected": lambda: _game(
-        (10.0, 2.0), _RISING, *_STEEP, utility=_HUGE_BASE, reservation=2e12
-    ),
-    "three-outcomes-zero-deltas": lambda: _game(
-        (10.0, 5.0, 0.0),
-        [Polynomial((0.2, 0.3)), Polynomial((0.3, -0.1))],
-        _NOTCH_COST,
-        (WageGrid(0.0, 2.0, 0.5),) * 3,
-    ),
-    # p1 is flat on [0.25, 0.5] and v = 0, so E rises with a flat step
-    "flat-step": lambda: _game(
-        (10.0, 2.0), [Tabulated(_KNOTS, (0.2, 0.4, 0.4, 0.6, 0.7))], Polynomial((0.0,)),
-        _POSITIVE_DELTAS,
-    ),
-    # p1 peaks on the plateau [0.25, 0.5], whose points tie
-    "plateau-peak": lambda: _game(
-        (10.0, 2.0), [Tabulated(_KNOTS, (0.2, 0.4, 0.4, 0.2, 0.1))], Polynomial((0.0,)),
-        _POSITIVE_DELTAS,
-    ),
-    "spread-just-above-flat-tolerance": _flat_margin_contracts,
-}
 # the families whose every contract the screen settles
 _ALL_SCREENED = {
     "huge-base", "all-rejected", "flat-step", "plateau-peak", "spread-just-above-flat-tolerance",
@@ -587,78 +429,13 @@ def _outcome(solve):
         return type(err).__name__, str(err)
 
 
-_ERROR_CASES = {
-    # p2 is undefined below e = 0.5, but w2 = w3 and x2 = x3 give it a zero
-    # delta for both parties, so no solve evaluates it
-    "zero-delta-component-undefined-on-scan": lambda: _game(
-        (10.0, 2.0, 2.0),
-        [Polynomial((0.2, 0.5)), LogAffine(0.0, 0.1, -0.5)],
-        Polynomial((0.0, 0.0, 2.0)),
-        (WageGrid(0.0, 4.0, 0.5), WageGrid(1.0, 1.0, 1.0), WageGrid(1.0, 1.0, 1.0)),
-    ),
-    # u(800) = exp(800) overflows; u(600) does not
-    "utility-overflow-at-one-wage": lambda: _game(
-        (10.0, 2.0),
-        _RISING,
-        Polynomial((0.0, 0.0, 2.0)),
-        (WageGrid(0.0, 800.0, 200.0), WageGrid(0.0, 1.0, 1.0)),
-        utility=ExpAffine(0.0, 1.0, 1.0),
-    ),
-    # B = ln(x - w) is undefined for w1 >= 10, and u = -w makes the agent
-    # reject exactly those contracts
-    "principal-undefined-where-rejected": lambda: _game(
-        (10.0, 2.0),
-        _RISING,
-        Polynomial((0.0, 0.0, 2.0)),
-        (WageGrid(0.0, 12.0, 2.0), WageGrid(0.0, 1.0, 0.5)),
-        reservation=-1.9,
-        utility=Polynomial((0.0, -1.0)),
-        principal=LogAffine(0.0, 1.0, 0.0),
-    ),
-    # B(x - w) = 1e308 (x - w): at (11, 1) the levels -1e308 and 1e308 are
-    # finite but their delta is not; all three contracts are accepted
-    "principal-not-finite-when-accepted": lambda: (
-        _scenario(
-            (10.0, 2.0), _RISING, Polynomial((0.0, 0.0, 2.0)),
-            principal=Polynomial((0.0, 1e308)),
-        ),
-        ContractFamily(contracts=tuple(map(Contract, ((9.0, 1.0), (11.0, 1.0), (8.5, 1.0))))),
-    ),
-    # p1 = p2 = 3 (not a distribution; solve_game does not validate) and
-    # principal deltas of +-1e308 make every principal value inf - inf = NaN;
-    # a NaN key never compares below another, so the first contract wins
-    "principal-value-nan": lambda: (
-        _scenario(
-            (10.0, -10.0, 0.0), [Polynomial((3.0,)), Polynomial((3.0,))],
-            Polynomial((0.0, 0.0, 2.0)), principal=Polynomial((0.0, 1e307)),
-        ),
-        ContractFamily(contracts=tuple(Contract((w, w, w)) for w in (1.0, 2.0, 0.5))),
-    ),
-    "explicit-contract-of-wrong-length": lambda: (
-        reference_scenario()[0],
-        ContractFamily(
-            contracts=(
-                Contract((1.0, 0.0)),
-                Contract((2.0, 0.0)),
-                Contract((3.0, 0.0, 0.0)),
-                Contract((4.0, 0.0)),
-            )
-        ),
-    ),
-    "grid-count-mismatch": lambda: (
-        reference_scenario()[0],
-        ContractFamily(grids=(WageGrid(0.0, 1.0, 1.0),) * 3),
-    ),
-}
-
-
 class TestScreenConfirm:
     """solve_game settles most contracts from per-row tables; results must not move."""
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
-    @pytest.mark.parametrize("name", sorted(_SCREEN_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(SCREEN_FAMILIES))
     def test_equals_per_contract_solves(self, name, policy, monkeypatch):
-        scenario, family = _SCREEN_FAMILIES[name]()
+        scenario, family = SCREEN_FAMILIES[name]()
         counts = _count_screening(monkeypatch)
         screened = solve_game(scenario, family, policy)
         expected = _per_contract_solve(scenario, family, policy)
@@ -683,7 +460,7 @@ class TestScreenConfirm:
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
     def test_winner_is_solved_once(self, policy, monkeypatch):
         """The screen settles every contract; only the winner is solved."""
-        scenario, family = _BATCHING_FAMILIES["fixture-shared-step"]()
+        scenario, family = BATCHING_FAMILIES["fixture-shared-step"]()
         solved = []
         solve = principal_module.agent_best_response
 
@@ -696,9 +473,9 @@ class TestScreenConfirm:
         assert solved == [got.contract]
         assert repr(got) == repr(_per_contract_solve(scenario, family, policy))
 
-    @pytest.mark.parametrize("name", sorted(_ERROR_CASES))
+    @pytest.mark.parametrize("name", sorted(ERROR_CASES))
     def test_errors_match_per_contract_solves(self, name):
-        scenario, family = _ERROR_CASES[name]()
+        scenario, family = ERROR_CASES[name]()
         for policy in TIE_BREAK_POLICIES:
             got = _outcome(lambda: solve_game(scenario, family, policy))
             assert got == _outcome(lambda: _per_contract_solve(scenario, family, policy))
@@ -723,7 +500,7 @@ class TestScreenConfirm:
             return screen(*args)
 
         monkeypatch.setattr(principal_module, "_screen", counting_screen)
-        for make in (_BATCHING_FAMILIES["fixture-shared-step"], _tied_contracts):
+        for make in (BATCHING_FAMILIES["fixture-shared-step"], tied_contracts):
             scenario, family = make()
             responses = {}
             for policy in TIE_BREAK_POLICIES:
@@ -810,9 +587,9 @@ def _row_cases():
     """(scenario, family, rows, base_size) per family of the screen, batching,
     error and generated corpora, plus rows whose tables raise and rows whose
     scalar slope raises (family None, base_size 0)."""
-    families = [make() for make in _SCREEN_FAMILIES.values()]
-    families += [make() for make in _BATCHING_FAMILIES.values()]
-    families += [make() for make in _ERROR_CASES.values()]
+    families = [make() for make in SCREEN_FAMILIES.values()]
+    families += [make() for make in BATCHING_FAMILIES.values()]
+    families += [make() for make in ERROR_CASES.values()]
     families += [(scenario, family) for _, scenario, family in game_corpus(240, seed=6101)]
     # linear costs with a notch or bump narrower than a scan step at random
     # places, mostly far below the rows' tops: open brackets where the
@@ -826,7 +603,7 @@ def _row_cases():
         levels[2] -= depth
         rising = Polynomial((rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.5), rng.uniform(-0.3, 0.0)))
         families.append(
-            (_scenario((10.0, 2.0), [rising], Tabulated(knots, tuple(levels))), ContractFamily(grids=_SHARED_STEP))
+            (unit_scenario((10.0, 2.0), [rising], Tabulated(knots, tuple(levels))), ContractFamily(grids=SHARED_STEP))
         )
     cases = [
         (scenario, family, _family_rows(scenario, family),
@@ -834,17 +611,17 @@ def _row_cases():
         for scenario, family in families
     ]
     # p2 = 0.1 ln(e - 0.5) is undefined on the lower half of the scan
-    undefined = _scenario(
+    undefined = unit_scenario(
         (10.0, 2.0, 2.0),
         [Polynomial((0.2, 0.5)), LogAffine(0.0, 0.1, -0.5)],
         Polynomial((0.0, 0.0, 2.0)),
     )
     cases.append((undefined, None, [(1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (0.0, 0.25)], 0.0))
     # the slope 0.5 d - 4e has its root at d / 8: beyond 0.9 its scalar call raises
-    scalar_only = _scenario((10.0, 2.0), [_ScalarOnlyRise()], Polynomial((0.0, 0.0, 2.0)))
+    scalar_only = unit_scenario((10.0, 2.0), [_ScalarOnlyRise()], Polynomial((0.0, 0.0, 2.0)))
     cases.append((scalar_only, None, [(1.0,), (4.0,), (7.5,), (7.9,), (-1.0,)], 0.0))
     # h = 0.2 d + 0.5 d e - 1e308 is finite, but 2 max |v| is not
-    huge_cost = _scenario((10.0, 2.0), _RISING, Polynomial((1e308,)))
+    huge_cost = unit_scenario((10.0, 2.0), RISING, Polynomial((1e308,)))
     cases.append((huge_cost, None, [(1.0,), (-3.0,)], 0.0))
     return cases
 
@@ -921,7 +698,7 @@ class TestBatchedRowBuild:
                 cells[1] += int(kept.sum())
                 efforts, _ = row_efforts(scenario, tables, deltas)
                 payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
-                h = payoff.scan(tables)
+                h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
                 flat_steps += bool((h[1:] == h[:-1]).any())
                 assert _bits(row.top) == _bits(h.max()) == _bits(expected.top)
                 assert row.span <= h.max() - h.min()
@@ -994,7 +771,7 @@ def _fallback_cases():
 
     # the family holds a contract with u(w_n) = 1e12, so the tie tolerance
     # of the twin-peak row is ~1e3 and no cell is pruned
-    scenario, family = _twin_peak_contracts()
+    scenario, family = twin_peak_contracts()
     cases["twin-peak-fixture"] = (
         scenario, _family_rows(scenario, family),
         principal_module._FamilyArrays(scenario, family).base_size(), False,
@@ -1009,14 +786,14 @@ def _fallback_cases():
 
     # p = 1e308 (1 + e - e^2) is finite, but its magnitude bound is not
     cases["enclosure-not-finite"] = (
-        _scenario((10.0, 2.0), [Polynomial((1e308, 1e308, -1e308))], _QUADRATIC_COST),
+        unit_scenario((10.0, 2.0), [Polynomial((1e308, 1e308, -1e308))], _QUADRATIC_COST),
         [(1e-300,), (-2e-300,)], 0.0, False, enclosure_is(False),
     )
     # a scalar call on p2 = 0.1 ln(e - 0.5) raises on the lower half; so
     # does its table, which leaves the row without a screen (proposed None:
     # _cells never sees a row whose tables raise)
     cases["enclosure-where-a-call-raises"] = (
-        _scenario((10.0, 2.0, 2.0), [_RISING[0], LogAffine(0.0, 0.1, -0.5)], _QUADRATIC_COST),
+        unit_scenario((10.0, 2.0, 2.0), [RISING[0], LogAffine(0.0, 0.1, -0.5)], _QUADRATIC_COST),
         [(1.0, 0.5), (2.0, -0.25)], 0.0, None, enclosure_is(False),
     )
 
@@ -1025,7 +802,7 @@ def _fallback_cases():
 
     # a class of no stated error, whose scalar slope raises above e = 0.9
     cases["no-stated-error"] = (
-        _scenario((10.0, 2.0), [_ScalarOnlyRise()], _QUADRATIC_COST),
+        unit_scenario((10.0, 2.0), [_ScalarOnlyRise()], _QUADRATIC_COST),
         [(1.0,), (7.9,)], 0.0, False, no_enclosure,
     )
 
@@ -1039,11 +816,11 @@ def _fallback_cases():
     # scan, though the enclosure of the spike's cell reaches 0.9 d
     spike = Tabulated((0.0, 0.3, 0.30001, 0.30002, 1.0), (0.2, 0.2, 0.9, 0.2, 0.2))
     cases["flat-looking"] = (
-        _scenario((10.0, 2.0), _RISING, Polynomial((0.0, 1.0))), [(2.0,)], 0.0, False,
+        unit_scenario((10.0, 2.0), RISING, Polynomial((0.0, 1.0))), [(2.0,)], 0.0, False,
         lambda scenario, tables: None,
     )
     cases["spike-narrower-than-a-cell"] = (
-        _scenario((10.0, 2.0), [spike], _NO_COST), [(1.0,), (4.0,)], 0.0, False,
+        unit_scenario((10.0, 2.0), [spike], _NO_COST), [(1.0,), (4.0,)], 0.0, False,
         flat_on_the_scan,
     )
 
@@ -1059,7 +836,7 @@ def _fallback_cases():
         (0.3, 0.3, 0.1, 0.1, 0.15, 0.15, 0.15),
     )
     cases["slope-overflows-in-a-pruned-cell"] = (
-        _scenario((10.0, 2.0), [ramp], _QUADRATIC_COST), [(1e300,)], 0.0, False, slope_overflows,
+        unit_scenario((10.0, 2.0), [ramp], _QUADRATIC_COST), [(1e300,)], 0.0, False, slope_overflows,
     )
 
     def d1_not_finite(scenario, tables):
@@ -1068,7 +845,7 @@ def _fallback_cases():
 
     # p = 1e308 e^2 is finite on [0, 1], its derivative is not
     cases["d1-table-not-finite"] = (
-        _scenario((10.0, 2.0), [Polynomial((0.0, 0.0, 1e308))], _QUADRATIC_COST),
+        unit_scenario((10.0, 2.0), [Polynomial((0.0, 0.0, 1e308))], _QUADRATIC_COST),
         [(1e-300,)], 0.0, False, d1_not_finite,
     )
 
@@ -1093,7 +870,7 @@ def _fallback_cases():
         (0.2, 0.6, 0.59, 0.605, 0.61, 0.2),
     )
     cases["best-kept-point-below-the-floor"] = (
-        _scenario((10.0, 2.0), [dip], _NO_COST), [(1.0,)], 0.0, True, dip_below_the_scan_peak,
+        unit_scenario((10.0, 2.0), [dip], _NO_COST), [(1.0,)], 0.0, True, dip_below_the_scan_peak,
     )
 
     def flat_at_the_edge(scenario, tables):
@@ -1105,7 +882,7 @@ def _fallback_cases():
     # slope on the bracket grid is 0 at their edge with the kept ones
     step = Tabulated((0.0, 0.5, 0.53, 0.6, 1.0), (0.1, 0.3, 0.3, 0.6, 0.6))
     cases["slope-zero-at-a-kept-cell-edge"] = (
-        _scenario((10.0, 2.0), [step], _NO_COST), [(1.0,), (3.0,)], 0.0, True, flat_at_the_edge,
+        unit_scenario((10.0, 2.0), [step], _NO_COST), [(1.0,), (3.0,)], 0.0, True, flat_at_the_edge,
     )
 
     def root_just_above_the_edge(scenario, tables):
@@ -1121,7 +898,7 @@ def _fallback_cases():
     # which a candidate of the pruned cell below could drop
     notch = Tabulated((0.0, 0.4999, 0.5 + 5e-10, 0.502, 1.0), (0.3, 0.21, 0.2, 0.6, 0.6))
     cases["candidate-within-tau-e-above-a-kept-cell-edge"] = (
-        _scenario((10.0, 2.0), [notch], _NO_COST), [(1.0,)], 0.0, True, root_just_above_the_edge,
+        unit_scenario((10.0, 2.0), [notch], _NO_COST), [(1.0,)], 0.0, True, root_just_above_the_edge,
     )
     return cases
 
@@ -1204,8 +981,7 @@ class TestLockstepBisection:
             tiny = rng.random(count) < 0.2  # brackets 1 or 2 ulps wide
             b[tiny] = np.nextafter(np.nextafter(a[tiny], np.inf), np.where(rng.random(tiny.sum()) < 0.5, np.inf, a[tiny]))
             snap = rng.random(count) < 0.5
-            deltas = np.array(keys)
-            slopes = principal_module._Slopes(scenario, keys, deltas)
+            slopes = principal_module._Slopes(scenario, np.array(keys))
             got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
             assert not slopes.failed.any()
             for k in range(count):
@@ -1220,13 +996,13 @@ class TestLockstepBisection:
     def test_zero_exits(self):
         """Roots at a bracket end, and a midpoint where the slope is exactly 0."""
         # slope d (0.5) - 2e: 0 at e = 0.25 for the row d = 1
-        scenario = _scenario((10.0, 2.0), _RISING, Polynomial((0.0, 0.0, 1.0)))
+        scenario = unit_scenario((10.0, 2.0), RISING, Polynomial((0.0, 0.0, 1.0)))
         keys = [(1.0,), (2.0,)]
         a = np.array([0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.375])
         b = np.array([0.5, 0.25, 0.5, 0.5, 0.25, 0.75, 0.625])
         rows = np.array([0, 0, 0, 0, 0, 1, 1])
         snap = np.array([False, False, False, True, True, False, True])
-        slopes = principal_module._Slopes(scenario, keys, np.array(keys))
+        slopes = principal_module._Slopes(scenario, np.array(keys))
         got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
         assert got.tolist() == [0.25, 0.25, 0.25, 0.25, 0.25, 0.5, 0.5]
         for k in range(len(a)):
