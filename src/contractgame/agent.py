@@ -119,6 +119,12 @@ class LinearPayoff:
     with a zero delta are skipped.  A level or delta that is not finite
     raises DomainError.  ``deltas`` is the whole delta row, zeros included;
     the slope and curvature depend on it alone, not on the base.
+
+    value and based_scan sum from -0.0, IEEE 754's exact additive
+    identity, so where every term is -0.0 or there is none they give the
+    IEEE value of base - cost: with base -0.0 and no terms, -cost bit for
+    bit.  slope, curvature and on_grid, like contractgame.principal's
+    _weighted and _Slopes, sum from 0.0: their zeros reach reports.
     """
 
     __slots__ = ("base", "deltas", "terms", "cost")
@@ -152,7 +158,7 @@ class LinearPayoff:
         return cls(scenario, levels)
 
     def value(self, e):
-        acc = 0.0
+        acc = -0.0
         for delta, comp in self.terms:
             acc = acc + delta * comp.eval(e)
         acc = self.base + acc
@@ -185,14 +191,10 @@ class LinearPayoff:
 
     def based_scan(self, tables: EffortTables):
         """(base + a) - cost on the scan grid, a = sum_i delta_i p_i: value's bits."""
-        a = 0.0
+        a = -0.0
         for delta, comp in self.terms:
             a = a + delta * tables.array(comp, SCAN_GRID_POINTS)
         return (self.base + a) - tables.array(self.cost, SCAN_GRID_POINTS)
-
-    def cost_size(self, tables: EffortTables) -> float:
-        """max |cost| on the scan."""
-        return tables.magnitude(self.cost)
 
 
 def agent_expectation(scenario: Scenario, contract: Contract, e: float) -> float:
@@ -303,9 +305,9 @@ def _merge_runs(indices):
 # result, the finiteness check and golden section (whose comparisons see
 # the rounding of b + h) read it.
 
-def flat_scan(payoff, tables: EffortTables):
-    """The flat stage: (h, constant) from the payoff's base-free scan h
-    (``on_grid`` of order 0) and, when read, its based scan fv.
+def flat_scan(payoff: LinearPayoff, tables: EffortTables):
+    """The flat stage: (h, constant) from the LinearPayoff's base-free scan
+    h (``on_grid`` of order 0) and, when read, its based scan fv.
 
     The test reads h alone, top - low <= TAU_EXPECTATION * max(1, |base +
     top|) with top and low its max and min.  When it holds, constant is
@@ -313,14 +315,14 @@ def flat_scan(payoff, tables: EffortTables):
     points represent the interval; else None.  A scan value that is not
     finite raises DomainError, fv's first.  fv is built only when
     something reads it: when the test fails and |base| + max(top, -low) +
-    2 max|cost| < FINITE_BOUND (payoff.cost_size), fv is finite and
-    unread, and h is all the stage gives.
+    2 max|cost| < FINITE_BOUND, fv is finite and unread, and h is all the
+    stage gives.
     """
     h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
     top, low = float(h.max()), float(h.min())
     flat = top - low <= TAU_EXPECTATION * max(1.0, abs(payoff.base + top))
     size = abs(payoff.base) + max(top, -low)
-    if not flat and size + 2.0 * payoff.cost_size(tables) < FINITE_BOUND:
+    if not flat and size + 2.0 * tables.magnitude(payoff.cost) < FINITE_BOUND:
         return h, None
     fv = payoff.based_scan(tables)
     fmax, fmin = float(fv.max()), float(fv.min())
@@ -405,7 +407,7 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
     return root
 
 
-def scan_candidates(payoff, tables: EffortTables, h: np.ndarray):
+def scan_candidates(payoff: LinearPayoff, tables: EffortTables, h: np.ndarray):
     """(roots, open_brackets): the candidates the slope pins down, and the rest.
 
     roots are the slope's sign-change roots bracketed on the tables'
@@ -470,14 +472,10 @@ def settle(f, candidates, interval: EffortInterval):
     return evaluated, pairs, best
 
 
-def hybrid_maximize(payoff, tables: EffortTables):
-    """Global maximizers of a C1 payoff f = base + h on the tables' effort interval.
+def hybrid_maximize(payoff: LinearPayoff, tables: EffortTables):
+    """Global maximizers of a LinearPayoff f = base + h on the tables' effort interval.
 
-    payoff gives f and its derivative df as ``value`` and ``slope`` at a
-    point, h = f - base and df on the tables' grids through ``on_grid``
-    (orders 0 and 1), the dense scan of f through ``based_scan``, max
-    |cost| on the scan through ``cost_size``, and ``base``
-    (LinearPayoff's protocol).  Returns
+    f is the payoff's ``value`` and df its ``slope``.  Returns
     (maximizers, best_value, constant) where maximizers is a tuple of
     (point, value) pairs sorted by point.  Candidates come from three
     sources: the interval boundaries, sign-change roots of df bracketed on

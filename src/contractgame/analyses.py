@@ -30,7 +30,7 @@ from .agent import (
 from .errors import NotTwoOutcomeLinearError
 from .curves import Polynomial
 from .model import EPSILON_INVISIBLE, Contract, Scenario, require_finite
-from .tables import MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables
+from .tables import MT_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables
 
 __all__ = [
     "EPSILON_INVISIBLE",
@@ -104,36 +104,6 @@ class ClassicalAssumptionsReport:
         )
 
 
-class _Negated:
-    """-curve in LinearPayoff's protocol (value, slope, on_grid,
-    based_scan, cost_size, base), for hybrid_maximize: a payoff with base
-    0.0 whose h and based scan are both -curve.
-
-    Negated, not subtracted from 0.0, so a zero cost gives -0.0 as -v does.
-    """
-
-    __slots__ = ("curve",)
-    base = 0.0
-
-    def __init__(self, curve):
-        self.curve = curve
-
-    def value(self, e):
-        return -self.curve.eval(e)
-
-    def slope(self, e):
-        return -self.curve.d1(e)
-
-    def on_grid(self, tables, points: int, order: int):
-        return -tables.array(self.curve, points, order)
-
-    def based_scan(self, tables):
-        return self.on_grid(tables, SCAN_GRID_POINTS, 0)
-
-    def cost_size(self, tables) -> float:
-        return 0.0  # the based scan is h, finite where h is
-
-
 def detect_invisible_effort(
     scenario: Scenario, epsilon: float = EPSILON_INVISIBLE
 ) -> InvisibleEffortReport:
@@ -142,8 +112,10 @@ def detect_invisible_effort(
     Deviation is measured against the profile at the interval midpoint,
     over all components including the complement.  If it stays within
     epsilon, the agent's problem collapses to minimizing v: the report
-    carries the argmin set (found by the same hybrid machinery, applied to
-    -v) and the risk posture implied by -v''.
+    carries the argmin set and the risk posture implied by -v''.  The
+    argmin set comes from hybrid_maximize on the LinearPayoff with every
+    level -0.0: it has no term and base -0.0, so its value, based scan and
+    settled pairs are -v bit for bit, and a zero cost reports -0.0.
     """
     tables = effort_tables(scenario)
     grid = tables.grid(VALIDATION_GRID_POINTS)
@@ -164,10 +136,11 @@ def detect_invisible_effort(
     if deviation > epsilon:
         return InvisibleEffortReport(False, deviation, epsilon, None, None)
 
-    cost = _Negated(scenario.agent.effort_cost)
-    pairs, best, constant = hybrid_maximize(cost, tables)
+    cost = scenario.agent.effort_cost
+    payoff = LinearPayoff(scenario, (-0.0,) * scenario.n_outcomes, cost)
+    pairs, best, constant = hybrid_maximize(payoff, tables)
     best_response = best_response_from(pairs, best, constant, scenario.interval, True)
-    samples = cost.on_grid(tables, VALIDATION_GRID_POINTS, 2)
+    samples = -tables.array(cost, VALIDATION_GRID_POINTS, 2)
     risk = classify_persistence_samples(require_finite(samples, grid, "persistence"))
     return InvisibleEffortReport(True, deviation, epsilon, best_response, risk)
 
@@ -199,12 +172,11 @@ def two_outcome_linear_analysis(
     intercept = coeffs[0]
     slope = coeffs[1] if len(coeffs) > 1 else 0.0
 
-    u = scenario.agent.utility
-    target = slope * (u.eval(contract[0]) - u.eval(contract[1]))
+    payoff = LinearPayoff.agent(scenario, contract)
+    target = slope * payoff.deltas[0]
     cost = scenario.agent.effort_cost
     interval = scenario.interval
     lo, hi = interval.lo, interval.hi
-    payoff = LinearPayoff.agent(scenario, contract)
     tables = effort_tables(scenario)
 
     _, flat = flat_scan(payoff, tables)

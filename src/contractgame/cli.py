@@ -88,23 +88,23 @@ def _resolve_contract(doc: ScenarioDocument, spec: str) -> Contract:
         ):
             raise ContractGameError(f"bad inline contract {quoted}: expected numbers")
         contract = Contract(tuple(float(w) for w in wages))
-    else:
-        try:
-            index = int(text)
-        except ValueError as err:
-            raise ContractGameError(
-                f"--contract must be an index or an inline vector, got {quoted}"
-            ) from err
-        if not 0 <= index < len(doc.contracts):
-            raise ContractGameError(
-                f"contract index {index} out of range; document has "
-                f"{len(doc.contracts)} contract(s)"
-            )
-        contract = doc.contracts[index]
-    issues = contract_issues(doc.scenario, contract, f"contract {clip(text)}")
-    if issues:
-        raise ValidationError(issues)
-    return contract
+        issues = contract_issues(doc.scenario, contract, f"contract {clip(text)}")
+        if issues:
+            raise ValidationError(issues)
+        return contract
+    try:
+        index = int(text)
+    except ValueError as err:
+        raise ContractGameError(
+            f"--contract must be an index or an inline vector, got {quoted}"
+        ) from err
+    if not 0 <= index < len(doc.contracts):
+        raise ContractGameError(
+            f"contract index {index} out of range; document has "
+            f"{len(doc.contracts)} contract(s)"
+        )
+    # parse_scenario has checked the document's contracts
+    return doc.contracts[index]
 
 
 def _validate(path: str) -> tuple[dict, int]:

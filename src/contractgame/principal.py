@@ -64,23 +64,21 @@ def principal_expectation(
     return LinearPayoff.principal(scenario, contract).value(e)
 
 
-def _select_effort(
-    response: BestResponse, payoff: LinearPayoff, policy: str
-) -> float:
+def _select_effort(response: BestResponse, payoff: LinearPayoff, policy: str):
+    """(effort, the principal's value there) of the policy's tied effort:
+    the lowest, the highest, or the first of the best principal values."""
     efforts = response.efforts()
     if policy == "agent-lowest-effort":
-        return efforts[0]
-    if policy == "agent-highest-effort":
-        return efforts[-1]
-    if policy == "principal-favorable":
-        best_e = efforts[0]
-        best_p = payoff.value(best_e)
-        for e in efforts[1:]:
-            p = payoff.value(e)
-            if p > best_p:
-                best_e, best_p = e, p
-        return best_e
-    raise ValueError(f"unknown tie-break policy {policy!r}")
+        efforts = efforts[:1]
+    elif policy == "agent-highest-effort":
+        efforts = efforts[-1:]
+    best_e = efforts[0]
+    best_p = payoff.value(best_e)
+    for e in efforts[1:]:
+        p = payoff.value(e)
+        if p > best_p:
+            best_e, best_p = e, p
+    return best_e, best_p
 
 
 def _respond(scenario: Scenario, contract: Contract, policy: str):
@@ -91,9 +89,8 @@ def _respond(scenario: Scenario, contract: Contract, policy: str):
     response = agent_best_response(scenario, contract)
     if not response.accepted:
         return response, None, None
-    payoff = LinearPayoff.principal(scenario, contract)
-    effort = _select_effort(response, payoff, policy)
-    return response, effort, payoff.value(effort)
+    effort, value = _select_effort(response, LinearPayoff.principal(scenario, contract), policy)
+    return response, effort, value
 
 
 def _levels(curve, points) -> np.ndarray:
@@ -192,7 +189,7 @@ class _Row:
         p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
         a = []
         for k in range(len(points)):
-            acc = 0.0
+            acc = -0.0
             for delta, pk in zip(deltas, p):
                 if delta != 0.0:
                     acc = acc + delta * pk[k]
@@ -700,11 +697,12 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     its order are those of the row's points.
 
     Exact values.  A decided contract's settle values are
-    F_k = (b + a_k) - v_k at the row's points, a_k and v_k from the same
-    scalar calls in the same order, so the same IEEE operations; its best
-    value, tie set and acceptance follow with the operations settle uses.
+    F_k = (b + a_k) - v_k at the row's points, a_k (summed from -0.0) and
+    v_k from the same scalar calls in the same order as LinearPayoff.value,
+    so the same IEEE operations; its best value, tie set and acceptance
+    follow with the operations settle uses.
     The principal's value at each tied point is B(x_n - w_n) plus the
-    nonzero deltas times p_i there, added from 0.0 in component order as
+    nonzero deltas times p_i there, added from -0.0 in component order as
     LinearPayoff.value adds them.  Left unscreened: rows without a screen,
     contracts that take the flat shortcut, and accepted contracts whose
     principal levels or deltas are not finite or whose tied values are NaN.
@@ -769,7 +767,7 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
         principal = arrays.matrix(arrays.b, index[rows])
         pdeltas = principal[:, :-1] - principal[:, -1:]
         principal_ok = np.isfinite(principal).all(axis=1) & np.isfinite(pdeltas).all(axis=1)
-        acc = np.zeros(len(owner))
+        acc = np.full(len(owner), -0.0)
         for i in range(n_comp):
             d = pdeltas[owner, i]
             acc = np.where(d != 0.0, acc + d * p_all[i, cell], acc)

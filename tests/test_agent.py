@@ -88,6 +88,19 @@ class TestExpectation:
         for e in (0.0, 0.31, 1.0):
             assert agent_expectation(scenario, wage, e) == 5.0
 
+    def test_minus_zero_base_keeps_its_sign(self):
+        """u(w_n) = -0.0 and no nonzero term: E(0) is -0.0 - v(0) = -0.0, as u(w_n) - v(0) is."""
+        # u(0) = -1 * 0**0.5 = -0.0, and the contract (0, 0) has no delta
+        scenario = _two_outcome(
+            Polynomial((0.2, 0.5)), Power(-1.0, 0.5, 0.0), Polynomial((0.0, 0.0, 2.0))
+        )
+        contract = Contract((0.0, 0.0))
+        assert np.signbit(agent_expectation(scenario, contract, 0.0))
+        response = agent_best_response(scenario, contract)
+        assert response.efforts() == (0.0,) and response.accepted
+        assert np.signbit(response.optimal_expectation)
+        assert np.signbit(response.maximizers[0].expectation)
+
 
 class TestDerivatives:
     def test_reference_motivation(self):
@@ -367,8 +380,8 @@ class TestFlatScan:
         scenario = _two_outcome(p1, IDENTITY, cost)
         payoff = LinearPayoff.agent(scenario, Contract(wages))
         tables = effort_tables(scenario)
-        # the based scan (base + a) - v with a = 0.0 + delta p1, as value adds it
-        a = 0.0 + (wages[0] - wages[1]) * tables.array(p1, SCAN_GRID_POINTS)
+        # the based scan (base + a) - v with a = -0.0 + delta p1, as value adds it
+        a = -0.0 + (wages[0] - wages[1]) * tables.array(p1, SCAN_GRID_POINTS)
         with np.errstate(over="ignore"):
             fv = (payoff.base + a) - tables.array(cost, SCAN_GRID_POINTS)
         return payoff, tables, fv

@@ -6,6 +6,7 @@ import pytest
 from contractgame import (
     AgentPreferences,
     Contract,
+    DomainError,
     EffortInterval,
     EffortProfile,
     ExpAffine,
@@ -13,6 +14,7 @@ from contractgame import (
     MaximizerKind,
     NotTwoOutcomeLinearError,
     Polynomial,
+    Power,
     PrincipalPreferences,
     RiskClass,
     Scenario,
@@ -143,6 +145,21 @@ class TestTwoOutcomeLinear:
         with pytest.raises(NotTwoOutcomeLinearError):
             two_outcome_linear_analysis(exponential, Contract((4.0, 0.0)))
 
+    @pytest.mark.parametrize(
+        "u, w1, message",
+        [
+            (Power(1.0, 0.5, 0.0), -1.0, "power curve needs t + 0.0 >= 0; got t=-1.0"),
+            (Polynomial((0.0, 1e308)), 10.0,
+             "payoff levels [inf, 0.0] are not finite or too far apart"),
+        ],
+        ids=["raises-at-w1", "overflows-at-w1"],
+    )
+    def test_utility_error_at_first_wage(self, u, w1, message):
+        scenario = _two_outcome(Polynomial((0.2, 0.5)), u=u)
+        with pytest.raises(DomainError) as err:
+            two_outcome_linear_analysis(scenario, Contract((w1, 0.0)))
+        assert str(err.value) == message
+
     def test_agrees_with_general_solver_on_corpus(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
@@ -200,6 +217,12 @@ class TestClassicalAssumptions:
         scenario = _two_outcome(Polynomial((0.2, 0.5)), v=Polynomial((-0.5, 1.0)))
         report = classical_assumptions_report(scenario, (0.0, 4.0))
         assert report.effort_yields_utility
+
+    def test_reversed_wage_range_is_sorted(self):
+        scenario = _two_outcome(Polynomial((0.2, 0.5)), u=LogAffine(0.0, 1.0, 1.0))
+        report = classical_assumptions_report(scenario, (10.0, 0.0))
+        assert report.wage_range == (0.0, 10.0)
+        assert report == classical_assumptions_report(scenario, (0.0, 10.0))
 
     def test_concave_cost_stretch_is_surfaced(self):
         scenario = _two_outcome(Polynomial((0.2, 0.5)), v=Polynomial((0.0, 1.5, -0.5)))

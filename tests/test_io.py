@@ -32,7 +32,7 @@ from contractgame import (
     parse_scenario,
     solve_game,
 )
-from contractgame import scenario_io
+from contractgame import cli, scenario_io
 from contractgame.cli import run_command
 from contractgame.scenario_io import (
     SolverOptions,
@@ -298,6 +298,32 @@ class TestNonFiniteInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite" in err or "non-finite" in err
+
+    def test_only_an_inline_contract_is_checked_again(self, tmp_path, monkeypatch, capsys):
+        """parse_scenario has checked the document's contracts; --contract checks an inline one."""
+        calls = []
+        check = cli.contract_issues
+
+        def counting_check(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(cli, "contract_issues", counting_check)
+        raw = fixture_dict()
+        raw["agent"]["utility"] = curve_to_spec(Power(1.0, 0.5, 0.0))
+        path = write_doc(tmp_path, raw)
+        assert run_command(["solve-agent", path, "--contract", "0"]) == 0
+        assert calls == []
+        assert run_command(["solve-agent", path, "--contract", "[4, 1]"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+        # u(-1) is undefined
+        assert run_command(["solve-agent", path, "--contract", "[-1, 0]"]) == 1
+        assert len(calls) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "wage utility at contract [-1, 0] w1" in err
 
 
 def _negative_seed(raw):

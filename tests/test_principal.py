@@ -490,6 +490,44 @@ class TestScreenConfirm:
         if name == "principal-value-nan":
             assert "wages=(1.0, 1.0, 1.0)" in got[1] and "principal_payoff=nan" in got[1]
 
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_flat_rejected_family_is_solved_one_by_one(self, policy, monkeypatch):
+        """The fixture economics with u = w + 1e12: all 861 contracts are flat
+        (a spread of a few units, within 1e-9 of 1e12), so the screen leaves
+        them all, and a reservation above every optimum rejects them all."""
+        scenario = unit_scenario(
+            (10.0, 2.0), RISING, Polynomial((0.0, 0.0, 2.0)), reservation=2e12,
+            utility=Polynomial((1e12, 1.0)),
+        )
+        family = ContractFamily(grids=(WageGrid(0.0, 4.0, 0.1), WageGrid(0.0, 2.0, 0.1)))
+        assert family.size() == 861
+        counts = _count_screening(monkeypatch)
+        got = solve_game(scenario, family, policy)
+        assert got.all_rejected
+        assert counts == {"screened": 0, "solved": 861}
+        assert repr(got) == repr(_per_contract_solve(scenario, family, policy))
+
+    def test_utility_undefined_at_every_wage(self, monkeypatch):
+        """No contract of the chunk has finite levels: no row is built, and the
+        first contract's own solve raises the loop's error."""
+        scenario = unit_scenario(
+            (10.0, 2.0), RISING, Polynomial((0.0, 0.0, 2.0)), utility=Power(1.0, 0.5, -100.0)
+        )
+        family = ContractFamily(grids=SHARED_STEP)
+        built = []
+        build = principal_module._build_rows
+
+        def counting_build(scenario, tables, keys, base_size):
+            built.extend(keys)
+            return build(scenario, tables, keys, base_size)
+
+        monkeypatch.setattr(principal_module, "_build_rows", counting_build)
+        for policy in TIE_BREAK_POLICIES:
+            got = _outcome(lambda: solve_game(scenario, family, policy))
+            assert got == _outcome(lambda: _per_contract_solve(scenario, family, policy))
+            assert got == ("DomainError", "power curve needs t + -100.0 >= 0; got t=0.0")
+        assert built == []
+
     def test_small_chunks_equal_per_contract_solves(self, monkeypatch):
         monkeypatch.setattr(principal_module, "SCREEN_CHUNK", 7)
         calls = {"chunks": 0}
