@@ -336,20 +336,26 @@ def flat_scan(payoff: LinearPayoff, tables: EffortTables):
     return h, None
 
 
-def bracket_roots(g, grid: np.ndarray, gv: np.ndarray):
+def bracket_roots(g, grid: np.ndarray, gv: np.ndarray, *, minima: bool = False):
     """Roots of g bracketed by its values gv on a uniform grid, bisected to REFINE_TOL.
 
-    A run of exact zeros on the grid is a flat stretch; its edges are the
-    informative representatives (a lone zero is its own edge).  A grid
-    value that is not finite raises DomainError.
+    g is the slope of the function searched, and only its sign changes
+    from + to -, the function's local maxima, are bisected; with minima
+    set, those from - to + too.  A run of exact zeros on the grid is a
+    flat stretch; its edges are the informative representatives (a lone
+    zero is its own edge).  A grid value that is not finite raises
+    DomainError.
     """
     gv = require_finite(gv, grid, "derivative")
     roots = []
     for first, last in _merge_runs(np.nonzero(gv == 0.0)[0]):
         roots.append(float(grid[first]))
         roots.append(float(grid[last]))
-    sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
+    sign = np.sign(gv)  # not the values: their products may underflow to 0 or overflow
+    change = (sign[:-1] > 0.0) & (sign[1:] < 0.0)
+    if minima:
+        change |= (sign[:-1] < 0.0) & (sign[1:] > 0.0)
+    for i in np.nonzero(change)[0]:
         a, b = float(grid[i]), float(grid[i + 1])
         roots.append(_bisect_root(g, a, b, g(a), g(b)))
     return roots
@@ -369,10 +375,12 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
 
     A bracket with snap set is a scan-peak bracket, whose root is
     snap_root's (NaN where that is None: no sign change, the bracket is
-    open); the others are bracket_roots' sign changes, bisected whatever
+    open); the others are bracket_roots' sign changes (the + to - ones,
+    maxima only, in contractgame.principal's row build), bisected whatever
     the signs at their ends.  g(k, x) gives the function of brackets k at
     the points x, arrays both, with the sign (or zero) of the scalar call
-    g(x_j) that the one-by-one search makes.  The brackets are bisected in
+    g(x_j) that the one-by-one search makes.  g keeps no memo, so a maximum
+    that both kinds of bracket hold is bisected twice.  The brackets are bisected in
     lockstep, with _bisect_root's updates, exits and stop.
     """
     count = len(a)
@@ -407,25 +415,48 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
     return root
 
 
+def _memo(g):
+    """g keeping its values for the one search that made it.
+
+    The bisections of a maximum's bracket-grid bracket and of its scan-peak
+    bracket converge on the same midpoints, so a repeated point reads the
+    first call's value.  Zero is not kept: 0.0 and -0.0 are one dict key,
+    and g may tell them apart.
+    """
+    values = {}
+
+    def memo(x):
+        if x == 0.0:
+            return g(x)
+        y = values.get(x)
+        if y is None:
+            y = values[x] = g(x)
+        return y
+
+    return memo
+
+
 def scan_candidates(payoff: LinearPayoff, tables: EffortTables, h: np.ndarray):
     """(roots, open_brackets): the candidates the slope pins down, and the rest.
 
-    roots are the slope's sign-change roots bracketed on the tables'
-    bracket grid, then the roots that the local maxima of h on the scan (a
-    run of equal maxima as one) snap onto.  open_brackets are the (a, b)
-    brackets of the scan maxima with no sign change of the slope, left for
-    golden-section search.
+    roots are the slope's + to - sign-change roots (the payoff's local
+    maxima) bracketed on the tables' bracket grid, then the roots that the
+    local maxima of h on the scan (a run of equal maxima as one) snap onto.
+    open_brackets are the (a, b) brackets of the scan maxima with no sign
+    change of the slope, left for golden-section search.  Every bisection
+    reads one memo of the scalar slope (_memo), which lives for this call.
     """
     scan = tables.grid(SCAN_GRID_POINTS)
     grid = tables.grid(MT_GRID_POINTS)
     gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
-    roots = bracket_roots(payoff.slope, grid, np.asarray(gv, dtype=float))
+    slope = _memo(payoff.slope)
+    roots = bracket_roots(slope, grid, np.asarray(gv, dtype=float))
     open_brackets = []
     interior = np.nonzero((h[1:-1] >= h[:-2]) & (h[1:-1] >= h[2:]))[0] + 1
     for first, last in _merge_runs(interior.tolist()):
         a = float(scan[first - 1])
         b = float(scan[last + 1])
-        root = snap_root(payoff.slope, a, b)
+        root = snap_root(slope, a, b)
         if root is None:
             open_brackets.append((a, b))
         else:
@@ -478,13 +509,15 @@ def hybrid_maximize(payoff: LinearPayoff, tables: EffortTables):
     f is the payoff's ``value`` and df its ``slope``.  Returns
     (maximizers, best_value, constant) where maximizers is a tuple of
     (point, value) pairs sorted by point.  Candidates come from three
-    sources: the interval boundaries, sign-change roots of df bracketed on
-    a uniform grid and bisected to ``REFINE_TOL``, and local maxima of the
-    scan of h (scan_candidates).  Scan brackets that contain a sign change
-    of df are snapped onto the root by bisection (golden-section alone only
-    locates a smooth peak to about sqrt(eps)); the rest are polished by
-    golden-section on f.  A flat function (flat_scan) is reported as
-    constant via its two boundary points.
+    sources: the interval boundaries, the + to - sign-change roots of df
+    (local maxima of f; the minima are skipped) bracketed on a uniform grid
+    and bisected to ``REFINE_TOL``, and local maxima of the scan of h
+    (scan_candidates).  Scan brackets that contain a sign change of df are
+    snapped onto the root by bisection (golden-section alone only locates a
+    smooth peak to about sqrt(eps)); the rest are polished by
+    golden-section on f.  Both bisections share one memo of df for the
+    solve.  A flat function (flat_scan) is reported as constant via its
+    two boundary points.
     """
     h, flat = flat_scan(payoff, tables)
     if flat is not None:

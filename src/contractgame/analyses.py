@@ -191,7 +191,7 @@ def two_outcome_linear_analysis(
             return target - cost.d1(e)
 
         gv = target - tables.array(cost, MT_GRID_POINTS, 1)
-        roots = dedup_sorted(bracket_roots(foc, grid, gv))
+        roots = dedup_sorted(bracket_roots(foc, grid, gv, minima=True))
         interior = tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E)
         # settle keeps both boundaries, first and last: no interior root is
         # within TAU_E of them

@@ -460,13 +460,16 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
       about _BLOCK kept cells at a time, summed by _weighted, so each
       value has the scan's bits; top and low by reductions; as flat
       indices into the row's whole scan and grid, the bracket grid's zeros
-      and sign changes and h's scan maxima (agent.scan_candidates' rule:
+      and + to - sign changes (h's local maxima, agent.bracket_roots' rule;
+      the minima are skipped) and h's scan maxima (agent.scan_candidates' rule:
       no lower than either neighbour) that the cell owns (a point shared
       by two kept cells belongs to the later), whose runs (_runs) give the
       zero-run edges and the peak brackets, as a search of the whole row
       has them;
-    - bisection: every sign change and scan-peak bracket of every row in one
-      lockstep loop (agent.bisect_brackets) on _Slopes;
+    - bisection: every + to - sign change and scan-peak bracket of every
+      row in one lockstep loop (agent.bisect_brackets) on _Slopes, which
+      keeps no memo of the slope, unlike agent.scan_candidates: a maximum
+      that both brackets hold is bisected twice;
     - finish: settle_points and _at, one row at a time; a pruned row keeps
       the settled points in its kept cells.
 
@@ -554,8 +557,8 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         grid_zero[:, -1] &= ~after
         k, j = np.divmod(np.flatnonzero(grid_zero), _GRID_STEP + 1)
         zeros.append(r[k] * MT_GRID_POINTS + c[k] * _GRID_STEP + j)
-        sign = np.sign(gv)  # the product of the values may underflow to 0 or overflow
-        k, j = np.divmod(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0.0), _GRID_STEP)
+        sign = np.sign(gv)  # + to -: the local maxima of h, as agent.bracket_roots
+        k, j = np.divmod(np.flatnonzero((sign[:, :-1] > 0) & (sign[:, 1:] < 0)), _GRID_STEP)
         changes.append(r[k] * (MT_GRID_POINTS - 1) + c[k] * _GRID_STEP + j)
         runs.append(np.array([r[~before], edges[c[~before]], edges[c[~after] + 1]]))
         tiny = 2.0**-40 * slope_size[r]
@@ -791,7 +794,7 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
 def _winner(wages: np.ndarray, accepted, value, incumbent):
     """The chunk's first accepted contract of least key (-value, wages), as
     (key, position in the chunk), if its key is below the key of the
-    incumbent, a (key, contract) pair; else the incumbent.
+    incumbent, a tuple whose first item is its key; else the incumbent.
 
     A NaN value never compares below another key, nor another below it, so
     with one the keys are compared in order, as a per-contract loop does.
@@ -830,9 +833,10 @@ def solve_game(
     where the argument that makes this exact is set out); the rest are solved
     one by one, in order, by agent_best_response, so an error is raised at
     the same contract as by a loop of its calls.  The screen decides only
-    acceptance and the principal's value; the winner's BestResponse comes
-    from agent_best_response once more, which gives the result of that loop
-    (_screen: a screened contract's own solve is its row's result).
+    acceptance and the principal's value, so a screened winner's
+    BestResponse comes from agent_best_response once more, which gives the
+    result of that loop (_screen: a screened contract's own solve is its
+    row's result); a winner the loop solved keeps that solve.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -860,20 +864,24 @@ def solve_game(
             rows[key] = row
         return found
 
-    incumbent = None  # (key, contract) of the best accepted contract so far
+    # (key, contract, its _respond result or None) of the best accepted
+    # contract so far; the result is kept where the one-by-one loop made it
+    incumbent = None
     total = family.size()
     for start in range(0, total, SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, total)
         index, fits = arrays.chunk(start, stop)
         screened, accepted, value = _screen(scenario, row_tables, arrays, index, fits, tie_break)
+        solved = {}
         for k in np.nonzero(~screened)[0].tolist():
-            response, _, v = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
+            solved[k] = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
+            response, _, v = solved[k]
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
         found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
         if found is not incumbent:
-            key, k = found
-            incumbent = key, arrays.contract(start + int(k), index[k])
+            key, k = found[0], int(found[1])
+            incumbent = key, arrays.contract(start + k, index[k]), solved.get(k)
     if incumbent is None:
         return GameSolution(
             all_rejected=True,
@@ -884,8 +892,8 @@ def solve_game(
             tie_break=tie_break,
             best_response=None,
         )
-    contract = incumbent[1]
-    response, effort, value = _respond(scenario, contract, tie_break)
+    _, contract, solved = incumbent
+    response, effort, value = solved or _respond(scenario, contract, tie_break)
     return GameSolution(
         all_rejected=False,
         contract=contract,

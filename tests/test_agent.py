@@ -1,6 +1,10 @@
 """Agent solver: expectation/derivative values, best response, risk posture."""
 
+import importlib.util
+import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,9 +34,12 @@ from contractgame import (
     transience,
     two_outcome_linear_analysis,
 )
-from contractgame.agent import FINITE_BOUND, LinearPayoff, bracket_roots, flat_scan, snap_root
+import contractgame.agent as agent_module
+from contractgame.agent import (
+    FINITE_BOUND, TAU_E, LinearPayoff, bracket_roots, flat_scan, scan_candidates, settle, snap_root,
+)
 from contractgame.oracle import finite_diff_d1, grid_argmax
-from contractgame.tables import SCAN_GRID_POINTS, effort_tables
+from contractgame.tables import MT_GRID_POINTS, SCAN_GRID_POINTS, effort_tables
 from scenario_gen import (
     constant_profile_scenario,
     linear_two_outcome_scenario,
@@ -345,7 +352,12 @@ def _affine_curve(curve, alpha, beta):
 
 
 class TestSignChanges:
-    """Root bracketing tests the signs of the slope, never their product."""
+    """Root bracketing tests the signs of the slope, never their product.
+
+    A rising slope is a minimum of the function searched, found under the
+    all-roots rule (minima=True, the two-outcome analyzer's); a falling
+    one is a maximum, found under the maxima-only rule too.
+    """
 
     GRID = np.linspace(0.0, 1.0, 5)
 
@@ -356,7 +368,7 @@ class TestSignChanges:
     def test_tiny_slope_root_is_found(self):
         # 1e-171 * 1.5e-171 underflows to -0.0, which is not below zero
         g = self._slope(1e-170)
-        roots = bracket_roots(g, self.GRID, g(self.GRID))
+        roots = bracket_roots(g, self.GRID, g(self.GRID), minima=True)
         assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-12
         root = snap_root(g, 0.5, 0.75)
         assert root is not None and abs(root - 0.6) <= 1e-12
@@ -366,10 +378,193 @@ class TestSignChanges:
         g = self._slope(1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            roots = bracket_roots(g, self.GRID, g(self.GRID), minima=True)
+            root = snap_root(g, 0.5, 0.75)
+        assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-12
+        assert root is not None and abs(root - 0.6) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_falling_slope_root_is_found_under_the_maxima_rule(self, scale):
+        g = self._slope(-scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             roots = bracket_roots(g, self.GRID, g(self.GRID))
             root = snap_root(g, 0.5, 0.75)
         assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-12
         assert root is not None and abs(root - 0.6) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e200])
+    def test_rising_slope_is_skipped_under_the_maxima_rule(self, scale):
+        calls = []
+        slope = self._slope(scale)
+
+        def g(e):
+            calls.append(e)
+            return slope(e)
+
+        assert bracket_roots(g, self.GRID, slope(self.GRID)) == []
+        assert calls == []
+
+    def test_zero_runs_keep_their_edges_under_either_rule(self):
+        # zero on [0.25, 0.5], falling after it, rising before it
+        gv = np.array([-1.0, 0.0, 0.0, -1.0, 1.0])
+        for minima in (False, True):
+            roots = bracket_roots(lambda e: 1.0, self.GRID, gv, minima=minima)
+            assert roots[:2] == [0.25, 0.5]
+            assert len(roots) == 2 + minima
+
+
+def _agent_pairs(seed, count):
+    """perfbench/gen.py's agent_pairs, loaded from its file (perfbench is not a package)."""
+    module = sys.modules.get("perfbench_gen")
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return [(pair.scenario, pair.contract) for pair in module.agent_pairs(seed, count)]
+
+
+def _candidates(scenario, contract):
+    """scan_candidates' (roots, open_brackets) for the contract, as float.hex."""
+    payoff = LinearPayoff.agent(scenario, contract)
+    tables = effort_tables(scenario)
+    h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
+    roots, open_brackets = scan_candidates(payoff, tables, h)
+    return [r.hex() for r in roots], [(a.hex(), b.hex()) for a, b in open_brackets]
+
+
+class TestSlopeMemo:
+    """scan_candidates' bisections share one memo of the scalar slope."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The points of every LinearPayoff.slope call, as float.hex."""
+        calls = []
+        slope = LinearPayoff.slope
+
+        def recording(self, e):
+            calls.append(float(e).hex())
+            return slope(self, e)
+
+        monkeypatch.setattr(LinearPayoff, "slope", recording)
+        return calls
+
+    def test_zero_and_minus_zero_are_kept_apart(self):
+        memo = agent_module._memo(lambda e: math.copysign(1.0, e))
+        assert [memo(x) for x in (0.0, -0.0, 0.0, -0.0)] == [1.0, -1.0, 1.0, -1.0]
+        calls = []
+        memo = agent_module._memo(lambda e: calls.append(e) or 2.0 * e)
+        assert [memo(x) for x in (0.25, 0.25, 0.5, 0.25)] == [0.5, 0.5, 1.0, 0.5]
+        assert calls == [0.25, 0.5]
+
+    def test_no_point_twice_and_the_unmemoized_roots(self, monkeypatch):
+        """The fixture and 300 agent-corpus pairs: within one call of the
+        candidate stage no nonzero point is asked for twice (zero is not
+        kept), and the roots and open brackets are those of a search
+        without the memo, bit for bit."""
+        cases = [reference_scenario(), *_agent_pairs(4300, 300)]
+        calls = self._record(monkeypatch)
+        searched = calls_with = 0
+        found = []
+        for scenario, contract in cases:
+            del calls[:]
+            try:
+                found.append(_candidates(scenario, contract))
+            except DomainError as err:
+                found.append(str(err))
+                continue
+            nonzero = [x for x in calls if float.fromhex(x) != 0.0]
+            assert len(nonzero) == len(set(nonzero)), (scenario, contract)
+            searched += 1
+            calls_with += len(calls)
+        assert searched > 250
+        monkeypatch.setattr(agent_module, "_memo", lambda g: g)
+        calls_without = 0
+        for (scenario, contract), expected in zip(cases, found):
+            del calls[:]
+            try:
+                got = _candidates(scenario, contract)
+            except DomainError as err:
+                got = str(err)
+            assert got == expected, (scenario, contract)
+            calls_without += len(calls)
+        # the memo serves a large share of the calls
+        assert calls_with < 0.8 * calls_without, (calls_with, calls_without)
+
+    def test_bisection_through_zero(self, monkeypatch):
+        """On [-1, 1], E = 0.5 - 0.1 e^2 peaks at the scan point 0, and the
+        peak's bracket [-1/2048, 1/2048] is bisected at exactly 0.0."""
+        scenario = _two_outcome(
+            Polynomial((0.5, 0.0, -0.1)), IDENTITY, Polynomial((0.0,)), interval=(-1.0, 1.0)
+        )
+        contract = Contract((1.0, 0.0))
+        calls = self._record(monkeypatch)
+        with_memo = _candidates(scenario, contract)
+        assert (0.0).hex() in calls
+        monkeypatch.setattr(agent_module, "_memo", lambda g: g)
+        assert _candidates(scenario, contract) == with_memo
+        assert (0.0).hex() in with_memo[0]
+        assert agent_best_response(scenario, contract).efforts() == (0.0,)
+
+
+class TestMaximaOnly:
+    """Why bisecting only the + to - sign changes of the slope moves no report
+    but this one: a - to + root (a minimum) within TAU_E below a maximum,
+    which the dedup kept in the maximum's place."""
+
+    @staticmethod
+    def _every_root_best(scenario, contract):
+        """(efforts, best) of a search that also bisects the minima: the
+        bracket grid's full root set, the scan peaks' snapped roots and
+        golden-section points, settled."""
+        payoff = LinearPayoff.agent(scenario, contract)
+        tables = effort_tables(scenario)
+        h = payoff.on_grid(tables, SCAN_GRID_POINTS, 0)
+        grid, gv = tables.grid(MT_GRID_POINTS), payoff.on_grid(tables, MT_GRID_POINTS, 1)
+        maxima = bracket_roots(payoff.slope, grid, gv)
+        every = bracket_roots(payoff.slope, grid, gv, minima=True)
+        roots, open_brackets = scan_candidates(payoff, tables, h)
+        assert roots[:len(maxima)] == maxima
+        golden = [agent_module._golden_max(payoff.value, a, b) for a, b in open_brackets]
+        _, pairs, best = settle(payoff.value, every + roots[len(maxima):] + golden, scenario.interval)
+        return [e for e, _ in pairs], best, every
+
+    def test_minimum_just_below_a_maximum(self):
+        # p1 rises to 0.55 at 0.499, falls to a minimum at 0.5 - 4e-10,
+        # rises steeply to its top 0.6 at 0.5 + 4e-10 and falls to 1: the
+        # bracket-grid point 0.5 lies between the minimum and the maximum
+        p1 = Tabulated((0.0, 0.499, 0.5 - 4e-10, 0.5 + 4e-10, 1.0), (0.2, 0.55, 0.5, 0.6, 0.1))
+        scenario = _two_outcome(p1, IDENTITY, Polynomial((0.0,)))
+        contract = Contract((10.0, 0.0))
+        efforts, every_best, every = self._every_root_best(scenario, contract)
+        low, top = (r for r in every if abs(r - 0.5) < 1e-9)
+        assert 0.0 < top - low <= TAU_E
+        # with the minimum a candidate, the dedup drops the maximum after it
+        assert efforts == [pytest.approx(0.499, abs=1e-9)]
+        response = agent_best_response(scenario, contract)
+        assert response.efforts() == (pytest.approx(0.5 + 4e-10, abs=1e-11),)
+        assert response.optimal_expectation >= every_best
+        assert response.optimal_expectation == pytest.approx(6.0)
+        assert every_best == pytest.approx(5.5)
+
+    def test_maxima_only_reaches_the_every_root_best(self):
+        """The fixture and 300 agent-corpus pairs: the maxima-only solve
+        reaches the best value of the every-root search, and on these
+        pairs no more than it."""
+        better = 0
+        for scenario, contract in [reference_scenario(), *_agent_pairs(4301, 300)]:
+            try:
+                response = agent_best_response(scenario, contract)
+                if response.constant_expectation:
+                    continue
+                _, best, _ = self._every_root_best(scenario, contract)
+            except DomainError:
+                continue
+            assert response.optimal_expectation >= best, (scenario, contract)
+            better += response.optimal_expectation > best
+        assert better == 0
 
 
 class TestFlatScan:

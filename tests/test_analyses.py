@@ -121,6 +121,17 @@ class TestTwoOutcomeLinear:
         assert top.effort == 0.0
         assert top.kind is MaximizerKind.BOUNDARY_MIN
 
+    def test_interior_solutions_list_minima(self):
+        """E' = 10 (e - 0.3)(e - 0.7): a maximum at 0.3 and a minimum at 0.7,
+        both first-order solutions; the general solver bisects the maximum
+        alone."""
+        scenario = _two_outcome(Polynomial((0.2, 0.5)), v=Polynomial((0.0, -0.1, 5.0, -10.0 / 3.0)))
+        contract = Contract((4.0, 0.0))
+        report = two_outcome_linear_analysis(scenario, contract)
+        assert report.interior_solutions == pytest.approx((0.3, 0.7), abs=1e-10)
+        response = agent_best_response(scenario, contract)
+        assert all(abs(e - 0.7) > 1e-3 for e in response.efforts())
+
     def test_zero_slope_defers_to_invisible_effort(self):
         scenario = _two_outcome(Polynomial((0.3,)), v=Polynomial((0.09, -0.6, 1.0)))
         report = two_outcome_linear_analysis(scenario, Contract((4.0, 0.0)))

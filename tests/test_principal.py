@@ -400,15 +400,22 @@ _ALL_SCREENED = {
 
 
 def _count_screening(monkeypatch):
-    """Counts of contracts the screen settles and of agent_best_response calls.
+    """Counts of contracts the screen settles and of agent_best_response calls,
+    and the set of the screened contracts (screened_set).
 
-    The calls are the one-by-one solves plus the winner's own solve.
+    The calls are the one-by-one solves plus a screened winner's own solve.
     """
     counts = {"screened": 0, "solved": 0}
+    screened_set = set()
+    start = [0]  # the chunk's first contract
     screen, solve = principal_module._screen, principal_module.agent_best_response
 
     def counting_screen(*args):
         out = screen(*args)
+        arrays, index = args[2], args[3]
+        for k in np.flatnonzero(out[0]).tolist():
+            screened_set.add(arrays.contract(start[0] + k, index[k]))
+        start[0] += len(index)
         counts["screened"] += int(out[0].sum())
         return out
 
@@ -418,7 +425,7 @@ def _count_screening(monkeypatch):
 
     monkeypatch.setattr(principal_module, "_screen", counting_screen)
     monkeypatch.setattr(principal_module, "agent_best_response", counting_solve)
-    return counts
+    return counts, screened_set
 
 
 def _outcome(solve):
@@ -436,15 +443,15 @@ class TestScreenConfirm:
     @pytest.mark.parametrize("name", sorted(SCREEN_FAMILIES))
     def test_equals_per_contract_solves(self, name, policy, monkeypatch):
         scenario, family = SCREEN_FAMILIES[name]()
-        counts = _count_screening(monkeypatch)
+        counts, screened_set = _count_screening(monkeypatch)
         screened = solve_game(scenario, family, policy)
         expected = _per_contract_solve(scenario, family, policy)
         assert screened == expected
         assert repr(screened) == repr(expected)
         # every contract is screened or solved on its own, exactly once,
-        # and the winner is solved once more
+        # and a screened winner is solved once more
         assert counts["screened"] + counts["solved"] == family.size() + (
-            not screened.all_rejected
+            screened.contract in screened_set
         )
         assert counts["screened"] > 0
         if name in _ALL_SCREENED:
@@ -501,11 +508,28 @@ class TestScreenConfirm:
         )
         family = ContractFamily(grids=(WageGrid(0.0, 4.0, 0.1), WageGrid(0.0, 2.0, 0.1)))
         assert family.size() == 861
-        counts = _count_screening(monkeypatch)
+        counts, _ = _count_screening(monkeypatch)
         got = solve_game(scenario, family, policy)
         assert got.all_rejected
         assert counts == {"screened": 0, "solved": 861}
         assert repr(got) == repr(_per_contract_solve(scenario, family, policy))
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_flat_accepted_winner_is_solved_once(self, policy, monkeypatch):
+        """The same 861 flat contracts under a reservation every one of them
+        meets: the winner is one the loop solved, and its solve is kept."""
+        scenario = unit_scenario(
+            (10.0, 2.0), RISING, Polynomial((0.0, 0.0, 2.0)), reservation=-2e12,
+            utility=Polynomial((1e12, 1.0)),
+        )
+        family = ContractFamily(grids=(WageGrid(0.0, 4.0, 0.1), WageGrid(0.0, 2.0, 0.1)))
+        expected = _per_contract_solve(scenario, family, policy)
+        counts, _ = _count_screening(monkeypatch)
+        got = solve_game(scenario, family, policy)
+        assert not got.all_rejected and got.best_response.constant_expectation
+        assert counts == {"screened": 0, "solved": 861}
+        assert got == expected
+        assert repr(got) == repr(expected)
 
     def test_utility_undefined_at_every_wage(self, monkeypatch):
         """No contract of the chunk has finite levels: no row is built, and the
@@ -930,13 +954,14 @@ def _fallback_cases():
         d1 = tables.array(scenario.profile.components[0], MT_GRID_POINTS, 1)
         assert abs(d1[(MT_GRID_POINTS - 1) // 2]) > 1e-3
 
-    # p falls to a minimum 5e-10 above the cell edge e = 0.5 and rises to
-    # its top in the cell above: the cells below fall and are pruned, and
-    # the root at the minimum is a candidate within TAU_E of their edge,
-    # which a candidate of the pruned cell below could drop
-    notch = Tabulated((0.0, 0.4999, 0.5 + 5e-10, 0.502, 1.0), (0.3, 0.21, 0.2, 0.6, 0.6))
+    # p rises to a bump 5e-10 above the cell edge e = 0.5, falls past the
+    # next bracket-grid point and rises to its top in the cell above the
+    # edge: the cells below rise and are pruned, and the root at the bump,
+    # a local maximum, is a candidate within TAU_E of their edge, which a
+    # candidate of the pruned cell below could drop
+    bump = Tabulated((0.0, 0.4999, 0.5 + 5e-10, 0.5015, 0.5035, 1.0), (0.1, 0.2, 0.3, 0.25, 0.6, 0.6))
     cases["candidate-within-tau-e-above-a-kept-cell-edge"] = (
-        unit_scenario((10.0, 2.0), [notch], _NO_COST), [(1.0,)], 0.0, True, root_just_above_the_edge,
+        unit_scenario((10.0, 2.0), [bump], _NO_COST), [(1.0,)], 0.0, True, root_just_above_the_edge,
     )
     return cases
 
