@@ -132,10 +132,7 @@ class Polynomial(Curve):
         object.__setattr__(self, "_d2", d2)
 
     def _horner(self, coeffs, t):
-        if isinstance(t, np.ndarray):
-            acc = np.zeros_like(t, dtype=float)
-        else:
-            acc = 0.0
+        acc = 0.0
         for c in reversed(coeffs):
             acc = acc * t + c
         return acc
@@ -414,40 +411,34 @@ class Tabulated(Curve):
         )
 
     def _range(self, edges):
-        """Each cell split at the knots; on each part, the Bernstein
-        coefficients of its Hermite piece restricted to the part's range of
-        s, whose hull holds the piece there.  The scale is the piece's
-        |y_k| + |y_k+1| + |h m_k| + |h m_k+1|.
+        """Each cell split at the knots, each part bounded by eval at its two
+        ends; the scale is the piece's |y_k| + |y_k+1| + |h m_k| + |h m_k+1|,
+        not the values, which can cancel.
 
-        The piece of y_k, y_k+1 has the Bernstein coefficients y_k,
-        y_k + h m_k / 3, y_k+1 - h m_k+1 / 3 and y_k+1 on s in [0, 1], and
-        its blossom at (s0, s0, s0), (s0, s0, s1), (s0, s1, s1) and
-        (s1, s1, s1) gives those on [s0, s1] (de Casteljau).  s is computed
-        as eval computes it, a monotone function of the point, so every s
-        eval meets on the part lies in [s0, s1].
+        Each piece is monotone: one whose alpha = m_k / d_k and
+        beta = m_k+1 / d_k lie in [0, 3], d_k its secant slope, is (Fritsch
+        and Carlson 1980, SIAM J. Numer. Anal. 17(2)), and _fritsch_carlson's
+        slopes keep them there up to 1 ulp of rounding, so up to O(u) of the
+        scale.  s is a monotone function of the point and array eval is the
+        scalar call bit for bit, so every value eval returns on a part lies
+        between those at its ends, up to eval's error: at most 5 ulps of the
+        scale against long double, which the pad of eval_ulps covers at both
+        ends.  (A part's upper end at a knot takes the next piece, y_k+1,
+        within O(u) of this one's.)
         """
         self._check_range(edges)
         cells = self._cells
         knots = np.array(self.knots)
         inner = knots[(knots > edges[0]) & (knots < edges[-1])]
         points = np.union1d(edges, inner)
+        values = self.eval(points)
+        left, right = values[:-1], values[1:]
         k = np.searchsorted(cells[0], points[:-1], side="right") - 1
-        x0, y0, y1, h, hm0, hm1 = cells.take(k, axis=1)
-        s0, s1 = (points[:-1] - x0) / h, (points[1:] - x0) / h
-        coefficients = (y0, y0 + hm0 / 3.0, y1 - hm1 / 3.0, y1)
-
-        def blossom(*params):
-            level = coefficients
-            for t in params:
-                level = [(1.0 - t) * p + t * q for p, q in zip(level, level[1:])]
-            return level[0]
-
-        hull = np.array([blossom(s0, s0, s0), blossom(s0, s0, s1),
-                         blossom(s0, s1, s1), blossom(s1, s1, s1)])
+        _, y0, y1, _, hm0, hm1 = cells.take(k, axis=1)
         scale = np.abs(y0) + np.abs(y1) + np.abs(hm0) + np.abs(hm1)
         starts = np.searchsorted(points, edges[:-1])
-        return (np.minimum.reduceat(hull.min(axis=0), starts),
-                np.maximum.reduceat(hull.max(axis=0), starts),
+        return (np.minimum.reduceat(np.minimum(left, right), starts),
+                np.maximum.reduceat(np.maximum(left, right), starts),
                 np.maximum.reduceat(scale, starts))
 
     def d1(self, t):

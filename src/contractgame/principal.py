@@ -229,8 +229,10 @@ class _Slopes:
     scalar call's sign, even on a numpy build whose d1 arrays are up to
     2U + m + 4 ulps off.  Any other value, or one that is not finite, is
     the scalar call's (``scalar``), and so is every value of a row with a
-    curve of no stated bound.  A row whose scalar call raises is marked
-    in ``failed``, and its values are NaN from then on.
+    curve of no stated bound.  A row of exact curves (U = 0) has guard 0:
+    a value goes to the scalar call only where it is 0 or its size is not
+    finite, and gets the same value back.  A row whose scalar call
+    raises is marked in ``failed``, and its values are NaN from then on.
     """
 
     def __init__(self, scenario: Scenario, deltas: np.ndarray):
@@ -244,7 +246,6 @@ class _Slopes:
         ulps = np.where(used, ulps[:-1], 0.0).max(axis=1, initial=ulps[-1])
         terms = used.sum(axis=1) + 1.0
         self.guard = np.where(ulps == 0.0, 0.0, (2.0 * ulps + 2.0 * terms + 4.0) * 2.0**-52)
-        self.exact = not self.guard.any()
         self.failed = np.zeros(len(deltas), dtype=bool)
 
     def __call__(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -260,14 +261,10 @@ class _Slopes:
                     continue
             term = deltas[use, i] * _d1(comp, x[use])
             g[use] = g[use] + term
-            if not self.exact:
-                size[use] = size[use] + np.abs(term)
+            size[use] = size[use] + np.abs(term)
         v = _d1(self.cost, x)
         g = g - v
-        if self.exact:
-            redo = ~(np.abs(g) > 0.0)
-        else:
-            redo = ~(np.abs(g) > self.guard[rows] * (size + np.abs(v)))
+        redo = ~(np.abs(g) > self.guard[rows] * (size + np.abs(v)))
         for k in np.flatnonzero(redo).tolist():
             g[k] = self.scalar(int(rows[k]), float(x[k]))
         return g
@@ -368,12 +365,13 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
 
     A row takes the full build when a curve of it has no finite enclosure,
     steps or d1 table, when Z or its slope size is not below FINITE_BOUND,
-    when it looks flat (L - low <= tau), when nothing is pruned, and for
-    every row when the interval's ulp is above REFINE_TOL / 16 (so
-    bisection and golden section end strictly inside their brackets).
-    Below those sizes no value of h or of the slope on the grids is
-    infinite, and no scalar eval or d1 call in a pruned cell raises
-    (Curve.enclosure is NaN where one could).
+    when nothing is pruned, and for every row when the interval's ulp is
+    above REFINE_TOL / 16 (so bisection and golden section end strictly
+    inside their brackets).  Below those sizes no value of h or of the
+    slope on the grids is infinite, and no scalar eval or d1 call in a
+    pruned cell raises (Curve.enclosure is NaN where one could).  A row
+    whose h at the cell edges spans at most tau prunes nothing: each
+    cell's U is at least its edges' h >= L - tau.
     """
     count = len(deltas)
     kept = np.ones((count, CELLS), dtype=bool)
@@ -440,7 +438,7 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
             keep |= rising == falling
             keep[:, :-1] |= rising[:, :-1] & falling[:, 1:]
             kept[rows] = keep
-        ok &= ~(top - low <= tau) & ~kept.all(axis=1) & kept.any(axis=1)
+        ok &= ~kept.all(axis=1) & kept.any(axis=1)
         kept[~ok] = True
         floor = top - 2.0**8 * 2.0**-53 * z
     return kept, floor, low, size, slope_size

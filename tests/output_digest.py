@@ -29,6 +29,13 @@ message of what it raises.  The sets:
   fixture (COLD_ERRORS) through each command.
 
 pytest does not collect this file.  It runs for about a minute.
+
+To compare two digests, line by line in order:
+
+    python tests/output_digest.py --compare OLD NEW
+
+prints, per set, how many lines differ and the first pair that does, and
+exits 1 on any difference or when the files differ in length.
 """
 
 from __future__ import annotations
@@ -42,7 +49,35 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+
+SETS = ("agent", "corpus", "families", "principal", "fuzz", "cold", "cold error")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the differing lines of two digests per set, paired by position;
+    1 if any pair differs or the lengths do, else 0."""
+    old, new = (Path(p).read_text(encoding="utf-8").splitlines() for p in (old_path, new_path))
+    lines, differ, first = Counter(), Counter(), {}
+    for a, b in zip(old, new):
+        name = "cold error" if a.startswith("cold error ") else a.split(" ", 1)[0]
+        lines[name] += 1
+        if a != b:
+            differ[name] += 1
+            first.setdefault(name, (a, b))
+    for name in SETS:
+        print(f"{name}: {differ[name]} of {lines[name]} lines differ")
+        if name in first:
+            print(f"  old: {first[name][0]}\n  new: {first[name][1]}")
+    if len(old) != len(new):
+        print(f"length: {len(old)} lines old, {len(new)} new")
+    return int(bool(differ) or len(old) != len(new))
+
+
+if __name__ == "__main__" and sys.argv[1:2] == ["--compare"]:
+    # before the imports below, so that no PYTHONPATH is needed
+    sys.exit(compare(*sys.argv[2:]))
 
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "perfbench")]

@@ -337,14 +337,30 @@ def test_eval_lies_in_the_enclosure_of_its_cell(family):
 
 def test_enclosures_are_tight_for_monotone_and_polynomial_cells():
     """The bounds are those of the exact range up to the padding: at most a
-    few ulps wider for monotone curves and Horner's on a linear piece."""
+    few ulps wider for monotone curves and Horner's on a linear piece.  A
+    tabulated curve's cells split at its knots into monotone parts, so its
+    range is the hull of eval at the part ends."""
     edges = EffortTables(EffortInterval(0.0, 1.0)).grid(CELLS + 1)
-    for curve in (Polynomial((0.2, 0.5)), ExpAffine(0.3, -0.2, -1.0), Power(2.0, 2.0, 0.0)):
+    curves = (
+        Polynomial((0.2, 0.5)), ExpAffine(0.3, -0.2, -1.0), Power(2.0, 2.0, 0.0),
+        Tabulated((0.0, 0.3, 0.55, 1.0), (0.1, 0.35, 0.4, 0.9)),
+        # a maximum at the knot 0.3, inside a cell
+        Tabulated((0.0, 0.3, 0.7, 1.0), (0.2, 0.6, 0.3, 0.35)),
+    )
+    for curve in curves:
         low, high = curve.enclosure(edges)
-        ends = curve.eval(edges)
-        exact_low, exact_high = np.minimum(ends[:-1], ends[1:]), np.maximum(ends[:-1], ends[1:])
+        inner = [k for k in getattr(curve, "knots", ()) if edges[0] < k < edges[-1]]
+        assert not np.isin(inner, edges).any()
+        points = np.union1d(edges, inner)
+        ends = curve.eval(points)
+        starts = np.searchsorted(points, edges[:-1])
+        exact_low = np.minimum.reduceat(np.minimum(ends[:-1], ends[1:]), starts)
+        exact_high = np.maximum.reduceat(np.maximum(ends[:-1], ends[1:]), starts)
         assert (low <= exact_low).all() and (high >= exact_high).all()
         assert np.max(high - exact_high) < 1e-13 and np.max(exact_low - low) < 1e-13
+    # the last curve's maximum lies above both edges of its cell, inside the bound
+    cell = np.searchsorted(edges, 0.3) - 1
+    assert high[cell] >= curve.eval(0.3) > max(curve.eval(edges[cell : cell + 2]))
 
 
 def test_no_stated_error_no_enclosure():

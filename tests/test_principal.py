@@ -31,7 +31,7 @@ from contractgame import (
     principal_expectation,
     solve_game,
 )
-from contractgame.agent import LinearPayoff, _bisect_root, snap_root
+from contractgame.agent import TAU_EXPECTATION, LinearPayoff, _bisect_root, snap_root
 from contractgame.curves import Curve
 from contractgame.principal import TIE_BREAK_POLICIES
 from contractgame.tables import (
@@ -777,6 +777,34 @@ class TestBatchedRowBuild:
         # the ways a row can have no screen are met, and the guard falls back
         assert {None, "raises", "open bracket", "not finite"} <= set(why_none), why_none
         assert fallbacks[0] > 0
+
+    def test_rows_flat_at_the_cell_edges_keep_every_cell(self):
+        """A row whose h at the cell edges spans at most tau prunes no cell.
+
+        Each cell's bound U is at least h at its own edges, so at least
+        min h >= L - tau, above the pruning line L - tau - margin.  tau
+        here is a lower bound of _cells' own, TAU_EXPECTATION max(1, Z)
+        with Z >= base_size + max |h| at the edges."""
+        flat = {"constant-profile-flat": 0, "huge base": 0}
+        constant = BATCHING_FAMILIES["constant-profile-flat"]()[0]
+        for scenario, _, rows, base_size in _row_cases():
+            if not rows:
+                continue
+            tables = effort_tables(scenario)
+            kept = _kept(scenario, tables, rows, base_size)
+            for deltas, keep in zip(rows, kept):
+                payoff = LinearPayoff(scenario, (*deltas, 0.0), scenario.agent.effort_cost)
+                try:
+                    h = payoff.on_grid(tables, CELLS + 1, 0)
+                except Exception:
+                    continue
+                tau = TAU_EXPECTATION * max(1.0, base_size + np.abs(h).max())
+                if not h.max() - h.min() <= tau:
+                    continue
+                flat["constant-profile-flat"] += scenario == constant
+                flat["huge base"] += base_size >= 1e12
+                assert keep.all(), (scenario, deltas)
+        assert flat["constant-profile-flat"] > 0 and flat["huge base"] > 0, flat
 
     def test_screen_decides_as_the_full_build(self):
         """Every contract the screen settles from pruned rows or from full
