@@ -450,7 +450,7 @@ def scan_candidates(payoff: LinearPayoff, tables: EffortTables, h: np.ndarray):
     grid = tables.grid(MT_GRID_POINTS)
     gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
     slope = _memo(payoff.slope)
-    roots = bracket_roots(slope, grid, np.asarray(gv, dtype=float))
+    roots = bracket_roots(slope, grid, gv)
     open_brackets = []
     interior = np.nonzero((h[1:-1] >= h[:-2]) & (h[1:-1] >= h[2:]))[0] + 1
     for first, last in _merge_runs(interior.tolist()):
@@ -543,19 +543,11 @@ def best_response_from(
 ) -> BestResponse:
     """BestResponse from a maximizer result (pairs, best, constant).
 
-    A constant result's two pairs are the interval's boundary
-    representatives; otherwise each maximizer is labelled by its distance
-    to the boundaries.
+    Each maximizer is labelled by its distance to the boundaries: a
+    constant result's two pairs, lo and hi, come out BOUNDARY_MIN and
+    BOUNDARY_MAX on any interval, since lo < hi.
     """
-    if constant:
-        maximizers = (
-            Maximizer(pairs[0][0], MaximizerKind.BOUNDARY_MIN, pairs[0][1]),
-            Maximizer(pairs[1][0], MaximizerKind.BOUNDARY_MAX, pairs[1][1]),
-        )
-    else:
-        maximizers = tuple(
-            Maximizer(e, _kind_at(e, interval), fe) for e, fe in pairs
-        )
+    maximizers = tuple(Maximizer(e, _kind_at(e, interval), fe) for e, fe in pairs)
     return BestResponse(maximizers, best, accepted, constant)
 
 
@@ -599,5 +591,5 @@ def classify_risk(scenario: Scenario, contract: Contract) -> RiskClassification:
     payoff = LinearPayoff.agent(scenario, contract)
     tables = effort_tables(scenario)
     grid = tables.grid(VALIDATION_GRID_POINTS)
-    samples = np.asarray(payoff.on_grid(tables, VALIDATION_GRID_POINTS, 2), dtype=float)
+    samples = payoff.on_grid(tables, VALIDATION_GRID_POINTS, 2)
     return classify_persistence_samples(require_finite(samples, grid, "persistence"))

@@ -150,9 +150,9 @@ def two_outcome_linear_analysis(
 ) -> TwoOutcomeLinearReport:
     """First-order-condition solution for p1(e) = C*e + h with two outcomes.
 
-    Interior optima satisfy v'(e) = C*(u(w1)-u(w2)).  The candidates are
-    the boundaries plus the roots of that condition more than
-    ``TAU_E`` inside them, found, settled and tie-filtered by the
+    Interior optima satisfy v'(e) = C*(u(w1)-u(w2)), the roots of the
+    payoff's own slope.  The candidates are the boundaries plus the roots
+    more than ``TAU_E`` inside them, found, settled and tie-filtered by the
     general solver's stages (without its value-scan peaks, so the two stay
     independent cross-checks).  With C = 0 the case degenerates to an
     invisible-effort scenario and the matching report is attached.
@@ -166,15 +166,12 @@ def two_outcome_linear_analysis(
         raise NotTwoOutcomeLinearError(
             "first profile component must be a polynomial of degree <= 1"
         )
-    scenario.check_contract(contract)
-
     coeffs = comp.coefficients
     intercept = coeffs[0]
     slope = coeffs[1] if len(coeffs) > 1 else 0.0
 
     payoff = LinearPayoff.agent(scenario, contract)
     target = slope * payoff.deltas[0]
-    cost = scenario.agent.effort_cost
     interval = scenario.interval
     lo, hi = interval.lo, interval.hi
     tables = effort_tables(scenario)
@@ -185,13 +182,10 @@ def two_outcome_linear_analysis(
         interior, interior_values = (), ()
         boundary_values = (pairs[0][1], pairs[1][1])
     else:
-        grid = tables.grid(MT_GRID_POINTS)
-
-        def foc(e):
-            return target - cost.d1(e)
-
-        gv = target - tables.array(cost, MT_GRID_POINTS, 1)
-        roots = dedup_sorted(bracket_roots(foc, grid, gv, minima=True))
+        gv = payoff.on_grid(tables, MT_GRID_POINTS, 1)
+        roots = dedup_sorted(
+            bracket_roots(payoff.slope, tables.grid(MT_GRID_POINTS), gv, minima=True)
+        )
         interior = tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E)
         # settle keeps both boundaries, first and last: no interior root is
         # within TAU_E of them

@@ -462,16 +462,19 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def render_json(value, indent: int = 2) -> str:
-    """Serialize with 17-significant-digit floats and stable key order."""
+_INDENT = 2
+
+
+def render_json(value) -> str:
+    """Serialize with 17-significant-digit floats, stable key order, indent 2."""
     pieces: list[str] = []
-    _render(value, indent, 0, pieces)
+    _render(value, 0, pieces)
     return "".join(pieces)
 
 
-def _render(value, indent: int, level: int, out: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(value, level: int, out: list[str]) -> None:
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if value is None:
         out.append("null")
     elif isinstance(value, bool):
@@ -489,7 +492,7 @@ def _render(value, indent: int, level: int, out: list[str]) -> None:
         out.append("{\n")
         for i, (key, item) in enumerate(value.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _render(item, indent, level + 1, out)
+            _render(item, level + 1, out)
             out.append(",\n" if i < len(value) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -500,7 +503,7 @@ def _render(value, indent: int, level: int, out: list[str]) -> None:
         out.append("[\n")
         for i, item in enumerate(seq):
             out.append(pad)
-            _render(item, indent, level + 1, out)
+            _render(item, level + 1, out)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(close_pad + "]")
     else:

@@ -35,7 +35,14 @@ To compare two digests, line by line in order:
     python tests/output_digest.py --compare OLD NEW
 
 prints, per set, how many lines differ and the first pair that does, and
-exits 1 on any difference or when the files differ in length.
+exits 1 on any difference or when the files differ in length.  It sorts
+each differing pair into one of two classes and prints each class's count
+per set:
+
+- *last-bit*: the same text once every number in it (a decimal literal
+  not inside a word, such as a hash) is compared within max(1e-12, 1e-9 *
+  its magnitude);
+- *other*: everything else.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,20 +62,38 @@ from pathlib import Path
 
 SETS = ("agent", "corpus", "families", "principal", "fuzz", "cold", "cold error")
 
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]?\d+)?(?!\w|\.\d)")
+
+
+def last_bit(a: str, b: str) -> bool:
+    """Whether two lines differ only in numbers within max(1e-12, 1e-9 |x|)."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return False
+    xs, ys = NUMBER.findall(a), NUMBER.findall(b)
+    return all(
+        abs(float(x) - float(y)) <= max(1e-12, 1e-9 * max(abs(float(x)), abs(float(y))))
+        for x, y in zip(xs, ys)
+    )
+
 
 def compare(old_path: str, new_path: str) -> int:
-    """Print the differing lines of two digests per set, paired by position;
-    1 if any pair differs or the lengths do, else 0."""
+    """Print the differing lines of two digests per set, paired by position,
+    with the count of each class; 1 if any pair differs or the lengths do,
+    else 0."""
     old, new = (Path(p).read_text(encoding="utf-8").splitlines() for p in (old_path, new_path))
-    lines, differ, first = Counter(), Counter(), {}
+    lines, differ, bits, first = Counter(), Counter(), Counter(), {}
     for a, b in zip(old, new):
         name = "cold error" if a.startswith("cold error ") else a.split(" ", 1)[0]
         lines[name] += 1
         if a != b:
             differ[name] += 1
+            bits[name] += last_bit(a, b)
             first.setdefault(name, (a, b))
     for name in SETS:
-        print(f"{name}: {differ[name]} of {lines[name]} lines differ")
+        print(
+            f"{name}: {differ[name]} of {lines[name]} lines differ"
+            f" ({bits[name]} last-bit, {differ[name] - bits[name]} other)"
+        )
         if name in first:
             print(f"  old: {first[name][0]}\n  new: {first[name][1]}")
     if len(old) != len(new):

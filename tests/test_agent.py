@@ -29,6 +29,7 @@ from contractgame import (
     agent_expectation,
     agent_payoff_functions,
     classify_risk,
+    detect_invisible_effort,
     motivation,
     persistence,
     transience,
@@ -231,6 +232,25 @@ class TestBestResponse:
         assert kinds == [MaximizerKind.BOUNDARY_MIN, MaximizerKind.BOUNDARY_MAX]
         assert response.optimal_expectation == pytest.approx(0.8, abs=1e-12)
         assert response.accepted
+
+    def test_flat_expectation_on_an_interval_narrower_than_tau_e(self):
+        """lo and hi are within TAU_E of each other, yet lo is labelled
+        BOUNDARY_MIN and hi BOUNDARY_MAX, as on a wide interval."""
+        scenario = _two_outcome(
+            Polynomial((0.3,)), IDENTITY, Polynomial((0.0,)), interval=(0.0, 1e-10)
+        )
+        contract = Contract((4.0, 0.0))
+        for response in (
+            agent_best_response(scenario, contract),
+            two_outcome_linear_analysis(scenario, contract).best_response,
+            detect_invisible_effort(scenario).best_response,
+        ):
+            assert response.constant_expectation
+            best = response.optimal_expectation
+            assert response.maximizers == (
+                Maximizer(0.0, MaximizerKind.BOUNDARY_MIN, best),
+                Maximizer(1e-10, MaximizerKind.BOUNDARY_MAX, best),
+            )
 
     def test_rejection_below_reservation(self):
         scenario = _two_outcome(

@@ -24,7 +24,9 @@ from contractgame import (
     detect_invisible_effort,
     two_outcome_linear_analysis,
 )
+from contractgame.agent import TAU_E, LinearPayoff, bracket_roots, dedup_sorted, flat_scan
 from contractgame.scenario_io import render_json, result_to_dict
+from contractgame.tables import MT_GRID_POINTS, effort_tables
 from scenario_gen import (
     averse_taxonomy_scenario,
     constant_profile_scenario,
@@ -46,6 +48,33 @@ def _two_outcome(p1, u=IDENTITY, v=None, interval=(0.0, 1.0)):
     )
 
 
+def _hex(points) -> list[str]:
+    return [float(x).hex() for x in points]
+
+
+def _foc_roots(scenario, contract):
+    """(interior roots, grid values) of the first-order condition as its own
+    closure target - v'(e), target = C*(u(w1) - u(w2)); no roots on a flat
+    expectation."""
+    coeffs = scenario.profile.components[0].coefficients
+    u = scenario.agent.utility
+    target = (coeffs[1] if len(coeffs) > 1 else 0.0) * (
+        u.eval(contract.wages[0]) - u.eval(contract.wages[1])
+    )
+    cost = scenario.agent.effort_cost
+    tables = effort_tables(scenario)
+    if flat_scan(LinearPayoff.agent(scenario, contract), tables)[1] is not None:
+        return (), None
+
+    def foc(e):
+        return target - cost.d1(e)
+
+    gv = target - tables.array(cost, MT_GRID_POINTS, 1)
+    roots = dedup_sorted(bracket_roots(foc, tables.grid(MT_GRID_POINTS), gv, minima=True))
+    lo, hi = scenario.interval.lo, scenario.interval.hi
+    return tuple(r for r in roots if r - lo > TAU_E and hi - r > TAU_E), gv
+
+
 class TestInvisibleEffort:
     def test_constant_profile_detected(self):
         scenario = _two_outcome(Polynomial((0.3,)), v=Polynomial((0.09, -0.6, 1.0)))
@@ -59,11 +88,24 @@ class TestInvisibleEffort:
         """The detector maximizes -v, so v = 0 gives -0.0 (0.0 - v would give 0.0)."""
         scenario = _two_outcome(Polynomial((0.3,)), v=Polynomial((0.0,)))
         report = result_to_dict(detect_invisible_effort(scenario))
-        assert render_json(report["best_response"], indent=0).replace("\n", "") == (
-            '{"maximizers": ['
-            '{"effort": 0,"kind": "boundary_min","expectation": -0},'
-            '{"effort": 1,"kind": "boundary_max","expectation": -0}],'
-            '"optimal_expectation": -0,"accepted": true,"constant_expectation": true}'
+        assert render_json(report["best_response"]) == (
+            '{\n'
+            '  "maximizers": [\n'
+            '    {\n'
+            '      "effort": 0,\n'
+            '      "kind": "boundary_min",\n'
+            '      "expectation": -0\n'
+            '    },\n'
+            '    {\n'
+            '      "effort": 1,\n'
+            '      "kind": "boundary_max",\n'
+            '      "expectation": -0\n'
+            '    }\n'
+            '  ],\n'
+            '  "optimal_expectation": -0,\n'
+            '  "accepted": true,\n'
+            '  "constant_expectation": true\n'
+            '}'
         )
 
     def test_linear_profile_not_invisible(self):
@@ -183,6 +225,41 @@ class TestTwoOutcomeLinear:
             v = scenario.agent.effort_cost
             for e in report.interior_solutions:
                 assert abs(report.foc_target - v.d1(e)) <= 1e-10
+
+    def test_roots_match_the_first_order_condition_on_corpus(self):
+        """The corpus costs are convex, so a cubic cost adds a minimum of E."""
+        rng = np.random.default_rng(2301)
+        cases = [linear_two_outcome_scenario(rng) for _ in range(80)]
+        cubic = Polynomial((0.0, -0.1, 5.0, -10.0 / 3.0))
+        cases.append((_two_outcome(Polynomial((0.2, 0.5)), v=cubic), Contract((4.0, 0.0))))
+        for scenario, contract in cases:
+            for wages in (contract.wages, contract.wages[::-1]):
+                expected, _ = _foc_roots(scenario, Contract(wages))
+                report = two_outcome_linear_analysis(scenario, Contract(wages))
+                assert _hex(report.interior_solutions) == _hex(expected)
+
+    @pytest.mark.parametrize(
+        "p1, wages",
+        [
+            (Polynomial((0.7, -0.5)), (4.0, 4.0)),
+            (Polynomial((0.3, 0.0)), (0.0, 4.0)),
+            (Polynomial((0.3, -0.0)), (4.0, 0.0)),
+        ],
+        ids=["equal-utilities", "zero-slope", "negative-zero-slope"],
+    )
+    def test_roots_match_the_first_order_condition_across_a_signed_zero(self, p1, wages):
+        """target is -0.0 and v'(0.5) = 0.0, so target - v' and the payoff's
+        slope differ in the sign of a zero on the grid, but not in the roots."""
+        scenario = _two_outcome(p1, v=Polynomial((0.25, -1.0, 1.0)))
+        contract = Contract(wages)
+        expected, foc = _foc_roots(scenario, contract)
+        slope = LinearPayoff.agent(scenario, contract).on_grid(
+            effort_tables(scenario), MT_GRID_POINTS, 1
+        )
+        assert np.array_equal(foc, slope)
+        assert np.any(np.signbit(foc) != np.signbit(slope))
+        report = two_outcome_linear_analysis(scenario, contract)
+        assert _hex(report.interior_solutions) == _hex(expected) == [(0.5).hex()]
 
     def test_linear_families_classify_by_cost_curvature(self):
         """Affine profile and linear u: risk comes from v'' alone."""
