@@ -44,14 +44,18 @@ class Curve:
     """Base class; subclasses implement eval/d1/d2 and a ``family`` tag.
 
     ``d1_array_ulps`` bounds how many ulps d1 on a numpy array may lie from
-    the scalar call at the same point (tests/test_curves.py checks it);
-    infinite where nothing is known.  ``eval_ulps`` is the float error of
-    eval that ``enclosure`` pads by, in ulps of the cell's scale (see
-    ``_range``); a class that states none (infinite) has no enclosure.
+    the scalar call at the same point, and ``eval_array_ulps`` the same for
+    eval (tests/test_curves.py checks both); infinite where nothing is
+    known.  Each describes its family's own method: a subclass that
+    overrides the method inherits the number, not the claim.
+    ``eval_ulps`` is the float error of eval that ``enclosure`` pads by, in
+    ulps of the cell's scale (see ``_range``); a class that states none
+    (infinite) has no enclosure.
     """
 
     family: str = "abstract"
     d1_array_ulps: float = math.inf
+    eval_array_ulps: float = math.inf
     eval_ulps: float = math.inf
 
     def enclosure(self, edges: np.ndarray):
@@ -115,6 +119,7 @@ class Polynomial(Curve):
     _d2: tuple[float, ...] = field(init=False, repr=False, compare=False)
     family = "polynomial"
     d1_array_ulps = 0.0
+    eval_array_ulps = 0.0
 
     @property
     def eval_ulps(self) -> float:
@@ -313,6 +318,7 @@ class Tabulated(Curve):
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
     family = "tabulated"
     d1_array_ulps = 0.0
+    eval_array_ulps = 0.0
     eval_ulps = 64.0
 
     def __post_init__(self):

@@ -14,16 +14,14 @@ result is deterministic regardless of evaluation order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agent import (
     FINITE_BOUND, REFINE_TOL, TAU_E, TAU_EXPECTATION, BestResponse, LinearPayoff,
-    agent_best_response, bisect_brackets, settle_points,
+    agent_best_response, bisect_brackets,
 )
-from .errors import DomainError
 from .model import (
     ENUMERATION_CAP, TIE_BREAK_POLICIES, Contract, ContractFamily, Scenario, WageGrid,
 )
@@ -93,16 +91,43 @@ def _respond(scenario: Scenario, contract: Contract, policy: str):
     return response, effort, value
 
 
-def _levels(curve, points) -> np.ndarray:
-    """curve.eval at each point by the scalar call; NaN where it raises or is not finite."""
-    out = np.full(len(points), np.nan)
-    for k, t in enumerate(points):
+def _array_ulps(curve, method: str) -> float:
+    """The most ulps curve's method ("eval" or "d1") on an array may lie from
+    its scalar calls (Curve.eval_array_ulps, d1_array_ulps): infinite for a
+    class whose method is not its family's own, as Curve.enclosure checks."""
+    cls = type(curve)
+    family = next((c for c in cls.__mro__ if "_range" in vars(c)), None)
+    if family is None or getattr(cls, method) is not getattr(family, method):
+        return math.inf
+    return getattr(curve, f"{method}_array_ulps", math.inf)
+
+
+def _evals(curve, x: np.ndarray):
+    """(values, raised): curve.eval at each point of x as the scalar call
+    gives it, and whether that call raises.
+
+    One array call where it is the scalar calls bit for bit (_array_ulps
+    0: polynomial and tabulated) and does not raise; else one scalar call
+    per point.
+    """
+    if _array_ulps(curve, "eval") == 0.0:
         try:
-            out[k] = curve.eval(t)
+            return np.asarray(curve.eval(x), dtype=float), np.zeros(len(x), dtype=bool)
         except Exception:
-            continue
-    out[~np.isfinite(out)] = np.nan
-    return out
+            pass
+    values, raised = np.full(len(x), np.nan), np.zeros(len(x), dtype=bool)
+    for k, t in enumerate(x.tolist()):
+        try:
+            values[k] = curve.eval(t)
+        except Exception:
+            raised[k] = True
+    return values, raised
+
+
+def _levels(curve, points) -> np.ndarray:
+    """curve.eval at each point as the scalar call gives it; NaN where it raises or is not finite."""
+    values, raised = _evals(curve, np.array(points, dtype=float))
+    return np.where(raised | ~np.isfinite(values), np.nan, values)
 
 
 class _FamilyArrays:
@@ -182,23 +207,6 @@ class _Row:
     size: float
     points: np.ndarray
 
-    @staticmethod
-    def _at(scenario: Scenario, deltas, points) -> np.ndarray:
-        """The rows a, v, p_1, ... at the points from scalar calls, in value's order."""
-        cost = scenario.agent.effort_cost
-        p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
-        a = []
-        for k in range(len(points)):
-            acc = -0.0
-            for delta, pk in zip(deltas, p):
-                if delta != 0.0:
-                    acc = acc + delta * pk[k]
-            a.append(acc)
-        v = [cost.eval(c) for c in points]
-        if not all(map(math.isfinite, a + v)):
-            raise DomainError(f"objective is not finite at {points}")
-        return np.array([a, v, *p], dtype=float)
-
 
 def _d1(curve, x: np.ndarray) -> np.ndarray:
     """curve.d1 on the array x; NaN where the call raises, so each point is then called alone."""
@@ -219,7 +227,8 @@ class _Slopes:
     polynomial, tabulated and log-affine) gets the scalar call's value.
 
     The guard.  Let U be the most ulps a term's d1 array may lie from the
-    scalar call (Curve.d1_array_ulps; 2 for exp-affine and power, and
+    scalar call (_array_ulps: Curve.d1_array_ulps of a class whose d1 is
+    its family's own; 2 for exp-affine and power, and
     tests/test_curves.py checks it) and m the row's terms, the cost
     included.  A term's product then differs by at most (2U + 2) u of its
     magnitude, u = 2^-53, and each sum's m roundings move it by at most
@@ -242,7 +251,7 @@ class _Slopes:
         self.cost = scenario.agent.effort_cost
         used = deltas != 0.0
         self.full = used.all(axis=0)  # the components every row has a term of
-        ulps = [getattr(c, "d1_array_ulps", math.inf) for c in (*self.components, self.cost)]
+        ulps = [_array_ulps(c, "d1") for c in (*self.components, self.cost)]
         ulps = np.where(used, ulps[:-1], 0.0).max(axis=1, initial=ulps[-1])
         terms = used.sum(axis=1) + 1.0
         self.guard = np.where(ulps == 0.0, 0.0, (2.0 * ulps + 2.0 * terms + 4.0) * 2.0**-52)
@@ -287,6 +296,48 @@ def _runs(at: np.ndarray, width: int):
     first = (col == 0) | (np.diff(at, prepend=-2) != 1)
     last = (col == width - 1) | (np.diff(at, append=-2) != 1)
     return at[first], at[last]
+
+
+def _settle(rows: np.ndarray, at: np.ndarray, candidates: np.ndarray, interval):
+    """agent.settle_points of many rows at once.
+
+    rows are distinct row numbers in increasing order, and candidates[k] is
+    a candidate of row at[k], each row's in the order settle_points is
+    given them.  Returns (owner, points): every settled point and its row,
+    by row and then point, so that each row's points are the list
+    settle_points gives, bit for bit.
+    """
+    lo, hi = interval.lo, interval.hi
+    if hi - lo <= TAU_E:
+        # every clamped candidate lies within TAU_E of lo: the dedup leaves
+        # lo alone, and both ends stay
+        return np.repeat(rows, 2), np.tile([lo, hi], len(rows))
+    # as min(max(c, lo), hi), which keeps c on a tie of signed zeros
+    x = np.where(lo > candidates, lo, candidates)
+    x = np.where(hi < x, hi, x)
+    owner = np.concatenate([rows, rows, at])
+    x = np.concatenate([np.full(len(rows), lo), np.full(len(rows), hi), x])
+    # a stable sort: equal points keep the order lo, hi, candidates
+    order = np.lexsort((x, owner))
+    owner, x = owner[order], x[order]
+    # a point is kept when it lies more than TAU_E above its row's last kept
+    # point.  One more than TAU_E above the point before it is, and starts
+    # a chain of points each within TAU_E of the one before; the chain's
+    # second point is not.  So only the later points of the chains are
+    # walked, one position of every chain at a time
+    close = np.zeros(len(x), dtype=bool)
+    close[1:] = (owner[1:] == owner[:-1]) & (x[1:] - x[:-1] <= TAU_E)
+    every = np.arange(len(x))
+    head = np.maximum.accumulate(np.where(close, 0, every))
+    step = every - head
+    keep = ~close
+    last = x.copy()  # at a chain's head: the chain's last kept point
+    for j in range(2, step.max(initial=0) + 1):
+        k = np.flatnonzero(step == j)
+        k = k[~(x[k] - last[head[k]] <= TAU_E)]
+        keep[k] = True
+        last[head[k]] = x[k]
+    return owner[keep], x[keep]
 
 
 def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) -> np.ndarray:
@@ -467,16 +518,20 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     - bisection: every + to - sign change and scan-peak bracket of every
       row in one lockstep loop (agent.bisect_brackets) on _Slopes, which
       keeps no memo of the slope, unlike agent.scan_candidates: a maximum
-      that both brackets hold is bisected twice;
-    - finish: settle_points and _at, one row at a time; a pruned row keeps
-      the settled points in its kept cells.
+      that both brackets hold is bisected twice, at little cost, since the
+      loop costs per iteration, not per bracket;
+    - finish: for all the rows at once, each row's settle_points (_settle),
+      of which a pruned row keeps the points in its kept cells, and a, v
+      and the p_i there (_evals), a summed from -0.0 over the nonzero
+      deltas in component order, as LinearPayoff.value sums it.
 
     A row is None when its tables raise or are not finite, when a scan
     peak brackets no sign change of the slope (an open bracket), or when a
-    scalar call on it raises.  A full build gives the row that searching it
-    alone gives, bit for bit.  A pruned row is None where that search is,
-    and otherwise has its top, a span no larger, its enclosure size, and
-    those of its points that lie in its kept cells.  _screen decides each
+    scalar call on it raises or gives an a or v that is not finite.  A
+    full build gives the row that searching it alone gives, bit for bit.
+    A pruned row is None where that search is, and otherwise has its top,
+    a span no larger, its enclosure size, and those of its points that lie
+    in its kept cells.  _screen decides each
     of its contracts as the contract's own solve does.
 
     A pruned row is built again in full when it cannot carry the proof:
@@ -509,18 +564,18 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
             else:
                 windows.append(np.concatenate([on_scan[:1], on_scan, on_scan[-1:], on_grid])[_WINDOW])
     used = used & ~failed[:, None]
-    kept, floor, low_edges, size_bound, slope_size = _cells(scenario, tables, deltas, used, base_size)
+    kept, floor, edge_low, size_bound, slope_size = _cells(scenario, tables, deltas, used, base_size)
     cost_size = tables.magnitude(cost)
     scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
     edges = tables.grid(CELLS + 1)
     interval = scenario.interval
     slopes = _Slopes(scenario, deltas)
 
-    def dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs) -> np.ndarray:
+    def dense(group, kept, counts, stats, alive, zeros, changes, peaks) -> np.ndarray:
         """The dense stage of a group of rows, each with counts[row] kept
-        cells: their stats and liveness, and their zeros, sign changes,
-        scan peaks and runs of kept cells appended to the lists; returns the
-        rows whose proof fails at a cell edge."""
+        cells: their stats and liveness, and their zeros, sign changes and
+        scan peaks appended to the lists; returns the rows whose proof
+        fails at a cell edge."""
         pair_row, c = np.nonzero(kept[group])
         r = group[pair_row]
         first_pair = np.cumsum(counts[group]) - counts[group]
@@ -558,7 +613,6 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         sign = np.sign(gv)  # + to -: the local maxima of h, as agent.bracket_roots
         k, j = np.divmod(np.flatnonzero((sign[:, :-1] > 0) & (sign[:, 1:] < 0)), _GRID_STEP)
         changes.append(r[k] * (MT_GRID_POINTS - 1) + c[k] * _GRID_STEP + j)
-        runs.append(np.array([r[~before], edges[c[~before]], edges[c[~after] + 1]]))
         tiny = 2.0**-40 * slope_size[r]
         edge = (out_of & ~(np.abs(gv[:, 0]) > tiny)) | (into & ~(np.abs(gv[:, -1]) > tiny))
         return group[alive[group] & np.logical_or.reduceat(edge, first_pair)]
@@ -567,14 +621,14 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         """Build the rows (sorted) on their kept cells; the pruned rows to build again in full."""
         stats = np.full((2, count), np.nan)  # top, low
         alive = np.zeros(count, dtype=bool)
-        retry, zeros, changes, peaks, runs = [], [], [], [], []
+        retry, zeros, changes, peaks = [], [], [], []
         counts = kept.sum(axis=1)
         pairs = np.cumsum(counts[rows])
         groups = np.flatnonzero(np.diff(pairs // _BLOCK, prepend=0)) + 1
         with np.errstate(all="ignore"):
             for group in np.split(rows, groups[groups < len(rows)]):
                 if len(group):
-                    retry.append(dense(group, kept, counts, stats, alive, zeros, changes, peaks, runs))
+                    retry.append(dense(group, kept, counts, stats, alive, zeros, changes, peaks))
             retry = np.concatenate([np.zeros(0, dtype=np.intp), *retry])
             alive[retry] = False
 
@@ -603,13 +657,6 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         alive[item_rows[np.isnan(roots)]] = False  # open scan-peak brackets
         alive &= ~slopes.failed
 
-        every = np.arange(count + 1)
-        edge_at = np.searchsorted(edge_rows, every).tolist()
-        root_at = np.searchsorted(item_rows, every).tolist()
-        # the runs of kept cells of each row, as (row, lower, upper)
-        block_rows, lower, upper = np.concatenate([np.zeros((3, 0)), *runs], axis=1)
-        block_at = np.searchsorted(block_rows, every).tolist()
-        lower, upper = lower.tolist(), upper.tolist()
         # a candidate, or hi, within TAU_E above the lower edge of a run that
         # a pruned cell precedes could have been dropped by a candidate of that
         # cell, which the build never saw: such rows are built again in full
@@ -619,32 +666,58 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         near = alive[rows] & (cell > 0) & kept[rows, cell] & ~kept[rows, cell - 1]
         near &= x - edges[cell] <= TAU_E
         alive[rows[near]] = False
-        again = sorted({*retry.tolist(), *rows[near].tolist()})
-        edge_values, roots = edge_values.tolist(), roots.tolist()
-        top, low = stats.tolist()
-        full = (counts == CELLS).tolist()
-        for r in np.flatnonzero(alive).tolist():
-            candidates = edge_values[edge_at[r]:edge_at[r + 1]] + roots[root_at[r]:root_at[r + 1]]
-            points = settle_points(candidates, interval)
-            if not full[r]:
-                points = [
-                    p for k in range(block_at[r], block_at[r + 1])
-                    for p in points[bisect_left(points, lower[k]):bisect_right(points, upper[k])]
-                ]
-            try:
-                points = _Row._at(scenario, keys[r], points)
-            except Exception:
-                continue
-            span = top[r] - min(low[r], low_edges[r])
-            if full[r]:
-                size = max(top[r], -low[r]) + 2.0 * cost_size
-                a_max, v_max = np.abs(points[:2]).max(axis=1).tolist()
-                built[r] = _Row(top[r], span, max(size, a_max + v_max), points)
-            elif points.shape[1] and (points[0] - points[1]).max() >= floor[r]:
-                built[r] = _Row(top[r], span, size_bound[r], points)
-            else:
-                again.append(r)
-        return np.array(sorted(again), dtype=np.intp)
+
+        # finish: every live row's settled points in its kept cells (their
+        # edges included; the points lie in [lo, hi], the outer edges), and
+        # a, v and the p_i there
+        settled = np.flatnonzero(alive)
+        on_edge, on_root = alive[edge_rows], alive[item_rows]
+        owner, x = _settle(
+            settled, np.concatenate([edge_rows[on_edge], item_rows[on_root]]),
+            np.concatenate([edge_values[on_edge], roots[on_root]]), interval,
+        )
+        below = np.maximum(np.searchsorted(edges, x, side="left") - 1, 0)
+        above = np.minimum(np.searchsorted(edges, x, side="right") - 1, CELLS - 1)
+        inside = kept[owner, below] | kept[owner, above]
+        owner, x = owner[inside], x[inside]
+        values, raised = zip(*(_evals(curve, x) for curve in (*components, cost)))
+        *p, v = values
+        with np.errstate(all="ignore"):
+            a = np.full(len(x), -0.0)  # summed as LinearPayoff.value sums it
+            for i, pi in enumerate(p):
+                d = deltas[owner, i]
+                a = np.where(d != 0.0, a + d * pi, a)
+            unfit = np.logical_or.reduce(raised) | ~np.isfinite(a) | ~np.isfinite(v)
+            table = np.array([a, v, *p])
+            # per settled row: its points' columns of the table, and the
+            # largest h and |a| + |v| there (NaN for a row with none)
+            starts, stops = np.searchsorted(owner, settled), np.searchsorted(owner, settled, side="right")
+            shown = stops > starts
+            h_max, av_max = np.full((2, len(settled)), np.nan)
+            if len(x):
+                at = starts[shown]
+                h_max[shown] = np.maximum.reduceat(a - v, at)
+                av_max[shown] = np.maximum.reduceat(np.abs(a), at) + np.maximum.reduceat(np.abs(v), at)
+            # as Python's min and max, which keep the first of equal values
+            top, low = stats[:, settled]
+            span = top - np.where(edge_low[settled] < low, edge_low[settled], low)
+            size = np.where(-low > top, -low, top) + 2.0 * cost_size
+            size = np.where(av_max > size, av_max, size)
+        full = counts[settled] == CELLS
+        size = np.where(full, size, size_bound[settled])
+        # a row with a point that raises or is not finite is None; a pruned
+        # row whose best kept point lies below its floor is built again
+        broken = np.zeros(count, dtype=bool)
+        broken[owner[unfit]] = True
+        whole = ~broken[settled]
+        done = whole & (full | (h_max >= floor[settled]))
+        for r, start, stop, t, width, bound in zip(
+            *(column[done].tolist() for column in (settled, starts, stops, top, span, size))
+        ):
+            built[r] = _Row(t, width, bound, table[:, start:stop])
+        again = np.zeros(count, dtype=bool)
+        again[retry] = again[rows[near]] = again[settled[whole & ~done]] = True
+        return np.flatnonzero(again)
 
     retry = build(np.flatnonzero(~failed), kept)
     if len(retry):
@@ -683,8 +756,8 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     - ``points``: the settled candidates of a solve that is not flat (the
       bracket-grid roots and the roots h's scan peaks snap onto) that lie
       in the kept cells, as an array with one column per effort and the
-      rows a, v, p_1, ..., p_{n-1}, from scalar calls, as settle and the
-      principal make them.
+      rows a, v, p_1, ..., p_{n-1}, with the bits of the scalar calls
+      settle and the principal make.
 
     A row has no screen (None) when its tables raise or are not finite, or
     a scan peak of h brackets no sign change of the slope (an open
@@ -699,9 +772,9 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
 
     Exact values.  A decided contract's settle values are
     F_k = (b + a_k) - v_k at the row's points, a_k (summed from -0.0) and
-    v_k from the same scalar calls in the same order as LinearPayoff.value,
-    so the same IEEE operations; its best value, tie set and acceptance
-    follow with the operations settle uses.
+    v_k from the values of the same scalar calls in the same order as
+    LinearPayoff.value, so the same IEEE operations; its best value, tie
+    set and acceptance follow with the operations settle uses.
     The principal's value at each tied point is B(x_n - w_n) plus the
     nonzero deltas times p_i there, added from -0.0 in component order as
     LinearPayoff.value adds them.  Left unscreened: rows without a screen,

@@ -6,8 +6,10 @@ written here, and the principal's payoff is an inline probability-weighted
 sum.  Nothing is shared with the solver's best-response search.
 
 ``row_build`` is the reference for solve_game's batched row build: one
-utility-delta row's tables, searched alone with the per-contract stages;
-``row_efforts`` gives that search's settled efforts and open brackets.
+utility-delta row's tables, searched alone with the per-contract stages,
+and its point values from one scalar call per curve and point
+(``row_points``); ``row_efforts`` gives that search's settled efforts and
+open brackets.
 """
 
 from __future__ import annotations
@@ -75,6 +77,25 @@ def enumeration_oracle(scenario, family, argmax_points: int = 4097):
     return best[1], best[2], best[3]
 
 
+def row_points(scenario, deltas, points) -> np.ndarray:
+    """The rows a, v, p_1, ... of a delta row at the points, one scalar call
+    per curve and point, a summed from -0.0 as LinearPayoff.value sums it;
+    raises where a call raises or a or v is not finite."""
+    cost = scenario.agent.effort_cost
+    p = [[comp.eval(c) for c in points] for comp in scenario.profile.components]
+    a = []
+    for k in range(len(points)):
+        acc = -0.0
+        for delta, pk in zip(deltas, p):
+            if delta != 0.0:
+                acc = acc + delta * pk[k]
+        a.append(acc)
+    v = [cost.eval(c) for c in points]
+    if not all(map(math.isfinite, a + v)):
+        raise ValueError(f"objective is not finite at {points}")
+    return np.array([a, v, *p], dtype=float)
+
+
 def row_build(scenario, tables, deltas, cost_size):
     """The row's _Row searched alone, and why it is None: (row, None) for
     a built row, (None, why) with why "raises", "not finite" or "open
@@ -93,7 +114,7 @@ def row_build(scenario, tables, deltas, cost_size):
         roots, open_brackets = scan_candidates(payoff, tables, h)
         if open_brackets:
             return None, "open bracket"
-        points = _Row._at(scenario, deltas, settle_points(roots, scenario.interval))
+        points = row_points(scenario, deltas, settle_points(roots, scenario.interval))
     except Exception:
         return None, "raises"
     a_max, v_max = np.abs(points[:2]).max(axis=1)

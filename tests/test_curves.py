@@ -217,6 +217,7 @@ def test_array_and_scalar_evaluation_agree_bit_for_bit(method):
     """
     rng = np.random.default_rng(4242)
     assert Polynomial.d1_array_ulps == Tabulated.d1_array_ulps == 0.0
+    assert Polynomial.eval_array_ulps == Tabulated.eval_array_ulps == 0.0
     for curve, points in _exact_family_curves(rng, 300):
         array = getattr(curve, method)(points)
         scalar = [getattr(curve, method)(float(t)) for t in points]

@@ -1017,6 +1017,151 @@ class TestFullBuildFallbacks:
             assert _same_row(row, expected), (name, deltas)
 
 
+class _ArrayEvalOff(Polynomial):
+    """A polynomial whose eval on arrays lies a relative 1e-6 above its scalar calls.
+
+    It inherits eval_array_ulps 0, but its eval is not its family's, so
+    the row build makes a scalar call per point on it.
+    """
+
+    def eval(self, t):
+        value = super().eval(t)
+        return value * (1.0 + 1e-6) if isinstance(t, np.ndarray) else value
+
+
+class _ArrayD1Off(Polynomial):
+    """A polynomial whose d1 on arrays lies a relative 1e-6 above its scalar calls.
+
+    It inherits d1_array_ulps 0, but its d1 is not its family's, so the
+    row build's slopes are its scalar calls.
+    """
+
+    def d1(self, t):
+        value = super().d1(t)
+        return value * (1.0 + 1e-6) if isinstance(t, np.ndarray) else value
+
+
+class _InfiniteAtOne(Curve):
+    """p(e) = 0.2 + 0.5e, whose scalar eval is infinite at e = 1 alone."""
+
+    family = "infinite-at-one"
+
+    def eval(self, t):
+        if not isinstance(t, np.ndarray) and t == 1.0:
+            return math.inf
+        return 0.2 + 0.5 * t
+
+    def d1(self, t):
+        return 0.5 + 0.0 * t
+
+    def d2(self, t):
+        return 0.0 * t
+
+
+def _merged(rng, lists: dict) -> tuple[list, list]:
+    """(owner, item): the lists' items in a random interleaving that keeps each list's order."""
+    heads = {key: 0 for key, items in lists.items() if items}
+    owner, merged = [], []
+    while heads:
+        key = list(heads)[int(rng.integers(len(heads)))]
+        owner.append(key)
+        merged.append(lists[key][heads[key]])
+        heads[key] += 1
+        if heads[key] == len(lists[key]):
+            del heads[key]
+    return owner, merged
+
+
+class TestArrayFinish:
+    """_build_rows settles and evaluates all of a call's rows at once, as
+    settle_points and one scalar call per curve and point do row by row."""
+
+    def test_settle_equals_settle_points_row_by_row(self):
+        tau = agent_module.TAU_E
+        rng = np.random.default_rng(2401)
+        intervals = [
+            EffortInterval(0.0, 1.0), EffortInterval(-1.0, 0.0),
+            EffortInterval(2.0, 2.0 + 0.5 * tau), EffortInterval(0.0, 0.3 * tau),
+        ]
+        met = {"third of a chain": 0, "lone point": 0, "signed zero at lo": 0, "outside": 0}
+        for trial in range(80):
+            interval = intervals[trial % len(intervals)]
+            lo, hi = interval.lo, interval.hi
+            width = hi - lo
+            rows = np.flatnonzero(rng.random(12) < 0.7)
+            lists = {}
+            for r in rows.tolist():
+                picks = []
+                for _ in range(int(rng.integers(0, 6))):
+                    kind = int(rng.integers(5))
+                    if kind == 0:  # anywhere, also outside [lo, hi]
+                        picks.append(float(rng.uniform(lo - 0.2 * width - tau, hi + 0.2 * width + tau)))
+                    elif kind == 1:  # a chain c, c + 0.6 TAU_E, c + 1.2 TAU_E, ...
+                        c = float(rng.uniform(lo, hi))
+                        picks += [c + 0.6 * tau * m for m in range(int(rng.integers(3, 5)))]
+                    elif kind == 2 and picks:  # a duplicate
+                        picks.append(picks[int(rng.integers(len(picks)))])
+                    elif kind == 3:  # signed zeros
+                        picks += [-0.0, 0.0]
+                    else:  # near an end
+                        picks.append(float(rng.choice([lo, hi]) + rng.uniform(-2.0 * tau, 2.0 * tau)))
+                lists[r] = picks
+            at, candidates = _merged(rng, lists)
+            owner, points = principal_module._settle(
+                rows, np.array(at, dtype=np.intp), np.array(candidates, dtype=float), interval
+            )
+            assert (np.diff(owner) >= 0).all()
+            assert sorted(set(owner.tolist())) == rows.tolist()
+            for r in rows.tolist():
+                expected = agent_module.settle_points(lists[r], interval)
+                assert [x.hex() for x in points[owner == r].tolist()] == [x.hex() for x in expected], (
+                    interval, lists[r]
+                )
+                gaps = np.diff(expected)
+                met["third of a chain"] += bool(((gaps > tau) & (gaps < 1.5 * tau)).any())
+                met["lone point"] += width <= tau
+                met["signed zero at lo"] += lo == 0.0 and any(
+                    c == 0.0 and math.copysign(1.0, c) < 0.0 for c in lists[r]
+                )
+                met["outside"] += any(not lo <= c <= hi for c in lists[r])
+        assert min(met.values()) > 0, met
+
+    def test_a_row_with_a_point_not_finite_is_none_alone(self):
+        """p2's scalar eval is infinite at hi, its tables are finite: the
+        row with a delta on p2 is None, the others are built (in full,
+        under an infinite tie tolerance)."""
+        scenario = unit_scenario((10.0, 5.0, 2.0), [RISING[0], _InfiniteAtOne()], _QUADRATIC_COST)
+        tables, cost_size = effort_tables(scenario), _cost_size(scenario)
+        rows = [(1.0, 0.0), (1.0, 2.0), (3.0, 0.0), (0.5, 0.0)]
+        got = principal_module._build_rows(scenario, tables, rows, math.inf)
+        assert [row is None for row in got] == [False, True, False, False]
+        for deltas, row in zip(rows, got):
+            expected, why = row_build(scenario, tables, deltas, cost_size)
+            assert _same_row(row, expected), deltas
+            assert (why == "raises") == (deltas[1] != 0.0)
+        # each built row's last point is hi, where p2 is infinite
+        assert [row.points[-1, -1] for row in got if row is not None] == [math.inf] * 3
+
+    @pytest.mark.parametrize("method, make", [("eval", _ArrayEvalOff), ("d1", _ArrayD1Off)])
+    def test_a_curve_whose_method_is_not_its_familys_takes_scalar_calls(self, method, make):
+        """A subclass overriding eval or d1 inherits its array ulps 0, but
+        the row build takes the method's scalar calls, as the per-row
+        reference does."""
+        offset = make((0.2, 0.5, -0.1))
+        assert getattr(offset, f"{method}_array_ulps") == 0.0
+        scenario = unit_scenario((10.0, 2.0), [offset], _QUADRATIC_COST)
+        tables, cost_size = effort_tables(scenario), _cost_size(scenario)
+        rows = [(1.0,), (4.0,), (-2.0,), (7.5,)]
+        got = principal_module._build_rows(scenario, tables, rows, 0.0)
+        assert all(row is not None for row in got)
+        for deltas, row in zip(rows, got):
+            expected, _ = row_build(scenario, tables, deltas, cost_size)
+            assert _same_row(row, expected), deltas
+            efforts, _ = row_efforts(scenario, tables, deltas)
+            scalar = [getattr(offset, method)(e) for e in efforts]
+            assert _bits(getattr(offset, method)(np.array(efforts))) != _bits(scalar)
+
+
 def _random_curve(rng, kind, lo, hi):
     """A curve of the family kind, defined and smooth on [lo, hi]."""
     shift = float(rng.uniform(0.05, 1.0)) - lo  # t + shift > 0 on the interval
