@@ -47,7 +47,8 @@ class Curve:
     the scalar call at the same point, and ``eval_array_ulps`` the same for
     eval (tests/test_curves.py checks both); infinite where nothing is
     known.  Each describes its family's own method: a subclass that
-    overrides the method inherits the number, not the claim.
+    overrides the method inherits the number, not the claim
+    (``has_family_methods``).
     ``eval_ulps`` is the float error of eval that ``enclosure`` pads by, in
     ulps of the cell's scale (see ``_range``); a class that states none
     (infinite) has no enclosure.
@@ -68,9 +69,7 @@ class Curve:
         not above the one before it; None for a class of no stated error,
         or a subclass whose eval or d1 is not its family's.
         """
-        cls = type(self)
-        family = next(c for c in cls.__mro__ if "_range" in vars(c))
-        if not math.isfinite(self.eval_ulps) or (cls.eval, cls.d1) != (family.eval, family.d1):
+        if not math.isfinite(self.eval_ulps) or not self.has_family_methods("eval", "d1"):
             return None
         edges = np.asarray(edges, dtype=float)
         with np.errstate(all="ignore"):
@@ -82,6 +81,18 @@ class Curve:
                 low = high = scale = np.full(len(edges) - 1, np.nan)
             pad = self.eval_ulps * 2.0**-53 * scale
             return np.nextafter(low - pad, -np.inf), np.nextafter(high + pad, np.inf)
+
+    def has_family_methods(self, *names: str) -> bool:
+        """Whether each named method ("eval", "d1" or "d2") of this curve's
+        class is its family's own, the family being the nearest class in
+        its MRO that defines ``_range``.
+
+        What a family states of a method (d1_array_ulps, eval_array_ulps,
+        eval_ulps) and what rests on it hold only then.
+        """
+        cls = type(self)
+        family = next(c for c in cls.__mro__ if "_range" in vars(c))
+        return all(getattr(cls, name) is getattr(family, name) for name in names)
 
     def _range(self, edges: np.ndarray):
         """(low, high, scale) per cell before padding; raises where a scalar call could."""
@@ -405,8 +416,8 @@ class Tabulated(Curve):
             (t - self.knots[k]) / h,
         )
 
-    def eval(self, t):
-        y0, y1, hm0, hm1, _, s = self._pieces(t)
+    @staticmethod
+    def _value(y0, y1, hm0, hm1, h, s):
         s2 = s * s
         s3 = s2 * s
         return (
@@ -415,6 +426,51 @@ class Tabulated(Curve):
             + y1 * (-2.0 * s3 + 3.0 * s2)
             + hm1 * (s3 - s2)
         )
+
+    @staticmethod
+    def _slope(y0, y1, hm0, hm1, h, s):
+        s2 = s * s
+        return (
+            y0 * (6.0 * s2 - 6.0 * s)
+            + hm0 * (3.0 * s2 - 4.0 * s + 1.0)
+            + y1 * (-6.0 * s2 + 6.0 * s)
+            + hm1 * (3.0 * s2 - 2.0 * s)
+        ) / h
+
+    @staticmethod
+    def _curvature(y0, y1, hm0, hm1, h, s):
+        return (
+            y0 * (12.0 * s - 6.0)
+            + hm0 * (6.0 * s - 4.0)
+            + y1 * (-12.0 * s + 6.0)
+            + hm1 * (6.0 * s - 2.0)
+        ) / (h * h)
+
+    def eval(self, t):
+        return self._value(*self._pieces(t))
+
+    def d1(self, t):
+        return self._slope(*self._pieces(t))
+
+    def d2(self, t):
+        return self._curvature(*self._pieces(t))
+
+    def sorted_orders(self, t: np.ndarray, step: int):
+        """(eval at t, d1 at t[::step], d2 at t[::step]) for an array t sorted
+        ascending, each bit for bit the per-method call, from one lookup of
+        the pieces: a point's cell is fixed by how many left ends lie at or
+        below it, and the formulas are elementwise, so a strided view
+        rounds as a fresh array does.  Raises as eval(t) does.
+        """
+        if t[0] < self.knots[0] or t[-1] > self.knots[-1]:  # sorted, so the ends decide
+            self._check_range(t)
+        cells = self._cells
+        # range-checked, so no point lies below the first left end
+        counts = np.diff(np.searchsorted(t, cells[0], side="left"), append=len(t))
+        x0, y0, y1, h, hm0, hm1 = np.repeat(cells, counts, axis=1)
+        pieces = (y0, y1, hm0, hm1, h, (t - x0) / h)
+        strided = [p[::step] for p in pieces]
+        return self._value(*pieces), self._slope(*strided), self._curvature(*strided)
 
     def _range(self, edges):
         """Each cell split at the knots, each part bounded by eval at its two
@@ -446,22 +502,3 @@ class Tabulated(Curve):
         return (np.minimum.reduceat(np.minimum(left, right), starts),
                 np.maximum.reduceat(np.maximum(left, right), starts),
                 np.maximum.reduceat(scale, starts))
-
-    def d1(self, t):
-        y0, y1, hm0, hm1, h, s = self._pieces(t)
-        s2 = s * s
-        return (
-            y0 * (6.0 * s2 - 6.0 * s)
-            + hm0 * (3.0 * s2 - 4.0 * s + 1.0)
-            + y1 * (-6.0 * s2 + 6.0 * s)
-            + hm1 * (3.0 * s2 - 2.0 * s)
-        ) / h
-
-    def d2(self, t):
-        y0, y1, hm0, hm1, h, s = self._pieces(t)
-        return (
-            y0 * (12.0 * s - 6.0)
-            + hm0 * (6.0 * s - 4.0)
-            + y1 * (-12.0 * s + 6.0)
-            + hm1 * (6.0 * s - 2.0)
-        ) / (h * h)

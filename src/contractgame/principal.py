@@ -93,13 +93,9 @@ def _respond(scenario: Scenario, contract: Contract, policy: str):
 
 def _array_ulps(curve, method: str) -> float:
     """The most ulps curve's method ("eval" or "d1") on an array may lie from
-    its scalar calls (Curve.eval_array_ulps, d1_array_ulps): infinite for a
-    class whose method is not its family's own, as Curve.enclosure checks."""
-    cls = type(curve)
-    family = next((c for c in cls.__mro__ if "_range" in vars(c)), None)
-    if family is None or getattr(cls, method) is not getattr(family, method):
-        return math.inf
-    return getattr(curve, f"{method}_array_ulps", math.inf)
+    its scalar calls (Curve.eval_array_ulps, d1_array_ulps): infinite where
+    the method is not its family's own (Curve.has_family_methods)."""
+    return getattr(curve, f"{method}_array_ulps") if curve.has_family_methods(method) else math.inf
 
 
 def _evals(curve, x: np.ndarray):

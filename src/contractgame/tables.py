@@ -5,8 +5,9 @@ the same few effort grids: the optimum of E, its motivation, its
 persistence, whether the profile reacts to effort, and whether the
 scenario is valid.  Every grid is a strided view of one dense scan, and
 each curve's eval, d1 and d2 is evaluated once, on the finest grid it is
-read on.  The scan is also split into CELLS equal cells, and each
-curve's enclosure on them (Curve.enclosure) is computed once.
+read on; a tabulated curve's three together, from one lookup of its
+pieces on the scan.  The scan is also split into CELLS equal cells, and
+each curve's enclosure on them (Curve.enclosure) is computed once.
 effort_tables keeps the tables of the most recent scenario only, so
 consecutive calls on one scenario share them while memory stays at one
 scenario's worth.
@@ -17,6 +18,8 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
+
+from .curves import Tabulated
 
 __all__ = ["SCAN_GRID_POINTS", "VALIDATION_GRID_POINTS", "MT_GRID_POINTS", "CELLS",
            "EffortTables", "effort_tables"]
@@ -41,6 +44,9 @@ class EffortTables:
     scan.  ``array(curve, points, order)`` is the curve's eval (order 0,
     filled on the scan), d1 or d2 (filled on the VALIDATION_GRID_POINTS
     grid, so read there or on a coarser grid) on it, a view of that fill.
+    The first read of a Tabulated curve whose eval, d1 and d2 are its
+    family's own fills all three (Tabulated.sorted_orders), bit for bit
+    the per-order fills; every other curve is filled order by order.
     Both are read-only.  A call that raises caches nothing, so the next
     caller meets the same error.  ``enclosure(curve)`` is the curve's
     Curve.enclosure on the cells, ``steps(curve)`` the least and largest
@@ -69,11 +75,18 @@ class EffortTables:
         entry = self._arrays.get(key)
         if entry is None:
             fill = _FILLS[order]
-            if points == fill:
+            if points != fill:  # a view, cached: solve_game reads the same arrays for every delta row
+                values = self.array(curve, fill, order)[:: _STRIDES[points] // _STRIDES[fill]]
+            elif isinstance(curve, Tabulated) and curve.has_family_methods(*_ORDERS):
+                # one lookup of its pieces on the scan fills all three orders
+                filled = curve.sorted_orders(self._grids[SCAN_GRID_POINTS], _STRIDES[_FILLS[1]])
+                for each, values in enumerate(filled):
+                    values.flags.writeable = False
+                    self._arrays[(id(curve), _FILLS[each], each)] = (curve, values)
+                return filled[order]
+            else:
                 values = np.asarray(getattr(curve, _ORDERS[order])(self._grids[fill]), dtype=float)
                 values.flags.writeable = False
-            else:  # a view, cached: solve_game reads the same arrays for every delta row
-                values = self.array(curve, fill, order)[:: _STRIDES[points] // _STRIDES[fill]]
             entry = self._arrays[key] = (curve, values)
         return entry[1]
 

@@ -10,6 +10,7 @@ view must equal what evaluating on its own grid gives.
 
 import gc
 import json
+import math
 import random
 import sys
 import weakref
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import contractgame.principal as principal_module
 import contractgame.tables as tables_module
 from contractgame import (
     AgentPreferences,
@@ -268,6 +270,7 @@ class TestStore:
 
 
 ORDERS = ("eval", "d1", "d2")
+_FILL_POINTS = tables_module._FILLS  # the grid each order is filled on
 CURVE_CLASSES = (Polynomial, ExpAffine, LogAffine, Power, Tabulated)
 
 
@@ -281,27 +284,33 @@ class TestOneEvaluation:
 
         Only calls on the effort grids count (arrays that share memory with
         the current tables' scan), so a grid filled twice fails; the point
-        vectors solve_game's row build bisects on do not count.
+        vectors solve_game's row build bisects on do not count.  A tabulated
+        curve's joint fill (Tabulated.sorted_orders) counts as one grid call
+        of each of its three orders.
         """
         calls = []
+        joint = []
 
         def on_grid(t):
             last = tables_module._last
             return last is not None and np.shares_memory(t, last[1].grid(SCAN_GRID_POINTS))
 
-        def counting(cls, name):
+        def counting(cls, name, orders):
             method = getattr(cls, name)
 
-            def wrapper(self, t):
+            def wrapper(self, t, *args):
                 if isinstance(t, np.ndarray) and on_grid(t):
-                    calls.append((id(self), name))
-                return method(self, t)
+                    calls.extend((id(self), order) for order in orders)
+                    if len(orders) > 1:
+                        joint.append(id(self))
+                return method(self, t, *args)
 
             return wrapper
 
         for cls in CURVE_CLASSES:
             for name in ORDERS:
-                monkeypatch.setattr(cls, name, counting(cls, name))
+                monkeypatch.setattr(cls, name, counting(cls, name, (name,)))
+        monkeypatch.setattr(Tabulated, "sorted_orders", counting(Tabulated, "sorted_orders", ORDERS))
         docs = _documents()[: -len(ERROR_SCENARIOS)]
         for scenario, contract in docs:
             _clear()
@@ -313,6 +322,104 @@ class TestOneEvaluation:
             # the scan's eval and the d1 of every profile component were read
             for comp in scenario.profile.components:
                 assert (id(comp), "eval") in calls and (id(comp), "d1") in calls
+        assert joint  # some documents have tabulated curves, filled jointly
+
+
+def _jointly_filled_tabulated(rng):
+    """(interval, curve, case): random tabulated curves whose interval is
+    the knot range ("equal"), strictly inside it ("inside") or a few ulps
+    wide ("narrow"); interior knots are scan points, so scan points land
+    on them, and the top knot is the scan's last point unless "inside"."""
+    for trial in range(300):
+        case = ("equal", "inside", "narrow")[trial % 3]
+        lo = float(rng.uniform(-3.0, 3.0)) * 10.0 ** float(rng.integers(-3, 3))
+        hi = lo + float(rng.uniform(0.01, 5.0)) if case != "narrow" else lo
+        for _ in range(int(rng.integers(3, 9)) if case == "narrow" else 0):
+            hi = float(np.nextafter(hi, np.inf))
+        interval = EffortInterval(lo, hi)
+        scan = interval.grid(SCAN_GRID_POINTS)
+        inner = scan[rng.integers(1, SCAN_GRID_POINTS - 1, int(rng.integers(1, 9)))]
+        ends = [lo, hi]
+        if case == "inside":
+            ends = [lo - float(rng.uniform(0.0, 1.0)) - 1e-9, hi + float(rng.uniform(0.0, 1.0)) + 1e-9]
+        knots = np.unique(np.concatenate([ends, inner]))
+        if knots.size < 3:  # a narrow interval whose inner points all repeat an end
+            knots = np.unique(np.concatenate([knots, [np.nextafter(lo, np.inf)]]))
+        values = rng.uniform(-1.0, 1.0, knots.size) * 10.0 ** float(rng.integers(-2, 3))
+        yield interval, Tabulated(tuple(knots), tuple(values)), case
+
+
+class TestJointFill:
+    """A tabulated curve's first read fills its eval, d1 and d2 arrays together."""
+
+    def test_the_joint_fill_is_the_per_order_calls_bit_for_bit(self):
+        rng = np.random.default_rng(8107)
+        cases, on_inner, on_top = set(), 0, 0
+        for interval, curve, case in _jointly_filled_tabulated(rng):
+            tables = EffortTables(interval)
+            scan = tables.grid(SCAN_GRID_POINTS)
+            first = int(rng.integers(0, 3))
+            tables.array(curve, _FILL_POINTS[first], first)
+            # every order was filled by that one read
+            assert set(tables._arrays) == {(id(curve), _FILL_POINTS[o], o) for o in range(3)}
+            for order, name in enumerate(ORDERS):
+                for points in (_FILL_POINTS[order], MT_GRID_POINTS):
+                    got = tables.array(curve, points, order)
+                    assert not got.flags.writeable
+                    direct = getattr(curve, name)(interval.grid(points))
+                    assert np.array_equal(_bits(got), _bits(direct)), (curve, case, name, points)
+            cases.add(case)
+            on_inner += int(np.isin(scan, curve.knots[1:-1]).sum())
+            on_top += int(scan[-1] == curve.knots[-1])
+        assert cases == {"equal", "inside", "narrow"}
+        assert on_inner > 0 and on_top == 200  # the top knot is hi unless "inside"
+
+    @pytest.mark.parametrize("knots", [(0.2, 0.5, 1.0), (0.0, 0.5, 0.9), (0.1, 0.5, 0.9)])
+    def test_a_curve_off_the_interval_raises_at_every_read_and_is_not_kept(self, knots):
+        curve = Tabulated(knots, (0.3, 0.4, 0.6))
+        message = f"tabulated curve defined on [{knots[0]}, {knots[-1]}]; no extrapolation"
+        interval = EffortInterval(0.0, 1.0)
+        for order, name in enumerate(ORDERS):  # the per-order calls raise the same
+            with pytest.raises(DomainError) as err:
+                getattr(curve, name)(interval.grid(_FILL_POINTS[order]))
+            assert str(err.value) == message
+        for orders in ((0, 1, 2), (2, 1, 0)):
+            tables = EffortTables(interval)
+            for order in orders:
+                for points in (_FILL_POINTS[order], _FILL_POINTS[order], MT_GRID_POINTS):
+                    with pytest.raises(DomainError) as err:
+                        tables.array(curve, points, order)
+                    assert str(err.value) == message
+            assert not tables._arrays
+
+    @pytest.mark.parametrize("method", ORDERS)
+    def test_a_subclass_with_its_own_method_is_filled_order_by_order(self, method):
+        """Overriding eval, d1 or d2 ends the joint fill; overriding eval or
+        d1, whose stated accuracies rest on the family's own code, also ends
+        the enclosure and the trusted array ulps of that method."""
+
+        class Own(Tabulated):
+            pass
+
+        setattr(Own, method, lambda self, t: getattr(Tabulated, method)(self, t))
+        interval = EffortInterval(0.0, 1.0)
+        knots, values = (0.0, 0.3, 1.0), (0.1, 0.5, 0.6)
+        own, family = Own(knots, values), Tabulated(knots, values)
+        assert not own.has_family_methods(method) and family.has_family_methods(*ORDERS)
+        for curve, keys in ((family, 3), (own, 1)):
+            tables = EffortTables(interval)
+            tables.array(curve, SCAN_GRID_POINTS)
+            assert len(tables._arrays) == keys
+            for order, name in enumerate(ORDERS):
+                direct = getattr(curve, name)(interval.grid(_FILL_POINTS[order]))
+                assert np.array_equal(_bits(tables.array(curve, _FILL_POINTS[order], order)), _bits(direct))
+        edges = interval.grid(CELLS + 1)
+        assert family.enclosure(edges) is not None
+        assert (own.enclosure(edges) is None) == (method != "d2")
+        for name in ("eval", "d1"):
+            ulps = principal_module._array_ulps(own, name)
+            assert ulps == (math.inf if name == method else 0.0)
+            assert principal_module._array_ulps(family, name) == 0.0
 
 
 def _family_curves(rng, interval):
