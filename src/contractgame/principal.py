@@ -30,7 +30,6 @@ from .tables import CELLS, MT_GRID_POINTS, SCAN_GRID_POINTS, EffortTables, effor
 __all__ = [
     "ENUMERATION_CAP",
     "SCREEN_CHUNK",
-    "DELTA_ROW_MEMO",
     "TIE_BREAK_POLICIES",
     "WageGrid",
     "ContractFamily",
@@ -39,8 +38,7 @@ __all__ = [
     "solve_game",
 ]
 
-SCREEN_CHUNK = 1024  # contracts enumerated and screened at a time
-DELTA_ROW_MEMO = 4096  # utility-delta rows whose _Row solve_game keeps
+SCREEN_CHUNK = 2**16  # contracts enumerated and screened at a time
 
 
 @dataclass(frozen=True)
@@ -190,18 +188,6 @@ class _FamilyArrays:
     def matrix(self, levels, index) -> np.ndarray:
         """(C, n) values of per-axis arrays at the contracts' axis indices."""
         return np.stack([axis[index[:, i]] for i, axis in enumerate(levels)], axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class _Row:
-    """A utility-delta row's base-free tables, from which _screen settles
-    its contracts; _screen's docstring defines the fields, and _build_rows
-    builds them."""
-
-    top: float
-    span: float
-    size: float
-    points: np.ndarray
 
 
 def _d1(curve, x: np.ndarray) -> np.ndarray:
@@ -491,11 +477,16 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     return kept, floor, low, size, slope_size
 
 
-def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float) -> list:
-    """The _Row of each utility-delta row in keys (tuples), or None where it has no screen.
+def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, base_size: float):
+    """The tables of each utility-delta row of deltas, an (R, n-1) array, as columns.
 
-    base_size is the largest |u(w_n)| of the family's contracts.
-    _screen's docstring defines the tables.  Each row is built on the
+    Returns (stats, owner, points).  stats is (3, R): each row's top, span
+    and size, the size infinite (top and span 0) for a row with no screen,
+    so that none of its contracts is decided.  points is (n+1, P): the
+    rows a, v, p_1, ... of every row's points, a row's columns together
+    and in order; owner, sorted, gives the row of each column.  base_size
+    is the largest |u(w_n)| of the family's contracts.  _screen's
+    docstring defines the tables.  Each row is built on the
     cells of the scan that _cells keeps (a full build keeps them all), in
     three stages:
 
@@ -519,16 +510,18 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     - finish: for all the rows at once, each row's settle_points (_settle),
       of which a pruned row keeps the points in its kept cells, and a, v
       and the p_i there (_evals), a summed from -0.0 over the nonzero
-      deltas in component order, as LinearPayoff.value sums it.
+      deltas in component order, as LinearPayoff.value sums it.  The
+      columns of the rows each pass finishes are appended, and one stable
+      sort by row joins the passes.
 
-    A row is None when its tables raise or are not finite, when a scan
-    peak brackets no sign change of the slope (an open bracket), or when a
-    scalar call on it raises or gives an a or v that is not finite.  A
-    full build gives the row that searching it alone gives, bit for bit.
-    A pruned row is None where that search is, and otherwise has its top,
-    a span no larger, its enclosure size, and those of its points that lie
-    in its kept cells.  _screen decides each
-    of its contracts as the contract's own solve does.
+    A row has no screen when its tables raise or are not finite, when a
+    scan peak brackets no sign change of the slope (an open bracket), or
+    when a scalar call on it raises or gives an a or v that is not finite.
+    A full build gives the tables that searching the row alone gives, bit
+    for bit.  A pruned row has no screen where that search has none, and
+    otherwise has its top, a span no larger, its enclosure size, and those
+    of its points that lie in its kept cells.  _screen decides each of its
+    contracts as the contract's own solve does.
 
     A pruned row is built again in full when it cannot carry the proof:
     when, at an edge between a kept and a pruned cell, the slope on the
@@ -539,12 +532,13 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     none can, nor can a pruned candidate drop a later kept one); and when
     its best kept point has h below the floor.
     """
-    count = len(keys)
+    count = len(deltas)
     components = scenario.profile.components
     cost = scenario.agent.effort_cost
-    deltas = np.array(keys, dtype=float).reshape(count, len(components))
     used = deltas != 0.0
-    built = [None] * count
+    stats = np.zeros((3, count))
+    stats[2] = math.inf
+    owners, columns = [np.zeros(0, dtype=np.intp)], [np.zeros((len(components) + 2, 0))]
     # each curve's _WINDOW rows, None where the tables raise
     windows = []
     failed = np.zeros(count, dtype=bool)
@@ -554,7 +548,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
                 on_scan, on_grid = tables.array(curve, SCAN_GRID_POINTS), tables.array(curve, MT_GRID_POINTS, 1)
             except Exception:
                 if curve is cost:
-                    return built
+                    return stats, owners[0], columns[0]
                 windows.append(None)
                 failed |= used[:, i]
             else:
@@ -567,11 +561,11 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     interval = scenario.interval
     slopes = _Slopes(scenario, deltas)
 
-    def dense(group, kept, counts, stats, alive, zeros, changes, peaks) -> np.ndarray:
+    def dense(group, kept, counts, extremes, alive, zeros, changes, peaks) -> np.ndarray:
         """The dense stage of a group of rows, each with counts[row] kept
-        cells: their stats and liveness, and their zeros, sign changes and
-        scan peaks appended to the lists; returns the rows whose proof
-        fails at a cell edge."""
+        cells: their extremes (top, low) and liveness, and their zeros, sign
+        changes and scan peaks appended to the lists; returns the rows whose
+        proof fails at a cell edge."""
         pair_row, c = np.nonzero(kept[group])
         r = group[pair_row]
         first_pair = np.cumsum(counts[group]) - counts[group]
@@ -591,7 +585,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         h, gv = both[:, :_STEP + 3], both[:, _STEP + 3:]
         top = np.maximum.reduceat(h, first_pair).max(axis=1)
         low = np.minimum.reduceat(h, first_pair).min(axis=1)
-        stats[0, group], stats[1, group] = top, low
+        extremes[0, group], extremes[1, group] = top, low
         finite = np.logical_and.reduceat(np.isfinite(gv), first_pair).all(axis=1)
         alive[group] = np.isfinite(np.maximum(top, -low) + 2.0 * cost_size) & finite
         # h's scan maxima among the window's inner points, the cell's edges
@@ -615,7 +609,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
 
     def build(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """Build the rows (sorted) on their kept cells; the pruned rows to build again in full."""
-        stats = np.full((2, count), np.nan)  # top, low
+        extremes = np.full((2, count), np.nan)  # top, low
         alive = np.zeros(count, dtype=bool)
         retry, zeros, changes, peaks = [], [], [], []
         counts = kept.sum(axis=1)
@@ -624,7 +618,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
         with np.errstate(all="ignore"):
             for group in np.split(rows, groups[groups < len(rows)]):
                 if len(group):
-                    retry.append(dense(group, kept, counts, stats, alive, zeros, changes, peaks))
+                    retry.append(dense(group, kept, counts, extremes, alive, zeros, changes, peaks))
             retry = np.concatenate([np.zeros(0, dtype=np.intp), *retry])
             alive[retry] = False
 
@@ -685,8 +679,8 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
                 a = np.where(d != 0.0, a + d * pi, a)
             unfit = np.logical_or.reduce(raised) | ~np.isfinite(a) | ~np.isfinite(v)
             table = np.array([a, v, *p])
-            # per settled row: its points' columns of the table, and the
-            # largest h and |a| + |v| there (NaN for a row with none)
+            # per settled row: the largest h and |a| + |v| at its points (NaN
+            # for a row with none)
             starts, stops = np.searchsorted(owner, settled), np.searchsorted(owner, settled, side="right")
             shown = stops > starts
             h_max, av_max = np.full((2, len(settled)), np.nan)
@@ -695,22 +689,24 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
                 h_max[shown] = np.maximum.reduceat(a - v, at)
                 av_max[shown] = np.maximum.reduceat(np.abs(a), at) + np.maximum.reduceat(np.abs(v), at)
             # as Python's min and max, which keep the first of equal values
-            top, low = stats[:, settled]
+            top, low = extremes[:, settled]
             span = top - np.where(edge_low[settled] < low, edge_low[settled], low)
             size = np.where(-low > top, -low, top) + 2.0 * cost_size
             size = np.where(av_max > size, av_max, size)
         full = counts[settled] == CELLS
         size = np.where(full, size, size_bound[settled])
-        # a row with a point that raises or is not finite is None; a pruned
-        # row whose best kept point lies below its floor is built again
+        # a row with a point that raises or is not finite has no screen; a
+        # pruned row whose best kept point lies below its floor is built again
         broken = np.zeros(count, dtype=bool)
         broken[owner[unfit]] = True
         whole = ~broken[settled]
         done = whole & (full | (h_max >= floor[settled]))
-        for r, start, stop, t, width, bound in zip(
-            *(column[done].tolist() for column in (settled, starts, stops, top, span, size))
-        ):
-            built[r] = _Row(t, width, bound, table[:, start:stop])
+        stats[:, settled[done]] = top[done], span[done], size[done]
+        finished = np.zeros(count, dtype=bool)
+        finished[settled[done]] = True
+        mine = finished[owner]
+        owners.append(owner[mine])
+        columns.append(table[:, mine])
         again = np.zeros(count, dtype=bool)
         again[retry] = again[rows[near]] = again[settled[whole & ~done]] = True
         return np.flatnonzero(again)
@@ -718,17 +714,22 @@ def _build_rows(scenario: Scenario, tables: EffortTables, keys, base_size: float
     retry = build(np.flatnonzero(~failed), kept)
     if len(retry):
         build(retry, np.ones_like(kept))
-    return built
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    return stats, owner[order], np.concatenate(columns, axis=1)[:, order]
 
 
-def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, policy: str):
-    """Settle the contracts of one chunk from their rows' tables, where that is exact.
+def _screen(
+    scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: str
+):
+    """Settle the contracts of one block from their rows' tables, where that is exact.
 
     Returns (screened, accepted, value) per contract; accepted and value
     (the principal's payoff at the policy's effort) are as the contract's
-    own solve gives them wherever screened is set.  row_tables(keys) gives
-    the _Row, or None, of each utility-delta row (LinearPayoff.deltas) in
-    keys.
+    own solve gives them wherever screened is set.  The block's distinct
+    utility-delta rows (LinearPayoff.deltas) are built in one _build_rows
+    call, and each contract gathers its row's stats and points by row
+    number.
 
     The row.  A contract with base b = u(w_n) in a delta row has the
     payoff b + h, with h = a - v base-free (a = sum_i delta_i p_i, v the
@@ -751,13 +752,13 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
       so |b| + size < FINITE_BOUND = 2^1000 keeps (b + a) - v finite;
     - ``points``: the settled candidates of a solve that is not flat (the
       bracket-grid roots and the roots h's scan peaks snap onto) that lie
-      in the kept cells, as an array with one column per effort and the
-      rows a, v, p_1, ..., p_{n-1}, with the bits of the scalar calls
-      settle and the principal make.
+      in the kept cells, one column per effort of _build_rows' points,
+      whose rows are a, v, p_1, ..., p_{n-1}, with the bits of the scalar
+      calls settle and the principal make.
 
-    A row has no screen (None) when its tables raise or are not finite, or
-    a scan peak of h brackets no sign change of the slope (an open
-    bracket, for golden section); every scan peak lies in a kept cell.
+    A row has no screen (size infinite) when its tables raise or are not
+    finite, or a scan peak of h brackets no sign change of the slope (an
+    open bracket, for golden section); every scan peak lies in a kept cell.
     Otherwise a contract whose flat test fails and with |b| + size <
     2^1000 is decided: its solve neither raises nor takes the flat
     shortcut, and settles the row's points and those of the pruned cells.
@@ -795,23 +796,12 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
         distinct, which = np.unique(deltas[ok], axis=0, return_inverse=True)
     which = which.reshape(-1)
 
-    row_screens = row_tables([tuple(d) for d in distinct.tolist()])
+    stats, column_row, points = _build_rows(scenario, tables, distinct, arrays.base_size())
+    # row r's points are the columns offsets[r] .. offsets[r + 1] - 1
+    offsets = np.searchsorted(column_row, np.arange(len(distinct) + 1))
+    a_all, v_all, p_all = points[0], points[1], points[2:]
 
-    # per row: top, span, size (a row without a screen has size inf, so
-    # none of its contracts is decided) and its points' offset in cells
-    n_comp = levels.shape[1] - 1
-    stats = np.array(
-        [(0.0, 0.0, math.inf) if sc is None else (sc.top, sc.span, sc.size)
-         for sc in row_screens]
-    ).T
-    set_len = np.array([0 if sc is None else sc.points.shape[1] for sc in row_screens])
-    set_off = np.cumsum(set_len) - set_len
-    cells = np.concatenate(
-        [np.zeros((2 + n_comp, 0))] + [sc.points for sc in row_screens if sc is not None], axis=1
-    )
-    a_all, v_all, p_all = cells[0], cells[1], cells[2:]
-
-    top, span, row_size = (x[which] for x in stats)
+    top, span, row_size = stats[:, which]
     base = levels[ok, -1]
     with np.errstate(all="ignore"):
         not_flat = span > TAU_EXPECTATION * np.maximum(1.0, np.abs(base + top))
@@ -823,11 +813,11 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     base = base[decided]
 
     # one cell per contract and candidate point; first[c] is contract c's first
-    lengths = set_len[row_of]
+    lengths = np.diff(offsets)[row_of]
     first = np.cumsum(lengths) - lengths
     owner = np.repeat(np.arange(len(rows)), lengths)
     pos = np.arange(len(owner))
-    cell = pos - first[owner] + set_off[row_of][owner]
+    cell = pos - first[owner] + offsets[row_of][owner]
     with np.errstate(all="ignore"):
         f = (base[owner] + a_all[cell]) - v_all[cell]
         best = np.maximum.reduceat(f, first)
@@ -838,9 +828,9 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
         pdeltas = principal[:, :-1] - principal[:, -1:]
         principal_ok = np.isfinite(principal).all(axis=1) & np.isfinite(pdeltas).all(axis=1)
         acc = np.full(len(owner), -0.0)
-        for i in range(n_comp):
+        for i, pi in enumerate(p_all):
             d = pdeltas[owner, i]
-            acc = np.where(d != 0.0, acc + d * p_all[i, cell], acc)
+            acc = np.where(d != 0.0, acc + d * pi[cell], acc)
         pv = principal[owner, -1] + acc
         # the policy's value: at the first or last tied point, or the best
         # tied value, which _select_effort's first strictly better one has
@@ -858,27 +848,33 @@ def _screen(scenario: Scenario, row_tables, arrays: _FamilyArrays, index, fits, 
     return screened, accepted, value
 
 
-def _winner(wages: np.ndarray, accepted, value, incumbent):
-    """The chunk's first accepted contract of least key (-value, wages), as
-    (key, position in the chunk), if its key is below the key of the
-    incumbent, a tuple whose first item is its key; else the incumbent.
+def _key(value: np.ndarray, wages: np.ndarray, k) -> tuple:
+    """The key (-value, wages) of a block's contract k, of Python floats."""
+    return -float(value[k]), tuple(wages[k].tolist())
 
-    A NaN value never compares below another key, nor another below it, so
-    with one the keys are compared in order, as a per-contract loop does.
+
+def _winner(wages: np.ndarray, accepted, value, incumbent):
+    """The block's first accepted contract of least key (_key), as (key,
+    position in the block), if its key is below the key of the incumbent,
+    a tuple whose first item is its key; else the incumbent.
+
+    Keys are compared with <, as a per-contract loop compares them.  A NaN
+    value never compares below another key, nor another below it, so with
+    one the keys are compared in order, as that loop does.
     """
     found = np.nonzero(accepted)[0]
     if len(found) == 0:
         return incumbent
     if np.isnan(value[found]).any():
         for k in found:
-            key = (-float(value[k]), tuple(wages[k].tolist()))
+            key = _key(value, wages, k)
             if incumbent is None or key < incumbent[0]:
                 incumbent = (key, k)
         return incumbent
     top = value[found].max()
     found = found[value[found] == top]
     k = found[np.lexsort(wages[found].T[::-1])[0]]
-    key = (-float(value[k]), tuple(wages[k].tolist()))
+    key = _key(value, wages, k)
     if incumbent is None or key < incumbent[0]:
         return key, k
     return incumbent
@@ -895,15 +891,17 @@ def solve_game(
     contracts are discarded, the rest are scored by the principal's
     expectation at the tie-break effort, and the least key (-value, wages)
     wins, the first such contract on a tie.  The family is enumerated as
-    arrays, SCREEN_CHUNK contracts at a time, and grouped by utility-delta
-    row.  Most contracts are settled from their row's tables (_screen,
-    where the argument that makes this exact is set out); the rest are solved
-    one by one, in order, by agent_best_response, so an error is raised at
-    the same contract as by a loop of its calls.  The screen decides only
+    arrays in blocks of SCREEN_CHUNK contracts, and each block is grouped
+    by utility-delta row, its rows built together.  Most contracts are
+    settled from their row's tables (_screen, where the argument that
+    makes this exact is set out); the rest are solved one by one, in
+    order, by agent_best_response, so an error is raised at the same
+    contract as by a loop of its calls.  The screen decides only
     acceptance and the principal's value, so a screened winner's
     BestResponse comes from agent_best_response once more, which gives the
     result of that loop (_screen: a screened contract's own solve is its
-    row's result); a winner the loop solved keeps that solve.
+    row's result).  The one-by-one loop keeps only the solve of its least
+    key, which the block's winner reuses when it is that contract.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -912,25 +910,7 @@ def solve_game(
         )
     family.require_within_cap()
     tables = effort_tables(scenario)
-    rows = {}  # the last DELTA_ROW_MEMO rows met, oldest first
-
     arrays = _FamilyArrays(scenario, family)
-    base_size = arrays.base_size()
-
-    def row_tables(keys: list) -> list:
-        """The _Row of each utility-delta row in keys, or None.  The rows
-        not held are built in one _build_rows call and added in order.  A
-        row without a screen is kept as None: its contracts are solved one
-        by one, which raises the same error at the same contract."""
-        new = [key for key in keys if key not in rows]
-        built = dict(zip(new, _build_rows(scenario, tables, new, base_size))) if new else {}
-        found = [rows[key] if key in rows else built[key] for key in keys]
-        for key, row in built.items():
-            if len(rows) >= DELTA_ROW_MEMO:
-                del rows[next(iter(rows))]
-            rows[key] = row
-        return found
-
     # (key, contract, its _respond result or None) of the best accepted
     # contract so far; the result is kept where the one-by-one loop made it
     incumbent = None
@@ -938,17 +918,23 @@ def solve_game(
     for start in range(0, total, SCREEN_CHUNK):
         stop = min(start + SCREEN_CHUNK, total)
         index, fits = arrays.chunk(start, stop)
-        screened, accepted, value = _screen(scenario, row_tables, arrays, index, fits, tie_break)
-        solved = {}
+        screened, accepted, value = _screen(scenario, tables, arrays, index, fits, tie_break)
+        wages = arrays.matrix(arrays.wages, index)
+        solved = None  # (key, k, _respond result) of the loop's least key
         for k in np.nonzero(~screened)[0].tolist():
-            solved[k] = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
-            response, _, v = solved[k]
+            result = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
+            response, _, v = result
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
-        found = _winner(arrays.matrix(arrays.wages, index), accepted, value, incumbent)
+            if response.accepted:
+                key = _key(value, wages, k)
+                if solved is None or key < solved[0]:
+                    solved = key, k, result
+        found = _winner(wages, accepted, value, incumbent)
         if found is not incumbent:
             key, k = found[0], int(found[1])
-            incumbent = key, arrays.contract(start + k, index[k]), solved.get(k)
+            kept = solved[2] if solved is not None and solved[1] == k else None
+            incumbent = key, arrays.contract(start + k, index[k]), kept
     if incumbent is None:
         return GameSolution(
             all_rejected=True,

@@ -6,24 +6,27 @@ written here, and the principal's payoff is an inline probability-weighted
 sum.  Nothing is shared with the solver's best-response search.
 
 ``row_build`` is the reference for solve_game's batched row build: one
-utility-delta row's tables, searched alone with the per-contract stages,
-and its point values from one scalar call per curve and point
-(``row_points``); ``row_efforts`` gives that search's settled efforts and
-open brackets.
+utility-delta row's tables (a ``Row``), searched alone with the
+per-contract stages, and its point values from one scalar call per curve
+and point (``row_points``); ``row_efforts`` gives that search's settled
+efforts and open brackets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from contractgame import agent_payoff_functions, grid_argmax, profile_probs
 from contractgame.agent import LinearPayoff, scan_candidates, settle_points
-from contractgame.principal import _Row
 from contractgame.tables import SCAN_GRID_POINTS
 
 _INV_PHI = 0.5 * (np.sqrt(5.0) - 1.0)
+
+# a utility-delta row's tables, as principal._screen's docstring defines them
+Row = namedtuple("Row", "top span size points")
 
 
 def refine_max(f, a: float, b: float, tol: float = 1e-12) -> float:
@@ -97,7 +100,7 @@ def row_points(scenario, deltas, points) -> np.ndarray:
 
 
 def row_build(scenario, tables, deltas, cost_size):
-    """The row's _Row searched alone, and why it is None: (row, None) for
+    """The Row of the row searched alone, and why it is None: (row, None) for
     a built row, (None, why) with why "raises", "not finite" or "open
     bracket" for a row without a screen.
 
@@ -118,7 +121,7 @@ def row_build(scenario, tables, deltas, cost_size):
     except Exception:
         return None, "raises"
     a_max, v_max = np.abs(points[:2]).max(axis=1)
-    return _Row(top, top - low, float(max(size, a_max + v_max)), points), None
+    return Row(top, top - low, float(max(size, a_max + v_max)), points), None
 
 
 def row_efforts(scenario, tables, deltas):

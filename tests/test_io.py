@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,7 @@ from contractgame.scenario_io import (
     document_from_dict,
     document_to_dict,
     emit_report,
+    read_json,
     render_json,
 )
 
@@ -265,6 +267,32 @@ class TestNonFiniteInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"]
+    )
+    def test_constant_literal_is_a_parse_error(self, value, tmp_path):
+        """JSON's NaN, Infinity and -Infinity literals are refused when read."""
+        literal = json.dumps(value)
+        with pytest.raises(ParseError) as err:
+            read_json("text", f"[1.0, {literal}]")
+        assert str(err.value) == f"text: {literal} is not a finite number"
+        raw = fixture_dict()
+        raw["profile"][0]["coefficients"][1] = value
+        path = write_doc(tmp_path, raw)
+        with pytest.raises(ParseError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}: {literal} is not a finite number"
+
+    def test_constant_literal_is_one_error_line(self, tmp_path, capsys):
+        for value in (math.nan, math.inf, -math.inf):
+            raw = fixture_dict()
+            raw["agent"]["reservation_utility"] = value
+            path = write_doc(tmp_path, raw)
+            assert run_command(["solve-agent", path]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {path}: {json.dumps(value)} is not a finite number\n"
 
     def test_scalar_overflow_is_a_domain_error(self, tmp_path, capsys):
         with pytest.raises(DomainError, match="overflows"):

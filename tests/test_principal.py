@@ -37,7 +37,7 @@ from contractgame.principal import TIE_BREAK_POLICIES
 from contractgame.tables import (
     CELLS, MT_GRID_POINTS, SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, effort_tables,
 )
-from game_oracle import enumeration_oracle, row_build, row_efforts
+from game_oracle import Row, enumeration_oracle, row_build, row_efforts
 from principal_cases import (
     BATCHING_FAMILIES, ERROR_CASES, IDENTITY, RISING, SCREEN_FAMILIES, SHARED_STEP,
     tied_contracts, twin_peak_contracts, unit_scenario,
@@ -317,9 +317,9 @@ class TestFamilyBatching:
         build, bisect = principal_module._build_rows, principal_module.bisect_brackets
         golden = agent_module._golden_max
 
-        def counting_build(scenario, tables, keys, base_size):
-            calls["rows"] += len(keys)
-            return build(scenario, tables, keys, base_size)
+        def counting_build(scenario, tables, deltas, base_size):
+            calls["rows"] += len(deltas)
+            return build(scenario, tables, deltas, base_size)
 
         def counting_bisect(g, a, b, snap):
             # the scan-peak brackets the row build snaps onto a root
@@ -351,46 +351,39 @@ class TestFamilyBatching:
             )
             assert 0 < rejected < family.size()
 
-    def test_full_delta_row_memo_evicts_oldest(self, monkeypatch):
-        monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
-        scenario, family = BATCHING_FAMILIES["fixture-shared-step"]()
-        for policy in TIE_BREAK_POLICIES:
-            assert solve_game(scenario, family, policy) == _per_contract_solve(
-                scenario, family, policy
-            )
-
     @pytest.mark.parametrize(
         "outcomes, wages, winner",
         [
-            # each chunk's new row sorts before the one the last chunk met:
-            # a memo of three that started over would build that one again
+            # each pair of contracts has a new row that sorts before the
+            # rows of the pairs before it
             ((2.5, 2.0), [w for k in range(8, 0, -1) for w in (k * 0.25, (k - 1) * 0.25)], 0.0),
-            # the first contract wins, and its row leaves the memo long
-            # before the family ends
+            # the first contract wins, and its row is met again only there
             ((10.0, 2.0), [2.0] + [k * 0.25 for k in range(7, -1, -1) for _ in range(2)], 2.0),
         ],
         ids=["last-wins", "first-wins"],
     )
-    def test_full_delta_row_memo_keeps_recent_rows(self, outcomes, wages, winner, monkeypatch):
-        """Under a memo of three and chunks of two, each row is built once, the winner's included."""
-        monkeypatch.setattr(principal_module, "DELTA_ROW_MEMO", 3)
-        monkeypatch.setattr(principal_module, "SCREEN_CHUNK", 2)
+    def test_each_row_is_built_once(self, outcomes, wages, winner, monkeypatch):
+        """One _build_rows call holds each of the 9 distinct rows once, the
+        winner's included; in blocks of two contracts the result is the same."""
         built = []
         build = principal_module._build_rows
 
-        def counting_build(scenario, tables, keys, base_size):
-            built.extend(keys)
-            return build(scenario, tables, keys, base_size)
+        def counting_build(scenario, tables, deltas, base_size):
+            built.append(deltas.tolist())
+            return build(scenario, tables, deltas, base_size)
 
         monkeypatch.setattr(principal_module, "_build_rows", counting_build)
         scenario = unit_scenario(outcomes, RISING, Polynomial((0.0, 0.0, 2.0)))
         family = ContractFamily(contracts=tuple(Contract((w, 0.0)) for w in wages))
-        for policy in TIE_BREAK_POLICIES:
-            built.clear()
-            got = solve_game(scenario, family, policy)
-            assert got == _per_contract_solve(scenario, family, policy)
-            assert got.contract == Contract((winner, 0.0))
-            assert sorted(built) == [(k * 0.25,) for k in range(9)]
+        for chunk in (principal_module.SCREEN_CHUNK, 2):
+            monkeypatch.setattr(principal_module, "SCREEN_CHUNK", chunk)
+            for policy in TIE_BREAK_POLICIES:
+                built.clear()
+                got = solve_game(scenario, family, policy)
+                assert got == _per_contract_solve(scenario, family, policy)
+                assert got.contract == Contract((winner, 0.0))
+                if chunk > 2:
+                    assert built == [[[k * 0.25] for k in range(9)]]
 
 
 # the families whose every contract the screen settles
@@ -541,9 +534,9 @@ class TestScreenConfirm:
         built = []
         build = principal_module._build_rows
 
-        def counting_build(scenario, tables, keys, base_size):
-            built.extend(keys)
-            return build(scenario, tables, keys, base_size)
+        def counting_build(scenario, tables, deltas, base_size):
+            built.extend(deltas)
+            return build(scenario, tables, deltas, base_size)
 
         monkeypatch.setattr(principal_module, "_build_rows", counting_build)
         for policy in TIE_BREAK_POLICIES:
@@ -645,6 +638,21 @@ def _same_row(got, expected):
     )
 
 
+def _built_rows(scenario, tables, rows, base_size) -> list:
+    """_build_rows on the delta rows (tuples), split into a Row per row, or
+    None where the row has no screen (infinite size, and no points)."""
+    deltas = np.array(rows, dtype=float).reshape(len(rows), scenario.n_outcomes - 1)
+    stats, owner, points = principal_module._build_rows(scenario, tables, deltas, base_size)
+    assert stats.shape == (3, len(rows)) and (np.diff(owner) >= 0).all()
+    offsets = np.searchsorted(owner, np.arange(len(rows) + 1))
+    got = []
+    for r, (top, span, size) in enumerate(stats.T.tolist()):
+        start, stop = offsets[r], offsets[r + 1]
+        assert (size == math.inf) == (start == stop), (top, span, size)
+        got.append(None if size == math.inf else Row(top, span, size, points[:, start:stop]))
+    return got
+
+
 def _row_cases():
     """(scenario, family, rows, base_size) per family of the screen, batching,
     error and generated corpora, plus rows whose tables raise and rows whose
@@ -735,7 +743,7 @@ class TestBatchedRowBuild:
                 continue
             tables, cost_size = effort_tables(scenario), _cost_size(scenario)
             edges = tables.grid(CELLS + 1)
-            got = principal_module._build_rows(scenario, tables, rows, base_size)
+            got = _built_rows(scenario, tables, rows, base_size)
             assert len(got) == len(rows)
             for deltas, row, kept in zip(rows, got, _kept(scenario, tables, rows, base_size)):
                 expected, why = row_build(scenario, tables, deltas, cost_size)
@@ -806,30 +814,30 @@ class TestBatchedRowBuild:
                 assert keep.all(), (scenario, deltas)
         assert flat["constant-profile-flat"] > 0 and flat["huge base"] > 0, flat
 
-    def test_screen_decides_as_the_full_build(self):
+    def test_screen_decides_as_the_full_build(self, monkeypatch):
         """Every contract the screen settles from pruned rows or from full
         ones gets the same acceptance and value from both, or, where only
         one settles it (a pruned row's span is a lower bound), from its own
         solve."""
+        build = principal_module._build_rows
         for scenario, family, rows, base_size in _row_cases():
             if family is None or not rows:
                 continue
             tables = effort_tables(scenario)
             # no cell is pruned under an infinite tie tolerance
             assert _kept(scenario, tables, rows, math.inf).all()
-            builds = [
-                dict(zip(rows, principal_module._build_rows(scenario, tables, rows, size)))
-                for size in (base_size, math.inf)
-            ]
             arrays = principal_module._FamilyArrays(scenario, family)
             index, fits = arrays.chunk(0, family.size())
-            for policy in TIE_BREAK_POLICIES:
-                pruned, full = (
-                    principal_module._screen(
-                        scenario, lambda keys, b=b: [b[k] for k in keys], arrays, index, fits, policy
-                    )
-                    for b in builds
+
+            def screen(size, policy):
+                """_screen with its rows built under the base size size."""
+                monkeypatch.setattr(
+                    principal_module, "_build_rows", lambda s, t, deltas, _: build(s, t, deltas, size)
                 )
+                return principal_module._screen(scenario, tables, arrays, index, fits, policy)
+
+            for policy in TIE_BREAK_POLICIES:
+                pruned, full = (screen(size, policy) for size in (base_size, math.inf))
                 both = pruned[0] & full[0]
                 assert np.array_equal(pruned[1][both], full[1][both])
                 assert _bits(pruned[2][both]) == _bits(full[2][both])
@@ -1006,7 +1014,7 @@ class TestFullBuildFallbacks:
         tables, cost_size = effort_tables(scenario), _cost_size(scenario)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the build warns of no overflow
-            got = principal_module._build_rows(scenario, tables, rows, base_size)
+            got = _built_rows(scenario, tables, rows, base_size)
         check(scenario, tables)
         if proposed is not None:
             assert (_prune_proposed(scenario, rows, base_size) == proposed).all()
@@ -1133,7 +1141,7 @@ class TestArrayFinish:
         scenario = unit_scenario((10.0, 5.0, 2.0), [RISING[0], _InfiniteAtOne()], _QUADRATIC_COST)
         tables, cost_size = effort_tables(scenario), _cost_size(scenario)
         rows = [(1.0, 0.0), (1.0, 2.0), (3.0, 0.0), (0.5, 0.0)]
-        got = principal_module._build_rows(scenario, tables, rows, math.inf)
+        got = _built_rows(scenario, tables, rows, math.inf)
         assert [row is None for row in got] == [False, True, False, False]
         for deltas, row in zip(rows, got):
             expected, why = row_build(scenario, tables, deltas, cost_size)
@@ -1152,7 +1160,7 @@ class TestArrayFinish:
         scenario = unit_scenario((10.0, 2.0), [offset], _QUADRATIC_COST)
         tables, cost_size = effort_tables(scenario), _cost_size(scenario)
         rows = [(1.0,), (4.0,), (-2.0,), (7.5,)]
-        got = principal_module._build_rows(scenario, tables, rows, 0.0)
+        got = _built_rows(scenario, tables, rows, 0.0)
         assert all(row is not None for row in got)
         for deltas, row in zip(rows, got):
             expected, _ = row_build(scenario, tables, deltas, cost_size)
