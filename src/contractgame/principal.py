@@ -13,6 +13,7 @@ result is deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,65 +126,55 @@ def _levels(curve, points) -> np.ndarray:
 
 
 class _FamilyArrays:
-    """A contract family as arrays, without building its Contracts.
+    """The first ``size`` contracts of a family as arrays, without building them.
 
-    Per outcome i: the distinct wages (``values[i]``, Python floats), and
-    u(w) and B(x_i - w) there (``u[i]``, ``b[i]``) from the scalar calls
-    LinearPayoff makes, NaN where a call raises or is not finite.  Per
-    contract, in the family's order: the index of its wage on each axis,
-    and whether it has one wage per outcome (``chunk``).
+    They are those before its first contract whose wage count is not the
+    outcome count (a grid family of the wrong grid count has none).  Per
+    outcome i: their distinct wages (``values[i]``, Python floats distinct
+    by bits), and u(w) and B(x_i - w) there (``u[i]``, ``b[i]``) from the
+    scalar calls LinearPayoff makes, NaN where a call raises or is not
+    finite.  Per contract, in the family's order: the index of its wage on
+    each axis.
     """
 
     def __init__(self, scenario: Scenario, family: ContractFamily):
         n = scenario.n_outcomes
-        self.family = family
         if family.grids is not None:
             self.values = [g.values() for g in family.grids]
             self.shape = tuple(len(v) for v in self.values)
             self.index = None
-            self.fits = len(self.values) == n
+            self.size = family.size() if len(self.values) == n else 0
         else:
-            fits = np.array([len(c) == n for c in family.contracts])
-            wages = np.array(
-                [c.wages for c in family.contracts if len(c) == n], dtype=float
-            ).reshape(-1, n)
-            self.index = np.zeros((len(fits), n), dtype=np.intp)
+            contracts = family.contracts
+            self.size = next((k for k, c in enumerate(contracts) if len(c) != n), len(contracts))
+            wages = np.array([c.wages for c in contracts[:self.size]], dtype=float).reshape(-1, n)
+            self.index = np.zeros((self.size, n), dtype=np.intp)
             self.values = []
             for i in range(n):
                 # distinct bits: -0.0 and 0.0 may give different utilities
                 bits, inverse = np.unique(wages[:, i].view(np.int64), return_inverse=True)
                 self.values.append(bits.view(np.float64).tolist())
-                self.index[fits, i] = inverse.reshape(-1)
-            self.fits = fits
+                self.index[:, i] = inverse.reshape(-1)
         self.wages = [np.array(v, dtype=float) for v in self.values]
-        self.u = self.b = None
-        if self.index is not None or self.fits:
-            u = scenario.agent.utility
-            B = scenario.principal.utility
-            self.u = [_levels(u, v) for v in self.values]
-            self.b = [
-                _levels(B, [x - w for w in v]) for x, v in zip(scenario.outcomes, self.values)
-            ]
+        u = scenario.agent.utility
+        B = scenario.principal.utility
+        self.u = [_levels(u, v) for v in self.values]
+        self.b = [_levels(B, [x - w for w in v]) for x, v in zip(scenario.outcomes, self.values)]
 
     def base_size(self) -> float:
-        """The largest finite |u(w_n)| of the contracts (0.0 without levels)."""
-        if self.u is None:
-            return 0.0
+        """The largest finite |u(w_n)| of the contracts."""
         last = self.u[-1]
         return float(np.abs(last[np.isfinite(last)]).max(initial=0.0))
 
-    def chunk(self, start: int, stop: int):
-        """(index, fits) of contracts start..stop-1: (C, n) axis indices, (C,) bools."""
+    def chunk(self, start: int, stop: int) -> np.ndarray:
+        """The (C, n) axis indices of contracts start..stop-1."""
         if self.index is None:
             k = np.arange(start, stop)
-            index = np.stack(np.unravel_index(k, self.shape), axis=1)
-            return index, np.full(stop - start, self.fits)
-        return self.index[start:stop], self.fits[start:stop]
+            return np.stack(np.unravel_index(k, self.shape), axis=1)
+        return self.index[start:stop]
 
-    def contract(self, k: int, index) -> Contract:
-        if self.index is None:
-            return Contract(tuple(v[j] for v, j in zip(self.values, index)))
-        return self.family.contracts[k]
+    def contract(self, index) -> Contract:
+        return Contract(tuple(v[j] for v, j in zip(self.values, index)))
 
     def matrix(self, levels, index) -> np.ndarray:
         """(C, n) values of per-axis arrays at the contracts' axis indices."""
@@ -203,10 +194,11 @@ class _Slopes:
 
     ``slopes(rows, x)`` takes arrays of row numbers and points and gives
     each slope with the sign, or zero, of the scalar call
-    LinearPayoff.slope(x) that a search of the row alone makes.  The terms
-    are summed from numpy's d1 arrays in that call's order, so a row whose
-    curves' d1 arrays are the scalar calls bit for bit (d1_array_ulps 0:
-    polynomial, tabulated and log-affine) gets the scalar call's value.
+    LinearPayoff.slope(x) that a search of the row alone makes.  The terms,
+    at the rows with a nonzero delta, are summed from numpy's d1 arrays in
+    that call's order, so a row whose curves' d1 arrays are the scalar
+    calls bit for bit (d1_array_ulps 0: polynomial, tabulated and
+    log-affine) gets the scalar call's value.
 
     The guard.  Let U be the most ulps a term's d1 array may lie from the
     scalar call (_array_ulps: Curve.d1_array_ulps of a class whose d1 is
@@ -232,7 +224,6 @@ class _Slopes:
         self.components = scenario.profile.components
         self.cost = scenario.agent.effort_cost
         used = deltas != 0.0
-        self.full = used.all(axis=0)  # the components every row has a term of
         ulps = [_array_ulps(c, "d1") for c in (*self.components, self.cost)]
         ulps = np.where(used, ulps[:-1], 0.0).max(axis=1, initial=ulps[-1])
         terms = used.sum(axis=1) + 1.0
@@ -244,12 +235,9 @@ class _Slopes:
         g = np.zeros(len(rows))
         size = np.zeros(len(rows))
         for i, comp in enumerate(self.components):
-            if self.full[i]:
-                use = slice(None)
-            else:
-                use = np.flatnonzero(deltas[:, i])
-                if not len(use):
-                    continue
+            use = np.flatnonzero(deltas[:, i])
+            if not len(use):
+                continue
             term = deltas[use, i] * _d1(comp, x[use])
             g[use] = g[use] + term
             size[use] = size[use] + np.abs(term)
@@ -325,20 +313,16 @@ def _settle(rows: np.ndarray, at: np.ndarray, candidates: np.ndarray, interval):
 def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) -> np.ndarray:
     """sum_i deltas[:, i] values(i) - cost, one row per delta row.
 
-    Summed from 0.0 in LinearPayoff.on_grid's order by
-    broadcasting, not by a matrix product (a masked add only in a row that
-    skips a zero delta), so each value keeps the bits of the per-contract
-    arrays.  values(i) is read only when some row uses curve i.
+    Summed from 0.0 in LinearPayoff.on_grid's order by broadcasting, not
+    by a matrix product, each term by one add masked to the rows that use
+    it, so each value keeps the bits of the per-contract arrays.  values(i)
+    is read only when some row uses curve i.
     """
     acc = np.zeros(np.broadcast_shapes((len(deltas), 1), cost.shape))
     for i in range(deltas.shape[1]):
         use = used[:, i]
         if use.any():
-            term = deltas[:, i, None] * values(i)
-            if use.all():
-                acc += term
-            else:
-                np.add(acc, term, out=acc, where=use[:, None])
+            np.add(acc, deltas[:, i, None] * values(i), out=acc, where=use[:, None])
     acc -= cost
     return acc
 
@@ -719,17 +703,15 @@ def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, ba
     return stats, owner[order], np.concatenate(columns, axis=1)[:, order]
 
 
-def _screen(
-    scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, index, fits, policy: str
-):
+def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, index, policy: str):
     """Settle the contracts of one block from their rows' tables, where that is exact.
 
-    Returns (screened, accepted, value) per contract; accepted and value
-    (the principal's payoff at the policy's effort) are as the contract's
-    own solve gives them wherever screened is set.  The block's distinct
-    utility-delta rows (LinearPayoff.deltas) are built in one _build_rows
-    call, and each contract gathers its row's stats and points by row
-    number.
+    Returns (screened, accepted, value) per contract of index, the block's
+    axis indices; accepted and value (the principal's payoff at the
+    policy's effort) are as the contract's own solve gives them wherever
+    screened is set.  The block's distinct utility-delta rows
+    (LinearPayoff.deltas) are built in one _build_rows call, and each
+    contract gathers its row's stats and points by row number.
 
     The row.  A contract with base b = u(w_n) in a delta row has the
     payoff b + h, with h = a - v base-free (a = sum_i delta_i p_i, v the
@@ -778,15 +760,13 @@ def _screen(
     contracts that take the flat shortcut, and accepted contracts whose
     principal levels or deltas are not finite or whose tied values are NaN.
     """
-    count = len(fits)
+    count = len(index)
     screened = np.zeros(count, dtype=bool)
     accepted = np.zeros(count, dtype=bool)
     value = np.full(count, np.nan)
-    if arrays.u is None or not fits.any():
-        return screened, accepted, value
     levels = arrays.matrix(arrays.u, index)
     deltas = levels[:, :-1] - levels[:, -1:]
-    ok = np.nonzero(fits & np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1))[0]
+    ok = np.nonzero(np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1))[0]
     if len(ok) == 0:
         return screened, accepted, value
     if deltas.shape[1] == 1:
@@ -896,12 +876,14 @@ def solve_game(
     settled from their row's tables (_screen, where the argument that
     makes this exact is set out); the rest are solved one by one, in
     order, by agent_best_response, so an error is raised at the same
-    contract as by a loop of its calls.  The screen decides only
-    acceptance and the principal's value, so a screened winner's
-    BestResponse comes from agent_best_response once more, which gives the
-    result of that loop (_screen: a screened contract's own solve is its
-    row's result).  The one-by-one loop keeps only the solve of its least
-    key, which the block's winner reuses when it is that contract.
+    contract as by a loop of its calls.  The screen raises nothing, so the
+    first contract whose wage count is not the outcome count ends the walk
+    with its own solve's DimensionError, after the contracts before it.  The
+    screen decides only acceptance and the principal's value, so a screened
+    winner's BestResponse comes from agent_best_response once more, which
+    gives the result of that loop (_screen: a screened contract's own solve
+    is its row's result).  The one-by-one loop keeps only the solve of its
+    least key, which the block's winner reuses when it is that contract.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -914,15 +896,13 @@ def solve_game(
     # (key, contract, its _respond result or None) of the best accepted
     # contract so far; the result is kept where the one-by-one loop made it
     incumbent = None
-    total = family.size()
-    for start in range(0, total, SCREEN_CHUNK):
-        stop = min(start + SCREEN_CHUNK, total)
-        index, fits = arrays.chunk(start, stop)
-        screened, accepted, value = _screen(scenario, tables, arrays, index, fits, tie_break)
+    for start in range(0, arrays.size, SCREEN_CHUNK):
+        index = arrays.chunk(start, min(start + SCREEN_CHUNK, arrays.size))
+        screened, accepted, value = _screen(scenario, tables, arrays, index, tie_break)
         wages = arrays.matrix(arrays.wages, index)
         solved = None  # (key, k, _respond result) of the loop's least key
         for k in np.nonzero(~screened)[0].tolist():
-            result = _respond(scenario, arrays.contract(start + k, index[k]), tie_break)
+            result = _respond(scenario, arrays.contract(index[k]), tie_break)
             response, _, v = result
             accepted[k] = response.accepted
             value[k] = np.nan if v is None else v
@@ -934,7 +914,9 @@ def solve_game(
         if found is not incumbent:
             key, k = found[0], int(found[1])
             kept = solved[2] if solved is not None and solved[1] == k else None
-            incumbent = key, arrays.contract(start + k, index[k]), kept
+            incumbent = key, arrays.contract(index[k]), kept
+    if arrays.size < family.size():
+        scenario.check_contract(next(itertools.islice(family, arrays.size, None)))
     if incumbent is None:
         return GameSolution(
             all_rejected=True,

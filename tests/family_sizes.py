@@ -24,7 +24,10 @@ checkout, point PYTHONPATH at its src.  The cases:
 - ``all-flat-65536``: the fixture economics with u = w + 1e12 and
   reservation -2e12, on (0..25.5 step 0.1)^2: every contract's
   expectation is flat within its tie tolerance, so the screen leaves
-  all 65,536 of them to one-by-one solves, which all accept.
+  all 65,536 of them to one-by-one solves, which all accept;
+- ``listed-1e5``: fixture-1e5's grid written out as a list of its
+  100,000 Contracts, built before the clock starts: a listed family of
+  two screen blocks.
 
 pytest does not collect this file.  All cases together take under half a
 minute on a 2-vCPU host.
@@ -41,14 +44,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-# name -> (grids, all-flat economics)
+# name -> (grids, all-flat economics, family listed)
 CASES = {
-    "fixture-1e2": (((0.0, 0.09, 0.01), (0.0, 0.09, 0.01)), False),
-    "fixture-1e3": (((0.0, 0.99, 0.01), (0.0, 0.09, 0.01)), False),
-    "fixture-1e4": (((0.0, 0.99, 0.01), (0.0, 0.99, 0.01)), False),
-    "fixture-1e5": (((0.0, 9.99, 0.01), (0.0, 0.99, 0.01)), False),
-    "fixture-1e6": (((0.0, 9.99, 0.01), (0.0, 9.99, 0.01)), False),
-    "all-flat-65536": (((0.0, 25.5, 0.1), (0.0, 25.5, 0.1)), True),
+    "fixture-1e2": (((0.0, 0.09, 0.01), (0.0, 0.09, 0.01)), False, False),
+    "fixture-1e3": (((0.0, 0.99, 0.01), (0.0, 0.09, 0.01)), False, False),
+    "fixture-1e4": (((0.0, 0.99, 0.01), (0.0, 0.99, 0.01)), False, False),
+    "fixture-1e5": (((0.0, 9.99, 0.01), (0.0, 0.99, 0.01)), False, False),
+    "fixture-1e6": (((0.0, 9.99, 0.01), (0.0, 9.99, 0.01)), False, False),
+    "all-flat-65536": (((0.0, 25.5, 0.1), (0.0, 25.5, 0.1)), True, False),
+    "listed-1e5": (((0.0, 9.99, 0.01), (0.0, 0.99, 0.01)), False, True),
 }
 WARM_UP = ((0.0, 0.02, 0.01), (0.0, 0.02, 0.01))
 
@@ -58,7 +62,7 @@ def run_case(name: str) -> dict:
     import gen
     from contractgame import ContractFamily, Polynomial, WageGrid, solve_game
 
-    grids, flat = CASES[name]
+    grids, flat, listed = CASES[name]
     scenario = gen.fixture_scenario()
     if flat:
         scenario = gen.scenario(
@@ -67,6 +71,8 @@ def run_case(name: str) -> dict:
         )
     solve_game(scenario, ContractFamily(grids=tuple(WageGrid(*g) for g in WARM_UP)))
     family = ContractFamily(grids=tuple(WageGrid(*g) for g in grids))
+    if listed:
+        family = ContractFamily(contracts=tuple(family))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     solve_game(scenario, family)

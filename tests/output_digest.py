@@ -4,10 +4,10 @@ Run from the repository root, once per checkout of the program:
 
     PYTHONPATH=src python tests/output_digest.py > digest.txt
 
-and compare the two files with diff.  To check an older checkout with these
-corpora, point PYTHONPATH at its src.  A line is "<set> <key> <result>",
-the result being the repr of what the call returns, or the type and
-message of what it raises.  The sets:
+and compare the two files (below).  To check an older checkout with these
+corpora, point PYTHONPATH at its src.  A line is "<set> <key>", a tab and
+the result: the repr of what the call returns, or the type and message of
+what it raises.  The sets:
 
 - ``agent``: agent_best_response, and the invisible-effort and two-outcome
   analyzers where they apply, on perfbench/gen.agent_pairs of seeds
@@ -30,19 +30,28 @@ message of what it raises.  The sets:
 
 pytest does not collect this file.  It runs for about a minute.
 
-To compare two digests, line by line in order:
+To compare two digests:
 
     python tests/output_digest.py --compare OLD NEW
 
-prints, per set, how many lines differ and the first pair that does, and
-exits 1 on any difference or when the files differ in length.  It sorts
-each differing pair into one of two classes and prints each class's count
-per set:
+pairs the lines by key (the k-th line of a key with the k-th of the same
+key in the other file), or by position when a file has a line without a
+tab, as digests written before the tab had.  It prints, per set, how many
+pairs differ and the first that does, and exits 1 on any difference or
+when the files differ in length.  Each differing pair is sorted into one
+class, and each class's count is printed per set:
 
 - *last-bit*: the same text once every number in it (a decimal literal
   not inside a word, such as a hash) is compared within max(1e-12, 1e-9 *
   its magnitude);
-- *other*: everything else.
+- *other*: everything else, split further into
+  - *structural*: a key found in one file only, or a pair whose error
+    type, exit code, ``accepted``, ``all_rejected``, winner ``contract``
+    or number of ``Maximizer(`` entries differs;
+  - *worse E\** and *better E\**: the ``principal_payoff`` of a game
+    line, else the first ``optimal_expectation`` of an agent line, is
+    lower or higher in NEW;
+  - *other*: the rest, such as a changed hash, effort or maximizer kind.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -76,29 +86,94 @@ def last_bit(a: str, b: str) -> bool:
     )
 
 
+# what a pair must share not to be structural: each is a list of the
+# pattern's matches, or for Maximizer( a count
+ERROR = re.compile(r"(?:^| )([A-Z]\w*): ")
+STRUCTURE = tuple(
+    re.compile(pattern) for pattern in (
+        r"(?:^| )exit (\S+)", r"\baccepted=(\w+)", r"\ball_rejected=(\w+)",
+        r"\bcontract=(Contract\(wages=\([^)]*\)\)|None)",
+    )
+)
+PAYOFF = re.compile(r"\bprincipal_payoff=([^,)]+)")
+EXPECTATION = re.compile(r"\boptimal_expectation=([^,)]+)")
+
+
+def set_name(line: str) -> str:
+    return "cold error" if line.startswith("cold error ") else line.split(" ", 1)[0]
+
+
+def structure(result: str) -> tuple:
+    error = ERROR.search(result)
+    return (
+        error and error.group(1), *(p.findall(result) for p in STRUCTURE),
+        result.count("Maximizer("),
+    )
+
+
+def value(result: str) -> float:
+    """The principal_payoff of a game line, else the first optimal_expectation; NaN without one."""
+    found = PAYOFF.search(result) or EXPECTATION.search(result)
+    text = found.group(1) if found else "nan"
+    return math.nan if text == "None" else float(text)
+
+
+def classify(a: str | None, b: str | None) -> str:
+    """The class of a differing pair of results; None for a missing one."""
+    if a is not None and b is not None and last_bit(a, b):
+        return "last-bit"
+    if a is None or b is None or structure(a) != structure(b):
+        return "structural"
+    old, new = value(a), value(b)
+    if new < old:
+        return "worse E*"
+    if new > old:
+        return "better E*"
+    return "other"
+
+
+def pairs(old: list[str], new: list[str]):
+    """(set, old result, new result) per key, None where a file lacks it;
+    by position, whole lines, unless every line has a tab."""
+    if not all("\t" in line for line in (*old, *new)):
+        yield from ((set_name(a), a, b) for a, b in zip(old, new))
+        return
+    sides = []
+    for lines in (old, new):
+        seen, side = Counter(), {}
+        for line in lines:
+            key, result = line.split("\t", 1)
+            seen[key] += 1
+            side[key, seen[key]] = result
+        sides.append(side)
+    for key in dict.fromkeys([*sides[0], *sides[1]]):
+        yield set_name(key[0]), sides[0].get(key), sides[1].get(key)
+
+
 def compare(old_path: str, new_path: str) -> int:
-    """Print the differing lines of two digests per set, paired by position,
-    with the count of each class; 1 if any pair differs or the lengths do,
-    else 0."""
+    """Print the differing pairs of two digests per set with the count of
+    each class; 1 if any pair differs or the lengths do, else 0."""
     old, new = (Path(p).read_text(encoding="utf-8").splitlines() for p in (old_path, new_path))
-    lines, differ, bits, first = Counter(), Counter(), Counter(), {}
-    for a, b in zip(old, new):
-        name = "cold error" if a.startswith("cold error ") else a.split(" ", 1)[0]
+    lines, classes, first = Counter(), Counter(), {}
+    for name, a, b in pairs(old, new):
         lines[name] += 1
         if a != b:
-            differ[name] += 1
-            bits[name] += last_bit(a, b)
+            classes[name, classify(a, b)] += 1
             first.setdefault(name, (a, b))
     for name in SETS:
+        bits = classes[name, "last-bit"]
+        split = [classes[name, c] for c in ("structural", "worse E*", "better E*", "other")]
         print(
-            f"{name}: {differ[name]} of {lines[name]} lines differ"
-            f" ({bits[name]} last-bit, {differ[name] - bits[name]} other)"
+            f"{name}: {bits + sum(split)} of {lines[name]} lines differ"
+            f" ({bits} last-bit, {sum(split)} other)"
         )
+        if sum(split):
+            print("  other: {} structural, {} worse E*, {} better E*, {} other".format(*split))
         if name in first:
             print(f"  old: {first[name][0]}\n  new: {first[name][1]}")
     if len(old) != len(new):
         print(f"length: {len(old)} lines old, {len(new)} new")
-    return int(bool(differ) or len(old) != len(new))
+    return int(bool(classes) or len(old) != len(new))
 
 
 if __name__ == "__main__" and sys.argv[1:2] == ["--compare"]:
@@ -273,7 +348,7 @@ def main() -> None:
         cold_error_lines,
     ):
         for key, line in lines():
-            print(key, line)
+            print(f"{key}\t{line}")
 
 
 if __name__ == "__main__":

@@ -254,4 +254,24 @@ ERROR_CASES = {
         reference_scenario()[0],
         ContractFamily(grids=(WageGrid(0.0, 1.0, 1.0),) * 3),
     ),
+    # u is tabulated on [0, 3], so the solve of (3.5, 0) raises before the
+    # contract of three wages is reached
+    "raising-contract-before-wrong-length": lambda: (
+        unit_scenario(
+            (10.0, 2.0), RISING, Polynomial((0.0, 0.0, 2.0)),
+            utility=Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 1.5, 1.8)),
+        ),
+        ContractFamily(
+            contracts=tuple(map(Contract, ((1.0, 0.0), (3.5, 0.0), (3.0, 0.0, 0.0), (2.0, 0.0))))
+        ),
+    ),
+    "wrong-length-first": lambda: (
+        reference_scenario()[0],
+        ContractFamily(contracts=tuple(map(Contract, ((1.0, 0.0, 0.0), (1.0, 0.0), (2.0, 0.0))))),
+    ),
+    # every contract before the one of three wages is accepted
+    "wrong-length-after-accepted": lambda: (
+        reference_scenario()[0],
+        ContractFamily(contracts=tuple(map(Contract, ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0, 0.0))))),
+    ),
 }

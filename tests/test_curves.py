@@ -81,6 +81,18 @@ def test_power_singular_derivatives_rejected():
         curve.eval(-0.5)
 
 
+@pytest.mark.parametrize("gamma, vanishing", [(0.0, ("d1", "d2")), (1.0, ("d2",))])
+def test_power_derivatives_that_vanish_are_zero_at_the_domain_edge(gamma, vanishing):
+    """A constant power has zero d1 and d2, a linear one zero d2, on floats
+    and on arrays, even at t + c = 0, where a negative power is singular."""
+    curve = Power(2.0, gamma, 0.0)
+    for method in vanishing:
+        d = getattr(curve, method)
+        assert d(0.0) == 0.0 and d(0.5) == 0.0
+        values = d(np.array([0.0, 0.5, 1.0]))
+        assert values.dtype == float and values.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_tabulated_construction_invariants():
     with pytest.raises(ValueError):
         Tabulated((0.0, 1.0), (0.0, 1.0))

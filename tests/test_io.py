@@ -977,3 +977,78 @@ class TestEmitReport:
         emit_report({"optimal_expectation": 1.3}, destination=str(target))
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["optimal_expectation"] == 1.3
+
+
+class TestRarelyTakenErrorPaths:
+    """Branches of the CLI and the document parser that no other test takes."""
+
+    def test_analyze_three_outcomes_has_no_two_outcome_report(self, tmp_path, capsys):
+        raw = fixture_dict()
+        raw["outcomes"] = [10.0, 2.0, 1.0]
+        raw["profile"].append({"family": "polynomial", "coefficients": [0.1]})
+        raw["contracts"] = [[4.0, 0.0, 0.0]]
+        raw["contract_family"]["wage_grids"].append({"min": 0.0, "max": 0.0, "step": 1.0})
+        assert run_command(["analyze", write_doc(tmp_path, raw)]) == 0
+        out = capsys.readouterr().out
+        assert '\n  "two_outcome_linear": null,\n' in out
+        assert json.loads(out)["two_outcome_linear"] is None
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", FIXTURE, "--points", "1"], "--points must be at least 2"),
+            (["simulate", FIXTURE, "--effort", "0.5", "--n", "0"], "--n must be at least 1"),
+            (
+                ["solve-agent", FIXTURE, "--contract", '["a", 0]'],
+                "bad inline contract '[\"a\", 0]': expected numbers",
+            ),
+            (
+                ["solve-agent", FIXTURE, "--contract", "abc"],
+                "--contract must be an index or an inline vector, got 'abc'",
+            ),
+        ],
+        ids=[
+            "sweep-points-1", "simulate-n-0", "inline-contract-of-strings", "contract-not-a-number",
+        ],
+    )
+    def test_bad_flag_is_one_error_line(self, argv, message, capsys):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "mutate, kind, message",
+        [
+            (
+                lambda raw: raw.update(profile=[{"family": "polynomial", "coefficients": []}]),
+                "ParseError", "profile[0]: polynomial needs at least one coefficient",
+            ),
+            (
+                lambda raw: raw.update(outcomes=[10**399, 2.0]),
+                "ParseError", f"outcomes[0]: expected a finite number, got {'1' + '0' * 99}...",
+            ),
+            (
+                lambda raw: raw["contract_family"].update(cap=2.5),
+                "ParseError", "contract_family.cap: expected an integer, got 2.5",
+            ),
+            # today's kind; a wrongly sized document contract is a DimensionError
+            (
+                lambda raw: raw.update(
+                    contract_family={"contracts": [[1.0, 0.0], [1.0, 0.0, 0.0]]}
+                ),
+                "ContractGameError", "contract_family.contracts[1] has 3 wages for 2 outcomes",
+            ),
+        ],
+        ids=[
+            "empty-polynomial", "outcome-of-400-digits", "fractional-cap",
+            "family-contract-of-3-wages",
+        ],
+    )
+    def test_validate_reports_one_issue(self, mutate, kind, message, tmp_path, capsys):
+        raw = fixture_dict()
+        mutate(raw)
+        assert run_command(["validate", write_doc(tmp_path, raw)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "valid": False, "issues": [{"kind": kind, "message": message}],
+        }

@@ -89,6 +89,15 @@ def test_profile_matrix_matches_scalar():
         )
 
 
+def test_profile_matrix_out_of_range():
+    scenario = _simple_scenario(Polynomial((1.5, 0.5)))
+    with pytest.raises(ProbabilityRangeError) as err:
+        profile_matrix(scenario, np.array([0.0, 0.5, 1.0]))
+    assert str(err.value) == (
+        "profile component 0 = 1.5 at effort 0.0 outside [0, 1] beyond tolerance 1e-09"
+    )
+
+
 def test_scenario_needs_two_outcomes():
     with pytest.raises(DimensionError):
         Scenario(

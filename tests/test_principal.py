@@ -400,15 +400,13 @@ def _count_screening(monkeypatch):
     """
     counts = {"screened": 0, "solved": 0}
     screened_set = set()
-    start = [0]  # the chunk's first contract
     screen, solve = principal_module._screen, principal_module.agent_best_response
 
     def counting_screen(*args):
         out = screen(*args)
         arrays, index = args[2], args[3]
         for k in np.flatnonzero(out[0]).tolist():
-            screened_set.add(arrays.contract(start[0] + k, index[k]))
-        start[0] += len(index)
+            screened_set.add(arrays.contract(index[k]))
         counts["screened"] += int(out[0].sum())
         return out
 
@@ -489,6 +487,22 @@ class TestScreenConfirm:
             assert "all_rejected=False" in got[1]
         if name == "principal-value-nan":
             assert "wages=(1.0, 1.0, 1.0)" in got[1] and "principal_payoff=nan" in got[1]
+
+    def test_utility_array_call_that_raises_falls_back_to_scalar_calls(self):
+        """u is tabulated on [0, 3], so the array call on the family's wages
+        raises; the scalar calls mark only the wages above 3, and contract 21,
+        (3.5, 0), raises as its own solve does."""
+        scenario = unit_scenario(
+            (10.0, 2.0), RISING, Polynomial((0.0, 0.0, 2.0)),
+            utility=Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 1.5, 1.8)),
+        )
+        family = ContractFamily(grids=(WageGrid(0.0, 4.0, 0.5), WageGrid(0.0, 1.0, 0.5)))
+        assert list(family)[21] == Contract((3.5, 0.0))
+        expected = ("DomainError", "tabulated curve defined on [0.0, 3.0]; got t=3.5")
+        for policy in TIE_BREAK_POLICIES:
+            got = _outcome(lambda: solve_game(scenario, family, policy))
+            assert got == _outcome(lambda: _per_contract_solve(scenario, family, policy))
+            assert got == expected
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
     def test_flat_rejected_family_is_solved_one_by_one(self, policy, monkeypatch):
@@ -604,12 +618,10 @@ class _ScalarOnlyRise(Curve):
 def _family_rows(scenario, family):
     """The distinct utility-delta rows of the family's contracts, as solve_game meets them."""
     arrays = principal_module._FamilyArrays(scenario, family)
-    if arrays.u is None:
-        return []
-    index, fits = arrays.chunk(0, family.size())
+    index = arrays.chunk(0, arrays.size)
     levels = arrays.matrix(arrays.u, index)
     deltas = levels[:, :-1] - levels[:, -1:]
-    ok = fits & np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1)
+    ok = np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1)
     return [tuple(d) for d in np.unique(deltas[ok], axis=0).tolist()]
 
 
@@ -827,14 +839,14 @@ class TestBatchedRowBuild:
             # no cell is pruned under an infinite tie tolerance
             assert _kept(scenario, tables, rows, math.inf).all()
             arrays = principal_module._FamilyArrays(scenario, family)
-            index, fits = arrays.chunk(0, family.size())
+            index = arrays.chunk(0, arrays.size)
 
             def screen(size, policy):
                 """_screen with its rows built under the base size size."""
                 monkeypatch.setattr(
                     principal_module, "_build_rows", lambda s, t, deltas, _: build(s, t, deltas, size)
                 )
-                return principal_module._screen(scenario, tables, arrays, index, fits, policy)
+                return principal_module._screen(scenario, tables, arrays, index, policy)
 
             for policy in TIE_BREAK_POLICIES:
                 pruned, full = (screen(size, policy) for size in (base_size, math.inf))
@@ -844,7 +856,7 @@ class TestBatchedRowBuild:
                 for k in np.flatnonzero(pruned[0] != full[0]).tolist():
                     screen = pruned if pruned[0][k] else full
                     response, _, value = principal_module._respond(
-                        scenario, arrays.contract(k, index[k]), policy
+                        scenario, arrays.contract(index[k]), policy
                     )
                     assert screen[1][k] == response.accepted
                     assert _bits(screen[2][k]) == _bits(math.nan if value is None else value)
