@@ -50,14 +50,16 @@ class Curve:
     overrides the method inherits the number, not the claim
     (``has_family_methods``).
     ``eval_ulps`` is the float error of eval that ``enclosure`` pads by, in
-    ulps of the cell's scale (see ``_range``); a class that states none
-    (infinite) has no enclosure.
+    ulps of the cell's scale (see ``_range``), and ``d1_ulps`` that of d1
+    that ``slope_enclosure`` pads by (see ``_slope_range``); a class that
+    states none (infinite) has no enclosure of that kind.
     """
 
     family: str = "abstract"
     d1_array_ulps: float = math.inf
     eval_array_ulps: float = math.inf
     eval_ulps: float = math.inf
+    d1_ulps: float = math.inf
 
     def enclosure(self, edges: np.ndarray):
         """(low, high) per cell [edges[k], edges[k + 1]]: every float eval
@@ -69,18 +71,46 @@ class Curve:
         not above the one before it; None for a class of no stated error,
         or a subclass whose eval or d1 is not its family's.
         """
+        return self.enclosures(edges)[0]
+
+    def slope_enclosure(self, edges: np.ndarray):
+        """(low, high, error) per cell: every float d1 returns on the cell,
+        scalar or array, lies in [low[k], high[k]]; so does the slope of F,
+        the family's formula in exact arithmetic on the curve's
+        parameters, wherever F has one on the cell, and F is continuous
+        there; and every float eval returns at a point t of the cell lies
+        within error[k] of F(t).  All to first order in u = 2^-53.
+
+        low and high come from ``_slope_range``, padded outward by d1_ulps
+        ulps of its scale.  error is eval's pad in ``enclosure`` plus
+        2 u reach max(|low|, |high|): rounding eval's argument (c t, or
+        t + c) moves the point F is evaluated at by at most u reach.  NaN
+        and None as ``enclosure`` is, and None where d1_ulps is infinite.
+        """
+        return self.enclosures(edges)[1]
+
+    def enclosures(self, edges: np.ndarray):
+        """(enclosure(edges), slope_enclosure(edges)) from one pass over the cells."""
         if not math.isfinite(self.eval_ulps) or not self.has_family_methods("eval", "d1"):
-            return None
+            return None, None
+        slopes = math.isfinite(self.d1_ulps)
         edges = np.asarray(edges, dtype=float)
         with np.errstate(all="ignore"):
             try:
                 if not (edges[1:] > edges[:-1]).all():
                     raise DomainError("cell edges must increase")
                 low, high, scale = self._range(edges)
+                d1_low, d1_high, d1_scale, reach = self._slope_range(edges) if slopes else (0.0,) * 4
             except (DomainError, ArithmeticError):
-                low = high = scale = np.full(len(edges) - 1, np.nan)
-            pad = self.eval_ulps * 2.0**-53 * scale
-            return np.nextafter(low - pad, -np.inf), np.nextafter(high + pad, np.inf)
+                low = high = scale = d1_low = d1_high = d1_scale = reach = np.full(len(edges) - 1, np.nan)
+            error = self.eval_ulps * 2.0**-53 * scale
+            bounds = np.nextafter(low - error, -np.inf), np.nextafter(high + error, np.inf)
+            if not slopes:
+                return bounds, None
+            pad = self.d1_ulps * 2.0**-53 * d1_scale
+            d1_low, d1_high = np.nextafter(d1_low - pad, -np.inf), np.nextafter(d1_high + pad, np.inf)
+            error = (error + 2.0**-52 * reach * np.maximum(-d1_low, d1_high)) * (1.0 + 2.0**-40)
+            return bounds, (d1_low, d1_high, error)
 
     def has_family_methods(self, *names: str) -> bool:
         """Whether each named method ("eval", "d1" or "d2") of this curve's
@@ -88,7 +118,7 @@ class Curve:
         its MRO that defines ``_range``.
 
         What a family states of a method (d1_array_ulps, eval_array_ulps,
-        eval_ulps) and what rests on it hold only then.
+        eval_ulps, d1_ulps) and what rests on it hold only then.
         """
         cls = type(self)
         family = next(c for c in cls.__mro__ if "_range" in vars(c))
@@ -96,6 +126,10 @@ class Curve:
 
     def _range(self, edges: np.ndarray):
         """(low, high, scale) per cell before padding; raises where a scalar call could."""
+        raise NotImplementedError
+
+    def _slope_range(self, edges: np.ndarray):
+        """(low, high, scale, reach) of d1 per cell before padding, after _range."""
         raise NotImplementedError
 
     def _monotone_range(self, edges: np.ndarray, offset: float):
@@ -107,6 +141,16 @@ class Curve:
         left, right = values[:-1], values[1:]
         scale = 2.0 * abs(offset) + np.maximum(np.abs(left), np.abs(right))
         return np.minimum(left, right), np.maximum(left, right), scale
+
+    def _monotone_slopes(self, edges: np.ndarray, factor, reach):
+        """_slope_range of a curve whose computed d1 is monotone as eval is
+        (_monotone_range): d1 at the cell's ends, one array call, within
+        d1_array_ulps of the scalar calls, none of which raises once _range
+        has not; the scale is factor times their larger magnitude."""
+        values = self.d1(edges)
+        left, right = values[:-1], values[1:]
+        scale = factor * np.maximum(np.abs(left), np.abs(right))
+        return np.minimum(left, right), np.maximum(left, right), scale, reach
 
     def eval(self, t):
         raise NotImplementedError
@@ -137,6 +181,11 @@ class Polynomial(Curve):
         """Horner's rule rounds twice per coefficient."""
         return 2.0 * len(self.coefficients) + 4.0
 
+    @property
+    def d1_ulps(self) -> float:
+        """Horner's rule on j c_j, each product rounded once."""
+        return 2.0 * len(self._d1) + 4.0
+
     def __post_init__(self):
         if len(self.coefficients) == 0:
             raise ValueError("polynomial needs at least one coefficient")
@@ -162,16 +211,22 @@ class Polynomial(Curve):
     def d2(self, t):
         return self._horner(self._d2, t)
 
-    def _range(self, edges):
+    def _range(self, edges, coefficients=None):
         """Interval Horner on each cell, every bound rounded outward; the
         scale is Horner's rule on |c_j| at the cell's largest |t|."""
+        coefficients = coefficients or self.coefficients
         a, b = edges[:-1], edges[1:]
         low = high = np.zeros(len(a))
-        for c in reversed(self.coefficients):
+        for c in reversed(coefficients):
             products = (low * a, low * b, high * a, high * b)
             low = np.nextafter(np.nextafter(np.minimum.reduce(products), -np.inf) + c, -np.inf)
             high = np.nextafter(np.nextafter(np.maximum.reduce(products), np.inf) + c, np.inf)
-        return low, high, self._horner([abs(c) for c in self.coefficients], np.maximum(-a, b))
+        return low, high, self._horner([abs(c) for c in coefficients], np.maximum(-a, b))
+
+    def _slope_range(self, edges):
+        """_range of the polynomial d1 evaluates, whose coefficients j c_j
+        are rounded by at most 1 ulp of the scale; eval's argument is exact."""
+        return (*self._range(edges, self._d1), 0.0)
 
     def degree(self) -> int:
         """Effective degree: index of the last nonzero coefficient."""
@@ -191,6 +246,7 @@ class ExpAffine(Curve):
     family = "exp-affine"
     d1_array_ulps = 2.0
     eval_ulps = 16.0
+    d1_ulps = 16.0
 
     def eval(self, t):
         return self.a + self.b * _exp(self.c * t)
@@ -205,6 +261,11 @@ class ExpAffine(Curve):
         # d1 calls the same exp as eval, so it raises only where eval does
         return self._monotone_range(edges, self.a)
 
+    def _slope_range(self, edges):
+        # rounding c t moves exp by up to |c t| ulps
+        reach = np.maximum(-edges[:-1], edges[1:])
+        return self._monotone_slopes(edges, 1.0 + abs(self.c) * reach, reach)
+
 
 @dataclass(frozen=True)
 class LogAffine(Curve):
@@ -216,6 +277,7 @@ class LogAffine(Curve):
     family = "log-affine"
     d1_array_ulps = 0.0
     eval_ulps = 16.0
+    d1_ulps = 16.0
 
     def _shifted(self, t):
         z = t + self.c
@@ -245,6 +307,10 @@ class LogAffine(Curve):
         # d1 is one division of the same shifted point: it raises only where eval does
         return self._monotone_range(edges, self.a)
 
+    def _slope_range(self, edges):
+        # rounding t + c moves b / (t + c) by 1 ulp
+        return self._monotone_slopes(edges, 1.0, edges[1:] + self.c)
+
 
 @dataclass(frozen=True)
 class Power(Curve):
@@ -261,6 +327,7 @@ class Power(Curve):
     family = "power"
     d1_array_ulps = 2.0
     eval_ulps = 16.0
+    d1_ulps = 16.0
 
     def _power(self, t, exponent):
         """(t + c)**exponent, checked against the domain."""
@@ -309,6 +376,10 @@ class Power(Curve):
         self.d1(float(edges[-1]))
         return self._monotone_range(edges, 0.0)
 
+    def _slope_range(self, edges):
+        # rounding t + c moves (t + c)**(gamma - 1) by up to |gamma - 1| ulps
+        return self._monotone_slopes(edges, 1.0 + abs(self.gamma - 1.0), edges[1:] + self.c)
+
 
 @dataclass(frozen=True)
 class Tabulated(Curve):
@@ -331,6 +402,7 @@ class Tabulated(Curve):
     d1_array_ulps = 0.0
     eval_array_ulps = 0.0
     eval_ulps = 64.0
+    d1_ulps = 64.0
 
     def __post_init__(self):
         knots = tuple(float(k) for k in self.knots)
@@ -472,6 +544,17 @@ class Tabulated(Curve):
         strided = [p[::step] for p in pieces]
         return self._value(*pieces), self._slope(*strided), self._curvature(*strided)
 
+    def _parts(self, edges):
+        """(points, starts, pieces): every cell split at the knots inside it,
+        as the sorted points of the cells' edges and those knots, the first
+        point of each cell, and the _cells columns of each part's piece."""
+        self._check_range(edges)
+        knots = np.array(self.knots)
+        points = np.sort(np.concatenate([edges, knots[(knots > edges[0]) & (knots < edges[-1])]]))
+        points = points[np.concatenate([[True], points[1:] != points[:-1]])]
+        k = np.searchsorted(self._cells[0], points[:-1], side="right") - 1
+        return points, np.searchsorted(points, edges[:-1]), self._cells.take(k, axis=1)
+
     def _range(self, edges):
         """Each cell split at the knots, each part bounded by eval at its two
         ends; the scale is the piece's |y_k| + |y_k+1| + |h m_k| + |h m_k+1|,
@@ -486,19 +569,30 @@ class Tabulated(Curve):
         between those at its ends, up to eval's error: at most 5 ulps of the
         scale against long double, which the pad of eval_ulps covers at both
         ends.  (A part's upper end at a knot takes the next piece, y_k+1,
-        within O(u) of this one's.)
+        within O(u) of this one's.)  Against F, the piece in exact s = (t -
+        x_k) / (x_k+1 - x_k), the rounding of s adds at most 5 ulps more.
         """
-        self._check_range(edges)
-        cells = self._cells
-        knots = np.array(self.knots)
-        inner = knots[(knots > edges[0]) & (knots < edges[-1])]
-        points = np.union1d(edges, inner)
+        points, starts, (_, y0, y1, _, hm0, hm1) = self._parts(edges)
         values = self.eval(points)
         left, right = values[:-1], values[1:]
-        k = np.searchsorted(cells[0], points[:-1], side="right") - 1
-        _, y0, y1, _, hm0, hm1 = cells.take(k, axis=1)
         scale = np.abs(y0) + np.abs(y1) + np.abs(hm0) + np.abs(hm1)
-        starts = np.searchsorted(points, edges[:-1])
         return (np.minimum.reduceat(np.minimum(left, right), starts),
                 np.maximum.reduceat(np.maximum(left, right), starts),
                 np.maximum.reduceat(scale, starts))
+
+    def _slope_range(self, edges):
+        """_range's parts, each bounded by its piece's d1, a quadratic
+        q(s) / h, at the part's two ends and at q's vertex where it lies
+        between them; the scale is 6 (|y_k| + |y_k+1| + |h m_k| + |h m_k+1|)
+        / h, which bounds q's terms and, times a few ulps, the rounding of
+        s and of q."""
+        points, starts, (x0, y0, y1, h, hm0, hm1) = self._parts(edges)
+        ends = (points[:-1] - x0) / h, (points[1:] - x0) / h
+        a = 6.0 * (y0 - y1) + 3.0 * (hm0 + hm1)  # q(s) = a s^2 + b s + h m_k
+        b = 6.0 * (y1 - y0) - 4.0 * hm0 - 2.0 * hm1
+        vertex = np.clip(np.where(a != 0.0, -b / (2.0 * a), ends[0]), *ends)
+        slopes = [self._slope(y0, y1, hm0, hm1, h, s) for s in (*ends, vertex)]
+        scale = 6.0 * (np.abs(y0) + np.abs(y1) + np.abs(hm0) + np.abs(hm1)) / h
+        return (np.minimum.reduceat(np.minimum.reduce(slopes), starts),
+                np.maximum.reduceat(np.maximum.reduce(slopes), starts),
+                np.maximum.reduceat(scale, starts), 0.0)

@@ -330,10 +330,12 @@ def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) ->
 # scan and bracket-grid steps per cell
 _STEP = (SCAN_GRID_POINTS - 1) // CELLS
 _GRID_STEP = (MT_GRID_POINTS - 1) // CELLS
-# kept cells per group of the dense stage, and rows per block of _cells:
-# arrays of about 2^12 values, 32 kB
+# kept cells per group of the dense stage, rows per block of _cells and
+# (row, cell) pairs per chunk of its first-order test: arrays of about 2^12
+# values, 32 kB
 _BLOCK = 2**12 // (_STEP + 3)
 _ROWS = 2**12 // (CELLS + 1)
+_PAIRS = 2**12
 # each cell's window into a curve's scan, padded with its ends repeated,
 # followed by its bracket-grid slope: the scan from one point below the
 # cell to one point above it, then the slope on the cell
@@ -367,6 +369,30 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     tolerance, since the rounding of each h, of each bound and of each
     (b + a) - v is at most (2m + 4) 2^-53 Z: the margin covers the sum.
 
+    The first-order bound.  U is loose by about |h'| times the cell's
+    width, so a cell that U keeps, and that the steps below would prune,
+    is pruned too when B + slack < L - tau - margin, if every curve of the
+    row has a finite slope enclosure (Curve.slope_enclosure: P'_i for p_i
+    and V' for v, and on the cell each curve's eval lies within E_i, E_v
+    of a continuous F_i, F_v whose slope lies there).
+    B = min(h_0 + G+ w, h_1 + G- w), with h_0 and h_1 the row's h at the
+    cell's edges, summed from the curves' edge values, w their distance,
+    G+ = max(0, sum_i max(delta_i P'_i) - min V') and
+    G- = max(0, max V' - sum_i min(delta_i P'_i)); slack = 2E (1 + 2^-40)
+    + (8m + 2^9) 2^-53 S w, with E = sum_i |delta_i| E_i + E_v and S the
+    same sum of the largest |P'_i| and |V'| over the interval.  The
+    weighted sum H of the F_i and F_v is continuous on the cell with
+    slope in [-G-, G+], so at each point x of it H(x) <= H(e_0) + G+ w
+    and H(x) <= H(e_1) + G- w (Piyavskii 1972; Moore 1966, Interval
+    Analysis); the exact weighted sum of the evals is within E of H at x
+    and at each edge, so at most B + 2E to the rounding of B.  That is at
+    most (m + 4) 2^-53 Z for the h_k and the last add, which the margin
+    covers as it covers U's, and (m + 7) 2^-53 S w for G and G w, which
+    the slack covers.  So the argument above holds with B + slack for U.
+    A row with a curve of no slope enclosure keeps U's cells.  The test
+    runs only on the (row, cell) pairs it can change, _PAIRS at a time,
+    by 1-D gathers per curve.
+
     The steps.  With D_i the least and largest step of p_i's scan across
     a cell (EffortTables.steps, float differences of the scan's values),
     and D_v v's, each step of h's scan there rises by at least
@@ -388,7 +414,7 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     slope on the grids is infinite, and no scalar eval or d1 call in a
     pruned cell raises (Curve.enclosure is NaN where one could).  A row
     whose h at the cell edges spans at most tau prunes nothing: each
-    cell's U is at least its edges' h >= L - tau.
+    cell's U and B are at least its edges' least h >= L - tau.
     """
     count = len(deltas)
     kept = np.ones((count, CELLS), dtype=bool)
@@ -405,8 +431,10 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     # products of h's weights split by sign (split) with these, the least
     # rise of its halves exchanged (swapped)
     bounds, steps = np.zeros((2, 2 * n, CELLS))
-    sizes, slope_sizes = np.zeros((2, n))
+    sizes, slope_sizes, slope_bounds = np.zeros((3, n))
+    slopes = [None] * n  # per curve with a finite slope enclosure: its (low, high, error)
     ok = np.ones(count, dtype=bool)
+    sloped = np.ones(count, dtype=bool)  # the rows that take the first-order test
     with np.errstate(all="ignore"):
         for i, curve in enumerate(curves):
             if not use[:, i].any():
@@ -424,13 +452,21 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
                 ok &= ~use[:, i]
                 bounds[both] = steps[both] = 0.0
                 sizes[i] = slope_sizes[i] = 0.0
+                continue
+            slope = tables.enclosure(curve, slopes=True)
+            if slope is not None and np.isfinite(slope).all():
+                slopes[i] = slope
+                slope_bounds[i] = np.maximum(-slope[0], slope[1]).max()
+            else:
+                sloped &= ~use[:, i]
         weight = np.abs(signed)
         magnitude = (weight * sizes).sum(axis=1) * (1.0 + 2.0**-40)
         slope_size = (weight * slope_sizes).sum(axis=1) * (1.0 + 2.0**-40)
         size = (magnitude + 2.0 * sizes[-1]) * (1.0 + 2.0**-40)
         z = (base_size + magnitude) * (1.0 + 2.0**-40)
         tau = TAU_EXPECTATION * np.maximum(1.0, z)
-        margin = (8.0 * use.sum(axis=1) + 2.0**9) * 2.0**-53 * z
+        terms = use.sum(axis=1)
+        margin = (8.0 * terms + 2.0**9) * 2.0**-53 * z
         ok &= (magnitude < FINITE_BOUND) & (slope_size < FINITE_BOUND) & np.isfinite(z)
         top = np.full(count, np.nan)
         live = np.flatnonzero(ok)
@@ -438,6 +474,8 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
         split = np.concatenate([positive, negative], axis=1)
         swapped = np.concatenate([negative, positive], axis=1)
         line = margin[live, None]
+        # the (row, cell) pairs the first-order test may prune, as live position * CELLS + cell
+        pairs = [np.zeros(0, dtype=np.intp)]
         for start in range(0, len(live), _ROWS):
             block = slice(start, start + _ROWS)
             rows = live[block]
@@ -452,9 +490,33 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
             falling = np.einsum("rk,kc->rc", split[block], steps) < -line[block]
             # equal where neither holds: both cannot, since the least rise is at
             # most the largest up to rounding far below the margin
-            keep |= rising == falling
-            keep[:, :-1] |= rising[:, :-1] & falling[:, 1:]
-            kept[rows] = keep
+            stepped = rising == falling
+            stepped[:, :-1] |= rising[:, :-1] & falling[:, 1:]
+            pairs.append(np.flatnonzero(keep & ~stepped & sloped[rows, None]) + start * CELLS)
+            kept[rows] = keep | stepped
+        # the first-order test, on the cells that only the bound U keeps,
+        # _PAIRS (row, cell) pairs at a time
+        flat = np.concatenate(pairs)
+        for start in range(0, len(flat), _PAIRS):
+            at, c = np.divmod(flat[start:start + _PAIRS], CELLS)
+            r = live[at]
+            width = np.diff(tables.grid(CELLS + 1))[c]
+            h0, h1, rise, fall, error = np.zeros((5, len(r)))
+            for i, curve in enumerate(curves):
+                if slopes[i] is None:
+                    continue
+                w = signed[r, i]
+                at_edges = tables.array(curve, CELLS + 1)
+                h0 += w * at_edges[c]
+                h1 += w * at_edges[c + 1]
+                slope_low, slope_high, slope_error = (b[c] for b in slopes[i])
+                rise += np.where(w > 0.0, w * slope_high, w * slope_low)
+                fall += np.where(w > 0.0, w * slope_low, w * slope_high)
+                error += np.abs(w) * slope_error
+            first_order = np.minimum(h0 + np.maximum(rise, 0.0) * width, h1 + np.maximum(-fall, 0.0) * width)
+            spread = (8.0 * terms[r] + 2.0**9) * 2.0**-53 * (weight[r] @ slope_bounds) * width
+            cut = first_order + (2.0 * error * (1.0 + 2.0**-40) + spread) < (top[r] - tau[r]) - margin[r]
+            kept[r[cut], c[cut]] = False
         ok &= ~kept.all(axis=1) & kept.any(axis=1)
         kept[~ok] = True
         floor = top - 2.0**8 * 2.0**-53 * z

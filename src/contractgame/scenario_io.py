@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import accumulate
 
 from .curves import Curve, ExpAffine, LogAffine, Polynomial, Power, Tabulated
-from .errors import ContractGameError, ParseError, ValidationError
+from .errors import ContractGameError, DimensionError, ParseError, ValidationError
 from .model import (
     ENUMERATION_CAP,
     EPSILON_INVISIBLE,
@@ -366,14 +366,9 @@ def _family_from_dict(raw: dict, n_outcomes: int) -> ContractFamily:
         contracts = _contract_list(raw["contracts"], "contract_family.contracts")
         for i, c in enumerate(contracts):
             if len(c) != n_outcomes:
-                raise ValidationError(
-                    [
-                        ContractGameError(
-                            f"contract_family.contracts[{i}] has {len(c)} "
-                            f"wages for {n_outcomes} outcomes"
-                        )
-                    ]
-                )
+                raise ValidationError([DimensionError(
+                    f"contract_family.contracts[{i}] has {len(c)} wages for {n_outcomes} outcomes"
+                )])
         return ContractFamily(contracts=contracts, cap=cap)
     grids_raw = raw["wage_grids"]
     if not isinstance(grids_raw, list) or len(grids_raw) != n_outcomes:

@@ -7,7 +7,8 @@ scenario is valid.  Every grid is a strided view of one dense scan, and
 each curve's eval, d1 and d2 is evaluated once, on the finest grid it is
 read on; a tabulated curve's three together, from one lookup of its
 pieces on the scan.  The scan is also split into CELLS equal cells, and
-each curve's enclosure on them (Curve.enclosure) is computed once.
+each curve's enclosures on them (Curve.enclosure, Curve.slope_enclosure)
+are computed once.
 effort_tables keeps the tables of the most recent scenario only, so
 consecutive calls on one scenario share them while memory stays at one
 scenario's worth.
@@ -49,7 +50,8 @@ class EffortTables:
     the per-order fills; every other curve is filled order by order.
     Both are read-only.  A call that raises caches nothing, so the next
     caller meets the same error.  ``enclosure(curve)`` is the curve's
-    Curve.enclosure on the cells, ``steps(curve)`` the least and largest
+    Curve.enclosure on the cells, ``enclosure(curve, slopes=True)`` its
+    Curve.slope_enclosure, ``steps(curve)`` the least and largest
     step of its scan in each cell, and ``magnitude(curve, order)`` the
     largest |eval| on the scan, or |d1| on its grid.
     """
@@ -98,17 +100,19 @@ class EffortTables:
             entry = self._derived[key] = (curve, make())
         return entry[1]
 
-    def enclosure(self, curve):
-        """Curve.enclosure on the CELLS cells: (low, high), read-only, or None."""
+    def enclosure(self, curve, slopes: bool = False):
+        """Curve.enclosure on the CELLS cells, or with slopes its
+        Curve.slope_enclosure: read-only arrays, or None; both from one
+        Curve.enclosures call."""
 
         def make():
-            bounds = curve.enclosure(np.array(self._grids[CELLS + 1]))
-            if bounds is not None:
-                for b in bounds:
+            both = curve.enclosures(np.array(self._grids[CELLS + 1]))
+            for bounds in both:
+                for b in bounds or ():
                     b.flags.writeable = False
-            return bounds
+            return both
 
-        return self._derive(curve, "enclosure", make)
+        return self._derive(curve, "enclosures", make)[slopes]
 
     def steps(self, curve):
         """(least, largest) per cell: the increments eval's scan makes

@@ -15,7 +15,17 @@ parent prints the child's one JSON line:
 
 seconds is the solve's perf_counter time, and rss_mb the growth of the
 child's peak RSS (ru_maxrss) over the solve, in MiB.  To check an older
-checkout, point PYTHONPATH at its src.  The cases:
+checkout, point PYTHONPATH at its src, or compare two in one run:
+
+    python tests/family_sizes.py --compare OLD_SRC NEW_SRC [--pairs K] [CASE ...]
+
+runs each case K times (default 5) per src, in fresh processes that
+alternate between the two (old first in even pairs, new first in odd
+ones), and prints one JSON line per case: per side the median and range
+(least, largest) of seconds and rss_mb, and in how many pairs the new
+side was faster.  Every line, in both modes, records the environment's
+MALLOC_* variables under "malloc", since glibc's allocator thresholds
+move the seconds as well as the work does.  The cases:
 
 - ``fixture-1e2`` .. ``fixture-1e6``: the reference fixture
   (perfbench/gen.fixture_scenario) on wage grids of step 0.01 from 0:
@@ -36,7 +46,9 @@ minute on a 2-vCPU host.
 from __future__ import annotations
 
 import json
+import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -84,22 +96,57 @@ def run_case(name: str) -> dict:
     }
 
 
+def malloc_settings() -> dict:
+    """The environment's MALLOC_* variables (glibc's allocator tunables)."""
+    return {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")}
+
+
+def child(name: str, src: str | None = None) -> dict:
+    """run_case(name) in a fresh process, with PYTHONPATH set to src if given."""
+    env = dict(os.environ, PYTHONPATH=src) if src else None
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", name], capture_output=True, text=True, env=env
+    )
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(proc.returncode)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def compare(name: str, sources: list[str], pairs: int) -> dict:
+    """Alternating fresh-process runs of the case on the old and new src."""
+    runs = [[], []]
+    for k in range(pairs):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            runs[side].append(child(name, sources[side]))
+    line = {"case": name, "contracts": runs[0][0]["contracts"], "pairs": pairs}
+    for side, key in enumerate(("old", "new")):
+        line[key] = {
+            field: {"median": statistics.median(r[field] for r in runs[side]),
+                    "range": [min(r[field] for r in runs[side]), max(r[field] for r in runs[side])]}
+            for field in ("seconds", "rss_mb")
+        }
+    line["new_faster_pairs"] = sum(n["seconds"] < o["seconds"] for o, n in zip(*runs))
+    return line
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--child"]:
         print(json.dumps(run_case(argv[1])))
         return 0
+    sources, pairs = None, 5
+    if argv[:1] == ["--compare"]:
+        sources, argv = argv[1:3], argv[3:]
+        if argv[:1] == ["--pairs"]:
+            pairs, argv = int(argv[1]), argv[2:]
     unknown = [name for name in argv if name not in CASES]
-    if unknown:
-        print(f"unknown case {unknown[0]!r}; choose from {', '.join(CASES)}", file=sys.stderr)
+    if unknown or (sources is not None and (len(sources) < 2 or pairs < 1)):
+        print(f"unknown case {unknown[0]!r}; choose from {', '.join(CASES)}" if unknown
+              else "usage: --compare OLD_SRC NEW_SRC [--pairs K] [CASE ...]", file=sys.stderr)
         return 2
     for name in argv or CASES:
-        child = subprocess.run(
-            [sys.executable, __file__, "--child", name], capture_output=True, text=True
-        )
-        if child.returncode:
-            sys.stderr.write(child.stderr)
-            return child.returncode
-        print(child.stdout.strip().splitlines()[-1], flush=True)
+        line = child(name) if sources is None else compare(name, sources, pairs)
+        print(json.dumps({**line, "malloc": malloc_settings()}), flush=True)
     return 0
 
 

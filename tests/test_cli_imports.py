@@ -70,3 +70,20 @@ def test_command_loads_only_its_solver_modules(command):
         f"assert run_command({argv!r}) == 0"
     )
     assert submodules(modules) == CLI_MODULES | COMMAND_MODULES[command]
+
+
+def test_solve_game_on_a_tabulated_profile_loads_no_numpy_ma(tmp_path):
+    """A tabulated curve's enclosures split cells at its knots without
+    np.union1d, whose np.unique imports numpy.ma (~14 ms of a cold command)."""
+    raw = json.loads(Path(FIXTURE).read_text())
+    raw["profile"] = [
+        {"family": "tabulated", "knots": [0.0, 0.3, 0.6, 1.0], "values": [0.2, 0.4, 0.55, 0.7]}
+    ]
+    document = tmp_path / "tabulated.json"
+    document.write_text(json.dumps(raw))
+    modules = loaded_after(
+        "from contractgame.cli import run_command\n"
+        f"assert run_command(['solve-game', {str(document)!r}]) == 0"
+    )
+    assert "contractgame.principal" in modules
+    assert "numpy.ma" not in modules

@@ -322,17 +322,16 @@ def _enclosure_curves(family, rng):
     return cases
 
 
-@pytest.mark.parametrize("family", ["polynomial", "exp-affine", "log-affine", "power", "tabulated"])
-def test_eval_lies_in_the_enclosure_of_its_cell(family):
-    """Every scalar and array eval at 10^5 points lies in the padded
-    enclosure of each cell that holds the point (both at a cell edge)."""
-    rng = np.random.default_rng(("polynomial", "exp-affine", "log-affine", "power", "tabulated").index(family) + 6464)
-    checked = 0
+FAMILIES = ["polynomial", "exp-affine", "log-affine", "power", "tabulated"]
+
+
+def _enclosure_points(family, rng):
+    """(curve, edges, t, below, above) per case of _enclosure_curves: the
+    cell edges, 10^5 points in all (random ones, the edges and the knots,
+    each also 1 ulp to either side), and the cell below and above each
+    point, the same cell but at an edge."""
     for curve, lo, hi in _enclosure_curves(family, rng):
         edges = EffortTables(EffortInterval(lo, hi)).grid(CELLS + 1)
-        low, high = curve.enclosure(edges)
-        assert np.isfinite(low).all() and np.isfinite(high).all(), curve
-        assert (low <= high).all()
         points = [rng.uniform(lo, hi, 6000), edges, np.nextafter(edges, lo), np.nextafter(edges, hi)]
         if family == "tabulated":
             knots = np.array(curve.knots)
@@ -340,12 +339,74 @@ def test_eval_lies_in_the_enclosure_of_its_cell(family):
         t = np.clip(np.concatenate(points), lo, hi)
         below = np.clip(np.searchsorted(edges, t, side="left") - 1, 0, CELLS - 1)
         above = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, CELLS - 1)
+        yield curve, edges, t, below, above
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eval_lies_in_the_enclosure_of_its_cell(family):
+    """Every scalar and array eval at 10^5 points lies in the padded
+    enclosure of each cell that holds the point (both at a cell edge)."""
+    rng = np.random.default_rng(FAMILIES.index(family) + 6464)
+    checked = 0
+    for curve, edges, t, below, above in _enclosure_points(family, rng):
+        low, high = curve.enclosure(edges)
+        assert np.isfinite(low).all() and np.isfinite(high).all(), curve
+        assert (low <= high).all()
         for values in (curve.eval(t), np.array([curve.eval(float(x)) for x in t])):
             for cell in (below, above):
                 inside = (low[cell] <= values) & (values <= high[cell])
                 assert inside.all(), (curve, t[~inside][:3], values[~inside][:3])
         checked += len(t)
     assert checked >= 10**5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_d1_lies_in_the_slope_enclosure_of_its_cell(family):
+    """Every scalar and array d1 at 10^5 points lies in the padded slope
+    enclosure of each cell that holds the point, and eval there lies below
+    the first-order bound from either edge of the cell: eval at the edge,
+    plus the enclosure's slope toward the point times the distance, plus
+    twice the cell's error (the bound principal._cells prunes by)."""
+    rng = np.random.default_rng(FAMILIES.index(family) + 6464)
+    checked = 0
+    for curve, edges, t, below, above in _enclosure_points(family, rng):
+        low, high, error = curve.slope_enclosure(edges)
+        assert np.isfinite(low).all() and np.isfinite(high).all() and np.isfinite(error).all(), curve
+        assert (low <= high).all() and (error >= 0.0).all()
+        for values in (curve.d1(t), np.array([curve.d1(float(x)) for x in t])):
+            for cell in (below, above):
+                inside = (low[cell] <= values) & (values <= high[cell])
+                assert inside.all(), (curve, t[~inside][:3], values[~inside][:3])
+        at_edges = np.array([curve.eval(float(x)) for x in edges])
+        values = np.array([curve.eval(float(x)) for x in t])
+        for cell in (below, above):
+            rise = at_edges[cell] + np.maximum(high[cell], 0.0) * (t - edges[cell])
+            fall = at_edges[cell + 1] + np.maximum(-low[cell], 0.0) * (edges[cell + 1] - t)
+            under = values <= np.minimum(rise, fall) + 2.0 * error[cell]
+            assert under.all(), (curve, t[~under][:3])
+        checked += len(t)
+    assert checked >= 10**5
+
+
+def test_slope_enclosures_are_tight():
+    """Up to the padding, the slope bounds are d1's exact range: at the
+    cell ends for a monotone d1, and at the vertex too for a tabulated
+    piece whose d1 peaks inside a cell."""
+    edges = EffortTables(EffortInterval(0.0, 1.0)).grid(CELLS + 1)
+    for curve in (Polynomial((0.2, 0.5, -1.0)), ExpAffine(0.3, -0.2, -1.0), Power(2.0, 2.5, 0.5),
+                  LogAffine(0.1, 2.0, 0.5)):
+        low, high, _ = curve.slope_enclosure(edges)
+        ends = curve.d1(edges)
+        assert np.max(np.abs(low - np.minimum(ends[:-1], ends[1:]))) < 1e-13
+        assert np.max(np.abs(high - np.maximum(ends[:-1], ends[1:]))) < 1e-13
+    # the piece on [1, 2] rises from 0 to 1 with end slopes 0: its d1,
+    # 6 s (1 - s), peaks at 1.5 at e = 1.5, inside a cell
+    curve = Tabulated((0.0, 1.0, 2.0, 3.0), (0.0, 0.0, 1.0, 1.0))
+    edges = EffortTables(EffortInterval(1.1, 2.0)).grid(CELLS + 1)
+    low, high, _ = curve.slope_enclosure(edges)
+    cell = np.searchsorted(edges, 1.5) - 1
+    assert edges[cell] < 1.5 < edges[cell + 1] and curve.d1(1.5) == 1.5
+    assert 1.5 <= high[cell] < 1.5 + 1e-12 and high[cell] > max(curve.d1(edges[cell:cell + 2]))
 
 
 def test_enclosures_are_tight_for_monotone_and_polynomial_cells():
@@ -387,10 +448,19 @@ def test_no_stated_error_no_enclosure():
         def eval(self, t):
             return super().eval(t) + 1.0
 
+    class NoSlopeError(Polynomial):
+        d1_ulps = np.inf
+
     edges = EffortTables(EffortInterval(0.0, 1.0)).grid(CELLS + 1)
     assert Other().enclosure(edges) is None
     assert Shifted((0.0, 1.0)).enclosure(edges) is None
     assert Polynomial((0.0, 1.0)).enclosure(edges) is not None
+    # a slope enclosure also needs a stated d1 error (tests/test_tables.py
+    # checks a subclass with its own d1)
+    for curve in (Other(), Shifted((0.0, 1.0)), NoSlopeError((0.0, 1.0))):
+        assert curve.slope_enclosure(edges) is None
+    assert NoSlopeError((0.0, 1.0)).enclosure(edges) is not None
+    assert Polynomial((0.0, 1.0)).slope_enclosure(edges) is not None
 
 
 @pytest.mark.parametrize(
@@ -404,5 +474,7 @@ def test_no_stated_error_no_enclosure():
     ],
 )
 def test_enclosure_is_nan_where_a_scalar_call_could_raise(curve, lo, hi):
-    low, high = curve.enclosure(EffortTables(EffortInterval(lo, hi)).grid(CELLS + 1))
+    edges = EffortTables(EffortInterval(lo, hi)).grid(CELLS + 1)
+    low, high = curve.enclosure(edges)
     assert np.isnan(low).all() and np.isnan(high).all()
+    assert np.isnan(curve.slope_enclosure(edges)).all()

@@ -1032,12 +1032,12 @@ class TestRarelyTakenErrorPaths:
                 lambda raw: raw["contract_family"].update(cap=2.5),
                 "ParseError", "contract_family.cap: expected an integer, got 2.5",
             ),
-            # today's kind; a wrongly sized document contract is a DimensionError
+            # the kind of a wrongly sized document contract
             (
                 lambda raw: raw.update(
                     contract_family={"contracts": [[1.0, 0.0], [1.0, 0.0, 0.0]]}
                 ),
-                "ContractGameError", "contract_family.contracts[1] has 3 wages for 2 outcomes",
+                "DimensionError", "contract_family.contracts[1] has 3 wages for 2 outcomes",
             ),
         ],
         ids=[

@@ -862,6 +862,74 @@ class TestBatchedRowBuild:
                     assert _bits(screen[2][k]) == _bits(math.nan if value is None else value)
 
 
+def _nonlinear_game():
+    """A 3-outcome scenario with exp-affine, power and log-affine curves on
+    a 7^3 wage grid, as perfbench/gen._nonlinear_family makes them (its
+    parameters at mid-range): no two contracts share a delta row."""
+    g, p_lo, p_hi = 1.0, 0.15, 0.4
+    beta = (p_hi - p_lo) / (1.0 - math.exp(-g))
+    p2 = Power(0.2 / 1.5**0.6, 0.6, 0.5)
+    u = LogAffine(0.0, 1.4, 1.0)
+    curvature = (u.eval(8.0) - u.eval(0.0)) * (beta * g * g + abs(p2.d2(0.0)))
+    scenario = unit_scenario(
+        (14.0, 6.5, 1.0), [ExpAffine(p_lo + beta, -beta, -g), p2], Power(0.6 * curvature, 2.0, 0.15),
+        reservation=u.eval(0.0) + 0.3 * (u.eval(4.0) - u.eval(0.0)), utility=u,
+    )
+    return scenario, ContractFamily(grids=tuple(WageGrid(0.0, w, w / 6) for w in (8.0, 6.0, 3.0)))
+
+
+class _NoSlopeError(Polynomial):
+    """A polynomial that states no d1 error, so it has an enclosure but no slope enclosure."""
+
+    d1_ulps = math.inf
+
+
+class TestFirstOrderPruning:
+    """_cells prunes a cell by the first-order bound from its edges' h and
+    the slope enclosures, where a row's curves all have one."""
+
+    @pytest.mark.parametrize("game", [
+        lambda: (reference_scenario()[0],
+                 ContractFamily(grids=(WageGrid(0.0, 4.8, 0.05), WageGrid(0.0, 2.0, 0.05)))),
+        _nonlinear_game,
+    ], ids=["fixture", "nonlinear-3"])
+    def test_rows_keep_a_few_cells_and_none_is_built_again(self, game):
+        scenario, family = game()
+        rows = _family_rows(scenario, family)
+        base_size = principal_module._FamilyArrays(scenario, family).base_size()
+        tables = effort_tables(scenario)
+        deltas = np.array(rows)
+        kept, _, _, size, _ = principal_module._cells(scenario, tables, deltas, deltas != 0.0, base_size)
+        assert len(rows) > 40 and not kept.all(axis=1).any()
+        assert kept.sum() <= 3 * len(rows), kept.sum(axis=1).mean()
+        # a row built again in full has the size of its values, not the
+        # pruned row's bound
+        stats, _, _ = principal_module._build_rows(scenario, tables, deltas, base_size)
+        assert _bits(stats[2]) == _bits(size)
+
+    def test_a_row_without_a_slope_enclosure_keeps_the_zeroth_order_cells(self, monkeypatch):
+        """A row of a curve with no slope enclosure keeps exactly the cells
+        it keeps when no curve has one; a row without that curve keeps fewer."""
+        scenario = unit_scenario(
+            (10.0, 6.0, 2.0), [Polynomial((0.2, 0.5)), _NoSlopeError((0.1, 0.3, -0.1))], _QUADRATIC_COST,
+        )
+        rows = [(d, 0.0) for d in (1.0, 2.0, 3.0, 4.0)] + [(d, 1.5) for d in (1.0, 2.0, 3.0, 4.0)]
+        tables = effort_tables(scenario)
+        assert tables.enclosure(scenario.profile.components[1]) is not None
+        assert tables.enclosure(scenario.profile.components[1], slopes=True) is None
+        first_order = _kept(scenario, tables, rows, 0.0)
+        enclosure = principal_module.EffortTables.enclosure
+        monkeypatch.setattr(
+            principal_module.EffortTables, "enclosure",
+            lambda self, curve, slopes=False: None if slopes else enclosure(self, curve),
+        )
+        zeroth_order = _kept(scenario, tables, rows, 0.0)
+        assert not zeroth_order.all(axis=1).any()
+        assert np.array_equal(first_order[4:], zeroth_order[4:])
+        assert (first_order[:4] <= zeroth_order[:4]).all()
+        assert first_order[:4].sum() < zeroth_order[:4].sum()
+
+
 _ST = 1.0 / (SCAN_GRID_POINTS - 1)  # the scan's step on [0, 1]
 _NO_COST = Polynomial((0.0,))
 _QUADRATIC_COST = Polynomial((0.0, 0.0, 2.0))

@@ -396,7 +396,7 @@ class TestJointFill:
     def test_a_subclass_with_its_own_method_is_filled_order_by_order(self, method):
         """Overriding eval, d1 or d2 ends the joint fill; overriding eval or
         d1, whose stated accuracies rest on the family's own code, also ends
-        the enclosure and the trusted array ulps of that method."""
+        both enclosures and the trusted array ulps of that method."""
 
         class Own(Tabulated):
             pass
@@ -414,8 +414,9 @@ class TestJointFill:
                 direct = getattr(curve, name)(interval.grid(_FILL_POINTS[order]))
                 assert np.array_equal(_bits(tables.array(curve, _FILL_POINTS[order], order)), _bits(direct))
         edges = interval.grid(CELLS + 1)
-        assert family.enclosure(edges) is not None
-        assert (own.enclosure(edges) is None) == (method != "d2")
+        for enclosure in (Tabulated.enclosure, Tabulated.slope_enclosure):
+            assert enclosure(family, edges) is not None
+            assert (enclosure(own, edges) is None) == (method != "d2")
         for name in ("eval", "d1"):
             ulps = principal_module._array_ulps(own, name)
             assert ulps == (math.inf if name == method else 0.0)
