@@ -394,24 +394,30 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
     root[at_b] = b[at_b]
     change = ((ga < 0.0) & (0.0 < gb)) | ((gb < 0.0) & (0.0 < ga))
     live = np.flatnonzero(~at_a & ~at_b & (change | ~snap))
-    a, b, ga = a[live], b[live], ga[live]
+    # _bisect_root reads ga only by its sign, which an update of a keeps
+    a, b, negative = a[live], b[live], ga[live] < 0.0
+    # with S the ends' largest ulp, 0.5 * (a + b) and b - a lie within S of
+    # the exact midpoint and width; so when 4 S <= REFINE_TOL, a bracket
+    # wider than REFINE_TOL has its midpoint strictly inside
+    inside = 4.0 * np.spacing(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))) <= REFINE_TOL
     while len(live):
         mid = 0.5 * (a + b)
-        go = (b - a > REFINE_TOL) & (a < mid) & (mid < b)
-        if not go.all():
+        go = b - a > REFINE_TOL
+        if not inside:
+            go &= (a < mid) & (mid < b)
+        if np.count_nonzero(go) < len(go):
             root[live[~go]] = mid[~go]  # the loop ends: 0.5 * (a + b)
-            live, a, b, ga, mid = live[go], a[go], b[go], ga[go], mid[go]
+            live, a, b, negative, mid = live[go], a[go], b[go], negative[go], mid[go]
             if not len(live):
                 break
         gm = g(live, mid)
-        left = (ga < 0.0) == (gm < 0.0)
-        a = np.where(left, mid, a)
-        ga = np.where(left, gm, ga)
-        b = np.where(left, b, mid)
+        left = (gm < 0.0) == negative
+        np.putmask(a, left, mid)
+        np.putmask(b, ~left, mid)
         zero = gm == 0.0
-        if zero.any():
+        if np.count_nonzero(zero):
             root[live[zero]] = mid[zero]
-            live, a, b, ga = live[~zero], a[~zero], b[~zero], ga[~zero]
+            live, a, b, negative = live[~zero], a[~zero], b[~zero], negative[~zero]
     return root
 
 

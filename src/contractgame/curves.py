@@ -45,8 +45,10 @@ class Curve:
 
     ``d1_array_ulps`` bounds how many ulps d1 on a numpy array may lie from
     the scalar call at the same point, and ``eval_array_ulps`` the same for
-    eval (tests/test_curves.py checks both); infinite where nothing is
-    known.  Each describes its family's own method: a subclass that
+    eval, in units of 2^-53 (|eval| + 2 |offset|), offset the curve's
+    additive term (tests/test_curves.py checks both); 0 means the same
+    bits, and infinite that nothing is known.  Each describes its family's
+    own method: a subclass that
     overrides the method inherits the number, not the claim
     (``has_family_methods``).
     ``eval_ulps`` is the float error of eval that ``enclosure`` pads by, in
@@ -134,13 +136,20 @@ class Curve:
 
     def _monotone_range(self, edges: np.ndarray, offset: float):
         """_range of a curve whose computed eval is a monotone function of the
-        point up to its one library call (exp, log or pow): the scalar
-        values at the cell's ends, and the scale 2|offset| + their larger
-        magnitude, offset the additive term."""
-        values = np.array([self.eval(t) for t in edges.tolist()])
+        point up to its one library call (exp, log or pow), offset its
+        additive term.  So is whether a scalar call raises: one raises
+        somewhere only if at an end, where each is made once (numpy's calls
+        do not raise on overflow).  The cells' end values come from one
+        array call, widened by eval_array_ulps of the scale 2|offset| +
+        their larger magnitude, to hold the scalar calls' values."""
+        self.eval(float(edges[0]))
+        self.eval(float(edges[-1]))
+        values = self.eval(edges)
         left, right = values[:-1], values[1:]
         scale = 2.0 * abs(offset) + np.maximum(np.abs(left), np.abs(right))
-        return np.minimum(left, right), np.maximum(left, right), scale
+        slack = self.eval_array_ulps * 2.0**-53 * scale
+        low = np.nextafter(np.minimum(left, right) - slack, -np.inf)
+        return low, np.nextafter(np.maximum(left, right) + slack, np.inf), scale
 
     def _monotone_slopes(self, edges: np.ndarray, factor, reach):
         """_slope_range of a curve whose computed d1 is monotone as eval is
@@ -245,6 +254,8 @@ class ExpAffine(Curve):
     c: float
     family = "exp-affine"
     d1_array_ulps = 2.0
+    # exp's 2 ulps, then b's product and a's sum, each rounded on both sides
+    eval_array_ulps = 8.0
     eval_ulps = 16.0
     d1_ulps = 16.0
 
@@ -276,6 +287,8 @@ class LogAffine(Curve):
     c: float
     family = "log-affine"
     d1_array_ulps = 0.0
+    # log's 2 ulps, then b's product and a's sum, as exp-affine
+    eval_array_ulps = 8.0
     eval_ulps = 16.0
     d1_ulps = 16.0
 
@@ -326,6 +339,8 @@ class Power(Curve):
     c: float
     family = "power"
     d1_array_ulps = 2.0
+    # pow's 2 ulps, then a's product, rounded on both sides
+    eval_array_ulps = 6.0
     eval_ulps = 16.0
     d1_ulps = 16.0
 

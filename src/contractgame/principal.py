@@ -91,9 +91,10 @@ def _respond(scenario: Scenario, contract: Contract, policy: str):
 
 
 def _array_ulps(curve, method: str) -> float:
-    """The most ulps curve's method ("eval" or "d1") on an array may lie from
-    its scalar calls (Curve.eval_array_ulps, d1_array_ulps): infinite where
-    the method is not its family's own (Curve.has_family_methods)."""
+    """How far curve's method ("eval" or "d1") on an array may lie from its
+    scalar calls, as Curve.eval_array_ulps or d1_array_ulps states it (0:
+    the same bits): infinite where the method is not its family's own
+    (Curve.has_family_methods)."""
     return getattr(curve, f"{method}_array_ulps") if curve.has_family_methods(method) else math.inf
 
 
@@ -194,11 +195,13 @@ class _Slopes:
 
     ``slopes(rows, x)`` takes arrays of row numbers and points and gives
     each slope with the sign, or zero, of the scalar call
-    LinearPayoff.slope(x) that a search of the row alone makes.  The terms,
-    at the rows with a nonzero delta, are summed from numpy's d1 arrays in
-    that call's order, so a row whose curves' d1 arrays are the scalar
-    calls bit for bit (d1_array_ulps 0: polynomial, tabulated and
-    log-affine) gets the scalar call's value.
+    LinearPayoff.slope(x) that a search of the row alone makes.  Each
+    curve that some row of the call uses has its d1 array taken once on
+    all the points; its terms are added at the rows with a nonzero delta
+    (with no mask where every row of the call has one), in component
+    order, then v' is subtracted: that call's order, so a row whose
+    curves' d1 arrays are the scalar calls bit for bit (d1_array_ulps 0:
+    polynomial, tabulated and log-affine) gets the scalar call's value.
 
     The guard.  Let U be the most ulps a term's d1 array may lie from the
     scalar call (_array_ulps: Curve.d1_array_ulps of a class whose d1 is
@@ -213,9 +216,10 @@ class _Slopes:
     2U + m + 4 ulps off.  Any other value, or one that is not finite, is
     the scalar call's (``scalar``), and so is every value of a row with a
     curve of no stated bound.  A row of exact curves (U = 0) has guard 0:
-    a value goes to the scalar call only where it is 0 or its size is not
-    finite, and gets the same value back.  A row whose scalar call
-    raises is marked in ``failed``, and its values are NaN from then on.
+    its value is the scalar call's, and goes to that call only where it is
+    0 or not finite, which gives the same value back; when every row is
+    exact, S is not summed.  A row whose scalar call raises is marked in
+    ``failed``, and its values are NaN from then on.
     """
 
     def __init__(self, scenario: Scenario, deltas: np.ndarray):
@@ -224,27 +228,34 @@ class _Slopes:
         self.components = scenario.profile.components
         self.cost = scenario.agent.effort_cost
         used = deltas != 0.0
+        # per component, its deltas and their use, each contiguous
+        self.columns, self.uses = deltas.T.copy(), used.T.copy()
         ulps = [_array_ulps(c, "d1") for c in (*self.components, self.cost)]
         ulps = np.where(used, ulps[:-1], 0.0).max(axis=1, initial=ulps[-1])
         terms = used.sum(axis=1) + 1.0
         self.guard = np.where(ulps == 0.0, 0.0, (2.0 * ulps + 2.0 * terms + 4.0) * 2.0**-52)
+        self.exact = not self.guard.any()
         self.failed = np.zeros(len(deltas), dtype=bool)
 
     def __call__(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        deltas = self.deltas[rows]
-        g = np.zeros(len(rows))
-        size = np.zeros(len(rows))
-        for i, comp in enumerate(self.components):
-            use = np.flatnonzero(deltas[:, i])
-            if not len(use):
+        g = size = 0.0
+        for comp, column, uses in zip(self.components, self.columns, self.uses):
+            use = uses[rows]
+            count = np.count_nonzero(use)
+            if not count:
                 continue
-            term = deltas[use, i] * _d1(comp, x[use])
-            g[use] = g[use] + term
-            size[use] = size[use] + np.abs(term)
+            term = column[rows] * _d1(comp, x)
+            every = count == len(rows)
+            g = g + term if every else np.where(use, g + term, g)
+            if not self.exact:
+                size = size + np.abs(term) if every else np.where(use, size + np.abs(term), size)
         v = _d1(self.cost, x)
         g = g - v
-        redo = ~(np.abs(g) > self.guard[rows] * (size + np.abs(v)))
-        for k in np.flatnonzero(redo).tolist():
+        if self.exact:
+            redo = ~(np.isfinite(g) & (g != 0.0))
+        else:
+            redo = ~(np.abs(g) > self.guard[rows] * (size + np.abs(v)))
+        for k in redo.nonzero()[0].tolist():
             g[k] = self.scalar(int(rows[k]), float(x[k]))
         return g
 
@@ -357,7 +368,9 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     The bound.  With P_i and V the enclosures of p_i and v on a cell
     (EffortTables.enclosure), every point of the cell has
     h <= U = sum_i max(delta_i P_i) - min V, to rounding (U is a sum of
-    products in some order, whose rounding is no larger).  L is the row's
+    products in some order, by one matrix product with the step sums
+    below: a BLAS sum, reordered or fused, rounds no more than m products
+    and adds).  L is the row's
     best h at the cell edges (strided views of the scan, so the scan's
     bits), Z = base_size + max over the interval of sum_i |delta_i p_i| +
     |v| (from the enclosures), and tau = TAU_EXPECTATION max(1, Z) is at
@@ -426,10 +439,10 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     n = len(curves)
     use = np.concatenate([used, np.ones((count, 1), dtype=bool)], axis=1)
     signed = np.concatenate([deltas, -np.ones((count, 1))], axis=1)  # h's weight of each curve
-    # per curve, the enclosures' upper bounds and the steps' largest, then
-    # their lower bounds and least: U and the largest rise across a step are
-    # products of h's weights split by sign (split) with these, the least
-    # rise of its halves exchanged (swapped)
+    # per curve, its enclosure's upper bounds and its steps' largest, then
+    # their lower bounds and least; joined with the steps' halves exchanged,
+    # one product of h's weights split by sign (split) gives U, the least
+    # rise and the largest rise across a step
     bounds, steps = np.zeros((2, 2 * n, CELLS))
     sizes, slope_sizes, slope_bounds = np.zeros((3, n))
     slopes = [None] * n  # per curve with a finite slope enclosure: its (low, high, error)
@@ -472,7 +485,7 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
         live = np.flatnonzero(ok)
         positive, negative = np.maximum(signed[live], 0.0), np.minimum(signed[live], 0.0)
         split = np.concatenate([positive, negative], axis=1)
-        swapped = np.concatenate([negative, positive], axis=1)
+        factors = np.concatenate([bounds, np.roll(steps, n, axis=0), steps], axis=1)
         line = margin[live, None]
         # the (row, cell) pairs the first-order test may prune, as live position * CELLS + cell
         pairs = [np.zeros(0, dtype=np.intp)]
@@ -484,10 +497,10 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
                 tables.array(curves[-1], CELLS + 1),
             )
             top[rows], low[rows] = values.max(axis=1), values.min(axis=1)
-            bound = np.einsum("rk,kc->rc", split[block], bounds)
+            bound, least, largest = (split[block] @ factors).reshape(-1, 3, CELLS).transpose(1, 0, 2)
             keep = bound >= ((top[rows] - tau[rows]) - margin[rows])[:, None]
-            rising = np.einsum("rk,kc->rc", swapped[block], steps) > line[block]
-            falling = np.einsum("rk,kc->rc", split[block], steps) < -line[block]
+            rising = least > line[block]
+            falling = largest < -line[block]
             # equal where neither holds: both cannot, since the least rise is at
             # most the largest up to rounding far below the margin
             stepped = rising == falling

@@ -11,16 +11,19 @@ each curve's enclosures on them (Curve.enclosure, Curve.slope_enclosure)
 are computed once.
 effort_tables keeps the tables of the most recent scenario only, so
 consecutive calls on one scenario share them while memory stays at one
-scenario's worth.
+scenario's worth; a next scenario of the same interval starts with the
+entries of its curves that equal a held one.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import struct
 import weakref
 
 import numpy as np
 
-from .curves import Tabulated
+from .curves import ExpAffine, LogAffine, Polynomial, Power, Tabulated
 
 __all__ = ["SCAN_GRID_POINTS", "VALIDATION_GRID_POINTS", "MT_GRID_POINTS", "CELLS",
            "EffortTables", "effort_tables"]
@@ -35,6 +38,26 @@ _STRIDES = {SCAN_GRID_POINTS: 1, VALIDATION_GRID_POINTS: 2, MT_GRID_POINTS: 4,
             CELLS + 1: (SCAN_GRID_POINTS - 1) // CELLS}
 _FILLS = (SCAN_GRID_POINTS, VALIDATION_GRID_POINTS, VALIDATION_GRID_POINTS)
 _ORDERS = ("eval", "d1", "d2")
+_FAMILIES = (Polynomial, ExpAffine, LogAffine, Power, Tabulated)
+
+
+def _identity(curve):
+    """(class, the bits of its init fields) of a curve of exactly one of the
+    five family classes whose fields are floats or tuples of floats, else
+    None.  Two curves of one identity evaluate alike, bit for bit; -0.0
+    and 0.0 differ."""
+    cls = type(curve)
+    if cls not in _FAMILIES:
+        return None
+    fields = []
+    for field in dataclasses.fields(cls):
+        if field.init:
+            value = getattr(curve, field.name)
+            items = value if type(value) is tuple else (value,)
+            if not all(type(x) is float for x in items):
+                return None
+            fields.append(struct.pack(f"<{len(items)}d", *items))
+    return cls, tuple(fields)
 
 
 class EffortTables:
@@ -53,7 +76,8 @@ class EffortTables:
     Curve.enclosure on the cells, ``enclosure(curve, slopes=True)`` its
     Curve.slope_enclosure, ``steps(curve)`` the least and largest
     step of its scan in each cell, and ``magnitude(curve, order)`` the
-    largest |eval| on the scan, or |d1| on its grid.
+    largest |eval| on the scan, or |d1| on its grid.  ``adopt(held,
+    curves)`` takes another tables' entries of equal curves.
     """
 
     __slots__ = ("interval", "_grids", "_arrays", "_derived")
@@ -68,6 +92,25 @@ class EffortTables:
         self._arrays: dict[tuple[int, int, int], tuple[object, np.ndarray]] = {}
         # (id(curve), name) -> (curve, value), likewise
         self._derived: dict[tuple[int, str], tuple[object, object]] = {}
+
+    def adopt(self, held: EffortTables, curves) -> None:
+        """Take held's entries of each of curves that equals a curve held
+        there (_identity), keyed under that curve.  held's interval must
+        have this one's bits; the entries are read-only, so they are shared,
+        not copied."""
+        arrays, derived = list(held._arrays.items()), list(held._derived.items())
+        identities = {}  # identity -> id of a held curve
+        for key, curve in {key[0]: curve for key, (curve, _) in arrays + derived}.items():
+            identities.setdefault(_identity(curve), key)
+        twins = {}  # id of a held curve -> the curves equal to it
+        for curve in curves:
+            identity = _identity(curve)
+            if identity is not None and identity in identities:
+                twins.setdefault(identities[identity], []).append(curve)
+        for store, entries in ((self._arrays, arrays), (self._derived, derived)):
+            for key, (_, value) in entries:
+                for curve in twins.get(key[0], ()):
+                    store[(id(curve), *key[1:])] = (curve, value)
 
     def grid(self, points: int) -> np.ndarray:
         return self._grids[points]
@@ -143,12 +186,24 @@ def effort_tables(scenario) -> EffortTables:
     Consecutive calls with the same scenario object return the same
     tables.  Only the most recent scenario's tables are kept, and the
     scenario itself only by a weak reference, so nothing outlives it but
-    one set of tables until the next scenario comes.
+    one set of tables until the next scenario comes.  When the next
+    scenario's interval equals the last one's bit for bit, its tables
+    start with the last tables' entries of each of its effort curves (the
+    profile's components and the cost, which are all the tables are read
+    for) that equals a held curve: of the same family class, not a
+    subclass, with every init field equal bit for bit (EffortTables.adopt).
     """
     global _last
     last = _last
     if last is not None and last[0]() is scenario:
         return last[1]
     tables = EffortTables(scenario.interval)
+    if last is not None and _bits(last[1].interval) == _bits(tables.interval):
+        tables.adopt(last[1], (*scenario.profile.components, scenario.agent.effort_cost))
     _last = (weakref.ref(scenario), tables)
     return tables
+
+
+def _bits(interval) -> bytes:
+    """The bits of the interval's ends: -0.0 and 0.0 differ."""
+    return struct.pack("<2d", interval.lo, interval.hi)

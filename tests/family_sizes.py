@@ -37,7 +37,17 @@ move the seconds as well as the work does.  The cases:
   all 65,536 of them to one-by-one solves, which all accept;
 - ``listed-1e5``: fixture-1e5's grid written out as a list of its
   100,000 Contracts, built before the clock starts: a listed family of
-  two screen blocks.
+  two screen blocks;
+- ``calls-fixture-1e2``: fixture-1e2 solved 200 times, each on a fresh
+  fixture scenario of equal curves, so each call starts with the last
+  call's effort tables;
+- ``calls-nonlinear-125``: the nonlinear 3-outcome warm-up family of
+  perfbench/gen (125 contracts) of seeds 0..199, each call on curves of
+  its own.
+
+The two ``calls-*`` cases measure what a call costs whatever its size:
+their scenarios and families are built before the clock starts, and
+their lines add ``calls`` and ``ms_per_call``.
 
 pytest does not collect this file.  All cases together take under half a
 minute on a 2-vCPU host.
@@ -67,10 +77,41 @@ CASES = {
     "listed-1e5": (((0.0, 9.99, 0.01), (0.0, 0.99, 0.01)), False, True),
 }
 WARM_UP = ((0.0, 0.02, 0.01), (0.0, 0.02, 0.01))
+CALLS = ("calls-fixture-1e2", "calls-nonlinear-125")  # each of 200 solves
+
+
+def run_calls(name: str) -> dict:
+    """Solve the case's 200 families one after another, after a warm-up solve."""
+    import gen
+    from contractgame import ContractFamily, WageGrid, solve_game
+
+    def grids(family):
+        return ContractFamily(grids=tuple(WageGrid(*g) for g in family))
+
+    calls = 200
+    if name == "calls-fixture-1e2":
+        warm_up = (gen.fixture_scenario(), grids(CASES["fixture-1e2"][0]))
+        games = [(gen.fixture_scenario(), grids(CASES["fixture-1e2"][0])) for _ in range(calls)]
+    else:
+        warm_up, *games = ((f.scenario, grids(f.grids)) for f in
+                           (gen.warmup_families(seed)[1] for seed in (calls, *range(calls))))
+    solve_game(*warm_up)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    for scenario, family in games:
+        solve_game(scenario, family)
+    seconds = time.perf_counter() - start
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    return {
+        "case": name, "contracts": games[0][1].size(), "calls": calls, "seconds": round(seconds, 4),
+        "ms_per_call": round(1e3 * seconds / calls, 4), "rss_mb": round(grown / 1024.0, 2),
+    }
 
 
 def run_case(name: str) -> dict:
     """Solve the case's family after the warm-up; its size, time and peak-RSS growth."""
+    if name in CALLS:
+        return run_calls(name)
     import gen
     from contractgame import ContractFamily, Polynomial, WageGrid, solve_game
 
@@ -124,7 +165,7 @@ def compare(name: str, sources: list[str], pairs: int) -> dict:
         line[key] = {
             field: {"median": statistics.median(r[field] for r in runs[side]),
                     "range": [min(r[field] for r in runs[side]), max(r[field] for r in runs[side])]}
-            for field in ("seconds", "rss_mb")
+            for field in ("seconds", "ms_per_call", "rss_mb") if field in runs[side][0]
         }
     line["new_faster_pairs"] = sum(n["seconds"] < o["seconds"] for o, n in zip(*runs))
     return line
@@ -139,12 +180,12 @@ def main(argv: list[str]) -> int:
         sources, argv = argv[1:3], argv[3:]
         if argv[:1] == ["--pairs"]:
             pairs, argv = int(argv[1]), argv[2:]
-    unknown = [name for name in argv if name not in CASES]
+    unknown = [name for name in argv if name not in CASES and name not in CALLS]
     if unknown or (sources is not None and (len(sources) < 2 or pairs < 1)):
-        print(f"unknown case {unknown[0]!r}; choose from {', '.join(CASES)}" if unknown
+        print(f"unknown case {unknown[0]!r}; choose from {', '.join([*CASES, *CALLS])}" if unknown
               else "usage: --compare OLD_SRC NEW_SRC [--pairs K] [CASE ...]", file=sys.stderr)
         return 2
-    for name in argv or CASES:
+    for name in argv or [*CASES, *CALLS]:
         line = child(name) if sources is None else compare(name, sources, pairs)
         print(json.dumps({**line, "malloc": malloc_settings()}), flush=True)
     return 0

@@ -284,6 +284,42 @@ def test_nonexact_arrays_are_within_two_ulp_of_scalar_calls(family, method):
     assert worst <= (2 if method == "eval" else type(curve).d1_array_ulps)
 
 
+@pytest.mark.parametrize("family", ["exp-affine", "log-affine", "power"])
+def test_eval_arrays_are_within_eval_array_ulps_of_scalar_calls(family):
+    """With the additive term a, eval arrays lie within eval_array_ulps
+    2^-53 (|eval| + 2 |a|) of the scalar calls: the library's 2 ulps
+    carried through the product and the sum (a = 0 for power).  The
+    enclosures of these classes widen one array call's cell-end values by
+    this much (Curve._monotone_range)."""
+    rng = np.random.default_rng(("exp-affine", "log-affine", "power").index(family) + 4353)
+    checked = 0
+    for _ in range(40):
+        lo = float(rng.uniform(-2.0, 2.0))
+        hi = lo + float(rng.uniform(0.1, 4.0))
+        a, b = (float(x) for x in rng.normal(size=2) * 10.0 ** rng.integers(-3, 4, size=2))
+        shift = float(rng.uniform(1e-3, 2.0)) - lo  # t + shift > 0 on [lo, hi]
+        curve, offset = {
+            "exp-affine": lambda: (ExpAffine(a, b, float(rng.uniform(-30.0, 30.0))), a),
+            "log-affine": lambda: (LogAffine(a, b, shift), a),
+            "power": lambda: (Power(b, float(rng.uniform(-3.0, 4.0)), shift), 0.0),
+        }[family]()
+        points = rng.uniform(lo, hi, 1000)
+        with np.errstate(all="ignore"):
+            array = curve.eval(points)
+        scalar = []
+        for t in points:
+            try:
+                scalar.append(curve.eval(float(t)))
+            except DomainError:
+                scalar.append(np.nan)
+        scalar = np.array(scalar)
+        finite = np.isfinite(scalar) & np.isfinite(array)
+        bound = type(curve).eval_array_ulps * 2.0**-53 * (np.abs(scalar) + 2.0 * abs(offset))
+        assert (np.abs(array - scalar) <= bound)[finite].all(), curve
+        checked += int(finite.sum())
+    assert checked > 30000
+
+
 def _enclosure_curves(family, rng):
     """(curve, lo, hi, extra points) for the enclosure checks: random curves
     of the family, and the hard cases: tabulated cells that straddle knots

@@ -1332,3 +1332,98 @@ class TestLockstepBisection:
         for k in range(len(a)):
             g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), scenario.agent.effort_cost).slope
             assert got[k] == _one_by_one(g, float(a[k]), float(b[k]), bool(snap[k]))
+
+    def test_rows_that_skip_a_component(self):
+        """Rows with a zero delta, so each component is unused by some rows of a call."""
+        components = [Polynomial((0.2, 0.5, -0.3)), Polynomial((0.1, 0.3))]
+        scenario = unit_scenario((10.0, 5.0, 2.0), components, Polynomial((0.0, 0.0, 2.0)))
+        keys = [(1.0, 0.0), (0.0, 2.0), (0.5, 1.0), (0.0, 0.0), (-0.7, 0.0)]
+        slopes, _ = _check_lockstep(scenario, keys, np.random.default_rng(8811))
+        assert slopes.exact and not slopes.failed.any()
+
+    def test_exact_and_inexact_rows_in_one_call(self):
+        """Rows of guard 0 (polynomial terms only) beside rows with an exp-affine term."""
+        components = [Polynomial((0.2, 0.5)), ExpAffine(0.3, -0.2, -1.3)]
+        scenario = unit_scenario((10.0, 5.0, 2.0), components, Polynomial((0.0, 0.0, 2.0)))
+        keys = [(1.0, 0.0), (2.5, 0.0), (0.0, 1.5), (1.0, -3.0)]
+        slopes, _ = _check_lockstep(scenario, keys, np.random.default_rng(8812))
+        assert (slopes.guard[:2] == 0.0).all() and (slopes.guard[2:] > 0.0).all()
+        assert not slopes.exact and not slopes.failed.any()
+
+    def test_a_component_whose_array_d1_raises(self, monkeypatch):
+        """Its rows take scalar calls, and a row whose scalar call raises is
+        failed; the rows without it keep their array values."""
+        scalar, calls = principal_module._Slopes.scalar, []
+
+        def counting_scalar(self, row, x):
+            calls.append(row)
+            return scalar(self, row, x)
+
+        monkeypatch.setattr(principal_module._Slopes, "scalar", counting_scalar)
+        components = [Polynomial((0.2, 0.5)), _ScalarD1Below((0.1, 0.3, 0.2))]
+        scenario = unit_scenario((10.0, 5.0, 2.0), components, Polynomial((0.0, 0.0, 2.0)))
+        keys = [(1.0, 0.0), (0.0, 1.5), (1.0, -3.0), (2.0, 0.0)]
+        slopes, _ = _check_lockstep(scenario, keys, np.random.default_rng(8813))
+        assert slopes.failed.tolist() == [False, True, True, False]
+        assert {1, 2} <= set(calls) and not {0, 3} & set(calls)
+
+    @pytest.mark.parametrize("component", [Polynomial((0.2, 0.5)), ExpAffine(0.6, -0.4, -1.1)])
+    def test_the_grid_and_scan_peak_brackets_of_one_maximum(self, component):
+        """Each row's grid bracket and scan-peak bracket of its maximum, in one call."""
+        scenario = unit_scenario((10.0, 2.0), [component], Polynomial((0.0, 0.0, 2.0)))
+        tables = effort_tables(scenario)
+        scan, grid = tables.grid(SCAN_GRID_POINTS), tables.grid(MT_GRID_POINTS)
+        keys = [(d,) for d in (1.3, 2.4, 3.7, 5.9)]
+        rows, a, b, snap = [], [], [], []
+        for row, (d,) in enumerate(keys):
+            g = LinearPayoff(scenario, (d, 0.0), scenario.agent.effort_cost).slope
+            j = next(j for j in range(MT_GRID_POINTS - 1) if g(grid[j]) > 0.0 >= g(grid[j + 1]))
+            k = j * 4 + max(range(1, 5), key=lambda i: -abs(g(scan[j * 4 + i])))
+            rows += [row, row]
+            a += [grid[j], scan[k - 1]]
+            b += [grid[j + 1], scan[k + 1]]
+            snap += [False, True]
+        brackets = np.array(rows), np.array(a), np.array(b), np.array(snap)
+        slopes, roots = _check_lockstep(scenario, keys, None, brackets)
+        assert not slopes.failed.any() and not np.isnan(roots).any()
+
+
+class _ScalarD1Below(Polynomial):
+    """A polynomial whose d1 raises on arrays, and on scalars above 0.6."""
+
+    def d1(self, t):
+        if isinstance(t, np.ndarray) or t > 0.6:
+            raise DomainError("no slope here")
+        return super().d1(t)
+
+
+def _check_lockstep(scenario, keys, rng, brackets=None):
+    """Run bisect_brackets on _Slopes over brackets (rows, a, b, snap), or
+    over 300 random ones of rng, and check each root against the one-by-one
+    search, bit for bit: every bracket of a row whose searches all finish,
+    and _Slopes.failed set exactly at the rows where one raises.  Returns
+    the _Slopes and the roots."""
+    lo, hi = scenario.interval.lo, scenario.interval.hi
+    if brackets is None:
+        count = 300
+        rows = rng.integers(len(keys), size=count)
+        a = rng.uniform(lo, hi, count)
+        b = np.minimum(a + np.where(rng.random(count) < 0.5, (hi - lo) / 1024, (hi - lo) / 16), hi)
+        snap = rng.random(count) < 0.5
+    else:
+        rows, a, b, snap = brackets
+    slopes = principal_module._Slopes(scenario, np.array(keys, dtype=float))
+    got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
+    expected, raising = {}, set()
+    for k in range(len(a)):
+        g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), scenario.agent.effort_cost).slope
+        try:
+            expected[k] = _one_by_one(g, float(a[k]), float(b[k]), bool(snap[k]))
+        except DomainError:
+            raising.add(int(rows[k]))
+    assert set(np.flatnonzero(slopes.failed).tolist()) == raising
+    checked = [k for k in expected if rows[k] not in raising]
+    assert checked
+    for k in checked:
+        assert np.array([got[k]]).tobytes() == np.array([expected[k]]).tobytes(), (k, a[k], b[k])
+    return slopes, got

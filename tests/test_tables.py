@@ -36,6 +36,7 @@ from contractgame import (
     PrincipalPreferences,
     Scenario,
     Tabulated,
+    WageGrid,
     agent_best_response,
     classical_assumptions_report,
     classify_risk,
@@ -522,3 +523,100 @@ class TestStrides:
                 reports[store].append((command, code, capsys.readouterr()))
         assert [code for _, code, _ in reports[EffortTables]] == [0] * 5
         assert reports[EffortTables] == reports[LinspaceTables]
+
+
+def _fixture(reservation=0.0, component=None, cost=None, interval=(0.0, 1.0)):
+    """The reference fixture's economics (perfbench/gen.fixture_scenario), each
+    call a new scenario with curves of its own."""
+    return Scenario(
+        (10.0, 2.0), EffortInterval(*interval), EffortProfile((component or Polynomial((0.2, 0.5)),)),
+        AgentPreferences(Polynomial((0.0, 1.0)), cost or Polynomial((0.0, 0.0, 2.0)), reservation),
+        PrincipalPreferences(Polynomial((0.0, 1.0))),
+    )
+
+
+def _fill(scenario):
+    """Solve a small family on the scenario, so its tables hold every kind of entry."""
+    grid = WageGrid(0.0, 3.0, 0.5)
+    solve_game(scenario, ContractFamily(grids=(grid, grid)))
+    return effort_tables(scenario)
+
+
+class _Sub(Polynomial):
+    """A Polynomial subclass: its curves share no tables, even with each other."""
+
+
+class TestCarryOver:
+    """A scenario of the last one's interval starts with the entries of equal curves."""
+
+    def test_scenarios_that_differ_in_reservation_read_the_same_arrays(self):
+        _clear()
+        first, second = _fixture(0.0), _fixture(0.4)
+        held = _fill(first)
+        tables = effort_tables(second)
+        assert tables is not held
+        for old, new in ((first.profile.components[0], second.profile.components[0]),
+                         (first.agent.effort_cost, second.agent.effort_cost)):
+            assert old is not new
+            for points, order in ((SCAN_GRID_POINTS, 0), (VALIDATION_GRID_POINTS, 1), (CELLS + 1, 0)):
+                assert tables.array(new, points, order) is held.array(old, points, order)
+            assert tables.enclosure(new) is held.enclosure(old)
+            assert tables.enclosure(new, slopes=True) is held.enclosure(old, slopes=True)
+            assert tables.steps(new) is held.steps(old)
+            assert tables.magnitude(new, 1) == held.magnitude(old, 1)
+        # every entry is keyed under, and holds, a curve of the new scenario
+        curves = {id(c): c for c in (*second.profile.components, second.agent.effort_cost)}
+        for store in (tables._arrays, tables._derived):
+            assert store and all(curves.get(key[0]) is entry[0] for key, entry in store.items())
+        # and the carried tables give what fresh ones give
+        carried = _outcome("game", second, Contract((2.4, 0.0)))
+        _clear()
+        assert _outcome("game", _fixture(0.4), Contract((2.4, 0.0))) == carried
+
+    @pytest.mark.parametrize("first, second", [
+        ({"interval": (0.0, 1.0)}, {"interval": (0.0, math.nextafter(1.0, 2.0))}),
+        ({"interval": (0.0, 1.0)}, {"interval": (-0.0, 1.0)}),
+        ({"cost": Polynomial((0.0, 0.0, 2.0))}, {"cost": Polynomial((-0.0, 0.0, 2.0))}),
+        ({"cost": Polynomial((0.0, 0.0, 2.0))}, {"cost": _Sub((0.0, 0.0, 2.0))}),
+        ({"cost": _Sub((0.0, 0.0, 2.0))}, {"cost": _Sub((0.0, 0.0, 2.0))}),
+        ({"component": ExpAffine(0.2, 0.5, 0.3)}, {"component": LogAffine(0.2, 0.5, 0.3)}),
+    ], ids=["interval-bit", "interval-zero-sign", "coefficient-zero-sign", "subclass", "subclass-twins",
+            "family"])
+    def test_nothing_is_shared_between_unequal_curves(self, first, second):
+        _clear()
+        old_scenario, new_scenario = _fixture(**first), _fixture(**second)
+        held = _fill(old_scenario)
+        tables = effort_tables(new_scenario)
+        changed = "component" if "component" in first else "cost"
+        new = new_scenario.profile.components[0] if changed == "component" else new_scenario.agent.effort_cost
+        keys = {key[0] for store in (tables._arrays, tables._derived) for key in store}
+        assert id(new) not in keys
+        if "interval" in first:
+            assert not keys
+        old = old_scenario.profile.components[0] if changed == "component" else old_scenario.agent.effort_cost
+        assert tables.array(new, SCAN_GRID_POINTS) is not held.array(old, SCAN_GRID_POINTS)
+
+    def test_entries_of_absent_curves_are_gone(self):
+        _clear()
+        _fill(_fixture(cost=Polynomial((0.0, 0.0, 2.0))))
+        scenario = _fixture(cost=Polynomial((0.0, 0.0, 3.0)))
+        tables = effort_tables(scenario)
+        component = scenario.profile.components[0]
+        for store in (tables._arrays, tables._derived):
+            assert store and {key[0] for key in store} == {id(component)}
+            assert all(entry[0] is component for entry in store.values())
+
+    def test_a_fill_that_raised_is_never_cached(self):
+        """An equal curve that raised in the last scenario raises again, with the same message."""
+        _clear()
+        undefined = "log-affine curve needs t \\+ -0.2 > 0"
+        for _ in range(2):
+            scenario = _fixture(component=LogAffine(0.5, 0.1, -0.2))
+            tables = effort_tables(scenario)
+            component = scenario.profile.components[0]
+            for _ in range(2):
+                with pytest.raises(DomainError, match=undefined):
+                    tables.array(component, SCAN_GRID_POINTS)
+            assert tables.array(scenario.agent.effort_cost, SCAN_GRID_POINTS) is not None
+        keys = {key[0] for store in (tables._arrays, tables._derived) for key in store}
+        assert keys == {id(scenario.agent.effort_cost)}
