@@ -380,8 +380,10 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
     the signs at their ends.  g(k, x) gives the function of brackets k at
     the points x, arrays both, with the sign (or zero) of the scalar call
     g(x_j) that the one-by-one search makes.  g keeps no memo, so a maximum
-    that both kinds of bracket hold is bisected twice.  The brackets are bisected in
-    lockstep, with _bisect_root's updates, exits and stop.
+    that both kinds of bracket hold is bisected twice.  The brackets are
+    bisected in lockstep, with _bisect_root's updates, exits and stop.
+    Each iteration passes g the same k object (the live brackets) until
+    one ends, so g may keep what it gathers for k until k changes.
     """
     count = len(a)
     every = np.arange(count)
@@ -414,8 +416,8 @@ def bisect_brackets(g, a: np.ndarray, b: np.ndarray, snap: np.ndarray) -> np.nda
         left = (gm < 0.0) == negative
         np.putmask(a, left, mid)
         np.putmask(b, ~left, mid)
-        zero = gm == 0.0
-        if np.count_nonzero(zero):
+        if np.count_nonzero(gm) < len(gm):
+            zero = gm == 0.0
             root[live[zero]] = mid[zero]
             live, a, b, negative = live[~zero], a[~zero], b[~zero], negative[~zero]
     return root
@@ -501,12 +503,18 @@ def settle(f, candidates, interval: EffortInterval):
     the best value.
     """
     evaluated = [(c, float(f(c))) for c in settle_points(candidates, interval)]
+    return evaluated, *ties(evaluated)
+
+
+def ties(evaluated):
+    """(pairs, best): the (point, value) pairs of evaluated whose value ties
+    the best within the relative tie tolerance, and the best value."""
     best = max(fc for _, fc in evaluated)
     scale = max(1.0, abs(best))
     pairs = tuple(
         (c, fc) for c, fc in evaluated if best - fc <= TAU_EXPECTATION * scale
     )
-    return evaluated, pairs, best
+    return pairs, best
 
 
 def hybrid_maximize(payoff: LinearPayoff, tables: EffortTables):

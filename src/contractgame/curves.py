@@ -36,6 +36,12 @@ def _exp(t):
         raise DomainError(f"exp({t}) overflows") from err
 
 
+def _finite(t: np.ndarray) -> bool:
+    """Whether t is a 1-D float64 array of finite values, by the sum of its
+    squares (a huge finite value can make it infinite too: then False)."""
+    return t.ndim == 1 and t.dtype == np.float64 and math.isfinite(t.dot(t))
+
+
 def _log(t):
     return np.log(t) if isinstance(t, np.ndarray) else math.log(t)
 
@@ -206,7 +212,19 @@ class Polynomial(Curve):
         object.__setattr__(self, "_d2", d2)
 
     def _horner(self, coeffs, t):
+        """Horner's rule from 0.0: acc = acc * t + c for c_k, ..., c_0.
+
+        On a 1-D float64 array t of finite values, with c_k not zero and a
+        step after it, the first step is skipped: 0.0 * t is then a signed
+        zero, and a zero plus c_k is c_k exactly.  Elsewhere the step stays:
+        with c_k = -0.0 it gives +0.0 where t >= 0, at an infinite t a NaN,
+        in float32 c_k may round to a zero, and a one-coefficient
+        polynomial needs it for an array of t's shape.  Scalars take it
+        too, which costs less than a test would.
+        """
         acc = 0.0
+        if type(t) is np.ndarray and len(coeffs) > 1 and coeffs[-1] != 0.0 and _finite(t):
+            acc, coeffs = t * coeffs[-1] + coeffs[-2], coeffs[:-2]
         for c in reversed(coeffs):
             acc = acc * t + c
         return acc

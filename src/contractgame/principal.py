@@ -21,7 +21,7 @@ import numpy as np
 
 from .agent import (
     FINITE_BOUND, REFINE_TOL, TAU_E, TAU_EXPECTATION, BestResponse, LinearPayoff,
-    agent_best_response, bisect_brackets,
+    agent_best_response, best_response_from, bisect_brackets, ties,
 )
 from .model import (
     ENUMERATION_CAP, TIE_BREAK_POLICIES, Contract, ContractFamily, Scenario, WageGrid,
@@ -78,12 +78,14 @@ def _select_effort(response: BestResponse, payoff: LinearPayoff, policy: str):
     return best_e, best_p
 
 
-def _respond(scenario: Scenario, contract: Contract, policy: str):
-    """One contract's agent response, and the policy's effort and principal value.
+def _respond(scenario: Scenario, contract: Contract, policy: str, response=None):
+    """One contract's agent response (agent_best_response's, unless given),
+    and the policy's effort and principal value.
 
     effort and value are None when the agent rejects the contract.
     """
-    response = agent_best_response(scenario, contract)
+    if response is None:
+        response = agent_best_response(scenario, contract)
     if not response.accepted:
         return response, None, None
     effort, value = _select_effort(response, LinearPayoff.principal(scenario, contract), policy)
@@ -193,15 +195,18 @@ def _d1(curve, x: np.ndarray) -> np.ndarray:
 class _Slopes:
     """The slopes sum_i delta_i p_i'(e) - v'(e) of delta rows, at many points at once.
 
-    ``slopes(rows, x)`` takes arrays of row numbers and points and gives
-    each slope with the sign, or zero, of the scalar call
+    ``slopes.bind(rows)`` is a function g(k, x) for agent.bisect_brackets,
+    of bracket numbers k (each of row rows[k]) and points x, arrays both:
+    each slope, with the sign or zero of the scalar call
     LinearPayoff.slope(x) that a search of the row alone makes.  Each
-    curve that some row of the call uses has its d1 array taken once on
-    all the points; its terms are added at the rows with a nonzero delta
-    (with no mask where every row of the call has one), in component
-    order, then v' is subtracted: that call's order, so a row whose
-    curves' d1 arrays are the scalar calls bit for bit (d1_array_ulps 0:
-    polynomial, tabulated and log-affine) gets the scalar call's value.
+    curve that some row of a call uses has its d1 array taken once on all
+    the points; its terms are added at the rows with a nonzero delta (with
+    no mask where every row of the call has one), in component order,
+    then v' is subtracted: that call's order, so a row whose curves' d1
+    arrays are the scalar calls bit for bit (d1_array_ulps 0: polynomial,
+    tabulated and log-affine) gets the scalar call's value.  The sum
+    starts from the first term, not from 0.0 + it: the two differ only in
+    the sign of a zero, and every zero is the scalar call's (below).
 
     The guard.  Let U be the most ulps a term's d1 array may lie from the
     scalar call (_array_ulps: Curve.d1_array_ulps of a class whose d1 is
@@ -218,8 +223,10 @@ class _Slopes:
     curve of no stated bound.  A row of exact curves (U = 0) has guard 0:
     its value is the scalar call's, and goes to that call only where it is
     0 or not finite, which gives the same value back; when every row is
-    exact, S is not summed.  A row whose scalar call raises is marked in
-    ``failed``, and its values are NaN from then on.
+    exact, S is not summed, and a call whose values hold no zero and have
+    a finite sum of squares (so none is infinite or NaN) redoes none.  A
+    row whose scalar call raises is marked in ``failed``, and its values
+    are NaN from then on.
     """
 
     def __init__(self, scenario: Scenario, deltas: np.ndarray):
@@ -237,24 +244,54 @@ class _Slopes:
         self.exact = not self.guard.any()
         self.failed = np.zeros(len(deltas), dtype=bool)
 
-    def __call__(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        g = size = 0.0
+    def bind(self, rows: np.ndarray):
+        """g(k, x) for agent.bisect_brackets: the slopes of rows[k] at x.
+
+        What a call gathers for k (its rows, and each used component's
+        deltas and use there) is kept while the calls after it pass the
+        same k object, as the lockstep loop does until it compacts its live
+        brackets.
+        """
+        held = [None, None]
+
+        def g(k, x):
+            if held[0] is not k:
+                held[:] = k, self._gather(rows[k])
+            return self._sum(held[1], x)
+
+        return g
+
+    def _gather(self, rows: np.ndarray):
+        """(rows, terms, guard) of a call on rows: per component some row
+        uses, (curve, its deltas at rows, their use or None where every row
+        uses it); the rows' guards, or None when every row is exact."""
+        terms = []
         for comp, column, uses in zip(self.components, self.columns, self.uses):
             use = uses[rows]
             count = np.count_nonzero(use)
-            if not count:
-                continue
-            term = column[rows] * _d1(comp, x)
-            every = count == len(rows)
-            g = g + term if every else np.where(use, g + term, g)
-            if not self.exact:
-                size = size + np.abs(term) if every else np.where(use, size + np.abs(term), size)
+            if count:
+                terms.append((comp, column[rows], None if count == len(rows) else use))
+        return rows, terms, None if self.exact else self.guard[rows]
+
+    def _sum(self, gathered, x: np.ndarray) -> np.ndarray:
+        rows, terms, guard = gathered
+        g = size = 0.0
+        for k, (comp, delta, use) in enumerate(terms):
+            term = delta * _d1(comp, x)
+            if use is not None:
+                term = np.where(use, term, 0.0)
+            g = g + term if k else term
+            if guard is not None:
+                size = size + np.abs(term)
         v = _d1(self.cost, x)
         g = g - v
-        if self.exact:
+        if guard is None:
+            # no zero, and a finite sum of squares: every value finite
+            if np.count_nonzero(g) == len(g) and math.isfinite(g.dot(g)):
+                return g
             redo = ~(np.isfinite(g) & (g != 0.0))
         else:
-            redo = ~(np.abs(g) > self.guard[rows] * (size + np.abs(v)))
+            redo = ~(np.abs(g) > guard * (size + np.abs(v)))
         for k in redo.nonzero()[0].tolist():
             g[k] = self.scalar(int(rows[k]), float(x[k]))
         return g
@@ -274,8 +311,9 @@ def _runs(at: np.ndarray, width: int):
     """(first, last): the ends of each run of consecutive indices in at, sorted
     flat indices into a (rows x width) array; no run crosses a row."""
     col = at % width
-    first = (col == 0) | (np.diff(at, prepend=-2) != 1)
-    last = (col == width - 1) | (np.diff(at, append=-2) != 1)
+    apart = at[1:] - at[:-1] != 1
+    first = (col == 0) | np.concatenate([[True], apart])
+    last = (col == width - 1) | np.concatenate([apart, [True]])
     return at[first], at[last]
 
 
@@ -325,14 +363,20 @@ def _weighted(deltas: np.ndarray, used: np.ndarray, values, cost: np.ndarray) ->
     """sum_i deltas[:, i] values(i) - cost, one row per delta row.
 
     Summed from 0.0 in LinearPayoff.on_grid's order by broadcasting, not
-    by a matrix product, each term by one add masked to the rows that use
-    it, so each value keeps the bits of the per-contract arrays.  values(i)
-    is read only when some row uses curve i.
+    by a matrix product, each term by one add, masked to the rows that use
+    it unless every row does, so each value keeps the bits of the
+    per-contract arrays.  values(i) is read only when some row uses
+    curve i.
     """
     acc = np.zeros(np.broadcast_shapes((len(deltas), 1), cost.shape))
     for i in range(deltas.shape[1]):
         use = used[:, i]
-        if use.any():
+        count = np.count_nonzero(use)
+        if not count:
+            continue
+        if count == len(use):
+            acc += deltas[:, i, None] * values(i)
+        else:
             np.add(acc, deltas[:, i, None] * values(i), out=acc, where=use[:, None])
     acc -= cost
     return acc
@@ -356,6 +400,43 @@ _WINDOW = np.concatenate([
 ], axis=1)
 
 
+def _cell_data(tables: EffortTables, curve):
+    """What _cells reads of a curve, made once per curve and tables
+    (EffortTables.derive): None where its enclosure, steps or d1 table
+    raises or is not finite; else (factors, size, slope size, edge values,
+    slope enclosure, slope bound).  factors is (3, 2, CELLS): per cell, the
+    enclosure's upper and lower bound, the steps' least and largest, and
+    minus their largest and least; size is the enclosure's largest
+    magnitude and slope size the d1 table's; edge values are the curve at
+    the cell edges; the slope enclosure is None where it is not finite,
+    and the slope bound is its largest magnitude, else 0.
+    """
+
+    def make():
+        enclosure = tables.enclosure(curve)
+        if enclosure is None or not np.isfinite(enclosure).all():
+            return None
+        try:
+            steps, slope_size = np.array(tables.steps(curve)), tables.magnitude(curve, 1)
+        except Exception:
+            return None
+        if not (np.isfinite(steps).all() and math.isfinite(slope_size)):
+            return None
+        factors = np.array([enclosure[::-1], steps, -steps[::-1]])
+        at_edges = tables.array(curve, CELLS + 1).copy()  # contiguous, which the sums read faster
+        for shared in (factors, at_edges):
+            shared.flags.writeable = False  # shared, as the tables' entries are
+        slope, slope_bound = tables.enclosure(curve, slopes=True), 0.0
+        if slope is None or not np.isfinite(slope).all():
+            slope = None
+        else:
+            slope_bound = np.maximum(-slope[0], slope[1]).max()
+        size = np.abs(enclosure).max()
+        return factors, size, slope_size, at_edges, slope, slope_bound
+
+    return tables.derive(curve, "cells", make)
+
+
 def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: float):
     """The cells of each delta row that can hold a contract's maximizer or a scan peak of h.
 
@@ -368,10 +449,12 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     The bound.  With P_i and V the enclosures of p_i and v on a cell
     (EffortTables.enclosure), every point of the cell has
     h <= U = sum_i max(delta_i P_i) - min V, to rounding (U is a sum of
-    products in some order, by one matrix product with the step sums
-    below: a BLAS sum, reordered or fused, rounds no more than m products
-    and adds).  L is the row's
-    best h at the cell edges (strided views of the scan, so the scan's
+    products in some order: one batched matrix product of h's weights
+    split by sign and the curves' _cell_data factors gives U and the step
+    sums below as a (3, rows, CELLS) array, _ROWS rows at a time, and a
+    BLAS sum, reordered or fused, rounds no more than m products and
+    adds).  L is the row's best h at the cell edges (summed by _weighted
+    from the curves' values there, EffortTables.array, so the scan's
     bits), Z = base_size + max over the interval of sum_i |delta_i p_i| +
     |v| (from the enclosures), and tau = TAU_EXPECTATION max(1, Z) is at
     least the tie tolerance of every contract of the family on the row.
@@ -404,7 +487,8 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     the slack covers.  So the argument above holds with B + slack for U.
     A row with a curve of no slope enclosure keeps U's cells.  The test
     runs only on the (row, cell) pairs it can change, _PAIRS at a time,
-    by 1-D gathers per curve.
+    by 1-D gathers per curve; each row's L - tau - margin and rate of
+    slack per width are computed once.
 
     The steps.  With D_i the least and largest step of p_i's scan across
     a cell (EffortTables.steps, float differences of the scan's values),
@@ -439,38 +523,25 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
     n = len(curves)
     use = np.concatenate([used, np.ones((count, 1), dtype=bool)], axis=1)
     signed = np.concatenate([deltas, -np.ones((count, 1))], axis=1)  # h's weight of each curve
-    # per curve, its enclosure's upper bounds and its steps' largest, then
-    # their lower bounds and least; joined with the steps' halves exchanged,
-    # one product of h's weights split by sign (split) gives U, the least
-    # rise and the largest rise across a step
-    bounds, steps = np.zeros((2, 2 * n, CELLS))
+    # rows i and n + i of each curve's _cell_data factors: one product of
+    # h's weights split by sign (split) gives U, the least rise and minus
+    # the largest rise across a step
+    factors = np.zeros((3, 2 * n, CELLS))
     sizes, slope_sizes, slope_bounds = np.zeros((3, n))
     slopes = [None] * n  # per curve with a finite slope enclosure: its (low, high, error)
+    at_edges = [None] * n  # per curve of finite tables: its values at the cell edges
     ok = np.ones(count, dtype=bool)
     sloped = np.ones(count, dtype=bool)  # the rows that take the first-order test
     with np.errstate(all="ignore"):
         for i, curve in enumerate(curves):
             if not use[:, i].any():
                 continue
-            both, good = [i, n + i], False
-            enclosure = tables.enclosure(curve)
-            if enclosure is not None and np.isfinite(enclosure).all():
-                try:
-                    bounds[both], steps[both] = enclosure[::-1], tables.steps(curve)[::-1]
-                    sizes[i], slope_sizes[i] = np.abs(enclosure).max(), tables.magnitude(curve, 1)
-                    good = np.isfinite(steps[both]).all() and math.isfinite(slope_sizes[i])
-                except Exception:
-                    pass
-            if not good:
+            data = _cell_data(tables, curve)
+            if data is None:
                 ok &= ~use[:, i]
-                bounds[both] = steps[both] = 0.0
-                sizes[i] = slope_sizes[i] = 0.0
                 continue
-            slope = tables.enclosure(curve, slopes=True)
-            if slope is not None and np.isfinite(slope).all():
-                slopes[i] = slope
-                slope_bounds[i] = np.maximum(-slope[0], slope[1]).max()
-            else:
+            factors[:, (i, n + i)], sizes[i], slope_sizes[i], at_edges[i], slopes[i], slope_bounds[i] = data
+            if slopes[i] is None:
                 sloped &= ~use[:, i]
         weight = np.abs(signed)
         magnitude = (weight * sizes).sum(axis=1) * (1.0 + 2.0**-40)
@@ -485,50 +556,57 @@ def _cells(scenario: Scenario, tables: EffortTables, deltas, used, base_size: fl
         live = np.flatnonzero(ok)
         positive, negative = np.maximum(signed[live], 0.0), np.minimum(signed[live], 0.0)
         split = np.concatenate([positive, negative], axis=1)
-        factors = np.concatenate([bounds, np.roll(steps, n, axis=0), steps], axis=1)
-        line = margin[live, None]
+        live_deltas, live_used, live_tau, line = deltas[live], used[live], tau[live], margin[live, None]
+        # per live row: its top, its low, and the least U or B of a kept cell
+        extremes = np.zeros((3, len(live)))
         # the (row, cell) pairs the first-order test may prune, as live position * CELLS + cell
         pairs = [np.zeros(0, dtype=np.intp)]
-        for start in range(0, len(live), _ROWS):
-            block = slice(start, start + _ROWS)
-            rows = live[block]
-            values = _weighted(
-                deltas[rows], used[rows], lambda i: tables.array(curves[i], CELLS + 1),
-                tables.array(curves[-1], CELLS + 1),
-            )
-            top[rows], low[rows] = values.max(axis=1), values.min(axis=1)
-            bound, least, largest = (split[block] @ factors).reshape(-1, 3, CELLS).transpose(1, 0, 2)
-            keep = bound >= ((top[rows] - tau[rows]) - margin[rows])[:, None]
-            rising = least > line[block]
-            falling = largest < -line[block]
+        # the steps are tested eight blocks at a time: far fewer calls than
+        # block by block, in arrays of ~2^15 cells, not a whole call's rows
+        for first in range(0, len(live), 8 * _ROWS):
+            rows = live[first:first + 8 * _ROWS]
+            keep = np.zeros((len(rows), CELLS), dtype=bool)
+            rising, falling = monotone = np.zeros((2, len(rows), CELLS), dtype=bool)
+            for start in range(0, len(rows), _ROWS):
+                inner, block = slice(start, start + _ROWS), slice(first + start, first + start + _ROWS)
+                values = _weighted(live_deltas[block], live_used[block], at_edges.__getitem__, at_edges[-1])
+                extremes[0, block], extremes[1, block] = values.max(axis=1), values.min(axis=1)
+                extremes[2, block] = (extremes[0, block] - live_tau[block]) - line[block, 0]
+                # U, the least rise and minus the largest rise, (3, rows, CELLS)
+                product = np.matmul(split[block], factors)
+                np.greater_equal(product[0], extremes[2, block, None], out=keep[inner])
+                np.greater(product[1:], line[block], out=monotone[:, inner])
             # equal where neither holds: both cannot, since the least rise is at
             # most the largest up to rounding far below the margin
             stepped = rising == falling
             stepped[:, :-1] |= rising[:, :-1] & falling[:, 1:]
-            pairs.append(np.flatnonzero(keep & ~stepped & sloped[rows, None]) + start * CELLS)
             kept[rows] = keep | stepped
+            pairs.append(np.flatnonzero(keep & ~stepped & sloped[rows, None]) + first * CELLS)
+        top[live], low[live], threshold = extremes
         # the first-order test, on the cells that only the bound U keeps,
         # _PAIRS (row, cell) pairs at a time
         flat = np.concatenate(pairs)
+        widths, columns = np.diff(tables.grid(CELLS + 1)), signed.T.copy()
+        spreads = (8.0 * terms + 2.0**9) * 2.0**-53 * (weight @ slope_bounds)
         for start in range(0, len(flat), _PAIRS):
             at, c = np.divmod(flat[start:start + _PAIRS], CELLS)
             r = live[at]
-            width = np.diff(tables.grid(CELLS + 1))[c]
+            width, above = widths[c], c + 1
             h0, h1, rise, fall, error = np.zeros((5, len(r)))
-            for i, curve in enumerate(curves):
-                if slopes[i] is None:
+            for i, slope in enumerate(slopes):
+                if slope is None:
                     continue
-                w = signed[r, i]
-                at_edges = tables.array(curve, CELLS + 1)
-                h0 += w * at_edges[c]
-                h1 += w * at_edges[c + 1]
-                slope_low, slope_high, slope_error = (b[c] for b in slopes[i])
-                rise += np.where(w > 0.0, w * slope_high, w * slope_low)
-                fall += np.where(w > 0.0, w * slope_low, w * slope_high)
-                error += np.abs(w) * slope_error
+                w = columns[i][r]
+                h0 += w * at_edges[i][c]
+                h1 += w * at_edges[i][above]
+                slope_low, slope_high, slope_error = slope
+                # by w's sign, one is the term's largest rise, the other its least
+                at_high, at_low = w * slope_high[c], w * slope_low[c]
+                rise += np.maximum(at_high, at_low)
+                fall += np.minimum(at_high, at_low)
+                error += np.abs(w) * slope_error[c]
             first_order = np.minimum(h0 + np.maximum(rise, 0.0) * width, h1 + np.maximum(-fall, 0.0) * width)
-            spread = (8.0 * terms[r] + 2.0**9) * 2.0**-53 * (weight[r] @ slope_bounds) * width
-            cut = first_order + (2.0 * error * (1.0 + 2.0**-40) + spread) < (top[r] - tau[r]) - margin[r]
+            cut = first_order + (2.0 * error * (1.0 + 2.0**-40) + spreads[r] * width) < threshold[at]
             kept[r[cut], c[cut]] = False
         ok &= ~kept.all(axis=1) & kept.any(axis=1)
         kept[~ok] = True
@@ -541,11 +619,11 @@ def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, ba
 
     Returns (stats, owner, points).  stats is (3, R): each row's top, span
     and size, the size infinite (top and span 0) for a row with no screen,
-    so that none of its contracts is decided.  points is (n+1, P): the
-    rows a, v, p_1, ... of every row's points, a row's columns together
-    and in order; owner, sorted, gives the row of each column.  base_size
-    is the largest |u(w_n)| of the family's contracts.  _screen's
-    docstring defines the tables.  Each row is built on the
+    so that none of its contracts is decided.  points is (n+2, P): the
+    rows x, a, v, p_1, ... of every row's points (x the effort), a row's
+    columns together and in order; owner, sorted, gives the row of each
+    column.  base_size is the largest |u(w_n)| of the family's contracts.
+    _screen's docstring defines the tables.  Each row is built on the
     cells of the scan that _cells keeps (a full build keeps them all), in
     three stages:
 
@@ -597,7 +675,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, ba
     used = deltas != 0.0
     stats = np.zeros((3, count))
     stats[2] = math.inf
-    owners, columns = [np.zeros(0, dtype=np.intp)], [np.zeros((len(components) + 2, 0))]
+    owners, columns = [np.zeros(0, dtype=np.intp)], [np.zeros((len(components) + 3, 0))]
     # each curve's _WINDOW rows, None where the tables raise
     windows = []
     failed = np.zeros(count, dtype=bool)
@@ -702,7 +780,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, ba
             item_rows, a, b, snap = item_rows[order], a[order], b[order], snap[order]
             roots = np.zeros(0)
             if len(item_rows):
-                roots = bisect_brackets(lambda k, x: slopes(item_rows[k], x), a, b, snap)
+                roots = bisect_brackets(slopes.bind(item_rows), a, b, snap)
         alive[item_rows[np.isnan(roots)]] = False  # open scan-peak brackets
         alive &= ~slopes.failed
 
@@ -737,7 +815,7 @@ def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, ba
                 d = deltas[owner, i]
                 a = np.where(d != 0.0, a + d * pi, a)
             unfit = np.logical_or.reduce(raised) | ~np.isfinite(a) | ~np.isfinite(v)
-            table = np.array([a, v, *p])
+            table = np.array([x, a, v, *p])
             # per settled row: the largest h and |a| + |v| at its points (NaN
             # for a row with none)
             starts, stops = np.searchsorted(owner, settled), np.searchsorted(owner, settled, side="right")
@@ -781,10 +859,12 @@ def _build_rows(scenario: Scenario, tables: EffortTables, deltas: np.ndarray, ba
 def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, index, policy: str):
     """Settle the contracts of one block from their rows' tables, where that is exact.
 
-    Returns (screened, accepted, value) per contract of index, the block's
-    axis indices; accepted and value (the principal's payoff at the
-    policy's effort) are as the contract's own solve gives them wherever
-    screened is set.  The block's distinct utility-delta rows
+    Returns (screened, accepted, value, respond): per contract of index,
+    the block's axis indices, whether it is settled, and its acceptance
+    and value (the principal's payoff at the policy's effort) as its own
+    solve gives them wherever screened is set; respond(k) is _respond's
+    result for a screened contract k of the block (None when the screen
+    settles none).  The block's distinct utility-delta rows
     (LinearPayoff.deltas) are built in one _build_rows call, and each
     contract gathers its row's stats and points by row number.
 
@@ -810,8 +890,8 @@ def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, ind
     - ``points``: the settled candidates of a solve that is not flat (the
       bracket-grid roots and the roots h's scan peaks snap onto) that lie
       in the kept cells, one column per effort of _build_rows' points,
-      whose rows are a, v, p_1, ..., p_{n-1}, with the bits of the scalar
-      calls settle and the principal make.
+      whose rows are x, a, v, p_1, ..., p_{n-1}: the effort, then the
+      bits of the scalar calls settle and the principal make there.
 
     A row has no screen (size infinite) when its tables raise or are not
     finite, or a scan peak of h brackets no sign change of the slope (an
@@ -834,6 +914,13 @@ def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, ind
     LinearPayoff.value adds them.  Left unscreened: rows without a screen,
     contracts that take the flat shortcut, and accepted contracts whose
     principal levels or deltas are not finite or whose tied values are NaN.
+
+    The response.  So a screened contract's BestResponse is its row's:
+    respond builds it (agent.best_response_from) from the pairs (x_k, F_k)
+    of its points that agent.ties keeps, the best F_k and its acceptance,
+    with no constant result; the policy's effort and value then come from
+    the principal's payoff there, as _respond takes them, so their types
+    are the scalar calls' too.
     """
     count = len(index)
     screened = np.zeros(count, dtype=bool)
@@ -843,7 +930,7 @@ def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, ind
     deltas = levels[:, :-1] - levels[:, -1:]
     ok = np.nonzero(np.isfinite(levels).all(axis=1) & np.isfinite(deltas).all(axis=1))[0]
     if len(ok) == 0:
-        return screened, accepted, value
+        return screened, accepted, value, None
     if deltas.shape[1] == 1:
         distinct, which = np.unique(deltas[ok, 0], return_inverse=True)
         distinct = distinct[:, None]
@@ -854,7 +941,7 @@ def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, ind
     stats, column_row, points = _build_rows(scenario, tables, distinct, arrays.base_size())
     # row r's points are the columns offsets[r] .. offsets[r + 1] - 1
     offsets = np.searchsorted(column_row, np.arange(len(distinct) + 1))
-    a_all, v_all, p_all = points[0], points[1], points[2:]
+    x_all, a_all, v_all, p_all = points[0], points[1], points[2], points[3:]
 
     top, span, row_size = stats[:, which]
     base = levels[ok, -1]
@@ -862,7 +949,7 @@ def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, ind
         not_flat = span > TAU_EXPECTATION * np.maximum(1.0, np.abs(base + top))
         decided = (np.abs(base) + row_size < FINITE_BOUND) & not_flat
     if not decided.any():
-        return screened, accepted, value
+        return screened, accepted, value, None
     rows = ok[decided]
     row_of = which[decided]
     base = base[decided]
@@ -900,7 +987,19 @@ def _screen(scenario: Scenario, tables: EffortTables, arrays: _FamilyArrays, ind
     screened[rows[keep]] = True
     accepted[rows[keep]] = yes[keep]
     value[rows[keep]] = np.where(yes, chosen, np.nan)[keep]
-    return screened, accepted, value
+
+    def respond(k: int):
+        """_respond's result for the block's screened contract k, its
+        response built from its row's points and values."""
+        j = int(np.searchsorted(rows, k))
+        own = slice(first[j], first[j] + lengths[j])
+        pairs, best = ties(list(zip(x_all[cell[own]].tolist(), f[own].tolist())))
+        response = best_response_from(
+            pairs, best, False, scenario.interval, best >= scenario.agent.reservation_utility
+        )
+        return _respond(scenario, arrays.contract(index[k]), policy, response)
+
+    return screened, accepted, value, respond
 
 
 def _key(value: np.ndarray, wages: np.ndarray, k) -> tuple:
@@ -953,12 +1052,13 @@ def solve_game(
     order, by agent_best_response, so an error is raised at the same
     contract as by a loop of its calls.  The screen raises nothing, so the
     first contract whose wage count is not the outcome count ends the walk
-    with its own solve's DimensionError, after the contracts before it.  The
-    screen decides only acceptance and the principal's value, so a screened
-    winner's BestResponse comes from agent_best_response once more, which
-    gives the result of that loop (_screen: a screened contract's own solve
-    is its row's result).  The one-by-one loop keeps only the solve of its
-    least key, which the block's winner reuses when it is that contract.
+    with its own solve's DimensionError, after the contracts before it.  A
+    screened winner's BestResponse, effort and value are built from its
+    row (_screen's respond), which gives the result of that loop, since a
+    screened contract's own solve is its row's result.  The one-by-one
+    loop keeps only the solve of its least key, which the block's winner
+    reuses when it is that contract; any other winner of that loop (one
+    whose value is NaN lets a later key win) is solved once more.
     """
     if tie_break not in TIE_BREAK_POLICIES:
         raise ValueError(
@@ -973,7 +1073,7 @@ def solve_game(
     incumbent = None
     for start in range(0, arrays.size, SCREEN_CHUNK):
         index = arrays.chunk(start, min(start + SCREEN_CHUNK, arrays.size))
-        screened, accepted, value = _screen(scenario, tables, arrays, index, tie_break)
+        screened, accepted, value, respond = _screen(scenario, tables, arrays, index, tie_break)
         wages = arrays.matrix(arrays.wages, index)
         solved = None  # (key, k, _respond result) of the loop's least key
         for k in np.nonzero(~screened)[0].tolist():
@@ -988,8 +1088,12 @@ def solve_game(
         found = _winner(wages, accepted, value, incumbent)
         if found is not incumbent:
             key, k = found[0], int(found[1])
-            kept = solved[2] if solved is not None and solved[1] == k else None
+            if screened[k]:
+                kept = respond(k)
+            else:
+                kept = solved[2] if solved is not None and solved[1] == k else None
             incumbent = key, arrays.contract(index[k]), kept
+        del respond  # and with it the block's arrays, before the next block's
     if arrays.size < family.size():
         scenario.check_contract(next(itertools.islice(family, arrays.size, None)))
     if incumbent is None:

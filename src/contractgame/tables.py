@@ -76,8 +76,9 @@ class EffortTables:
     Curve.enclosure on the cells, ``enclosure(curve, slopes=True)`` its
     Curve.slope_enclosure, ``steps(curve)`` the least and largest
     step of its scan in each cell, and ``magnitude(curve, order)`` the
-    largest |eval| on the scan, or |d1| on its grid.  ``adopt(held,
-    curves)`` takes another tables' entries of equal curves.
+    largest |eval| on the scan, or |d1| on its grid.  ``derive(curve,
+    name, make)`` caches anything else made of a curve and the tables.
+    ``adopt(held, curves)`` takes another tables' entries of equal curves.
     """
 
     __slots__ = ("interval", "_grids", "_arrays", "_derived")
@@ -135,8 +136,10 @@ class EffortTables:
             entry = self._arrays[key] = (curve, values)
         return entry[1]
 
-    def _derive(self, curve, name: str, make):
-        """make(), cached per curve and name."""
+    def derive(self, curve, name: str, make):
+        """make(), cached per curve and name, and taken by adopt with the
+        curve's other entries: make must depend on nothing but the curve
+        and these tables."""
         key = (id(curve), name)
         entry = self._derived.get(key)
         if entry is None:
@@ -155,7 +158,7 @@ class EffortTables:
                     b.flags.writeable = False
             return both
 
-        return self._derive(curve, "enclosures", make)[slopes]
+        return self.derive(curve, "enclosures", make)[slopes]
 
     def steps(self, curve):
         """(least, largest) per cell: the increments eval's scan makes
@@ -165,11 +168,11 @@ class EffortTables:
             rise = np.diff(self.array(curve, SCAN_GRID_POINTS)).reshape(CELLS, -1)
             return rise.min(axis=1), rise.max(axis=1)
 
-        return self._derive(curve, "steps", make)
+        return self.derive(curve, "steps", make)
 
     def magnitude(self, curve, order: int = 0) -> float:
         """max |eval| (order 0) or |d1| (1) on the grid it is filled on; NaN where a value is."""
-        return self._derive(
+        return self.derive(
             curve, f"magnitude {order}",
             lambda: float(np.abs(self.array(curve, _FILLS[order], order)).max()),
         )

@@ -81,7 +81,7 @@ def enumeration_oracle(scenario, family, argmax_points: int = 4097):
 
 
 def row_points(scenario, deltas, points) -> np.ndarray:
-    """The rows a, v, p_1, ... of a delta row at the points, one scalar call
+    """The rows x, a, v, p_1, ... of a delta row at the points x, one scalar call
     per curve and point, a summed from -0.0 as LinearPayoff.value sums it;
     raises where a call raises or a or v is not finite."""
     cost = scenario.agent.effort_cost
@@ -96,7 +96,7 @@ def row_points(scenario, deltas, points) -> np.ndarray:
     v = [cost.eval(c) for c in points]
     if not all(map(math.isfinite, a + v)):
         raise ValueError(f"objective is not finite at {points}")
-    return np.array([a, v, *p], dtype=float)
+    return np.array([points, a, v, *p], dtype=float)
 
 
 def row_build(scenario, tables, deltas, cost_size):
@@ -120,7 +120,7 @@ def row_build(scenario, tables, deltas, cost_size):
         points = row_points(scenario, deltas, settle_points(roots, scenario.interval))
     except Exception:
         return None, "raises"
-    a_max, v_max = np.abs(points[:2]).max(axis=1)
+    a_max, v_max = np.abs(points[1:3]).max(axis=1)
     return Row(top, top - low, float(max(size, a_max + v_max)), points), None
 
 

@@ -1,5 +1,8 @@
 """Curve family evaluation, analytic derivatives vs. finite differences."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,92 @@ def test_array_and_scalar_evaluation_agree_bit_for_bit(method):
         array = getattr(curve, method)(points)
         scalar = [getattr(curve, method)(float(t)) for t in points]
         assert np.array_equal(_bits(array), _bits(scalar)), (curve, method)
+
+
+def _horner_from_zero(coefficients, t):
+    """Horner's rule with every step, from 0.0."""
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * t + c
+    return acc
+
+
+def _same(got, expected) -> bool:
+    """The same type, shape and dtype, and the same bits (signed zeros
+    apart) wherever expected is not NaN, and NaN wherever it is."""
+    if type(got) is not type(expected):
+        return False
+    got, expected = np.asarray(got), np.asarray(expected)
+    nan = np.isnan(expected)
+    return (
+        got.shape == expected.shape and got.dtype == expected.dtype
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(_bits(np.where(nan, 0.0, got)), _bits(np.where(nan, 0.0, expected)))
+    )
+
+
+def _orders(curve):
+    """(method, its coefficients) of a polynomial's eval, d1 and d2."""
+    return (("eval", curve.coefficients), ("d1", curve._d1), ("d2", curve._d2))
+
+
+def test_horner_gives_the_bits_of_every_step():
+    """Polynomial's Horner's rule skips its first step, 0.0 * t + c_k, only
+    where that keeps every bit: coefficients with signed zeros, huge and
+    not finite, at finite points, at points whose sum of squares
+    overflows, at points that are not finite, float32 and integer arrays,
+    and scalars."""
+    values = (0.0, -0.0, 1.5, -2.25, 1e300, -1e-310, math.inf, math.nan)
+    points = [
+        np.array([0.0, -0.0, 0.5, -3.0, 1e200, 7.0]), np.array([1.0, math.inf]),
+        np.array([-1e-100, 1.0], dtype=np.float32), np.arange(4), 0.3, -0.0, math.inf,
+    ]
+    for size in (1, 2, 3):
+        for coefficients in itertools.product(values, repeat=size):
+            curve = Polynomial(coefficients)
+            for t, (method, coeffs) in itertools.product(points, _orders(curve)):
+                with np.errstate(all="ignore"):
+                    got, expected = getattr(curve, method)(t), _horner_from_zero(coeffs, t)
+                assert _same(got, expected), (coefficients, method, t)
+
+
+@pytest.mark.parametrize("coefficients", [(-0.0, -0.0), (1.0, -0.0), (-0.0, 0.0), (2.0, 0.0, 0.0)])
+def test_horner_keeps_its_first_step_at_a_zero_top_coefficient(coefficients):
+    """0.0 * t - 0.0 is +0.0 where t >= 0, not -0.0: from the top
+    coefficient -0.0, (-0.0, -0.0) would be -0.0 at t = 2."""
+    curve = Polynomial(coefficients)
+    t = np.array([2.0, 0.0, -0.0, -3.0])
+    for method, coeffs in _orders(curve):
+        assert _same(getattr(curve, method)(t), _horner_from_zero(coeffs, t)), method
+    assert _bits(Polynomial((-0.0, -0.0)).eval(np.array([2.0])))[0] == 0
+
+
+def test_horner_gives_an_array_the_shape_of_its_points():
+    """A one-coefficient polynomial, as a linear one's d1 and a quadratic's
+    d2 are, still gives a float array of the points' shape, which the
+    effort tables keep."""
+    for t in (np.linspace(0.0, 1.0, 7), np.zeros((2, 3)), np.zeros(0)):
+        curves = (Polynomial((3.0,)).eval, Polynomial((0.2, 0.5)).d1, Polynomial((0.0, 0.0, 2.0)).d2)
+        for got in (method(t) for method in curves):
+            assert isinstance(got, np.ndarray) and got.shape == t.shape and got.dtype == np.float64
+
+
+def test_horner_at_a_point_not_finite_is_nan():
+    """0.0 * inf is NaN, so a point that is not finite takes every step:
+    B(x - w) = x - w is NaN where outcomes of +-1e308 make x - w overflow,
+    in an array as in a scalar call, as validate and LinearPayoff report it."""
+    B = Polynomial((0.0, 1.0))
+    with np.errstate(over="ignore"):
+        t = np.array([1e308, -1e308]) - np.array([-1e308, 1e308])
+    assert np.isinf(t).all()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(B.eval(t)).all()
+    assert all(math.isnan(B.eval(x)) for x in t.tolist())
+    curve = Polynomial((0.5, -2.0, 3.0))
+    mixed = np.array([1.0, math.inf, -math.inf, math.nan])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(np.isnan(curve.eval(mixed)), [False, True, True, True])
+        assert np.isnan(curve.d1(mixed)[1:]).all()
 
 
 def _ulps_apart(a, b) -> np.ndarray:

@@ -393,20 +393,16 @@ _ALL_SCREENED = {
 
 
 def _count_screening(monkeypatch):
-    """Counts of contracts the screen settles and of agent_best_response calls,
-    and the set of the screened contracts (screened_set).
+    """Counts of contracts the screen settles and of agent_best_response calls.
 
-    The calls are the one-by-one solves plus a screened winner's own solve.
+    The calls are the one-by-one solves: a screened winner's response
+    comes from its row, with no solve of its own.
     """
     counts = {"screened": 0, "solved": 0}
-    screened_set = set()
     screen, solve = principal_module._screen, principal_module.agent_best_response
 
     def counting_screen(*args):
         out = screen(*args)
-        arrays, index = args[2], args[3]
-        for k in np.flatnonzero(out[0]).tolist():
-            screened_set.add(arrays.contract(index[k]))
         counts["screened"] += int(out[0].sum())
         return out
 
@@ -416,7 +412,7 @@ def _count_screening(monkeypatch):
 
     monkeypatch.setattr(principal_module, "_screen", counting_screen)
     monkeypatch.setattr(principal_module, "agent_best_response", counting_solve)
-    return counts, screened_set
+    return counts
 
 
 def _outcome(solve):
@@ -434,30 +430,28 @@ class TestScreenConfirm:
     @pytest.mark.parametrize("name", sorted(SCREEN_FAMILIES))
     def test_equals_per_contract_solves(self, name, policy, monkeypatch):
         scenario, family = SCREEN_FAMILIES[name]()
-        counts, screened_set = _count_screening(monkeypatch)
+        counts = _count_screening(monkeypatch)
         screened = solve_game(scenario, family, policy)
         expected = _per_contract_solve(scenario, family, policy)
         assert screened == expected
         assert repr(screened) == repr(expected)
-        # every contract is screened or solved on its own, exactly once,
-        # and a screened winner is solved once more
-        assert counts["screened"] + counts["solved"] == family.size() + (
-            screened.contract in screened_set
-        )
+        # every contract is screened or solved on its own, exactly once
+        assert counts["screened"] + counts["solved"] == family.size()
         assert counts["screened"] > 0
         if name in _ALL_SCREENED:
             assert counts["screened"] == family.size()
         else:
             # some contract is left to the one-by-one loop
-            assert counts["solved"] > (not screened.all_rejected)
+            assert counts["solved"] > 0
         if name == "plateau-peak":
             assert len(screened.best_response.maximizers) > 1
         if name == "all-rejected":
             assert screened.all_rejected
 
     @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
-    def test_winner_is_solved_once(self, policy, monkeypatch):
-        """The screen settles every contract; only the winner is solved."""
+    def test_winner_is_not_solved(self, policy, monkeypatch):
+        """The screen settles every contract, the winner too: nothing is
+        solved one by one, and the winner's response comes from its row."""
         scenario, family = BATCHING_FAMILIES["fixture-shared-step"]()
         solved = []
         solve = principal_module.agent_best_response
@@ -468,7 +462,7 @@ class TestScreenConfirm:
 
         monkeypatch.setattr(principal_module, "agent_best_response", counting_solve)
         got = solve_game(scenario, family, policy)
-        assert solved == [got.contract]
+        assert solved == []
         assert repr(got) == repr(_per_contract_solve(scenario, family, policy))
 
     @pytest.mark.parametrize("name", sorted(ERROR_CASES))
@@ -515,7 +509,7 @@ class TestScreenConfirm:
         )
         family = ContractFamily(grids=(WageGrid(0.0, 4.0, 0.1), WageGrid(0.0, 2.0, 0.1)))
         assert family.size() == 861
-        counts, _ = _count_screening(monkeypatch)
+        counts = _count_screening(monkeypatch)
         got = solve_game(scenario, family, policy)
         assert got.all_rejected
         assert counts == {"screened": 0, "solved": 861}
@@ -531,7 +525,7 @@ class TestScreenConfirm:
         )
         family = ContractFamily(grids=(WageGrid(0.0, 4.0, 0.1), WageGrid(0.0, 2.0, 0.1)))
         expected = _per_contract_solve(scenario, family, policy)
-        counts, _ = _count_screening(monkeypatch)
+        counts = _count_screening(monkeypatch)
         got = solve_game(scenario, family, policy)
         assert not got.all_rejected and got.best_response.constant_expectation
         assert counts == {"screened": 0, "solved": 861}
@@ -907,6 +901,26 @@ class TestFirstOrderPruning:
         stats, _, _ = principal_module._build_rows(scenario, tables, deltas, base_size)
         assert _bits(stats[2]) == _bits(size)
 
+    def test_cell_data_bounds_each_curve_on_its_cells(self):
+        """_cell_data's factors hold, per cell, the curve's scan between its
+        lower and upper bound, and each step of the scan between the least
+        and the largest (minus the largest and least in the third row); the
+        edge values are the scan's, contiguous."""
+        scenario, _ = _nonlinear_game()
+        tables = effort_tables(scenario)
+        for curve in (*scenario.profile.components, scenario.agent.effort_cost):
+            factors, size, _, at_edges, slope, slope_bound = principal_module._cell_data(tables, curve)
+            scan = tables.array(curve, SCAN_GRID_POINTS)
+            cells = np.lib.stride_tricks.sliding_window_view(scan, _STEP + 1)[::_STEP]
+            steps = np.diff(cells, axis=1)
+            (upper, lower), (least, largest), (minus_largest, minus_least) = factors[..., None]
+            assert (lower <= cells).all() and (cells <= upper).all()
+            assert (least <= steps).all() and (steps <= largest).all()
+            assert _bits(minus_largest) == _bits(-largest) and _bits(minus_least) == _bits(-least)
+            assert at_edges.flags.c_contiguous and _bits(at_edges) == _bits(scan[::_STEP])
+            assert size == max(abs(upper).max(), abs(lower).max())
+            assert slope_bound == np.maximum(-slope[0], slope[1]).max()
+
     def test_a_row_without_a_slope_enclosure_keeps_the_zeroth_order_cells(self, monkeypatch):
         """A row of a curve with no slope enclosure keeps exactly the cells
         it keeps when no curve has one; a row without that curve keeps fewer."""
@@ -923,7 +937,8 @@ class TestFirstOrderPruning:
             principal_module.EffortTables, "enclosure",
             lambda self, curve, slopes=False: None if slopes else enclosure(self, curve),
         )
-        zeroth_order = _kept(scenario, tables, rows, 0.0)
+        # fresh tables: _cells keeps what it reads of a curve in its tables
+        zeroth_order = _kept(scenario, principal_module.EffortTables(scenario.interval), rows, 0.0)
         assert not zeroth_order.all(axis=1).any()
         assert np.array_equal(first_order[4:], zeroth_order[4:])
         assert (first_order[:4] <= zeroth_order[:4]).all()
@@ -931,6 +946,7 @@ class TestFirstOrderPruning:
 
 
 _ST = 1.0 / (SCAN_GRID_POINTS - 1)  # the scan's step on [0, 1]
+_STEP = (SCAN_GRID_POINTS - 1) // CELLS  # scan steps per cell
 _NO_COST = Polynomial((0.0,))
 _QUADRATIC_COST = Polynomial((0.0, 0.0, 2.0))
 
@@ -1103,6 +1119,73 @@ class TestFullBuildFallbacks:
             with np.errstate(all="ignore"):  # the huge rows overflow
                 expected, _ = row_build(scenario, tables, deltas, cost_size)
             assert _same_row(row, expected), (name, deltas)
+
+
+def _winner_row(scenario, family, contract) -> str:
+    """How the row of the contract's utility deltas is built in the family:
+    "full" (no cell pruned), "pruned", or "rebuilt" (pruned by _cells, then
+    sent back to the full build, so its size is not the pruned bound)."""
+    base_size = principal_module._FamilyArrays(scenario, family).base_size()
+    tables = effort_tables(scenario)
+    deltas = np.array([LinearPayoff.agent(scenario, contract).deltas])
+    kept, _, _, size_bound, _ = principal_module._cells(scenario, tables, deltas, deltas != 0.0, base_size)
+    if kept.all():
+        return "full"
+    stats, _, _ = principal_module._build_rows(scenario, tables, deltas, base_size)
+    return "pruned" if _bits(stats[2]) == _bits(size_bound) else "rebuilt"
+
+
+def _screened_winner_games():
+    """(scenario, family, SCREEN_CHUNK) of the screen and batching families,
+    the fixture in blocks of 7 contracts, and a family of one contract per
+    row of each fallback case whose rows _cells prunes and the build sends
+    back to the full build."""
+    games = [(*make(), principal_module.SCREEN_CHUNK)
+             for make in (*SCREEN_FAMILIES.values(), *BATCHING_FAMILIES.values())]
+    games.append((*BATCHING_FAMILIES["fixture-shared-step"](), 7))
+    for scenario, rows, _, proposed, _ in _FALLBACKS.values():
+        if proposed and scenario.n_outcomes == 2:
+            contracts = tuple(Contract((d, 0.0)) for (d,) in rows)
+            games.append((scenario, ContractFamily(contracts=contracts), principal_module.SCREEN_CHUNK))
+    return games
+
+
+class TestScreenedWinner:
+    """A screened winner's BestResponse, effort and principal value come
+    from its row's points, and are its own solve's (_respond)."""
+
+    @pytest.mark.parametrize("policy", TIE_BREAK_POLICIES)
+    def test_equals_its_own_solve(self, policy, monkeypatch):
+        screen = principal_module._screen
+        responded = []  # (block, result) of each response taken from a row
+
+        def recording_screen(*args):
+            screened, accepted, value, respond = screen(*args)
+            block = blocks[0]
+            blocks[0] += 1
+
+            def recording_respond(k):
+                responded.append((block, respond(k)))
+                return responded[-1][1]
+
+            return screened, accepted, value, recording_respond
+
+        monkeypatch.setattr(principal_module, "_screen", recording_screen)
+        met = {"full": 0, "pruned": 0, "rebuilt": 0, "earlier block": 0}
+        for scenario, family, chunk in _screened_winner_games():
+            monkeypatch.setattr(principal_module, "SCREEN_CHUNK", chunk)
+            blocks, responded[:] = [0], []
+            got = solve_game(scenario, family, policy)
+            if not responded or got.best_response is not responded[-1][1][0]:
+                continue  # no winner, or one the one-by-one loop solved
+            block, (response, effort, value) = responded[-1]
+            expected = principal_module._respond(scenario, got.contract, policy)
+            assert repr((response, effort, value)) == repr(expected)
+            assert (got.best_response, got.effort, got.principal_payoff) == expected
+            assert got.agent_payoff == expected[0].optimal_expectation
+            met[_winner_row(scenario, family, got.contract)] += 1
+            met["earlier block"] += block < blocks[0] - 1
+        assert min(met.values()) > 0, met
 
 
 class _ArrayEvalOff(Polynomial):
@@ -1306,7 +1389,7 @@ class TestLockstepBisection:
             b[tiny] = np.nextafter(np.nextafter(a[tiny], np.inf), np.where(rng.random(tiny.sum()) < 0.5, np.inf, a[tiny]))
             snap = rng.random(count) < 0.5
             slopes = principal_module._Slopes(scenario, np.array(keys))
-            got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
+            got = agent_module.bisect_brackets(slopes.bind(rows), a, b, snap)
             assert not slopes.failed.any()
             for k in range(count):
                 g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), cost).slope
@@ -1327,7 +1410,7 @@ class TestLockstepBisection:
         rows = np.array([0, 0, 0, 0, 0, 1, 1])
         snap = np.array([False, False, False, True, True, False, True])
         slopes = principal_module._Slopes(scenario, np.array(keys))
-        got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
+        got = agent_module.bisect_brackets(slopes.bind(rows), a, b, snap)
         assert got.tolist() == [0.25, 0.25, 0.25, 0.25, 0.25, 0.5, 0.5]
         for k in range(len(a)):
             g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), scenario.agent.effort_cost).slope
@@ -1366,6 +1449,31 @@ class TestLockstepBisection:
         slopes, _ = _check_lockstep(scenario, keys, np.random.default_rng(8813))
         assert slopes.failed.tolist() == [False, True, True, False]
         assert {1, 2} <= set(calls) and not {0, 3} & set(calls)
+
+    def test_exact_rows_redo_only_zero_and_non_finite_slopes(self, monkeypatch):
+        """A call on exact rows keeps numpy's slopes and takes the scalar call
+        only where a slope is 0 or not finite, which gives it back."""
+        scalar, calls = principal_module._Slopes.scalar, []
+
+        def counting_scalar(self, row, x):
+            calls.append(x)
+            return scalar(self, row, x)
+
+        monkeypatch.setattr(principal_module._Slopes, "scalar", counting_scalar)
+        keys, rows = [(1.0,), (2.0,)], np.array([0, 0, 1, 1])
+        x = np.array([0.25, 0.3, 0.5, 0.7])
+        # slope 0.5 d - 2e: 0 at e = d / 4; with v = 1e308 e^2, v' = inf * e
+        for cost, redone in ((Polynomial((0.0, 0.0, 1.0)), [0.25, 0.5]),
+                             (Polynomial((0.0, 0.0, 1e308)), x.tolist()),
+                             (Polynomial((0.0, 0.25)), [])):
+            scenario = unit_scenario((10.0, 2.0), RISING, cost)
+            slopes = principal_module._Slopes(scenario, np.array(keys))
+            calls.clear()
+            got = slopes.bind(rows)(np.arange(len(x)), x)
+            assert slopes.exact and calls == redone
+            for k in range(len(x)):
+                g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), cost).slope
+                assert _bits(got[k]) == _bits(g(float(x[k]))), (cost, k)
 
     @pytest.mark.parametrize("component", [Polynomial((0.2, 0.5)), ExpAffine(0.6, -0.4, -1.1)])
     def test_the_grid_and_scan_peak_brackets_of_one_maximum(self, component):
@@ -1413,7 +1521,7 @@ def _check_lockstep(scenario, keys, rng, brackets=None):
     else:
         rows, a, b, snap = brackets
     slopes = principal_module._Slopes(scenario, np.array(keys, dtype=float))
-    got = agent_module.bisect_brackets(lambda k, x: slopes(rows[k], x), a, b, snap)
+    got = agent_module.bisect_brackets(slopes.bind(rows), a, b, snap)
     expected, raising = {}, set()
     for k in range(len(a)):
         g = LinearPayoff(scenario, (*keys[rows[k]], 0.0), scenario.agent.effort_cost).slope
